@@ -9,10 +9,11 @@ from .control import (
     Restricted,
     Sampled,
     SearchReport,
+    banzhaf,
     evaluate_deletion,
     solve_control,
 )
-from .engines import DEFAULT_BUDGET, EngineBudget, banzhaf, pivot_count_enum, pivot_count_mitm, pivot_count_weight_dp
+from .engines import DEFAULT_BUDGET, EngineBudget, pivot_count_enum, pivot_count_mitm, pivot_count_weight_dp
 from .errors import (
     BandStructureError,
     BudgetExceededError,

@@ -9,8 +9,8 @@ is smaller than that block's granularity.  Consequently the residual a
 heavy player leaves open splits uniquely across blocks, and the number of
 light subsets hitting the residual is a product of per-block counts:
 
-* ``ENUMERABLE`` blocks (a few dozen structured weights) are counted by a
-  cached meet-in-the-middle table;
+* ``ENUMERABLE`` blocks (a few dozen structured weights) are counted by
+  the engines' meet-in-the-middle core, with bounded caches;
 * ``UNIFORM_CHAIN_LEVEL`` blocks (all weights equal) contribute a binomial
   coefficient;
 * ``SUPERINCREASING`` blocks admit at most one subset per value, found
@@ -22,11 +22,12 @@ a wrong construction must fail loudly, never miscount.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
+from .engines import HalfSums, count_window, half_sum_tables
 from .errors import BandStructureError, InputError
 from .game import Game
 
@@ -212,6 +213,15 @@ class BandSystem:
         )
 
 
+def _greedy_remainder(weights: tuple[int, ...], value: int) -> int:
+    """What is left of ``value`` after taking superincreasing ``weights``
+    greedily from the largest; zero iff some subset sums to ``value``."""
+    for w in reversed(weights):
+        if value >= w:
+            value -= w
+    return value
+
+
 def decompose_target(bands: BandSystem, residual: int) -> Decomposition | None:
     """Split ``residual`` into per-block targets; unique when it exists.
 
@@ -228,12 +238,7 @@ def decompose_target(bands: BandSystem, residual: int) -> Decomposition | None:
     targets: list[int] = []
     for block in bands.blocks:
         if block.kind is BlockKind.SUPERINCREASING:
-            value = 0
-            rest = remaining
-            for w in reversed(block.weights):
-                if rest >= w:
-                    rest -= w
-                    value += w
+            value = remaining - _greedy_remainder(block.weights, remaining)
         else:
             value = remaining - remaining % block.granularity
             if value > block.max_sum:
@@ -245,40 +250,24 @@ def decompose_target(bands: BandSystem, residual: int) -> Decomposition | None:
     return Decomposition(tuple(targets))
 
 
-# Subset-sum tables for enumerable blocks, cached per weight multiset so the
-# control solver's thousands of deletion variants reuse them.  A table is a
-# pair of half-sum Counters; individual (table, target) counts are memoised
-# separately.
-_ENUM_TABLES: dict[tuple[int, ...], tuple[Counter[int], Counter[int]]] = {}
-_ENUM_COUNTS: dict[tuple[tuple[int, ...], int], int] = {}
+# Meet-in-the-middle tables for enumerable blocks, cached per weight tuple
+# so the control solver's thousands of deletion variants reuse them, and
+# the (weights, target) counts on top.  Both caches are bounded; their
+# ``cache_info()`` gives the hit counts and ``cache_clear()`` empties them.
+_TABLE_CACHE_SIZE = 8
+_COUNT_CACHE_SIZE = 4096
 
 _MAX_ENUMERABLE = 30
 
 
-def _enum_tables(weights: tuple[int, ...]) -> tuple[Counter[int], Counter[int]]:
-    tables = _ENUM_TABLES.get(weights)
-    if tables is None:
-        half = (len(weights) + 1) // 2
-        left: Counter[int] = Counter([0])
-        for w in weights[:half]:
-            left.update({s + w: c for s, c in left.items()})
-        right: Counter[int] = Counter([0])
-        for w in weights[half:]:
-            right.update({s + w: c for s, c in right.items()})
-        tables = (left, right)
-        _ENUM_TABLES[weights] = tables
-    return tables
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _enum_tables(weights: tuple[int, ...]) -> HalfSums:
+    return half_sum_tables(weights)
 
 
+@functools.lru_cache(maxsize=_COUNT_CACHE_SIZE)
 def _enum_count(weights: tuple[int, ...], target: int) -> int:
-    key = (weights, target)
-    cached = _ENUM_COUNTS.get(key)
-    if cached is None:
-        left, right = _enum_tables(weights)
-        small, large = (left, right) if len(left) <= len(right) else (right, left)
-        cached = sum(c * large.get(target - v, 0) for v, c in small.items())
-        _ENUM_COUNTS[key] = cached
-    return cached
+    return count_window(_enum_tables(weights), target, target)
 
 
 def count_block(block: LightBlock, target: int) -> int:
@@ -294,11 +283,7 @@ def count_block(block: LightBlock, target: int) -> int:
     if block.kind is BlockKind.UNIFORM_CHAIN_LEVEL:
         return math.comb(len(block.members), target // block.granularity)
     if block.kind is BlockKind.SUPERINCREASING:
-        rest = target
-        for w in reversed(block.weights):
-            if rest >= w:
-                rest -= w
-        return 1 if rest == 0 else 0
+        return 1 if _greedy_remainder(block.weights, target) == 0 else 0
     if len(block.members) > _MAX_ENUMERABLE:
         raise BandStructureError(
             f"enumerable block {block.name} has {len(block.members)} members "

@@ -18,6 +18,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -29,7 +30,7 @@ from .control import (
     compute_index,
     solve_control,
 )
-from .engines import EngineBudget
+from .engines import DEFAULT_BUDGET, EngineBudget
 from .errors import BandStructureError, BudgetExceededError, InputError
 from .formulas import count_sat, e_exact_sat, e_minority_sat, parse_dimacs
 from .game import ExactIndex, Game
@@ -80,22 +81,14 @@ def cmd_index(args: argparse.Namespace) -> int:
     path = Path(args.input)
     loaded = _load_any_instance(path)
     budget = _budget_from(args)
-    if isinstance(loaded, Game):
-        if args.player is None:
-            raise InputError("a bare game document needs --player")
-        instance = ControlInstance(
-            game=loaded, distinguished=args.player, budget=0, goal=Goal.DECREASE
-        )
-    else:
+    if isinstance(loaded, ControlInstance) and args.player in (None, loaded.distinguished):
         instance = loaded
-        if args.player is not None and args.player != instance.distinguished:
-            # Indices of non-distinguished players never use band metadata.
-            instance = ControlInstance(
-                game=instance.game,
-                distinguished=args.player,
-                budget=0,
-                goal=Goal.DECREASE,
-            )
+    elif args.player is None:
+        raise InputError("a bare game document needs --player")
+    else:
+        # Indices of non-distinguished players never use band metadata.
+        game = loaded.game if isinstance(loaded, ControlInstance) else loaded
+        instance = ControlInstance(game, args.player, 0, Goal.DECREASE)
     _echo(args, path)
     started = time.perf_counter()
     index, engine_used = compute_index(instance, args.engine, budget)
@@ -133,16 +126,8 @@ def cmd_control(args: argparse.Namespace) -> int:
     else:
         instance = loaded
         if args.goal is not None:
-            instance = ControlInstance(
-                game=instance.game,
-                distinguished=instance.distinguished,
-                budget=instance.budget,
-                goal=Goal(args.goal.upper()),
-                groups=instance.groups,
-                bands=instance.bands,
-                a_players=instance.a_players,
-                b_players=instance.b_players,
-                meta=dict(instance.meta),
+            instance = replace(
+                instance, goal=Goal(args.goal.upper()), meta=dict(instance.meta)
             )
     if args.mode == "exhaustive":
         mode = Exhaustive()
@@ -206,17 +191,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.kind == "count-sat":
         print(f"#SAT = {count_sat(formula)}")
-    elif args.kind == "e-minority-sat":
-        if args.k is None:
-            raise InputError("e-minority-sat needs --k")
-        verdict, prefix = e_minority_sat(formula, args.k)
-        print(f"verdict: {'YES' if verdict else 'NO'}")
-        if prefix is not None:
-            print(f"witness prefix: {''.join(str(b) for b in prefix)}")
     else:
-        if args.k is None or args.ell is None:
-            raise InputError("e-exact-sat needs --k and --ell")
-        verdict, prefix = e_exact_sat(formula, args.k, args.ell)
+        if args.kind == "e-minority-sat":
+            if args.k is None:
+                raise InputError("e-minority-sat needs --k")
+            verdict, prefix = e_minority_sat(formula, args.k)
+        else:
+            if args.k is None or args.ell is None:
+                raise InputError("e-exact-sat needs --k and --ell")
+            verdict, prefix = e_exact_sat(formula, args.k, args.ell)
         print(f"verdict: {'YES' if verdict else 'NO'}")
         if prefix is not None:
             print(f"witness prefix: {''.join(str(b) for b in prefix)}")
@@ -256,11 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=ENGINE_CHOICES, default="auto", help="index engine"
     )
     common.add_argument("--seed", type=int, default=20240817, help="RNG seed")
-    common.add_argument("--budget-enum", type=int, default=24, metavar="N",
+    common.add_argument("--budget-enum", type=int, metavar="N",
+                        default=DEFAULT_BUDGET.max_enum_players,
                         help="max co-players for the enumeration engine")
-    common.add_argument("--budget-mitm-half", type=int, default=22, metavar="N",
+    common.add_argument("--budget-mitm-half", type=int, metavar="N",
+                        default=DEFAULT_BUDGET.max_mitm_half,
                         help="max half size for meet-in-the-middle")
-    common.add_argument("--budget-dp-quota", type=int, default=2_000_000, metavar="Q",
+    common.add_argument("--budget-dp-quota", type=int, metavar="Q",
+                        default=DEFAULT_BUDGET.max_dp_quota,
                         help="max quota for the weight-table engine")
     common.add_argument("--relaxed", action="store_true",
                         help="allow oracle-scale gadget parameters (1 <= k < n)")

@@ -13,86 +13,100 @@ a named subset of provenance groups.
 
 from __future__ import annotations
 
+import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 from .bands import pivot_count_layered
 from .engines import (
     DEFAULT_BUDGET,
     EngineBudget,
+    dp_refusal,
+    enum_refusal,
+    mitm_refusal,
     pivot_count_enum,
     pivot_count_mitm,
     pivot_count_weight_dp,
 )
 from .errors import BudgetExceededError, InputError, WvgError
-from .game import ExactIndex, weight_class_partition
+from .game import ExactIndex, Game, weight_class_partition
 from .gadgets import MIN_ONE_DELETION_GOALS, ControlInstance, Goal
+
+_RELATIONS = {
+    Goal.DECREASE: operator.lt,
+    Goal.NONINCREASE: operator.le,
+    Goal.MAINTAIN: operator.eq,
+    Goal.INCREASE: operator.gt,
+    Goal.NONDECREASE: operator.ge,
+}
 
 
 def relation_holds(goal: Goal, before: ExactIndex, after: ExactIndex) -> bool:
-    if goal is Goal.DECREASE:
-        return after < before
-    if goal is Goal.NONINCREASE:
-        return after <= before
-    if goal is Goal.MAINTAIN:
-        return after == before
-    if goal is Goal.INCREASE:
-        return after > before
-    if goal is Goal.NONDECREASE:
-        return after >= before
-    raise InputError(f"unknown goal {goal!r}")
+    try:
+        relation = _RELATIONS[goal]
+    except KeyError:
+        raise InputError(f"unknown goal {goal!r}")
+    return relation(after, before)
 
 
-ENGINE_CHOICES = ("auto", "enum", "mitm", "dp", "layered")
+@dataclass(frozen=True)
+class _Engine:
+    """One entry of the engine table: when it accepts an instance, how it runs."""
+
+    feasible: Callable[[ControlInstance, EngineBudget], bool]
+    run: Callable[[ControlInstance, EngineBudget], int]
 
 
-def _engine_feasible(name: str, instance: ControlInstance, budget: EngineBudget) -> bool:
-    n = instance.game.num_players
-    if name == "enum":
-        return n - 1 <= budget.max_enum_players
-    if name == "mitm":
-        return n // 2 <= budget.max_mitm_half
-    if name == "dp":
-        return instance.game.quota <= budget.max_dp_quota
-    if name == "layered":
-        return instance.bands is not None
-    raise InputError(f"unknown engine {name!r}")
+def _brute_force(
+    refusal: Callable[[Game, EngineBudget], str | None],
+    engine: Callable[[], Callable[[Game, int, EngineBudget], int]],
+) -> _Engine:
+    # ``engine`` returns the module global when called, so replacing that
+    # global (as a tracer does) reroutes every run.
+    return _Engine(
+        lambda instance, budget: refusal(instance.game, budget) is None,
+        lambda instance, budget: engine()(instance.game, instance.distinguished, budget),
+    )
 
 
-def _run_engine(name: str, instance: ControlInstance, budget: EngineBudget) -> int:
-    if name == "layered":
-        if instance.bands is None:
-            raise BudgetExceededError(
-                "layered engine needs band metadata, which this instance lacks"
-            )
-        return pivot_count_layered(instance.bands)
-    game, player = instance.game, instance.distinguished
-    if name == "enum":
-        return pivot_count_enum(game, player, budget)
-    if name == "mitm":
-        return pivot_count_mitm(game, player, budget)
-    if name == "dp":
-        return pivot_count_weight_dp(game, player, budget)
-    raise InputError(f"unknown engine {name!r}")
+def _run_layered(instance: ControlInstance, budget: EngineBudget) -> int:
+    if instance.bands is None:
+        raise BudgetExceededError(
+            "layered engine needs band metadata, which this instance lacks"
+        )
+    return pivot_count_layered(instance.bands)
+
+
+_BRUTE_FORCE = {
+    "enum": _brute_force(enum_refusal, lambda: pivot_count_enum),
+    "mitm": _brute_force(mitm_refusal, lambda: pivot_count_mitm),
+    "dp": _brute_force(dp_refusal, lambda: pivot_count_weight_dp),
+}
+ENGINES = {
+    **_BRUTE_FORCE,
+    "layered": _Engine(lambda instance, budget: instance.bands is not None, _run_layered),
+}
+ENGINE_CHOICES = ("auto", *ENGINES)
 
 
 def pick_engine(instance: ControlInstance, budget: EngineBudget = DEFAULT_BUDGET) -> str:
     """Deterministic auto-selection: layered when bands exist, else the
-    cheapest brute-force engine whose budget accepts the instance."""
-    if instance.bands is not None:
-        return "layered"
-    n = instance.game.num_players
-    if n - 1 <= min(budget.max_enum_players, 20):
-        return "enum"
-    if _engine_feasible("mitm", instance, budget):
-        return "mitm"
-    if _engine_feasible("dp", instance, budget):
-        return "dp"
-    if _engine_feasible("enum", instance, budget):
-        return "enum"
+    cheapest brute-force engine whose budget accepts the instance
+    (enumeration first while it has at most 20 co-players)."""
+    small_enum = replace(budget, max_enum_players=min(budget.max_enum_players, 20))
+    for name, limits in (
+        ("layered", budget),
+        ("enum", small_enum),
+        ("mitm", budget),
+        ("dp", budget),
+        ("enum", budget),
+    ):
+        if ENGINES[name].feasible(instance, limits):
+            return name
     raise BudgetExceededError(
-        f"no engine accepts this instance ({n} players, quota {instance.game.quota}) "
-        "within the configured budgets"
+        f"no engine accepts this instance ({instance.game.num_players} players, "
+        f"quota {instance.game.quota}) within the configured budgets"
     )
 
 
@@ -101,7 +115,9 @@ def compute_pivot_count(
 ) -> tuple[int, str]:
     """Pivotal count of the distinguished player, with the engine that ran."""
     name = pick_engine(instance, budget) if engine == "auto" else engine
-    return _run_engine(name, instance, budget), name
+    if name not in ENGINES:
+        raise InputError(f"unknown engine {name!r}; expected one of {sorted(ENGINES)}")
+    return ENGINES[name].run(instance, budget), name
 
 
 def compute_index(
@@ -109,6 +125,17 @@ def compute_index(
 ) -> tuple[ExactIndex, str]:
     count, name = compute_pivot_count(instance, engine, budget)
     return ExactIndex(count, instance.game.num_players - 1), name
+
+
+def banzhaf(
+    game: Game, player: int, engine: str = "enum", budget: EngineBudget = DEFAULT_BUDGET
+) -> ExactIndex:
+    """The probabilistic Penrose-Banzhaf index as an exact dyadic rational,
+    by one of the brute-force engines (``enum``, ``mitm`` or ``dp``)."""
+    if engine not in _BRUTE_FORCE:
+        raise InputError(f"unknown engine {engine!r}; expected one of {sorted(_BRUTE_FORCE)}")
+    instance = ControlInstance(game, player, 0, Goal.DECREASE)
+    return ExactIndex(_BRUTE_FORCE[engine].run(instance, budget), game.num_players - 1)
 
 
 @dataclass(frozen=True)
@@ -291,10 +318,10 @@ def _reverify(
     variant: ControlInstance, count: int, engine_used: str, budget: EngineBudget
 ) -> str | None:
     """Recompute a witness count with a different engine when budgets allow."""
-    for name in ("enum", "mitm", "dp", "layered"):
-        if name == engine_used or not _engine_feasible(name, variant, budget):
+    for name, entry in ENGINES.items():
+        if name == engine_used or not entry.feasible(variant, budget):
             continue
-        other = _run_engine(name, variant, budget)
+        other = entry.run(variant, budget)
         if other != count:
             raise WvgError(
                 f"engine disagreement on witness: {engine_used}={count}, {name}={other}"
@@ -338,8 +365,8 @@ def solve_control(
     maintain, nondecrease) require at least one deletion; the strict goals
     admit the empty deletion harmlessly.
     """
-    engine_used = pick_engine(instance, budget) if engine == "auto" else engine
-    before_count = _run_engine(engine_used, instance, budget)
+    before_count, engine_used = compute_pivot_count(instance, engine, budget)
+    run = ENGINES[engine_used].run
     before = ExactIndex(before_count, instance.game.num_players - 1)
     min_size = 1 if instance.goal in MIN_ONE_DELETION_GOALS else 0
 
@@ -362,10 +389,13 @@ def solve_control(
     evaluated = 0
     min_seen: ExactIndex | None = None
     max_seen: ExactIndex | None = None
+    witness: DeletionCandidate | None = None
+    after_witness: ExactIndex | None = None
+    reverified: str | None = None
     for candidate in candidates:
         variant = instance.delete(candidate.players)
         try:
-            count = _run_engine(engine_used, variant, budget)
+            count = run(variant, budget)
         except BudgetExceededError as error:
             raise BudgetExceededError(
                 f"engine {engine_used} refused the candidate "
@@ -378,31 +408,25 @@ def solve_control(
         if max_seen is None or after > max_seen:
             max_seen = after
         if relation_holds(instance.goal, before, after):
+            witness, after_witness = candidate, after
             reverified = _reverify(variant, count, engine_used, budget)
-            return SearchReport(
-                goal=instance.goal,
-                verdict="YES",
-                engine=engine_used,
-                index_before=before,
-                witness=candidate,
-                index_after_witness=after,
-                candidates_evaluated=evaluated,
-                min_index_seen=min_seen,
-                max_index_seen=max_seen,
-                reverified_with=reverified,
-                seed=mode.seed if isinstance(mode, Sampled) else None,
-                trials=mode.trials if isinstance(mode, Sampled) else None,
-            )
+            break
+    sampled = isinstance(mode, Sampled)
+    if witness is not None:
+        verdict = "YES"
+    else:
+        verdict = "NO-sampled" if sampled else "NO-exhaustive"
     return SearchReport(
         goal=instance.goal,
-        verdict="NO-sampled" if isinstance(mode, Sampled) else "NO-exhaustive",
+        verdict=verdict,
         engine=engine_used,
         index_before=before,
-        witness=None,
-        index_after_witness=None,
+        witness=witness,
+        index_after_witness=after_witness,
         candidates_evaluated=evaluated,
         min_index_seen=min_seen,
         max_index_seen=max_seen,
-        seed=mode.seed if isinstance(mode, Sampled) else None,
-        trials=mode.trials if isinstance(mode, Sampled) else None,
+        reverified_with=reverified,
+        seed=mode.seed if sampled else None,
+        trials=mode.trials if sampled else None,
     )

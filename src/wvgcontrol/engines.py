@@ -6,7 +6,13 @@ in ``[quota - w_i, quota - 1]``; the probabilistic Penrose-Banzhaf index is
 enumeration, meet-in-the-middle, pseudo-polynomial weight table) so they
 can serve as mutual oracles.  Each engine refuses instances beyond its
 budget instead of running unboundedly; refusal is an explicit error so
-verification code always knows which algorithm produced a number.
+verification code always knows which algorithm produced a number.  Each
+budget rule is written once, as a ``*_refusal`` function that the engine
+raises on and the control layer's engine table reads.
+
+The meet-in-the-middle core (``half_sum_tables`` / ``count_window``) is
+also the counter behind the layered engine's enumerable blocks and the
+subset-sum oracle.
 """
 
 from __future__ import annotations
@@ -14,9 +20,10 @@ from __future__ import annotations
 import bisect
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import BudgetExceededError, InputError
-from .game import ExactIndex, Game
+from .game import Game
 
 
 @dataclass(frozen=True)
@@ -35,9 +42,11 @@ class EngineBudget:
 DEFAULT_BUDGET = EngineBudget()
 
 
-def _pivot_interval(game: Game, player: int) -> tuple[int, int]:
+def _pivot_problem(game: Game, player: int) -> tuple[list[int], int, int]:
+    """The co-players' weights and the pivotal window ``[quota - w_i, quota - 1]``."""
     game.check_player(player)
-    return game.quota - game.weights[player], game.quota - 1
+    others = [w for p, w in enumerate(game.weights) if p != player]
+    return others, game.quota - game.weights[player], game.quota - 1
 
 
 def _count_subsets_in_interval(weights: list[int], lo: int, hi: int) -> int:
@@ -69,49 +78,82 @@ def _count_subsets_in_interval(weights: list[int], lo: int, hi: int) -> int:
     return walk(0, 0)
 
 
+def _over_budget(refusal: str, size: int, budget: EngineBudget, limit: str) -> str | None:
+    """``refusal`` naming ``size`` and the limit when ``size`` exceeds it."""
+    allowed = getattr(budget, limit)
+    return None if size <= allowed else f"{refusal.format(size)} ({limit}={allowed})"
+
+
+def enum_refusal(game: Game, budget: EngineBudget) -> str | None:
+    """Why the enumeration engine refuses ``game``, or ``None`` if it runs."""
+    others = game.num_players - 1
+    return _over_budget(
+        "enumeration engine refuses {} co-players", others, budget, "max_enum_players"
+    )
+
+
+def mitm_refusal(game: Game, budget: EngineBudget) -> str | None:
+    """Why the meet-in-the-middle engine refuses ``game``, or ``None``."""
+    half = game.num_players // 2  # the larger half of the n - 1 co-players
+    return _over_budget(
+        "meet-in-the-middle engine refuses half-size {}", half, budget, "max_mitm_half"
+    )
+
+
+def dp_refusal(game: Game, budget: EngineBudget) -> str | None:
+    """Why the weight-table engine refuses ``game``, or ``None``."""
+    return _over_budget(
+        "weight-table engine refuses quota {}", game.quota, budget, "max_dp_quota"
+    )
+
+
+def _refuse(reason: str | None) -> None:
+    if reason is not None:
+        raise BudgetExceededError(reason)
+
+
 def pivot_count_enum(
     game: Game, player: int, budget: EngineBudget = DEFAULT_BUDGET
 ) -> int:
     """Exact pivotal count by pruned subset enumeration."""
-    lo, hi = _pivot_interval(game, player)
-    others = [w for p, w in enumerate(game.weights) if p != player]
-    if len(others) > budget.max_enum_players:
-        raise BudgetExceededError(
-            f"enumeration engine refuses {len(others)} co-players "
-            f"(max_enum_players={budget.max_enum_players})"
-        )
+    others, lo, hi = _pivot_problem(game, player)
+    _refuse(enum_refusal(game, budget))
     return _count_subsets_in_interval(others, lo, hi)
 
 
-def _half_sums(weights: list[int]) -> list[int]:
+# The meet-in-the-middle core, shared by the mitm engine, the layered
+# counter's enumerable blocks and the subset-sum oracle.  The enum and dp
+# engines do not use it, so every cross-check keeps one independent side.
+
+HalfSums = tuple[Counter[int], Counter[int]]
+
+
+def _subset_sums(weights: Sequence[int]) -> Counter[int]:
     sums = [0]
     for w in weights:
         sums += [s + w for s in sums]
-    return sums
+    return Counter(sums)
 
 
-def pivot_count_mitm(
-    game: Game, player: int, budget: EngineBudget = DEFAULT_BUDGET
-) -> int:
-    """Exact pivotal count by meet-in-the-middle.
+def half_sum_tables(weights: Sequence[int]) -> HalfSums:
+    """Subset-sum multiplicities of the first and second half of ``weights``."""
+    half = (len(weights) + 1) // 2
+    return _subset_sums(weights[:half]), _subset_sums(weights[half:])
 
-    The co-players are split in halves; one half's subset sums are sorted
-    with multiplicities, and for every sum of the other half the matching
-    window is counted by bisection.  Multiplicities multiply, so duplicate
-    sums are handled exactly.
+
+def count_window(tables: HalfSums, lo: int, hi: int) -> int:
+    """Subsets whose sum lies in ``[lo, hi]``, from the two half tables.
+
+    Multiplicities multiply, so duplicate sums are handled exactly.  A
+    single target is a dict lookup per sum of the smaller half; a wider
+    window sorts one half and counts each match by bisection.
     """
-    lo, hi = _pivot_interval(game, player)
-    others = [w for p, w in enumerate(game.weights) if p != player]
-    half = (len(others) + 1) // 2
-    if half > budget.max_mitm_half:
-        raise BudgetExceededError(
-            f"meet-in-the-middle engine refuses half-size {half} "
-            f"(max_mitm_half={budget.max_mitm_half})"
-        )
     if hi < 0 or hi < lo:
         return 0
-    left = Counter(_half_sums(others[:half]))
-    right = Counter(_half_sums(others[half:]))
+    left, right = tables
+    if lo == hi:
+        small, large = (left, right) if len(left) <= len(right) else (right, left)
+        return sum(c * large.get(lo - v, 0) for v, c in small.items())
     values = sorted(right)
     prefix = [0]
     for v in values:
@@ -124,6 +166,22 @@ def pivot_count_mitm(
     return total
 
 
+def count_subsets_mitm(weights: Sequence[int], lo: int, hi: int) -> int:
+    """Subsets of ``weights`` whose sum lies in ``[lo, hi]``, by meet-in-the-middle."""
+    if hi < 0 or hi < lo:
+        return 0
+    return count_window(half_sum_tables(weights), lo, hi)
+
+
+def pivot_count_mitm(
+    game: Game, player: int, budget: EngineBudget = DEFAULT_BUDGET
+) -> int:
+    """Exact pivotal count by meet-in-the-middle over the co-players."""
+    others, lo, hi = _pivot_problem(game, player)
+    _refuse(mitm_refusal(game, budget))
+    return count_subsets_mitm(others, lo, hi)
+
+
 def pivot_count_weight_dp(
     game: Game, player: int, budget: EngineBudget = DEFAULT_BUDGET
 ) -> int:
@@ -134,18 +192,12 @@ def pivot_count_weight_dp(
     the table width is the quota regardless of the total weight.  Counts
     are arbitrary-precision integers.
     """
-    lo, hi = _pivot_interval(game, player)
-    if game.quota > budget.max_dp_quota:
-        raise BudgetExceededError(
-            f"weight-table engine refuses quota {game.quota} "
-            f"(max_dp_quota={budget.max_dp_quota})"
-        )
+    others, lo, hi = _pivot_problem(game, player)
+    _refuse(dp_refusal(game, budget))
     quota = game.quota
     table = [0] * (quota + 1)  # index quota == sink for sums >= quota
     table[0] = 1
-    for p, w in enumerate(game.weights):
-        if p == player:
-            continue
+    for w in others:
         if w == 0:
             for s in range(quota + 1):
                 table[s] *= 2
@@ -156,29 +208,3 @@ def pivot_count_weight_dp(
     if hi < 0 or hi < lo:
         return 0
     return sum(table[max(lo, 0) : hi + 1])
-
-
-ENGINES = {
-    "enum": pivot_count_enum,
-    "mitm": pivot_count_mitm,
-    "dp": pivot_count_weight_dp,
-}
-
-
-def pivot_count(
-    game: Game, player: int, engine: str = "enum", budget: EngineBudget = DEFAULT_BUDGET
-) -> int:
-    """Dispatch to a named engine (``enum``, ``mitm`` or ``dp``)."""
-    try:
-        run = ENGINES[engine]
-    except KeyError:
-        raise InputError(f"unknown engine {engine!r}; expected one of {sorted(ENGINES)}")
-    return run(game, player, budget)
-
-
-def banzhaf(
-    game: Game, player: int, engine: str = "enum", budget: EngineBudget = DEFAULT_BUDGET
-) -> ExactIndex:
-    """The probabilistic Penrose-Banzhaf index as an exact dyadic rational."""
-    count = pivot_count(game, player, engine, budget)
-    return ExactIndex(count, game.num_players - 1)

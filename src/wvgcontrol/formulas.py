@@ -19,9 +19,9 @@ lexicographically least prefix (all-false first).
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 
+from .engines import count_subsets_mitm
 from .errors import BudgetExceededError, FormulaError, InputError
 
 MAX_ORACLE_VARIABLES = 26
@@ -165,15 +165,18 @@ def _check_variable_budget(formula: CnfFormula) -> None:
         )
 
 
+def _tile(pattern: int, period: int, width: int) -> int:
+    """``pattern``, ``period`` bits wide, repeated to fill ``width`` bits."""
+    while period < width:
+        pattern |= pattern << period
+        period *= 2
+    return pattern
+
+
 def _variable_bitmap(variable: int, width_bits: int) -> int:
     """Bitmap over masks ``0..width_bits-1``, bit m set iff x_variable is true in m."""
     block = ((1 << (1 << (variable - 1))) - 1) << (1 << (variable - 1))
-    bitmap = block
-    span = 1 << variable
-    while span < width_bits:
-        bitmap |= bitmap << span
-        span *= 2
-    return bitmap
+    return _tile(block, 1 << variable, width_bits)
 
 
 def _clause_bitmap(clause: frozenset[int], num_variables: int) -> int:
@@ -188,12 +191,7 @@ def _clause_bitmap(clause: frozenset[int], num_variables: int) -> int:
     for literal in clause:
         vmap = _variable_bitmap(abs(literal), period)
         pattern |= vmap if literal > 0 else (~vmap & local_universe)
-    total = 1 << num_variables
-    span = period
-    while span < total:
-        pattern |= pattern << span
-        span *= 2
-    return pattern
+    return _tile(pattern, period, 1 << num_variables)
 
 
 def _satisfying_bitmap(formula: CnfFormula) -> int:
@@ -227,12 +225,7 @@ def suffix_satisfying_counts(formula: CnfFormula, k: int) -> list[int]:
     if not 0 <= k <= n:
         raise InputError(f"prefix length {k} out of range for {n} variables")
     bitmap = _satisfying_bitmap(formula)
-    total = 1 << n
-    stride_mask = 1  # bits at multiples of 2^k
-    span = 1 << k
-    while span < total:
-        stride_mask |= stride_mask << span
-        span *= 2
+    stride_mask = _tile(1, 1 << k, 1 << n)  # bits at multiples of 2^k
     counts = []
     for prefix_bits in range(1 << k):
         counts.append(((bitmap >> prefix_bits) & stride_mask).bit_count())
@@ -290,8 +283,8 @@ def e_exact_sat(
 def count_subset_sum(sizes: list[int] | tuple[int, ...], target: int) -> int:
     """Exact number of index subsets of ``sizes`` summing to ``target``.
 
-    The empty subset counts for target 0.  Meet-in-the-middle, refused
-    beyond ``MAX_SUBSET_SUM_ITEMS`` items.
+    The empty subset counts for target 0.  Meet-in-the-middle (the
+    engines' shared core), refused beyond ``MAX_SUBSET_SUM_ITEMS`` items.
     """
     items = [int(s) for s in sizes]
     if any(s < 0 for s in items):
@@ -301,14 +294,4 @@ def count_subset_sum(sizes: list[int] | tuple[int, ...], target: int) -> int:
             f"subset-sum counter refuses {len(items)} items "
             f"(MAX_SUBSET_SUM_ITEMS={MAX_SUBSET_SUM_ITEMS})"
         )
-    if target < 0:
-        return 0
-    half = (len(items) + 1) // 2
-    left: Counter[int] = Counter([0])
-    for w in items[:half]:
-        left.update({s + w: c for s, c in left.items()})
-    right: Counter[int] = Counter([0])
-    for w in items[half:]:
-        right.update({s + w: c for s, c in right.items()})
-    small, large = (left, right) if len(left) <= len(right) else (right, left)
-    return sum(c * large.get(target - v, 0) for v, c in small.items())
+    return count_subsets_mitm(items, target, target)

@@ -23,7 +23,7 @@ engines, and tags the instance accordingly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -269,6 +269,10 @@ class ControlInstance:
         if self.distinguished in victim_set:
             raise InputError("cannot delete the distinguished player")
         new_game, remap = delete_players(self.game, victim_set)
+
+        def carriers(table: tuple[int | None, ...]) -> tuple[int | None, ...]:
+            return tuple(None if p is None else remap.get(p) for p in table)
+
         return ControlInstance(
             game=new_game,
             distinguished=remap[self.distinguished],
@@ -278,12 +282,8 @@ class ControlInstance:
             if self.groups is None
             else tuple(self.groups[old] for old in sorted(remap)),
             bands=None if self.bands is None else self.bands.restrict(remap, new_game),
-            a_players=tuple(
-                None if p is None else remap.get(p) for p in self.a_players
-            ),
-            b_players=tuple(
-                None if p is None else remap.get(p) for p in self.b_players
-            ),
+            a_players=carriers(self.a_players),
+            b_players=carriers(self.b_players),
             meta=dict(self.meta),
         )
 
@@ -303,29 +303,21 @@ class _Chain:
     z_star: tuple[int, ...]
 
 
-def _decrease_chain(k: int, n: int) -> _Chain:
-    x = 1
-    x_prime = k + 1
-    y = (2 * k + 1) * x_prime
-    y_prime = (k + 2) * y
-    y_star = (n + 1) * y_prime
-    y_star2 = (k + 2) * y_star
-    z = (n + 1) * y_star2
-    z_prime = (k + 2) * z
-    z_star_1 = (k + 2) * z_prime
-    z_star = tuple(z_star_1 << i for i in range(k))
-    return _Chain(x, x_prime, y, y_prime, y_star, y_star2, z, z_prime, z_star)
+def _ladder_chain(x: int, k: int, wide: int, narrow: int) -> _Chain:
+    """The ladder weights above ``x``.
 
-
-def _maintain_chain(k: int, n: int, delta: DeltaDecomposition) -> _Chain:
-    x = (delta.exponents[-1] + 1) * delta.level_weights[-1]
+    Each weight is one more than the number of members of the level below
+    times that level's weight, so the levels stack without carries: X has
+    ``k`` members, X' ``2k``, Y and Y* ``k+1``, Y' and Y** ``wide``, and Z
+    and Z' ``narrow``; the Z* weights are ``(k+2)`` times z' doubled.
+    """
     x_prime = (k + 1) * x
     y = (2 * k + 1) * x_prime
     y_prime = (k + 2) * y
-    y_star = (n + 3) * y_prime
+    y_star = (wide + 1) * y_prime
     y_star2 = (k + 2) * y_star
-    z = (n + 3) * y_star2
-    z_prime = (k + 1) * z
+    z = (wide + 1) * y_star2
+    z_prime = (narrow + 1) * z
     z_star_1 = (k + 2) * z_prime
     z_star = tuple(z_star_1 << i for i in range(k))
     return _Chain(x, x_prime, y, y_prime, y_star, y_star2, z, z_prime, z_star)
@@ -344,12 +336,50 @@ def _check_mode(k: int, n: int, strict: bool) -> str:
     return "relaxed"
 
 
-class _Assembler:
-    """Accumulates players in a fixed canonical order."""
+def _uniform_block(name: str, members: Sequence[int], weight: int) -> LightBlock:
+    return LightBlock(
+        name,
+        BlockKind.UNIFORM_CHAIN_LEVEL,
+        tuple(members),
+        tuple(weight for _ in members),
+        weight,
+    )
 
-    def __init__(self) -> None:
+
+class _GadgetFrame:
+    """What the decrease and maintain gadgets share, in canonical player order.
+
+    Construction adds player 1 and the groups A to F; the builder then adds
+    its own heavy groups (and, for maintain, the L levels) through ``add``,
+    ``add_group`` and ``add_heavy``; ``finish`` adds the ladder X, X', Y,
+    Y', Y*, Y**, Z, Z', Z* and assembles the band system and the instance.
+    """
+
+    def __init__(
+        self, formula: CnfFormula, k: int, x: int, wide: int, narrow: int
+    ) -> None:
+        n = formula.num_variables
+        self.formula, self.k, self.wide, self.narrow = formula, k, wide, narrow
+        self.chain = chain = _ladder_chain(x, k, wide, narrow)
+        self.pre = pre = build_prereduction(formula, k, t_floor=2 * chain.z_star[-1])
+        base_total = sum(pre.abc_weights)
+        self.quota = 2 * (base_total + pre.scale * base_total + 10**pre.t) + 1
         self.weights: list[int] = []
         self.labels: list[str] = []
+        self.heavy: list[int] = []
+        self.add("player-1", 1)
+        self.a_idx: list[int | None] = [None] * n
+        self.b_idx: list[int | None] = [None] * n
+        for label, variables in (("A", range(k)), ("B", range(k, n))):
+            for carriers, weights in ((self.a_idx, pre.a_weights), (self.b_idx, pre.b_weights)):
+                for i in variables:
+                    carriers[i] = self.add(label, weights[i])
+        self.c_idx = self.add_group("C", pre.c_weights)
+        self.add_heavy("D", (pre.q_prime + i * chain.x + chain.x_prime for i in range(k)))
+        self.e_idx = self.add_group("E", pre.scaled_weights)
+        self.add_heavy("F", [pre.q_double_prime + chain.x_prime])
+        #: ``pair[i]`` is the weight of both literals of variable ``x_{i+1}``
+        self.pair = [a + b for a, b in zip(pre.a_weights, pre.b_weights)]
 
     def add(self, label: str, weight: int) -> int:
         self.weights.append(weight)
@@ -359,15 +389,91 @@ class _Assembler:
     def add_group(self, label: str, group_weights: Iterable[int]) -> list[int]:
         return [self.add(label, w) for w in group_weights]
 
+    def add_heavy(self, label: str, completions: Iterable[int]) -> None:
+        """One heavy player of weight ``(quota - 1) - completion`` per completion."""
+        pivot_target = self.quota - 1
+        for completion in completions:
+            if completion >= pivot_target:
+                raise GadgetParameterError("heavy completion swallows the pivotal target")
+            self.heavy.append(self.add(label, pivot_target - completion))
 
-def _uniform_block(name: str, members: Sequence[int], weight: int) -> LightBlock:
-    return LightBlock(
-        name,
-        BlockKind.UNIFORM_CHAIN_LEVEL,
-        tuple(members),
-        tuple(weight for _ in members),
-        weight,
-    )
+    def finish(
+        self,
+        goal: Goal,
+        kind: str,
+        meta: dict[str, object],
+        extra_blocks: tuple[LightBlock, ...] = (),
+    ) -> ControlInstance:
+        """Add the ladder and build the instance; ``meta`` follows kind, k, n, m, t."""
+        chain, pre, k = self.chain, self.pre, self.k
+        ladder = (
+            ("X", chain.x, k),
+            ("X'", chain.x_prime, 2 * k),
+            ("Y", chain.y, k + 1),
+            ("Y'", chain.y_prime, self.wide),
+            ("Y*", chain.y_star, k + 1),
+            ("Y**", chain.y_star2, self.wide),
+            ("Z", chain.z, self.narrow),
+            ("Z'", chain.z_prime, self.narrow),
+        )
+        uniform = [
+            _uniform_block(label, self.add_group(label, [weight] * size), weight)
+            for label, weight, size in ladder
+        ]
+        zs_idx = self.add_group("Z*", chain.z_star)
+
+        game = Game(tuple(self.weights), self.quota)
+        abc_members = (
+            [p for p in self.a_idx if p is not None]
+            + [p for p in self.b_idx if p is not None]
+            + self.c_idx
+        )
+        blocks = (
+            LightBlock(
+                "E",
+                BlockKind.ENUMERABLE,
+                tuple(self.e_idx),
+                pre.scaled_weights,
+                granularity=10**pre.t * pre.scale,
+            ),
+            LightBlock(
+                "ABC",
+                BlockKind.ENUMERABLE,
+                tuple(abc_members),
+                tuple(game.weights[p] for p in abc_members),
+                granularity=10**pre.t,
+            ),
+            LightBlock(
+                "Z*",
+                BlockKind.SUPERINCREASING,
+                tuple(zs_idx),
+                chain.z_star,
+                granularity=chain.z_star[0],
+            ),
+            *reversed(uniform),  # most significant first
+            *extra_blocks,
+        )
+        bands = BandSystem(
+            game=game, distinguished=0, heavy=frozenset(self.heavy), blocks=blocks
+        )
+        return ControlInstance(
+            game=game,
+            distinguished=0,
+            budget=k,
+            goal=goal,
+            groups=tuple(self.labels),
+            bands=bands,
+            a_players=tuple(self.a_idx),
+            b_players=tuple(self.b_idx),
+            meta={
+                "kind": kind,
+                "k": k,
+                "n": self.formula.num_variables,
+                "m": self.formula.num_clauses,
+                "t": pre.t,
+                **meta,
+            },
+        )
 
 
 def build_decrease(formula: CnfFormula, k: int, strict: bool = True) -> ControlInstance:
@@ -391,146 +497,41 @@ def build_nonincrease(
         for p in base.group_members(label)
     ]
     trimmed = base.delete(victims)
-    meta = dict(trimmed.meta)
-    meta["kind"] = "nonincrease"
-    return ControlInstance(
-        game=trimmed.game,
-        distinguished=trimmed.distinguished,
-        budget=k,
-        goal=Goal.NONINCREASE,
-        groups=trimmed.groups,
-        bands=trimmed.bands,
-        a_players=trimmed.a_players,
-        b_players=trimmed.b_players,
-        meta=meta,
-    )
+    return replace(trimmed, budget=k, meta={**trimmed.meta, "kind": "nonincrease"})
 
 
 def _build_minority_gadget(
     formula: CnfFormula, k: int, strict: bool, goal: Goal
 ) -> ControlInstance:
     n = formula.num_variables
-    m = formula.num_clauses
     mode = _check_mode(k, n, strict)
-    chain = _decrease_chain(k, n)
-    pre = build_prereduction(formula, k, t_floor=2 * chain.z_star[-1])
-    scale = pre.scale
-    base_total = sum(pre.abc_weights)
-    quota = 2 * (base_total + scale * base_total + 10**pre.t) + 1
-    pivot_target = quota - 1
-
-    def heavy_weight(completion: int) -> int:
-        if completion >= pivot_target:
-            raise GadgetParameterError("heavy completion swallows the pivotal target")
-        return pivot_target - completion
-
-    asm = _Assembler()
-    asm.add("player-1", 1)
-    a_idx: list[int | None] = [None] * n
-    b_idx: list[int | None] = [None] * n
-    for i in range(1, k + 1):
-        a_idx[i - 1] = asm.add("A", pre.a_weights[i - 1])
-    for i in range(1, k + 1):
-        b_idx[i - 1] = asm.add("A", pre.b_weights[i - 1])
-    for i in range(k + 1, n + 1):
-        a_idx[i - 1] = asm.add("B", pre.a_weights[i - 1])
-    for i in range(k + 1, n + 1):
-        b_idx[i - 1] = asm.add("B", pre.b_weights[i - 1])
-    c_idx = asm.add_group("C", pre.c_weights)
-    d_idx = [
-        asm.add("D", heavy_weight(pre.q_prime + i * chain.x + chain.x_prime))
-        for i in range(k)
-    ]
-    e_idx = asm.add_group("E", pre.scaled_weights)
-    f_idx = asm.add("F", heavy_weight(pre.q_double_prime + chain.x_prime))
-    pair = [pre.a_weights[i - 1] + pre.b_weights[i - 1] for i in range(1, n + 1)]
-    s_idx = [
-        asm.add("S", heavy_weight(pair[i - 1] + j * chain.y + l * chain.z))
-        for i in range(1, k + 1)
-        for j in range(0, k + 2)
-        for l in range(1, k + 1)
-    ]
-    t_idx = [
-        asm.add("T", heavy_weight(pair[i - 1] + j * chain.y_prime + l * chain.z_prime))
-        for i in range(1, k + 1)
-        for j in range(0, n + 1)
-        for l in range(1, k + 1)
-    ]
-    u_idx = [
-        asm.add("U", heavy_weight(j * chain.y_star + chain.z_star[i - 1]))
-        for i in range(1, k + 1)
-        for j in range(0, k + 2)
-    ]
-    v_idx = [
-        asm.add("V", heavy_weight(j * chain.y_star2 + chain.z_star[i - 1]))
-        for i in range(1, k + 1)
-        for j in range(0, n + 1)
-    ]
-    x_idx = asm.add_group("X", [chain.x] * k)
-    xp_idx = asm.add_group("X'", [chain.x_prime] * (2 * k))
-    y_idx = asm.add_group("Y", [chain.y] * (k + 1))
-    yp_idx = asm.add_group("Y'", [chain.y_prime] * n)
-    ys_idx = asm.add_group("Y*", [chain.y_star] * (k + 1))
-    yss_idx = asm.add_group("Y**", [chain.y_star2] * n)
-    z_idx = asm.add_group("Z", [chain.z] * (k + 1))
-    zp_idx = asm.add_group("Z'", [chain.z_prime] * (k + 1))
-    zs_idx = asm.add_group("Z*", chain.z_star)
-
-    game = Game(tuple(asm.weights), quota)
-    abc_members = (
-        [p for p in a_idx if p is not None] + [p for p in b_idx if p is not None] + c_idx
-    )
-    blocks = (
-        LightBlock(
-            "E",
-            BlockKind.ENUMERABLE,
-            tuple(e_idx),
-            pre.scaled_weights,
-            granularity=10**pre.t * scale,
+    frame = _GadgetFrame(formula, k, x=1, wide=n, narrow=k + 1)
+    chain, pair = frame.chain, frame.pair
+    frame.add_heavy(
+        "S",
+        (
+            pair[i] + j * chain.y + l * chain.z
+            for i in range(k)
+            for j in range(0, k + 2)
+            for l in range(1, k + 1)
         ),
-        LightBlock(
-            "ABC",
-            BlockKind.ENUMERABLE,
-            tuple(abc_members),
-            tuple(game.weights[p] for p in abc_members),
-            granularity=10**pre.t,
-        ),
-        LightBlock(
-            "Z*",
-            BlockKind.SUPERINCREASING,
-            tuple(zs_idx),
-            chain.z_star,
-            granularity=chain.z_star[0],
-        ),
-        _uniform_block("Z'", zp_idx, chain.z_prime),
-        _uniform_block("Z", z_idx, chain.z),
-        _uniform_block("Y**", yss_idx, chain.y_star2),
-        _uniform_block("Y*", ys_idx, chain.y_star),
-        _uniform_block("Y'", yp_idx, chain.y_prime),
-        _uniform_block("Y", y_idx, chain.y),
-        _uniform_block("X'", xp_idx, chain.x_prime),
-        _uniform_block("X", x_idx, chain.x),
     )
-    heavy = frozenset(d_idx + [f_idx] + s_idx + t_idx + u_idx + v_idx)
-    bands = BandSystem(game=game, distinguished=0, heavy=heavy, blocks=blocks)
-    return ControlInstance(
-        game=game,
-        distinguished=0,
-        budget=k,
-        goal=goal,
-        groups=tuple(asm.labels),
-        bands=bands,
-        a_players=tuple(a_idx),
-        b_players=tuple(b_idx),
-        meta={
-            "kind": "decrease",
-            "k": k,
-            "n": n,
-            "m": m,
-            "t": pre.t,
-            "mode": mode,
-        },
+    frame.add_heavy(
+        "T",
+        (
+            pair[i] + j * chain.y_prime + l * chain.z_prime
+            for i in range(k)
+            for j in range(0, n + 1)
+            for l in range(1, k + 1)
+        ),
     )
+    frame.add_heavy(
+        "U", (j * chain.y_star + chain.z_star[i] for i in range(k) for j in range(0, k + 2))
+    )
+    frame.add_heavy(
+        "V", (j * chain.y_star2 + chain.z_star[i] for i in range(k) for j in range(0, n + 1))
+    )
+    return frame.finish(goal, "decrease", {"mode": mode})
 
 
 def exactify(formula: CnfFormula, k: int, ell: int) -> tuple[CnfFormula, int, int]:
@@ -563,7 +564,6 @@ def build_maintain(
     first); relaxed mode accepts any positive ``ell``.
     """
     n = formula.num_variables
-    m = formula.num_clauses
     mode = _check_mode(k, n, strict)
     if ell < 1:
         raise GadgetParameterError("ell must be positive")
@@ -579,156 +579,62 @@ def build_maintain(
         GadgetConstructionNote,
         stacklevel=2,
     )
-    chain = _maintain_chain(k, n, delta)
-    pre = build_prereduction(formula, k, t_floor=2 * chain.z_star[-1])
-    scale = pre.scale
-    base_total = sum(pre.abc_weights)
-    quota = 2 * (base_total + scale * base_total + 10**pre.t) + 1
-    pivot_target = quota - 1
-
-    def heavy_weight(completion: int) -> int:
-        if completion >= pivot_target:
-            raise GadgetParameterError("heavy completion swallows the pivotal target")
-        return pivot_target - completion
-
-    asm = _Assembler()
-    asm.add("player-1", 1)
-    a_idx: list[int | None] = [None] * n
-    b_idx: list[int | None] = [None] * n
-    for i in range(1, k + 1):
-        a_idx[i - 1] = asm.add("A", pre.a_weights[i - 1])
-    for i in range(1, k + 1):
-        b_idx[i - 1] = asm.add("A", pre.b_weights[i - 1])
-    for i in range(k + 1, n + 1):
-        a_idx[i - 1] = asm.add("B", pre.a_weights[i - 1])
-    for i in range(k + 1, n + 1):
-        b_idx[i - 1] = asm.add("B", pre.b_weights[i - 1])
-    c_idx = asm.add_group("C", pre.c_weights)
-    d_idx = [
-        asm.add("D", heavy_weight(pre.q_prime + i * chain.x + chain.x_prime))
-        for i in range(k)
+    levels = list(zip(delta.exponents, delta.level_weights))
+    bottom_x = (delta.exponents[-1] + 1) * delta.level_weights[-1]
+    frame = _GadgetFrame(formula, k, x=bottom_x, wide=n + 2, narrow=k)
+    chain, pair = frame.chain, frame.pair
+    level_idx = [
+        frame.add_group(f"L{i + 1}", [w_i] * d_i) for i, (d_i, w_i) in enumerate(levels)
     ]
-    e_idx = asm.add_group("E", pre.scaled_weights)
-    f_idx = asm.add("F", heavy_weight(pre.q_double_prime + chain.x_prime))
-    level_idx: list[list[int]] = [
-        asm.add_group(f"L{i + 1}", [delta.level_weights[i]] * delta.exponents[i])
-        for i in range(delta.h)
-    ]
-    pair = [pre.a_weights[i - 1] + pre.b_weights[i - 1] for i in range(1, n + 1)]
-    s_idx: list[int] = []
-    t_idx: list[int] = []
-    u_idx: list[int] = []
-    v_idx: list[int] = []
     v_multiset = [0, 0] + list(range(1, n + 2)) + [n + 2, n + 2]
-    for level in range(delta.h):
-        d_i = delta.exponents[level]
-        w_i = delta.level_weights[level]
-        s_idx += [
-            asm.add(
-                "S",
-                heavy_weight(pair[i - 1] + j * chain.y + jp * chain.z + jpp * w_i),
-            )
-            for i in range(1, k + 1)
-            for j in range(0, k + 2)
-            for jp in range(0, k)
-            for jpp in range(0, d_i + 1)
-        ]
-        t_idx += [
-            asm.add(
-                "T",
-                heavy_weight(
-                    pair[i - 1] + j * chain.y_prime + jp * chain.z_prime + jpp * w_i
-                ),
-            )
-            for i in range(1, k + 1)
-            for j in range(0, n + 3)
-            for jp in range(0, k)
-            for jpp in range(0, d_i + 1)
-        ]
-        u_idx += [
-            asm.add("U", heavy_weight(pair[i - 1] + j * chain.y_star + jp * w_i))
-            for i in range(1, k + 1)
-            for j in range(1, k + 1)
-            for jp in range(0, d_i + 1)
-        ]
-        v_idx += [
-            asm.add(
-                "V", heavy_weight(j * chain.y_star2 + chain.z_star[i - 1] + jp * w_i)
-            )
-            for i in range(1, k + 1)
-            for j in v_multiset
-            for jp in range(0, d_i + 1)
-        ]
-    x_idx = asm.add_group("X", [chain.x] * k)
-    xp_idx = asm.add_group("X'", [chain.x_prime] * (2 * k))
-    y_idx = asm.add_group("Y", [chain.y] * (k + 1))
-    yp_idx = asm.add_group("Y'", [chain.y_prime] * (n + 2))
-    ys_idx = asm.add_group("Y*", [chain.y_star] * (k + 1))
-    yss_idx = asm.add_group("Y**", [chain.y_star2] * (n + 2))
-    z_idx = asm.add_group("Z", [chain.z] * k)
-    zp_idx = asm.add_group("Z'", [chain.z_prime] * k)
-    zs_idx = asm.add_group("Z*", chain.z_star)
-
-    game = Game(tuple(asm.weights), quota)
-    abc_members = (
-        [p for p in a_idx if p is not None] + [p for p in b_idx if p is not None] + c_idx
-    )
+    for d_i, w_i in levels:
+        frame.add_heavy(
+            "S",
+            (
+                pair[i] + j * chain.y + jp * chain.z + jpp * w_i
+                for i in range(k)
+                for j in range(0, k + 2)
+                for jp in range(0, k)
+                for jpp in range(0, d_i + 1)
+            ),
+        )
+        frame.add_heavy(
+            "T",
+            (
+                pair[i] + j * chain.y_prime + jp * chain.z_prime + jpp * w_i
+                for i in range(k)
+                for j in range(0, n + 3)
+                for jp in range(0, k)
+                for jpp in range(0, d_i + 1)
+            ),
+        )
+        frame.add_heavy(
+            "U",
+            (
+                pair[i] + j * chain.y_star + jp * w_i
+                for i in range(k)
+                for j in range(1, k + 1)
+                for jp in range(0, d_i + 1)
+            ),
+        )
+        frame.add_heavy(
+            "V",
+            (
+                j * chain.y_star2 + chain.z_star[i] + jp * w_i
+                for i in range(k)
+                for j in v_multiset
+                for jp in range(0, d_i + 1)
+            ),
+        )
     level_blocks = tuple(
-        _uniform_block(f"L{i + 1}", level_idx[i], delta.level_weights[i])
-        for i in range(delta.h - 1, -1, -1)
+        _uniform_block(f"L{i + 1}", level_idx[i], w_i)
+        for i, (_, w_i) in reversed(list(enumerate(levels)))
     )
-    blocks = (
-        LightBlock(
-            "E",
-            BlockKind.ENUMERABLE,
-            tuple(e_idx),
-            pre.scaled_weights,
-            granularity=10**pre.t * scale,
-        ),
-        LightBlock(
-            "ABC",
-            BlockKind.ENUMERABLE,
-            tuple(abc_members),
-            tuple(game.weights[p] for p in abc_members),
-            granularity=10**pre.t,
-        ),
-        LightBlock(
-            "Z*",
-            BlockKind.SUPERINCREASING,
-            tuple(zs_idx),
-            chain.z_star,
-            granularity=chain.z_star[0],
-        ),
-        _uniform_block("Z'", zp_idx, chain.z_prime),
-        _uniform_block("Z", z_idx, chain.z),
-        _uniform_block("Y**", yss_idx, chain.y_star2),
-        _uniform_block("Y*", ys_idx, chain.y_star),
-        _uniform_block("Y'", yp_idx, chain.y_prime),
-        _uniform_block("Y", y_idx, chain.y),
-        _uniform_block("X'", xp_idx, chain.x_prime),
-        _uniform_block("X", x_idx, chain.x),
-    ) + level_blocks
-    heavy = frozenset(d_idx + [f_idx] + s_idx + t_idx + u_idx + v_idx)
-    bands = BandSystem(game=game, distinguished=0, heavy=heavy, blocks=blocks)
-    return ControlInstance(
-        game=game,
-        distinguished=0,
-        budget=k,
-        goal=Goal.MAINTAIN,
-        groups=tuple(asm.labels),
-        bands=bands,
-        a_players=tuple(a_idx),
-        b_players=tuple(b_idx),
-        meta={
-            "kind": "maintain",
-            "k": k,
-            "n": n,
-            "m": m,
-            "t": pre.t,
-            "ell": ell,
-            "delta_exponents": list(delta.exponents),
-            "mode": mode,
-        },
+    return frame.finish(
+        Goal.MAINTAIN,
+        "maintain",
+        {"ell": ell, "delta_exponents": list(delta.exponents), "mode": mode},
+        level_blocks,
     )
 
 
@@ -759,26 +665,26 @@ def expected_case_counts(
     goal: Goal, k: int, n: int, xi: int, ell: int | None = None
 ) -> CaseCounts:
     """Closed-form per-case pivotal counts for a gadget built from (k, n, xi[, ell])."""
+    case1 = 2 * k * ((1 << k) - 1) * xi
+    case2 = 2 * k * xi
     if goal is Goal.DECREASE or goal is Goal.NONINCREASE:
         counts = CaseCounts(
-            case1=2 * k * ((1 << k) - 1) * xi,
-            case2=2 * k * xi,
+            case1,
+            case2,
             case3=k * (1 << (k + 1)) * ((1 << (k + 1)) - 2),
             case4=k * (1 << n) * ((1 << (k + 1)) - 2),
             case5=k * (1 << (k + 1)),
             case6=k * (1 << n),
         )
-        if goal is Goal.NONINCREASE:
-            counts = CaseCounts(
-                counts.case1, counts.case2, 0, counts.case4, 0, counts.case6
-            )
+        if goal is Goal.NONINCREASE:  # no S and U players
+            counts = replace(counts, case3=0, case5=0)
         return counts
     if goal is Goal.MAINTAIN:
         if ell is None:
             raise InputError("the maintain closed form needs ell")
         return CaseCounts(
-            case1=2 * k * ((1 << k) - 1) * xi,
-            case2=2 * k * xi,
+            case1,
+            case2,
             case3=k * ell * (1 << (k + 1)) * ((1 << k) - 1),
             case4=k * ell * (1 << (n + 2)) * ((1 << k) - 1),
             case5=k * ell * ((1 << (k + 1)) - 2),
@@ -805,9 +711,7 @@ def layered_case_counts(instance: ControlInstance) -> CaseCounts:
         if label not in totals:
             raise InputError(f"heavy player {player} carries unexpected label {label!r}")
         totals[label] += heavy_pivot_term(instance.bands, player)
-    return CaseCounts(
-        totals["D"], totals["F"], totals["S"], totals["T"], totals["U"], totals["V"]
-    )
+    return CaseCounts(*(totals[label] for label in _CASE_GROUPS))
 
 
 def witness_deletion(

@@ -167,10 +167,8 @@ class ExactIndex:
         count, exp = self.pivot_count, self.exponent
         if count == 0:
             return 0, 0
-        while exp > 0 and count % 2 == 0:
-            count //= 2
-            exp -= 1
-        return count, exp
+        shift = min((count & -count).bit_length() - 1, exp)  # trailing zeros
+        return count >> shift, exp - shift
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactIndex):

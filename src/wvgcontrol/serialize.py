@@ -19,6 +19,7 @@ member weights are taken from the game on load and re-validated.
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
 from .bands import BandSystem, BlockKind, LightBlock
@@ -32,17 +33,41 @@ def _decimal_string(value: int) -> str:
 
 
 def _parse_decimal(value: Any, what: str) -> int:
-    if not isinstance(value, str) or not value.strip("-").isdigit():
+    if not isinstance(value, str) or not re.fullmatch(r"-?[0-9]+", value):
         raise FileFormatError(f"{what} must be a decimal string, got {value!r}")
     return int(value)
 
 
-def dump_game(game: Game) -> str:
-    document = {
+def _is_int(value: Any) -> bool:
+    """A JSON integer; ``true``/``false`` are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_array(value: Any, what: str) -> list[int]:
+    if not isinstance(value, list) or not all(_is_int(x) for x in value):
+        raise FileFormatError(f"{what} must be an array of integers")
+    return value
+
+
+def _game_fields(game: Game) -> dict[str, Any]:
+    return {
         "weights": [_decimal_string(w) for w in game.weights],
         "quota": _decimal_string(game.quota),
     }
-    return json.dumps(document, indent=2) + "\n"
+
+
+def dump_game(game: Game) -> str:
+    return json.dumps(_game_fields(game), indent=2) + "\n"
+
+
+def _parse_object(text: str, what: str) -> dict:
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError as error:
+        raise FileFormatError(f"not valid JSON: {error}") from error
+    if not isinstance(document, dict):
+        raise FileFormatError(f"{what} document must be a JSON object")
+    return document
 
 
 def _game_from_document(document: dict) -> Game:
@@ -58,19 +83,12 @@ def _game_from_document(document: dict) -> Game:
 
 
 def load_game(text: str) -> Game:
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise FileFormatError(f"not valid JSON: {error}") from error
-    if not isinstance(document, dict):
-        raise FileFormatError("game document must be a JSON object")
-    return _game_from_document(document)
+    return _game_from_document(_parse_object(text, "game"))
 
 
 def dump_instance(instance: ControlInstance) -> str:
     document: dict[str, Any] = {
-        "weights": [_decimal_string(w) for w in instance.game.weights],
-        "quota": _decimal_string(instance.game.quota),
+        **_game_fields(instance.game),
         "distinguished": instance.distinguished,
         "budget": instance.budget,
         "goal": instance.goal.value,
@@ -99,20 +117,15 @@ def dump_instance(instance: ControlInstance) -> str:
 
 
 def load_instance(text: str) -> ControlInstance:
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise FileFormatError(f"not valid JSON: {error}") from error
-    if not isinstance(document, dict):
-        raise FileFormatError("instance document must be a JSON object")
+    document = _parse_object(text, "instance")
     game = _game_from_document(document)
     for key in ("distinguished", "budget", "goal"):
         if key not in document:
             raise FileFormatError(f"instance document needs {key!r}")
+    for key in ("distinguished", "budget"):
+        if not _is_int(document[key]):
+            raise FileFormatError(f"{key!r} must be an integer")
     distinguished = document["distinguished"]
-    budget = document["budget"]
-    if not isinstance(distinguished, int) or not isinstance(budget, int):
-        raise FileFormatError("'distinguished' and 'budget' must be integers")
     try:
         goal = Goal(document["goal"])
     except ValueError:
@@ -127,9 +140,7 @@ def load_instance(text: str) -> ControlInstance:
 
     def carrier_table(key: str) -> tuple[int | None, ...]:
         raw = document.get(key, [])
-        if not isinstance(raw, list) or not all(
-            x is None or isinstance(x, int) for x in raw
-        ):
+        if not isinstance(raw, list) or not all(x is None or _is_int(x) for x in raw):
             raise FileFormatError(f"{key!r} must be an array of ints or nulls")
         return tuple(raw)
 
@@ -138,18 +149,20 @@ def load_instance(text: str) -> ControlInstance:
         raw = document["bands"]
         if not isinstance(raw, dict) or "heavy" not in raw or "blocks" not in raw:
             raise FileFormatError("'bands' needs 'heavy' and 'blocks'")
+        heavy = _int_array(raw["heavy"], "'bands.heavy'")
+        raw_blocks = raw["blocks"]
+        if not isinstance(raw_blocks, list) or not all(
+            isinstance(b, dict) for b in raw_blocks
+        ):
+            raise FileFormatError("'bands.blocks' must be an array of objects")
         blocks = []
-        for raw_block in raw["blocks"]:
+        for raw_block in raw_blocks:
             try:
                 kind = BlockKind(raw_block["kind"])
             except (KeyError, ValueError):
                 raise FileFormatError(f"bad block kind in {raw_block!r}")
-            members = raw_block.get("members")
-            if not isinstance(members, list):
-                raise FileFormatError("block 'members' must be an array")
+            members = _int_array(raw_block.get("members"), "block 'members'")
             for member in members:
-                if not isinstance(member, int):
-                    raise FileFormatError("block members must be integers")
                 game.check_player(member)
             blocks.append(
                 LightBlock(
@@ -163,7 +176,7 @@ def load_instance(text: str) -> ControlInstance:
         bands = BandSystem(
             game=game,
             distinguished=distinguished,
-            heavy=frozenset(raw["heavy"]),
+            heavy=frozenset(heavy),
             blocks=tuple(blocks),
         )
 
@@ -173,7 +186,7 @@ def load_instance(text: str) -> ControlInstance:
     return ControlInstance(
         game=game,
         distinguished=distinguished,
-        budget=budget,
+        budget=document["budget"],
         goal=goal,
         groups=groups,
         bands=bands,

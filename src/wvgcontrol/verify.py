@@ -24,8 +24,8 @@ import random
 from dataclasses import dataclass
 
 from .bands import heavy_pivot_term, pivot_count_layered
-from .control import Restricted, Sampled, solve_control
-from .engines import EngineBudget, pivot_count_enum, pivot_count_mitm, pivot_count_weight_dp
+from .control import Restricted, Sampled, relation_holds, solve_control
+from .engines import pivot_count_enum, pivot_count_mitm, pivot_count_weight_dp
 from .errors import InputError
 from .formulas import CnfFormula, count_sat, count_subset_sum, e_exact_sat, e_minority_sat
 from .game import ExactIndex, Game
@@ -95,11 +95,9 @@ EXAMPLE1_GAME = Game((1, 2, 2, 2, 3, 3), 8)
 
 
 def _all_engines_agree(game: Game, player: int, expected: ExactIndex) -> bool:
-    budget = EngineBudget()
     counts = {
-        pivot_count_enum(game, player, budget),
-        pivot_count_mitm(game, player, budget),
-        pivot_count_weight_dp(game, player, budget),
+        engine(game, player)
+        for engine in (pivot_count_enum, pivot_count_mitm, pivot_count_weight_dp)
     }
     if len(counts) != 1:
         return False
@@ -108,25 +106,25 @@ def _all_engines_agree(game: Game, player: int, expected: ExactIndex) -> bool:
 
 def suite_example1(options: SuiteOptions) -> list[CheckResult]:
     results: list[CheckResult] = []
-    game = EXAMPLE1_GAME
     p = 1  # a weight-2 player
-    _check(
-        results,
-        "six-player game: index of a weight-2 player is 8/2^5 = 1/4",
-        _all_engines_agree(game, p, ExactIndex(1, 2)),
-    )
-    without_heavy = Game((1, 2, 2, 2, 3), 8)  # one weight-3 player removed
-    _check(
-        results,
-        "after deleting a weight-3 player the index drops to 3/2^4",
-        _all_engines_agree(without_heavy, p, ExactIndex(3, 4)),
-    )
-    without_peer = Game((1, 2, 2, 3, 3), 8)  # one weight-2 player removed
-    _check(
-        results,
-        "after deleting a weight-2 player the index stays 1/4",
-        _all_engines_agree(without_peer, p, ExactIndex(1, 2)),
-    )
+    for name, game, expected in (
+        (
+            "six-player game: index of a weight-2 player is 8/2^5 = 1/4",
+            EXAMPLE1_GAME,
+            ExactIndex(1, 2),
+        ),
+        (  # one weight-3 player removed
+            "after deleting a weight-3 player the index drops to 3/2^4",
+            Game((1, 2, 2, 2, 3), 8),
+            ExactIndex(3, 4),
+        ),
+        (  # one weight-2 player removed
+            "after deleting a weight-2 player the index stays 1/4",
+            Game((1, 2, 2, 3, 3), 8),
+            ExactIndex(1, 2),
+        ),
+    ):
+        _check(results, name, _all_engines_agree(game, p, expected))
     return results
 
 
@@ -142,22 +140,15 @@ def suite_prereduction(options: SuiteOptions) -> list[CheckResult]:
         k = rng.randint(1, formula.num_variables)
         pre = build_prereduction(formula, k)
         xi = count_sat(formula)
-        if count_subset_sum(pre.abc_weights, pre.q_prime) == xi:
-            base_ok += 1
-        if count_subset_sum(pre.scaled_weights, pre.q_double_prime) == xi:
-            scaled_ok += 1
-    _check(
-        results,
-        f"#SubsetSum(A+B+C, q') == #SAT on {len(corpus)} random formulas",
-        base_ok == len(corpus),
-        f"{base_ok}/{len(corpus)}",
-    )
-    _check(
-        results,
-        f"#SubsetSum(E, q'') == #SAT on {len(corpus)} random formulas",
-        scaled_ok == len(corpus),
-        f"{scaled_ok}/{len(corpus)}",
-    )
+        base_ok += count_subset_sum(pre.abc_weights, pre.q_prime) == xi
+        scaled_ok += count_subset_sum(pre.scaled_weights, pre.q_double_prime) == xi
+    for vector, ok in (("A+B+C, q'", base_ok), ("E, q''", scaled_ok)):
+        _check(
+            results,
+            f"#SubsetSum({vector}) == #SAT on {len(corpus)} random formulas",
+            ok == len(corpus),
+            f"{ok}/{len(corpus)}",
+        )
     return results
 
 
@@ -173,54 +164,36 @@ def _grid_formulas(
     return [random_formula(rng, n, rng.randint(1, max_clauses)) for _ in range(count)]
 
 
-def _case_tuple(counts) -> tuple[int, ...]:
-    return (counts.case1, counts.case2, counts.case3, counts.case4, counts.case5, counts.case6)
-
-
 def suite_closed_forms(options: SuiteOptions) -> list[CheckResult]:
     results: list[CheckResult] = []
     rng = random.Random(options.seed)
-    for goal, builder in (
-        (Goal.DECREASE, build_decrease),
-        (Goal.NONINCREASE, build_nonincrease),
-    ):
-        for k, n in RELAXED_GRID:
-            ok = 0
-            tried = 0
-            for formula in _grid_formulas(rng, n, options.formulas_per_cell):
-                xi = count_sat(formula)
-                instance = builder(formula, k, strict=False)
-                expected = expected_case_counts(goal, k, n, xi)
-                actual = layered_case_counts(instance)
-                tried += 1
-                if _case_tuple(actual) == _case_tuple(expected):
-                    ok += 1
-            _check(
-                results,
-                f"{goal.value.lower()} gadget (k={k}, n={n}): layered count matches "
-                "closed form and per-case split",
-                ok == tried,
-                f"{ok}/{tried}",
-            )
-    for k, n in RELAXED_GRID:
-        for ell in MAINTAIN_ELLS:
-            ok = 0
-            tried = 0
-            for formula in _grid_formulas(rng, n, options.formulas_per_cell):
-                xi = count_sat(formula)
-                instance = build_maintain(formula, k, ell, strict=False)
-                expected = expected_case_counts(Goal.MAINTAIN, k, n, xi, ell=ell)
-                actual = layered_case_counts(instance)
-                tried += 1
-                if _case_tuple(actual) == _case_tuple(expected):
-                    ok += 1
-            _check(
-                results,
-                f"maintain gadget (k={k}, n={n}, ell={ell}): layered count matches "
-                "closed form and per-case split",
-                ok == tried,
-                f"{ok}/{tried}",
-            )
+    cells = [
+        (goal, builder, k, n, ())
+        for goal, builder in (
+            (Goal.DECREASE, build_decrease),
+            (Goal.NONINCREASE, build_nonincrease),
+        )
+        for k, n in RELAXED_GRID
+    ] + [
+        (Goal.MAINTAIN, build_maintain, k, n, (ell,))
+        for k, n in RELAXED_GRID
+        for ell in MAINTAIN_ELLS
+    ]
+    for goal, builder, k, n, ell in cells:
+        formulas = _grid_formulas(rng, n, options.formulas_per_cell)
+        ok = sum(
+            layered_case_counts(builder(formula, k, *ell, strict=False))
+            == expected_case_counts(goal, k, n, count_sat(formula), *ell)
+            for formula in formulas
+        )
+        params = f"k={k}, n={n}" + "".join(f", ell={e}" for e in ell)
+        _check(
+            results,
+            f"{goal.value.lower()} gadget ({params}): layered count matches "
+            "closed form and per-case split",
+            ok == len(formulas),
+            f"{ok}/{len(formulas)}",
+        )
     strict_formula = CnfFormula(5, (frozenset({1, 2, 3, 4, 5}),))
     strict = build_decrease(strict_formula, 4, strict=True)
     layered = pivot_count_layered(strict.bands)
@@ -261,42 +234,35 @@ def _yes_pairs(rng: random.Random, count: int) -> list[tuple[CnfFormula, int]]:
     return pairs
 
 
+def _witness_indices(instance, prefix) -> tuple[ExactIndex, ExactIndex]:
+    """Layered index before and after deleting the witness for ``prefix``."""
+    variant = instance.delete(witness_deletion(instance, prefix))
+    return tuple(
+        ExactIndex(pivot_count_layered(g.bands), g.game.num_players - 1)
+        for g in (instance, variant)
+    )
+
+
 def suite_yes_direction(options: SuiteOptions) -> list[CheckResult]:
     results: list[CheckResult] = []
     rng = random.Random(options.seed)
     pairs = _yes_pairs(rng, 8)
 
-    decrease_ok = 0
-    for formula, k in pairs:
-        instance = build_decrease(formula, k, strict=False)
-        _, prefix = e_minority_sat(formula, k)
-        before = ExactIndex(pivot_count_layered(instance.bands), instance.game.num_players - 1)
-        variant = instance.delete(witness_deletion(instance, prefix))
-        after = ExactIndex(pivot_count_layered(variant.bands), variant.game.num_players - 1)
-        if after < before:
-            decrease_ok += 1
-    _check(
-        results,
-        f"minority witnesses strictly decrease the index on {len(pairs)} decrease gadgets",
-        decrease_ok == len(pairs),
-        f"{decrease_ok}/{len(pairs)}",
-    )
-
-    nonincrease_ok = 0
-    for formula, k in pairs:
-        instance = build_nonincrease(formula, k, strict=False)
-        _, prefix = e_minority_sat(formula, k)
-        before = ExactIndex(pivot_count_layered(instance.bands), instance.game.num_players - 1)
-        variant = instance.delete(witness_deletion(instance, prefix))
-        after = ExactIndex(pivot_count_layered(variant.bands), variant.game.num_players - 1)
-        if after <= before:
-            nonincrease_ok += 1
-    _check(
-        results,
-        f"minority witnesses never increase the index on {len(pairs)} nonincrease gadgets",
-        nonincrease_ok == len(pairs),
-        f"{nonincrease_ok}/{len(pairs)}",
-    )
+    for builder, goal, claim in (
+        (build_decrease, Goal.DECREASE, "strictly decrease the index on {} decrease"),
+        (build_nonincrease, Goal.NONINCREASE, "never increase the index on {} nonincrease"),
+    ):
+        ok = 0
+        for formula, k in pairs:
+            _, prefix = e_minority_sat(formula, k)
+            instance = builder(formula, k, strict=False)
+            ok += relation_holds(goal, *_witness_indices(instance, prefix))
+        _check(
+            results,
+            f"minority witnesses {claim.format(len(pairs))} gadgets",
+            ok == len(pairs),
+            f"{ok}/{len(pairs)}",
+        )
 
     maintain_ok = maintain_tried = 0
     for formula, k in pairs[:5]:
@@ -307,15 +273,7 @@ def suite_yes_direction(options: SuiteOptions) -> list[CheckResult]:
                 continue
             maintain_tried += 1
             instance = build_maintain(extended, k, triple, strict=False)
-            before = ExactIndex(
-                pivot_count_layered(instance.bands), instance.game.num_players - 1
-            )
-            variant = instance.delete(witness_deletion(instance, prefix))
-            after = ExactIndex(
-                pivot_count_layered(variant.bands), variant.game.num_players - 1
-            )
-            if after == before:
-                maintain_ok += 1
+            maintain_ok += relation_holds(Goal.MAINTAIN, *_witness_indices(instance, prefix))
     _check(
         results,
         f"exact-count witnesses maintain the index exactly on {maintain_tried} maintain gadgets",

@@ -6,7 +6,16 @@ import json
 
 import pytest
 
-from wvgcontrol import Game, dump_game, load_instance
+from wvgcontrol import (
+    CnfFormula,
+    ControlInstance,
+    Game,
+    Goal,
+    build_decrease,
+    dump_game,
+    dump_instance,
+    load_instance,
+)
 from wvgcontrol.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, main
 
 pytestmark = pytest.mark.filterwarnings("ignore::wvgcontrol.gadgets.GadgetConstructionNote")
@@ -195,3 +204,51 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
         assert "FAIL" not in out
+
+
+def _set_weight(value):
+    return lambda document: document["weights"].__setitem__(1, value)
+
+
+def _set_band(key, value):
+    return lambda document: document["bands"].__setitem__(key, value)
+
+
+# Each malformed document must end in exit 2 with a message naming the
+# field, never in a traceback (exit 1 means a failed verification check).
+@pytest.mark.parametrize(
+    "banded, mutate, field",
+    [
+        (True, _set_weight("--5"), "weight"),
+        (True, _set_weight("5-"), "weight"),
+        (True, _set_weight("\u00b2"), "weight"),
+        (True, _set_band("heavy", ["x"]), "bands.heavy"),
+        (True, _set_band("heavy", [True]), "bands.heavy"),
+        (True, _set_band("blocks", {"E": {}}), "bands.blocks"),
+        (True, _set_band("blocks", [5]), "bands.blocks"),
+        (False, lambda document: document.__setitem__("distinguished", True), "distinguished"),
+        (False, lambda document: document.__setitem__("budget", False), "budget"),
+    ],
+    ids=[
+        "double-minus",
+        "trailing-minus",
+        "superscript-digit",
+        "heavy-string",
+        "heavy-bool",
+        "blocks-object",
+        "blocks-int-entry",
+        "distinguished-bool",
+        "budget-bool",
+    ],
+)
+def test_malformed_instance_document_exits_2(tmp_path, capsys, banded, mutate, field):
+    if banded:
+        instance = build_decrease(CnfFormula(2, (frozenset({1, 2}),)), 1, strict=False)
+    else:
+        instance = ControlInstance(Game((1, 2, 2, 2, 3, 3), 8), 1, 1, Goal.DECREASE)
+    document = json.loads(dump_instance(instance))
+    mutate(document)
+    path = tmp_path / "bad.instance"
+    path.write_text(json.dumps(document))
+    assert main(["index", str(path), "--player", "0"]) == EXIT_INPUT
+    assert field in capsys.readouterr().err

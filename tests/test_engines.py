@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from wvgcontrol import (
     pivot_count_mitm,
     pivot_count_weight_dp,
 )
+from wvgcontrol.engines import count_subsets_mitm, count_window, half_sum_tables
 
 from conftest import random_game
 
@@ -158,3 +160,36 @@ class TestBanzhaf:
     def test_unknown_engine(self, example1):
         with pytest.raises(Exception, match="unknown engine"):
             banzhaf(example1, 1, "magic")
+
+
+class TestMeetInTheMiddleCore:
+    """The shared core against a brute force over every subset."""
+
+    @staticmethod
+    def _brute(weights, lo, hi):
+        return sum(
+            lo <= sum(chosen) <= hi
+            for size in range(len(weights) + 1)
+            for chosen in itertools.combinations(weights, size)
+        )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_windows_against_brute_force(self, seed):
+        rng = random.Random(seed)
+        pool = [0, 0, 1, 3, 3, 7, 10**39 + 1, 10**39 + 1, 2 * 10**40]
+        size = 12 if seed % 2 else rng.randint(0, 11)
+        weights = [
+            rng.choice(pool) if rng.random() < 0.5 else rng.randint(0, 40)
+            for _ in range(size)
+        ]
+        tables = half_sum_tables(weights)
+        total = sum(weights)
+        points = sorted({0, 1, 7, total, total + 1, rng.randint(0, max(total, 1))})
+        windows = [(t, t) for t in points]  # lo == hi
+        windows += [(lo, hi) for lo in points for hi in points if lo < hi]
+        windows += [(hi, lo) for lo, hi in windows if lo < hi]  # lo > hi
+        windows += [(-5, -1), (-3, -3), (-10, 4)]  # hi < 0, and lo < 0 <= hi
+        for lo, hi in windows:
+            expected = self._brute(weights, lo, hi)
+            assert count_window(tables, lo, hi) == expected, (weights, lo, hi)
+            assert count_subsets_mitm(weights, lo, hi) == expected, (weights, lo, hi)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import warnings
 
@@ -19,6 +20,7 @@ from wvgcontrol import (
     build_prereduction,
     count_sat,
     count_subset_sum,
+    dump_instance,
     e_exact_sat,
     e_minority_sat,
     exactify,
@@ -31,6 +33,7 @@ from wvgcontrol import (
 from wvgcontrol.bands import heavy_pivot_term
 from wvgcontrol.engines import EngineBudget, pivot_count_mitm
 from wvgcontrol.gadgets import GadgetConstructionNote
+from wvgcontrol.verify import NO_INSTANCES
 
 OR2 = CnfFormula(2, (frozenset({1, 2}),))
 WIDE5 = CnfFormula(5, (frozenset({1, 2, 3, 4, 5}),))
@@ -435,3 +438,31 @@ class TestClosedFormGridAgainstOracles:
                     pivot_count_layered(non.bands)
                     == expected_case_counts(Goal.NONINCREASE, k, n, xi).total
                 )
+
+
+NO_FORMULA, _ = NO_INSTANCES[1]  # the (n=4, k=2) minority no-instance
+
+
+class TestGoldenPlayerOrder:
+    """sha256 prefixes of ``dump_instance`` pin the player order, every
+    weight, the band blocks and the meta of each builder bit for bit."""
+
+    @staticmethod
+    def _digest(instance) -> str:
+        return hashlib.sha256(dump_instance(instance).encode()).hexdigest()[:16]
+
+    @pytest.mark.parametrize(
+        "build, players, digest",
+        [
+            (lambda: build_decrease(NO_FORMULA, 2, strict=False), 118, "6108e2a48bce04cc"),
+            (lambda: build_nonincrease(NO_FORMULA, 2, strict=False), 85, "96df545ba4b1e097"),
+            (lambda: build_maintain(NO_FORMULA, 2, 5, strict=False), 332, "71f6c1d87b95c77c"),
+            (lambda: build_decrease(WIDE5, 4), 318, "5b7e1f8da397366b"),
+            (lambda: build_maintain(*exactify(WIDE5, 4, 1)), 1059, "f9ce5d0dff8c4831"),
+        ],
+        ids=["decrease", "nonincrease", "maintain", "strict-decrease", "strict-maintain"],
+    )
+    def test_digest(self, build, players, digest):
+        instance = build()
+        assert instance.game.num_players == players
+        assert self._digest(instance) == digest
