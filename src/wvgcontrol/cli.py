@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 import time
 from dataclasses import replace
@@ -35,7 +34,7 @@ from .errors import BandStructureError, BudgetExceededError, InputError
 from .formulas import count_sat, e_exact_sat, e_minority_sat, parse_dimacs
 from .game import ExactIndex, Game
 from .gadgets import ControlInstance, Goal, build_decrease, build_maintain, build_nonincrease, exactify
-from .serialize import dump_instance, load_game, load_instance
+from .serialize import dump_instance, load_document
 from .verify import SUITES, SuiteOptions, run_suite
 
 EXIT_OK = 0
@@ -44,13 +43,9 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
-
-
-def _echo(args: argparse.Namespace, path: Path) -> None:
+def _echo(path: Path) -> None:
     print(f"command: {' '.join(sys.argv[1:])}")
-    print(f"input:   {path} (sha256/16 {_digest(path)})")
+    print(f"input:   {path} (sha256/16 {hashlib.sha256(path.read_bytes()).hexdigest()[:16]})")
 
 
 def _fraction_line(label: str, index: ExactIndex) -> str:
@@ -67,20 +62,15 @@ def _budget_from(args: argparse.Namespace) -> EngineBudget:
 
 def _load_any_instance(path: Path) -> ControlInstance | Game:
     """Instance document if it has instance fields, else a bare game."""
-    text = path.read_text()
     try:
-        document = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise InputError(f"{path}: not valid JSON: {error}")
-    if isinstance(document, dict) and "distinguished" in document:
-        return load_instance(text)
-    return load_game(text)
+        return load_document(path.read_text())
+    except (InputError, BandStructureError) as error:
+        raise InputError(f"{path}: {error}") from error
 
 
 def cmd_index(args: argparse.Namespace) -> int:
     path = Path(args.input)
     loaded = _load_any_instance(path)
-    budget = _budget_from(args)
     if isinstance(loaded, ControlInstance) and args.player in (None, loaded.distinguished):
         instance = loaded
     elif args.player is None:
@@ -89,9 +79,9 @@ def cmd_index(args: argparse.Namespace) -> int:
         # Indices of non-distinguished players never use band metadata.
         game = loaded.game if isinstance(loaded, ControlInstance) else loaded
         instance = ControlInstance(game, args.player, 0, Goal.DECREASE)
-    _echo(args, path)
+    _echo(path)
     started = time.perf_counter()
-    index, engine_used = compute_index(instance, args.engine, budget)
+    index, engine_used = compute_index(instance, args.engine, _budget_from(args))
     elapsed = time.perf_counter() - started
     print(f"engine:  {engine_used}")
     print(_fraction_line(f"index of player {instance.distinguished}", index))
@@ -102,7 +92,6 @@ def cmd_index(args: argparse.Namespace) -> int:
 def cmd_control(args: argparse.Namespace) -> int:
     path = Path(args.input)
     loaded = _load_any_instance(path)
-    budget = _budget_from(args)
     if isinstance(loaded, Game):
         missing = [
             flag
@@ -137,9 +126,9 @@ def cmd_control(args: argparse.Namespace) -> int:
         if not args.groups:
             raise InputError("restricted mode needs --groups")
         mode = Restricted(tuple(args.groups.split(",")))
-    _echo(args, path)
+    _echo(path)
     started = time.perf_counter()
-    report = solve_control(instance, args.engine, mode, budget)
+    report = solve_control(instance, args.engine, mode, _budget_from(args))
     elapsed = time.perf_counter() - started
     print(f"goal:    {report.goal.value}")
     print(f"engine:  {report.engine}")
@@ -177,7 +166,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         instance = build_maintain(formula, args.k, ell, strict=strict)
     out = Path(args.output)
     out.write_text(dump_instance(instance))
-    _echo(args, path)
+    _echo(path)
     print(f"kind:    {args.kind} ({instance.meta.get('mode')} mode)")
     print(f"players: {instance.game.num_players}, budget {instance.budget}")
     print(f"wrote:   {out}")
@@ -187,7 +176,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     path = Path(args.cnf)
     formula = parse_dimacs(path.read_text(), strip_tautologies=args.strip_tautologies)
-    _echo(args, path)
+    _echo(path)
     started = time.perf_counter()
     if args.kind == "count-sat":
         print(f"#SAT = {count_sat(formula)}")
@@ -234,35 +223,36 @@ def build_parser() -> argparse.ArgumentParser:
         "for weighted voting games.",
     )
     parser.add_argument("--version", action="version", version=f"wvg {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # Small parent parsers, so each subcommand accepts only the flags it reads.
+    engines = argparse.ArgumentParser(add_help=False)
+    engines.add_argument(
         "--engine", choices=ENGINE_CHOICES, default="auto", help="index engine"
     )
-    common.add_argument("--seed", type=int, default=20240817, help="RNG seed")
-    common.add_argument("--budget-enum", type=int, metavar="N",
-                        default=DEFAULT_BUDGET.max_enum_players,
-                        help="max co-players for the enumeration engine")
-    common.add_argument("--budget-mitm-half", type=int, metavar="N",
-                        default=DEFAULT_BUDGET.max_mitm_half,
-                        help="max half size for meet-in-the-middle")
-    common.add_argument("--budget-dp-quota", type=int, metavar="Q",
-                        default=DEFAULT_BUDGET.max_dp_quota,
-                        help="max quota for the weight-table engine")
-    common.add_argument("--relaxed", action="store_true",
-                        help="allow oracle-scale gadget parameters (1 <= k < n)")
-    common.add_argument("--strip-tautologies", action="store_true",
+    engines.add_argument("--budget-enum", type=int, metavar="N",
+                         default=DEFAULT_BUDGET.max_enum_players,
+                         help="max co-players for the enumeration engine")
+    engines.add_argument("--budget-mitm-half", type=int, metavar="N",
+                         default=DEFAULT_BUDGET.max_mitm_half,
+                         help="max half size for meet-in-the-middle")
+    engines.add_argument("--budget-dp-quota", type=int, metavar="Q",
+                         default=DEFAULT_BUDGET.max_dp_quota,
+                         help="max quota for the weight-table engine")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=20240817, help="RNG seed")
+    dimacs = argparse.ArgumentParser(add_help=False)
+    dimacs.add_argument("--strip-tautologies", action="store_true",
                         help="drop tautological clauses while parsing DIMACS")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_index = sub.add_parser("index", parents=[common],
+    p_index = sub.add_parser("index", parents=[engines],
                              help="exact index of one player")
     p_index.add_argument("input", help="game or instance document")
     p_index.add_argument("--player", type=int, default=None,
                          help="player position (defaults to the instance's distinguished player)")
     p_index.set_defaults(func=cmd_index)
 
-    p_control = sub.add_parser("control", parents=[common],
+    p_control = sub.add_parser("control", parents=[engines, seeded],
                                help="decide a control-by-deletion instance")
     p_control.add_argument("input", help="instance document (or game document plus flags)")
     p_control.add_argument("--player", type=int, default=None)
@@ -279,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated provenance groups for restricted mode")
     p_control.set_defaults(func=cmd_control)
 
-    p_reduce = sub.add_parser("reduce", parents=[common],
+    p_reduce = sub.add_parser("reduce", parents=[dimacs],
                               help="compile DIMACS into a control instance file")
     p_reduce.add_argument("cnf", help="DIMACS cnf file")
     p_reduce.add_argument("--kind", required=True,
@@ -289,10 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="exact suffix count (maintain only)")
     p_reduce.add_argument("--exactify", action="store_true",
                           help="apply the two-variable extension before building maintain")
+    p_reduce.add_argument("--relaxed", action="store_true",
+                          help="allow oracle-scale gadget parameters (1 <= k < n)")
     p_reduce.add_argument("-o", "--output", required=True, help="instance file to write")
     p_reduce.set_defaults(func=cmd_reduce)
 
-    p_oracle = sub.add_parser("oracle", parents=[common],
+    p_oracle = sub.add_parser("oracle", parents=[dimacs],
                               help="run a formula oracle")
     p_oracle.add_argument("kind", choices=("count-sat", "e-minority-sat", "e-exact-sat"))
     p_oracle.add_argument("cnf", help="DIMACS cnf file")
@@ -300,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--ell", type=int, default=None, help="exact suffix count")
     p_oracle.set_defaults(func=cmd_oracle)
 
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[seeded],
                               help="run a verification suite")
     p_verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p_verify.add_argument("--trials", type=int, default=10_000,

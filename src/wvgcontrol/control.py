@@ -3,12 +3,14 @@
 Equal-weight players are interchangeable for the distinguished player's
 index, so the search enumerates multisets over weight classes instead of
 raw subsets; gadget games have large symmetric groups and this collapses
-the space by orders of magnitude.  Exhaustive mode walks every multiset
-up to the budget, heaviest classes first, and the first witness found is
-the reported one (deterministic).  Sampled mode draws multisets uniformly
-from the whole candidate space with a seeded generator and reports
-honestly labelled negative evidence.  Restricted mode is exhaustive over
-a named subset of provenance groups.
+the space by orders of magnitude.  Every mode reads one ranked space:
+the count vectors over the classes (heaviest first) whose total lies in
+a size window, greatest-lexicographic first.  Exhaustive mode walks each
+size from the smallest allowed up to the budget, rank by rank, and the
+first witness found is the reported one (deterministic).  Sampled mode
+draws ranks uniformly over the whole window with a seeded generator and
+reports honestly labelled negative evidence.  Restricted mode is
+exhaustive over a named subset of provenance groups.
 """
 
 from __future__ import annotations
@@ -220,22 +222,6 @@ def _candidate_classes(
     return classes
 
 
-def _count_vectors(caps: list[int], size: int):
-    """All count vectors with the given caps summing to ``size``, greatest
-    lexicographic first (prefer deleting from the heaviest class)."""
-    if size == 0:
-        yield [0] * len(caps)
-        return
-    if not caps:
-        return
-    head_cap = min(caps[0], size)
-    for head in range(head_cap, -1, -1):
-        if sum(caps[1:]) < size - head:
-            continue
-        for rest in _count_vectors(caps[1:], size - head):
-            yield [head] + rest
-
-
 def _make_candidate(
     classes: list[tuple[int, tuple[int, ...]]], vector: list[int]
 ) -> DeletionCandidate:
@@ -248,69 +234,66 @@ def _make_candidate(
     return DeletionCandidate(tuple(counts), frozenset(players))
 
 
-def _iter_exhaustive(
-    classes: list[tuple[int, tuple[int, ...]]], min_size: int, max_size: int
-):
-    caps = [len(members) for _, members in classes]
-    limit = min(max_size, sum(caps))
-    for size in range(min_size, limit + 1):
-        for vector in _count_vectors(caps, size):
-            yield _make_candidate(classes, vector)
+class _CandidateSpace:
+    """Count vectors over the weight classes, ranked greatest-lexicographic
+    first (prefer deleting from the heaviest class).
 
+    ``ways[i][s]`` is the number of count vectors over classes ``i..`` with
+    total at most ``s``, for ``s`` up to the largest total the budget and
+    the classes allow.
+    """
 
-class _Unranker:
-    """Maps ranks to count vectors, heaviest-first order, size in [min, max]."""
-
-    def __init__(
-        self,
-        classes: list[tuple[int, tuple[int, ...]]],
-        min_size: int,
-        max_size: int,
-    ) -> None:
+    def __init__(self, classes: list[tuple[int, tuple[int, ...]]], max_size: int) -> None:
         self.classes = classes
-        self.min_size = min_size
-        self.max_size = max_size
         caps = [len(members) for _, members in classes]
-        self.caps = caps
-        suffix_ways: list[dict[int, int]] = [dict() for _ in range(len(caps) + 1)]
-        suffix_ways[len(caps)] = {0: 1}
-        for i in range(len(caps) - 1, -1, -1):
-            acc: dict[int, int] = {}
-            for total, count in suffix_ways[i + 1].items():
-                for take in range(caps[i] + 1):
-                    if total + take > max_size:
-                        break
-                    acc[total + take] = acc.get(total + take, 0) + count
-            suffix_ways[i] = acc
-        self.suffix_ways = suffix_ways
-        self.space = sum(
-            count for total, count in suffix_ways[0].items() if total >= min_size
-        )
+        self.max_size = min(max_size, sum(caps))
+        ways = [[1] * (self.max_size + 1)]
+        for cap in reversed(caps):
+            after, row, window = ways[-1], [], 0
+            for s, total in enumerate(after):  # takes 0 .. cap leave s .. s - cap
+                window += total
+                if s > cap:
+                    window -= after[s - cap - 1]
+                row.append(window)
+            ways.append(row)
+        self.ways = ways[::-1]
 
-    def _suffix_count(self, i: int, remaining_min: int, remaining_max: int) -> int:
-        return sum(
-            count
-            for total, count in self.suffix_ways[i].items()
-            if remaining_min <= total <= remaining_max
-        )
+    def count(self, low: int, high: int) -> int:
+        """Number of count vectors with total in ``[low, high]``."""
+        high = min(high, self.max_size)
+        if high < max(low, 0):
+            return 0
+        top = self.ways[0]
+        return top[high] - (top[low - 1] if low > 0 else 0)
 
-    def candidate(self, rank: int) -> DeletionCandidate:
+    def candidate(self, rank: int, low: int, high: int) -> DeletionCandidate:
+        """The ``rank``-th count vector with total in ``[low, high]``."""
+        if not 0 <= rank < self.count(low, high):
+            raise WvgError(f"rank {rank} is outside the candidate space")
+        high = min(high, self.max_size)
+        ways = self.ways
         vector: list[int] = []
-        used = 0
-        for i, cap in enumerate(self.caps):
-            for take in range(min(cap, self.max_size - used), -1, -1):
-                ways = self._suffix_count(
-                    i + 1,
-                    max(0, self.min_size - used - take),
-                    self.max_size - used - take,
-                )
-                if rank < ways:
-                    vector.append(take)
-                    used += take
+        for i, (_, members) in enumerate(self.classes):
+            if high == 0:
+                break  # budget used up: every later class takes nothing
+            here, after = ways[i], ways[i + 1]
+            below = low - 1
+            taking = here[high] - after[high] - (
+                here[below] - after[below] if below >= 0 else 0
+            )
+            if rank >= taking:  # vectors taking nothing from class i come last
+                rank -= taking
+                vector.append(0)
+                continue
+            take = min(len(members), high)
+            while True:
+                ways_after = after[high - take] - (after[below - take] if below >= take else 0)
+                if rank < ways_after:
                     break
-                rank -= ways
-            else:
-                raise WvgError("unranking walked out of the candidate space")
+                rank -= ways_after
+                take -= 1
+            vector.append(take)
+            high, low = high - take, low - take
         return _make_candidate(self.classes, vector)
 
 
@@ -371,20 +354,20 @@ def solve_control(
     min_size = 1 if instance.goal in MIN_ONE_DELETION_GOALS else 0
 
     restrict = mode.groups if isinstance(mode, Restricted) else None
-    classes = _candidate_classes(instance, restrict)
-
+    space = _CandidateSpace(_candidate_classes(instance, restrict), instance.budget)
     if isinstance(mode, Sampled):
-        unranker = _Unranker(classes, min_size, instance.budget)
+        size = space.count(min_size, instance.budget)
         rng = random.Random(mode.seed)
-        if unranker.space == 0:
-            candidates = iter(())
-        else:
-            candidates = (
-                unranker.candidate(rng.randrange(unranker.space))
-                for _ in range(mode.trials)
-            )
+        candidates = (
+            space.candidate(rng.randrange(size), min_size, instance.budget)
+            for _ in range(mode.trials if size else 0)
+        )
     else:
-        candidates = _iter_exhaustive(classes, min_size, instance.budget)
+        candidates = (
+            space.candidate(rank, total, total)
+            for total in range(min_size, space.max_size + 1)
+            for rank in range(space.count(total, total))
+        )
 
     evaluated = 0
     min_seen: ExactIndex | None = None
@@ -412,10 +395,7 @@ def solve_control(
             reverified = _reverify(variant, count, engine_used, budget)
             break
     sampled = isinstance(mode, Sampled)
-    if witness is not None:
-        verdict = "YES"
-    else:
-        verdict = "NO-sampled" if sampled else "NO-exhaustive"
+    verdict = "YES" if witness is not None else "NO-sampled" if sampled else "NO-exhaustive"
     return SearchReport(
         goal=instance.goal,
         verdict=verdict,

@@ -18,6 +18,7 @@ subset-sum oracle.
 from __future__ import annotations
 
 import bisect
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -129,10 +130,22 @@ HalfSums = tuple[Counter[int], Counter[int]]
 
 
 def _subset_sums(weights: Sequence[int]) -> Counter[int]:
+    """Subset-sum multiplicities.  Weights that occur once double a list of
+    sums; ``m`` equal weights fold in once, ``j`` copies in ``comb(m, j)`` ways."""
+    repeats = Counter(weights)
     sums = [0]
-    for w in weights:
+    for w in [w for w, m in repeats.items() if m == 1]:
         sums += [s + w for s in sums]
-    return Counter(sums)
+    table = Counter(sums)
+    for w, m in repeats.items():
+        if m > 1:
+            folded: Counter[int] = Counter()
+            for j in range(m + 1):
+                ways = math.comb(m, j)
+                for s, count in table.items():
+                    folded[s + j * w] += count * ways
+            table = folded
+    return table
 
 
 def half_sum_tables(weights: Sequence[int]) -> HalfSums:

@@ -36,14 +36,15 @@ class Game:
     quota: int
 
     def __post_init__(self) -> None:
-        if any(not isinstance(w, int) for w in self.weights):
+        # ``bool`` is an ``int`` subclass but no weight or quota
+        if any(not isinstance(w, int) or type(w) is bool for w in self.weights):
             raise InputError("weights must be integers")
         object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
         if not self.weights:
             raise InputError("a game needs at least one player")
         if any(w < 0 for w in self.weights):
             raise InputError("weights must be nonnegative")
-        if not isinstance(self.quota, int) or self.quota < 1:
+        if not isinstance(self.quota, int) or type(self.quota) is bool or self.quota < 1:
             raise InputError(f"quota must be a positive integer, got {self.quota!r}")
 
     @property

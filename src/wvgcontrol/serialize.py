@@ -117,7 +117,18 @@ def dump_instance(instance: ControlInstance) -> str:
 
 
 def load_instance(text: str) -> ControlInstance:
-    document = _parse_object(text, "instance")
+    return _instance_from_document(_parse_object(text, "instance"))
+
+
+def load_document(text: str) -> ControlInstance | Game:
+    """An instance if the document has instance fields, else a bare game."""
+    document = _parse_object(text, "game")
+    if "distinguished" in document:
+        return _instance_from_document(document)
+    return _game_from_document(document)
+
+
+def _instance_from_document(document: dict) -> ControlInstance:
     game = _game_from_document(document)
     for key in ("distinguished", "budget", "goal"):
         if key not in document:

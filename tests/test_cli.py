@@ -198,6 +198,56 @@ class TestOracleCommand:
         assert main(["oracle", "count-sat", str(path), "--strip-tautologies"]) == EXIT_OK
 
 
+# Each subcommand accepts only the flags it reads; argparse rejects the rest.
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["verify", "example1"], ["--engine", "dp"]),
+        (["verify", "example1"], ["--strip-tautologies"]),
+        (["oracle", "count-sat", "CNF"], ["--budget-enum", "3"]),
+        (["oracle", "count-sat", "CNF"], ["--seed", "3"]),
+        (["index", "GAME", "--player", "1"], ["--seed", "3"]),
+        (["index", "GAME", "--player", "1"], ["--relaxed"]),
+        (["reduce", "CNF", "--kind", "decrease", "-k", "1", "--relaxed", "-o", "OUT"],
+         ["--engine", "enum"]),
+        (["control", "GAME", "--player", "1", "--deletions", "1", "--goal", "decrease"],
+         ["--strip-tautologies"]),
+    ],
+    ids=[
+        "verify-engine",
+        "verify-strip",
+        "oracle-budget",
+        "oracle-seed",
+        "index-seed",
+        "index-relaxed",
+        "reduce-engine",
+        "control-strip",
+    ],
+)
+def test_unread_flag_is_rejected(example1_file, or2_cnf, tmp_path, capsys, command, flag):
+    files = {"GAME": str(example1_file), "CNF": str(or2_cnf), "OUT": str(tmp_path / "x")}
+    with pytest.raises(SystemExit) as exit_info:
+        main([files.get(arg, arg) for arg in command + flag])
+    assert exit_info.value.code == EXIT_INPUT
+    assert flag[0] in capsys.readouterr().err
+
+
+class TestDocumentLoading:
+    def test_document_is_parsed_once(self, example1_file, monkeypatch, capsys):
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text: calls.append(text) or loads(text))
+        assert main(["index", str(example1_file), "--player", "1"]) == EXIT_OK
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("text", ["not json", "[1, 2]", '{"weights": ["1"]}'])
+    def test_error_names_the_file(self, tmp_path, capsys, text):
+        path = tmp_path / "broken.game"
+        path.write_text(text)
+        assert main(["index", str(path), "--player", "0"]) == EXIT_INPUT
+        assert str(path) in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_example1_suite(self, capsys):
         assert main(["verify", "example1"]) == EXIT_OK

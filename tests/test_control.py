@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wvgcontrol import (
     CnfFormula,
@@ -16,8 +22,11 @@ from wvgcontrol import (
     evaluate_deletion,
     solve_control,
 )
-from wvgcontrol.control import Exhaustive, Restricted, Sampled, relation_holds
+from wvgcontrol import control
+from wvgcontrol.control import Exhaustive, Restricted, Sampled, _CandidateSpace, relation_holds
 from wvgcontrol.engines import pivot_count_enum
+from wvgcontrol.errors import WvgError
+from wvgcontrol.verify import NO_INSTANCES
 
 from conftest import random_game
 
@@ -198,3 +207,110 @@ class TestEngineSelection:
         )
         report = solve_control(instance)
         assert report.engine == "enum"
+
+
+class TestGoldenCandidateOrder:
+    """sha256 prefixes of the candidate sequences ``solve_control`` walks
+    on the (n=4, k=2) no-instance gadget pin the exhaustive order and the
+    seeded sampled draws.  Deletion and counting are stubbed out and no
+    candidate is accepted, so only candidate generation runs."""
+
+    @staticmethod
+    def _walk(monkeypatch, instance, mode) -> tuple[int, str]:
+        weights = instance.game.weights
+        seen = []
+
+        def record(self, players):
+            counts = Counter(weights[p] for p in players)
+            seen.append(tuple(sorted(counts.items(), reverse=True)))
+            return self
+
+        monkeypatch.setattr(ControlInstance, "delete", record)
+        monkeypatch.setattr(control, "pivot_count_layered", lambda bands: 0)
+        monkeypatch.setattr(control, "relation_holds", lambda goal, before, after: False)
+        report = solve_control(instance, engine="layered", mode=mode)
+        assert report.candidates_evaluated == len(seen)
+        text = "\n".join(repr(counts) for counts in seen)
+        return len(seen), hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    @pytest.mark.parametrize(
+        "goal, mode, length, digest",
+        [
+            (Goal.DECREASE, Exhaustive(), 4_764, "dbedd8a3f216ce61"),
+            (Goal.NONINCREASE, Exhaustive(), 4_763, "657c44c2920fff8f"),
+            (Goal.DECREASE, Sampled(seed=507, trials=2_000), 2_000, "4b7090e8cec066aa"),
+        ],
+        ids=["exhaustive-min0", "exhaustive-min1", "sampled-seed507"],
+    )
+    def test_digest(self, monkeypatch, goal, mode, length, digest):
+        instance = build_decrease(*NO_INSTANCES[1], strict=False)
+        instance = replace(instance, goal=goal)
+        assert self._walk(monkeypatch, instance, mode) == (length, digest)
+
+
+class TestCandidateSpaceProperties:
+    """The ranked space against ``itertools.product`` and through ``solve_control``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        caps=st.lists(st.integers(1, 4), max_size=5),
+        budget=st.integers(0, 12),
+        low=st.integers(0, 5),
+        high=st.integers(0, 14),
+    )
+    def test_rank_is_a_bijection_in_greatest_lex_order(self, caps, budget, low, high):
+        weights = range(len(caps), 0, -1)
+        members = itertools.accumulate(caps, initial=0)
+        classes = [
+            (weight, tuple(range(first, first + cap)))
+            for weight, first, cap in zip(weights, members, caps)
+        ]
+        space = _CandidateSpace(classes, budget)
+        expected = sorted(
+            (
+                vector
+                for vector in itertools.product(*(range(cap + 1) for cap in caps))
+                if low <= sum(vector) <= min(high, budget)
+            ),
+            reverse=True,
+        )
+        assert space.count(low, high) == len(expected)
+        ranked = []
+        for rank in range(len(expected)):
+            taken = dict(space.candidate(rank, low, high).class_counts)
+            ranked.append(tuple(taken.get(weight, 0) for weight, _ in classes))
+        assert ranked == expected
+        for rank in (-1, len(expected)):
+            with pytest.raises(WvgError, match="outside the candidate space"):
+                space.candidate(rank, low, high)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        weights=st.lists(st.integers(0, 4), min_size=2, max_size=7),
+        budget=st.integers(0, 6),
+        goal=st.sampled_from([Goal.INCREASE, Goal.MAINTAIN]),
+    )
+    def test_exhaustive_sizes_ascend_and_cover_the_space(self, weights, budget, goal):
+        instance = ControlInstance(
+            Game(tuple(weights), max(sum(weights), 1)), 0, min(budget, len(weights) - 1), goal
+        )
+        delete = ControlInstance.delete
+        sizes = []
+
+        def record(self, players):
+            sizes.append(len(players))
+            return delete(self, players)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ControlInstance, "delete", record)
+            patch.setattr(control, "relation_holds", lambda goal, before, after: False)
+            solve_control(instance, engine="enum", mode=Exhaustive())
+        assert sizes == sorted(sizes)
+        caps = Counter(weights[1:]).values()
+        low = 1 if goal is Goal.MAINTAIN else 0
+        space = [
+            vector
+            for vector in itertools.product(*(range(cap + 1) for cap in caps))
+            if low <= sum(vector) <= instance.budget
+        ]
+        assert Counter(sizes) == Counter(sum(vector) for vector in space)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from wvgcontrol import (
     pivot_count_weight_dp,
 )
 from wvgcontrol.engines import count_subsets_mitm, count_window, half_sum_tables
+from wvgcontrol.formulas import count_subset_sum
 
 from conftest import random_game
 
@@ -193,3 +195,29 @@ class TestMeetInTheMiddleCore:
             expected = self._brute(weights, lo, hi)
             assert count_window(tables, lo, hi) == expected, (weights, lo, hi)
             assert count_subsets_mitm(weights, lo, hi) == expected, (weights, lo, hi)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [1] * 12,
+            [0] * 5 + [2] * 7,
+            [3, 3, 3, 5, 5, 7] * 2,
+            [10**39 + 1] * 4 + [1, 2, 4] + [6] * 3,
+            [4, 1, 4, 9, 1, 4, 0, 9, 1, 0, 4, 2, 2],
+        ],
+        ids=["ones", "zeros-twos", "mixed-multiples", "huge-repeats", "shuffled"],
+    )
+    def test_repeated_weights_against_brute_force(self, weights):
+        tables = half_sum_tables(weights)
+        total = sum(weights)
+        points = sorted({0, 1, 2, 5, total // 2, total, total + 1})
+        for lo in points:
+            for hi in points:
+                expected = self._brute(weights, lo, hi)
+                assert count_window(tables, lo, hi) == expected, (weights, lo, hi)
+                assert count_subsets_mitm(weights, lo, hi) == expected, (weights, lo, hi)
+
+    def test_many_equal_weights_fold_to_binomials(self):
+        assert count_subset_sum([1] * 44, 3) == math.comb(44, 3)
+        left, right = half_sum_tables([1] * 44)
+        assert left == right == {j: math.comb(22, j) for j in range(23)}

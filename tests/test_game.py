@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wvgcontrol import (
     ExactIndex,
@@ -146,6 +148,15 @@ class TestGameValidation:
         with pytest.raises(InputError):
             Game((), 1)
 
+    @pytest.mark.parametrize(
+        "weights, quota",
+        [((True, 2), 3), ((1, False), 3), ((1, 2), True)],
+        ids=["true-weight", "false-weight", "true-quota"],
+    )
+    def test_bool_weights_and_quota_rejected(self, weights, quota):
+        with pytest.raises(InputError, match="integer"):
+            Game(weights, quota)
+
 
 class TestExactIndex:
     def test_equality_across_representations(self):
@@ -162,6 +173,17 @@ class TestExactIndex:
             assert (a <= b) == (a.as_fraction() <= b.as_fraction())
             assert (a == b) == (a.as_fraction() == b.as_fraction())
             assert (a > b) == (a.as_fraction() > b.as_fraction())
+
+    @given(
+        st.integers(0, 1 << 80), st.integers(0, 120),
+        st.integers(0, 1 << 80), st.integers(0, 120),
+    )
+    def test_ordering_matches_fractions_property(self, count_a, exp_a, count_b, exp_b):
+        a, b = ExactIndex(count_a, exp_a), ExactIndex(count_b, exp_b)
+        x, y = a.as_fraction(), b.as_fraction()
+        assert (a < b, a <= b, a == b, a >= b, a > b) == (x < y, x <= y, x == y, x >= y, x > y)
+        if a == b:
+            assert hash(a) == hash(b)
 
     def test_total_order_is_consistent(self):
         values = [ExactIndex(3, 4), ExactIndex(8, 5), ExactIndex(0, 0), ExactIndex(7, 3)]

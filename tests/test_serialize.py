@@ -20,6 +20,7 @@ from wvgcontrol import (
     pivot_count_layered,
     witness_deletion,
 )
+from wvgcontrol.serialize import load_document
 
 pytestmark = pytest.mark.filterwarnings("ignore::wvgcontrol.gadgets.GadgetConstructionNote")
 
@@ -52,6 +53,18 @@ class TestGameDocuments:
     def test_invalid_json(self):
         with pytest.raises(FileFormatError, match="JSON"):
             load_game("not json")
+
+
+class TestLoadDocument:
+    def test_game_or_instance_by_fields(self, example1):
+        assert load_document(dump_game(example1)) == example1
+        instance = build_decrease(OR2, 1, strict=False)
+        loaded = load_document(dump_instance(instance))
+        assert dump_instance(loaded) == dump_instance(instance)
+
+    def test_non_object_is_rejected(self):
+        with pytest.raises(FileFormatError, match="JSON object"):
+            load_document("[1, 2]")
 
 
 class TestInstanceDocuments:
