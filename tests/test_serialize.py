@@ -62,10 +62,6 @@ class TestLoadDocument:
         loaded = load_document(dump_instance(instance))
         assert dump_instance(loaded) == dump_instance(instance)
 
-    def test_non_object_is_rejected(self):
-        with pytest.raises(FileFormatError, match="JSON object"):
-            load_document("[1, 2]")
-
 
 class TestInstanceDocuments:
     def test_roundtrip_preserves_everything(self):
