@@ -43,8 +43,8 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
-def _echo(path: Path) -> None:
-    print(f"command: {' '.join(sys.argv[1:])}")
+def _echo(args: argparse.Namespace, path: Path) -> None:
+    print(f"command: {' '.join(args.argv)}")
     print(f"input:   {path} (sha256/16 {hashlib.sha256(path.read_bytes()).hexdigest()[:16]})")
 
 
@@ -79,7 +79,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         # Indices of non-distinguished players never use band metadata.
         game = loaded.game if isinstance(loaded, ControlInstance) else loaded
         instance = ControlInstance(game, args.player, 0, Goal.DECREASE)
-    _echo(path)
+    _echo(args, path)
     started = time.perf_counter()
     index, engine_used = compute_index(instance, args.engine, _budget_from(args))
     elapsed = time.perf_counter() - started
@@ -126,7 +126,7 @@ def cmd_control(args: argparse.Namespace) -> int:
         if not args.groups:
             raise InputError("restricted mode needs --groups")
         mode = Restricted(tuple(args.groups.split(",")))
-    _echo(path)
+    _echo(args, path)
     started = time.perf_counter()
     report = solve_control(instance, args.engine, mode, _budget_from(args))
     elapsed = time.perf_counter() - started
@@ -166,7 +166,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         instance = build_maintain(formula, args.k, ell, strict=strict)
     out = Path(args.output)
     out.write_text(dump_instance(instance))
-    _echo(path)
+    _echo(args, path)
     print(f"kind:    {args.kind} ({instance.meta.get('mode')} mode)")
     print(f"players: {instance.game.num_players}, budget {instance.budget}")
     print(f"wrote:   {out}")
@@ -176,7 +176,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     path = Path(args.cnf)
     formula = parse_dimacs(path.read_text(), strip_tautologies=args.strip_tautologies)
-    _echo(path)
+    _echo(args, path)
     started = time.perf_counter()
     if args.kind == "count-sat":
         print(f"#SAT = {count_sat(formula)}")
@@ -303,7 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # ``argv`` rides along so the subcommands echo the command they ran.
+    args = parser.parse_args(argv, namespace=argparse.Namespace(argv=argv))
     try:
         return args.func(args)
     except BudgetExceededError as error:

@@ -33,7 +33,7 @@ from .engines import (
 )
 from .errors import BudgetExceededError, InputError, WvgError
 from .game import ExactIndex, Game, weight_class_partition
-from .gadgets import MIN_ONE_DELETION_GOALS, ControlInstance, Goal
+from .gadgets import ControlInstance, Goal
 
 _RELATIONS = {
     Goal.DECREASE: operator.lt,
@@ -151,6 +151,11 @@ class Sampled:
 
     seed: int
     trials: int
+
+    def __post_init__(self) -> None:
+        # A sampled NO with no draws would be no evidence at all.
+        if self.trials < 1:
+            raise InputError(f"sampled search needs at least one trial, got {self.trials}")
 
 
 @dataclass(frozen=True)
@@ -344,14 +349,14 @@ def solve_control(
 ) -> SearchReport:
     """Search for a deletion achieving the instance's goal.
 
-    Goals that would be trivially met by deleting nobody (nonincrease,
-    maintain, nondecrease) require at least one deletion; the strict goals
-    admit the empty deletion harmlessly.
+    Goals that deleting nobody would trivially meet (those whose relation
+    holds between an index and itself) require at least one deletion; the
+    strict goals admit the empty deletion harmlessly.
     """
     before_count, engine_used = compute_pivot_count(instance, engine, budget)
     run = ENGINES[engine_used].run
     before = ExactIndex(before_count, instance.game.num_players - 1)
-    min_size = 1 if instance.goal in MIN_ONE_DELETION_GOALS else 0
+    min_size = 1 if _RELATIONS[instance.goal](before, before) else 0
 
     restrict = mode.groups if isinstance(mode, Restricted) else None
     space = _CandidateSpace(_candidate_classes(instance, restrict), instance.budget)

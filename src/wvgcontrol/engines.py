@@ -211,10 +211,6 @@ def pivot_count_weight_dp(
     table = [0] * (quota + 1)  # index quota == sink for sums >= quota
     table[0] = 1
     for w in others:
-        if w == 0:
-            for s in range(quota + 1):
-                table[s] *= 2
-            continue
         for s in range(quota, -1, -1):
             if table[s]:
                 table[min(s + w, quota)] += table[s]

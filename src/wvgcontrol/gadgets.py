@@ -14,6 +14,13 @@ weight ``q - 1``.  Heavy players therefore carry weight
 combination the group is meant to absorb; this is what makes the six-case
 count factorise and reproduces the closed forms bit for bit.
 
+A note on the light weights.  Every run of uniform light levels (the
+maintain gadget's L levels, and the ladder X, X', Y, Y', Y*, Y**, Z, Z')
+stacks by one rule, :func:`_stack`: a level's weight is one more than the
+number of members of the level below, times that level's weight.  All
+the members below a level then weigh less than one of its members, so
+the levels add up without carries.
+
 Strict mode enforces the parameter range the hardness argument needs
 (``4 <= k < n``); relaxed mode accepts ``1 <= k < n`` so that every
 construction stays small enough to cross-check against the brute-force
@@ -43,21 +50,23 @@ class Goal(str, Enum):
     NONDECREASE = "NONDECREASE"
 
 
-# Goals with a gadget builder; INCREASE / NONDECREASE are accepted by the
-# data model but no construction exists for them.
-BUILDABLE_GOALS = (Goal.DECREASE, Goal.NONINCREASE, Goal.MAINTAIN)
-
-#: goals where deleting nobody would trivially satisfy the relation, so a
-#: candidate deletion must remove at least one player
-MIN_ONE_DELETION_GOALS = frozenset({Goal.NONINCREASE, Goal.MAINTAIN, Goal.NONDECREASE})
-
-
 class GadgetConstructionNote(UserWarning):
     """Non-fatal notes about deliberate construction choices."""
 
 
 def _ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
+
+
+def _stack(bottom: int, sizes: Sequence[int]) -> list[int]:
+    """The weights of levels with ``sizes`` members stacked on ``bottom``.
+
+    Returns one weight per level, then the weight of the next level up.
+    """
+    weights = [bottom]
+    for size in sizes:
+        weights.append((size + 1) * weights[-1])
+    return weights
 
 
 @dataclass(frozen=True)
@@ -178,10 +187,9 @@ def build_prereduction(
 class DeltaDecomposition:
     """Binary split ``ell = 2^d_1 + ... + 2^d_h`` with level weights.
 
-    Level weights follow ``w_1 = 1``, ``w_j = (d_{j-1} + 1) * w_{j-1}``,
-    which guarantees the level groups (``d_i`` players of weight ``w_i``)
-    stack without carries: the total weight of levels ``1..j`` stays below
-    ``w_{j+1}``.
+    Level ``i`` has ``d_i`` players of weight ``w_i``; the weights stack
+    from ``w_1 = 1``, so ``w_j = (d_{j-1} + 1) * w_{j-1}`` and the total
+    weight of levels ``1..j`` stays below ``w_{j+1}``.
     """
 
     exponents: tuple[int, ...]
@@ -213,10 +221,7 @@ class DeltaDecomposition:
         exponents = tuple(
             d for d in range(ell.bit_length() - 1, -1, -1) if (ell >> d) & 1
         )
-        level_weights = [1]
-        for j in range(1, len(exponents)):
-            level_weights.append((exponents[j - 1] + 1) * level_weights[j - 1])
-        return cls(exponents, tuple(level_weights))
+        return cls(exponents, tuple(_stack(1, exponents)[:-1]))
 
 
 @dataclass(frozen=True)
@@ -288,41 +293,6 @@ class ControlInstance:
         )
 
 
-@dataclass(frozen=True)
-class _Chain:
-    """The small-weight ladder shared by the gadget light groups."""
-
-    x: int
-    x_prime: int
-    y: int
-    y_prime: int
-    y_star: int
-    y_star2: int
-    z: int
-    z_prime: int
-    z_star: tuple[int, ...]
-
-
-def _ladder_chain(x: int, k: int, wide: int, narrow: int) -> _Chain:
-    """The ladder weights above ``x``.
-
-    Each weight is one more than the number of members of the level below
-    times that level's weight, so the levels stack without carries: X has
-    ``k`` members, X' ``2k``, Y and Y* ``k+1``, Y' and Y** ``wide``, and Z
-    and Z' ``narrow``; the Z* weights are ``(k+2)`` times z' doubled.
-    """
-    x_prime = (k + 1) * x
-    y = (2 * k + 1) * x_prime
-    y_prime = (k + 2) * y
-    y_star = (wide + 1) * y_prime
-    y_star2 = (k + 2) * y_star
-    z = (wide + 1) * y_star2
-    z_prime = (narrow + 1) * z
-    z_star_1 = (k + 2) * z_prime
-    z_star = tuple(z_star_1 << i for i in range(k))
-    return _Chain(x, x_prime, y, y_prime, y_star, y_star2, z, z_prime, z_star)
-
-
 def _check_mode(k: int, n: int, strict: bool) -> str:
     if strict:
         if not 4 <= k < n:
@@ -350,8 +320,8 @@ class _GadgetFrame:
     """What the decrease and maintain gadgets share, in canonical player order.
 
     Construction adds player 1 and the groups A to F; the builder then adds
-    its own heavy groups (and, for maintain, the L levels) through ``add``,
-    ``add_group`` and ``add_heavy``; ``finish`` adds the ladder X, X', Y,
+    its own heavy groups (and, for maintain, the L levels) through
+    ``add_group`` and ``add_family``; ``finish`` adds the ladder X, X', Y,
     Y', Y*, Y**, Z, Z', Z* and assembles the band system and the instance.
     """
 
@@ -359,9 +329,17 @@ class _GadgetFrame:
         self, formula: CnfFormula, k: int, x: int, wide: int, narrow: int
     ) -> None:
         n = formula.num_variables
-        self.formula, self.k, self.wide, self.narrow = formula, k, wide, narrow
-        self.chain = chain = _ladder_chain(x, k, wide, narrow)
-        self.pre = pre = build_prereduction(formula, k, t_floor=2 * chain.z_star[-1])
+        self.formula, self.k = formula, k
+        #: the ladder levels X .. Z' from the bottom up, as (label, members)
+        self.ladder = (
+            ("X", k), ("X'", 2 * k), ("Y", k + 1), ("Y'", wide),
+            ("Y*", k + 1), ("Y**", wide), ("Z", narrow), ("Z'", narrow),
+        )
+        labels, sizes = zip(*self.ladder)
+        #: ladder weight by label; Z* tops the ladder with ``(k+2)*z'`` doubled
+        self.rung = rung = dict(zip(labels, _stack(x, sizes)))
+        self.z_star = tuple((k + 2) * rung["Z'"] << i for i in range(k))
+        self.pre = pre = build_prereduction(formula, k, t_floor=2 * self.z_star[-1])
         base_total = sum(pre.abc_weights)
         self.quota = 2 * (base_total + pre.scale * base_total + 10**pre.t) + 1
         self.weights: list[int] = []
@@ -375,11 +353,11 @@ class _GadgetFrame:
                 for i in variables:
                     carriers[i] = self.add(label, weights[i])
         self.c_idx = self.add_group("C", pre.c_weights)
-        self.add_heavy("D", (pre.q_prime + i * chain.x + chain.x_prime for i in range(k)))
+        self.add_family("D", [pre.q_prime + rung["X'"]], (rung["X"], range(k)))
         self.e_idx = self.add_group("E", pre.scaled_weights)
-        self.add_heavy("F", [pre.q_double_prime + chain.x_prime])
-        #: ``pair[i]`` is the weight of both literals of variable ``x_{i+1}``
-        self.pair = [a + b for a, b in zip(pre.a_weights, pre.b_weights)]
+        self.add_heavy("F", [pre.q_double_prime + rung["X'"]])
+        #: ``pairs[i]`` is the weight of both literals of variable ``x_{i+1}``, ``i < k``
+        self.pairs = [a + b for a, b in zip(pre.a_weights[:k], pre.b_weights[:k])]
 
     def add(self, label: str, weight: int) -> int:
         self.weights.append(weight)
@@ -397,6 +375,19 @@ class _GadgetFrame:
                 raise GadgetParameterError("heavy completion swallows the pivotal target")
             self.heavy.append(self.add(label, pivot_target - completion))
 
+    def add_family(
+        self, label: str, bases: Iterable[int], *terms: tuple[int, Sequence[int]]
+    ) -> None:
+        """Heavy players for the completions ``base + m_1*w_1 + m_2*w_2 + ...``.
+
+        Each term is ``(w, multipliers)``; completions come in nested-loop
+        order, bases outermost, then each term in turn.
+        """
+        completions = list(bases)
+        for weight, multipliers in terms:
+            completions = [c + m * weight for c in completions for m in multipliers]
+        self.add_heavy(label, completions)
+
     def finish(
         self,
         goal: Goal,
@@ -405,22 +396,14 @@ class _GadgetFrame:
         extra_blocks: tuple[LightBlock, ...] = (),
     ) -> ControlInstance:
         """Add the ladder and build the instance; ``meta`` follows kind, k, n, m, t."""
-        chain, pre, k = self.chain, self.pre, self.k
-        ladder = (
-            ("X", chain.x, k),
-            ("X'", chain.x_prime, 2 * k),
-            ("Y", chain.y, k + 1),
-            ("Y'", chain.y_prime, self.wide),
-            ("Y*", chain.y_star, k + 1),
-            ("Y**", chain.y_star2, self.wide),
-            ("Z", chain.z, self.narrow),
-            ("Z'", chain.z_prime, self.narrow),
-        )
+        pre, k = self.pre, self.k
         uniform = [
-            _uniform_block(label, self.add_group(label, [weight] * size), weight)
-            for label, weight, size in ladder
+            _uniform_block(
+                label, self.add_group(label, [self.rung[label]] * size), self.rung[label]
+            )
+            for label, size in self.ladder
         ]
-        zs_idx = self.add_group("Z*", chain.z_star)
+        zs_idx = self.add_group("Z*", self.z_star)
 
         game = Game(tuple(self.weights), self.quota)
         abc_members = (
@@ -447,8 +430,8 @@ class _GadgetFrame:
                 "Z*",
                 BlockKind.SUPERINCREASING,
                 tuple(zs_idx),
-                chain.z_star,
-                granularity=chain.z_star[0],
+                self.z_star,
+                granularity=self.z_star[0],
             ),
             *reversed(uniform),  # most significant first
             *extra_blocks,
@@ -506,31 +489,11 @@ def _build_minority_gadget(
     n = formula.num_variables
     mode = _check_mode(k, n, strict)
     frame = _GadgetFrame(formula, k, x=1, wide=n, narrow=k + 1)
-    chain, pair = frame.chain, frame.pair
-    frame.add_heavy(
-        "S",
-        (
-            pair[i] + j * chain.y + l * chain.z
-            for i in range(k)
-            for j in range(0, k + 2)
-            for l in range(1, k + 1)
-        ),
-    )
-    frame.add_heavy(
-        "T",
-        (
-            pair[i] + j * chain.y_prime + l * chain.z_prime
-            for i in range(k)
-            for j in range(0, n + 1)
-            for l in range(1, k + 1)
-        ),
-    )
-    frame.add_heavy(
-        "U", (j * chain.y_star + chain.z_star[i] for i in range(k) for j in range(0, k + 2))
-    )
-    frame.add_heavy(
-        "V", (j * chain.y_star2 + chain.z_star[i] for i in range(k) for j in range(0, n + 1))
-    )
+    rung, pairs, z_star = frame.rung, frame.pairs, frame.z_star
+    frame.add_family("S", pairs, (rung["Y"], range(k + 2)), (rung["Z"], range(1, k + 1)))
+    frame.add_family("T", pairs, (rung["Y'"], range(n + 1)), (rung["Z'"], range(1, k + 1)))
+    frame.add_family("U", z_star, (rung["Y*"], range(k + 2)))
+    frame.add_family("V", z_star, (rung["Y**"], range(n + 1)))
     return frame.finish(goal, "decrease", {"mode": mode})
 
 
@@ -580,52 +543,19 @@ def build_maintain(
         stacklevel=2,
     )
     levels = list(zip(delta.exponents, delta.level_weights))
-    bottom_x = (delta.exponents[-1] + 1) * delta.level_weights[-1]
-    frame = _GadgetFrame(formula, k, x=bottom_x, wide=n + 2, narrow=k)
-    chain, pair = frame.chain, frame.pair
+    # the ladder stacks on the L levels
+    frame = _GadgetFrame(formula, k, x=_stack(1, delta.exponents)[-1], wide=n + 2, narrow=k)
+    rung, pairs, z_star = frame.rung, frame.pairs, frame.z_star
     level_idx = [
         frame.add_group(f"L{i + 1}", [w_i] * d_i) for i, (d_i, w_i) in enumerate(levels)
     ]
     v_multiset = [0, 0] + list(range(1, n + 2)) + [n + 2, n + 2]
     for d_i, w_i in levels:
-        frame.add_heavy(
-            "S",
-            (
-                pair[i] + j * chain.y + jp * chain.z + jpp * w_i
-                for i in range(k)
-                for j in range(0, k + 2)
-                for jp in range(0, k)
-                for jpp in range(0, d_i + 1)
-            ),
-        )
-        frame.add_heavy(
-            "T",
-            (
-                pair[i] + j * chain.y_prime + jp * chain.z_prime + jpp * w_i
-                for i in range(k)
-                for j in range(0, n + 3)
-                for jp in range(0, k)
-                for jpp in range(0, d_i + 1)
-            ),
-        )
-        frame.add_heavy(
-            "U",
-            (
-                pair[i] + j * chain.y_star + jp * w_i
-                for i in range(k)
-                for j in range(1, k + 1)
-                for jp in range(0, d_i + 1)
-            ),
-        )
-        frame.add_heavy(
-            "V",
-            (
-                j * chain.y_star2 + chain.z_star[i] + jp * w_i
-                for i in range(k)
-                for j in v_multiset
-                for jp in range(0, d_i + 1)
-            ),
-        )
+        l_term = (w_i, range(d_i + 1))
+        frame.add_family("S", pairs, (rung["Y"], range(k + 2)), (rung["Z"], range(k)), l_term)
+        frame.add_family("T", pairs, (rung["Y'"], range(n + 3)), (rung["Z'"], range(k)), l_term)
+        frame.add_family("U", pairs, (rung["Y*"], range(1, k + 1)), l_term)
+        frame.add_family("V", z_star, (rung["Y**"], v_multiset), l_term)
     level_blocks = tuple(
         _uniform_block(f"L{i + 1}", level_idx[i], w_i)
         for i, (_, w_i) in reversed(list(enumerate(levels)))

@@ -53,8 +53,12 @@ class CheckResult:
 class SuiteOptions:
     seed: int = 20240817
     trials: int = 10_000
-    formulas_per_cell: int = 10
-    corpus_size: int = 50
+
+
+#: random formulas per (goal, k, n[, ell]) cell of the closed-form grid
+FORMULAS_PER_CELL = 10
+#: random formulas in the prereduction and exactify corpora
+CORPUS_SIZE = 50
 
 
 def random_formula(rng: random.Random, num_variables: int, num_clauses: int) -> CnfFormula:
@@ -134,7 +138,7 @@ def suite_example1(options: SuiteOptions) -> list[CheckResult]:
 def suite_prereduction(options: SuiteOptions) -> list[CheckResult]:
     results: list[CheckResult] = []
     rng = random.Random(options.seed)
-    corpus = formula_corpus(rng, options.corpus_size, max_variables=5, max_clauses=4)
+    corpus = formula_corpus(rng, CORPUS_SIZE, max_variables=5, max_clauses=4)
     base_ok = scaled_ok = 0
     for formula in corpus:
         k = rng.randint(1, formula.num_variables)
@@ -180,7 +184,7 @@ def suite_closed_forms(options: SuiteOptions) -> list[CheckResult]:
         for ell in MAINTAIN_ELLS
     ]
     for goal, builder, k, n, ell in cells:
-        formulas = _grid_formulas(rng, n, options.formulas_per_cell)
+        formulas = _grid_formulas(rng, n, FORMULAS_PER_CELL)
         ok = sum(
             layered_case_counts(builder(formula, k, *ell, strict=False))
             == expected_case_counts(goal, k, n, count_sat(formula), *ell)
@@ -343,7 +347,7 @@ def suite_no_direction_sampled(options: SuiteOptions) -> list[CheckResult]:
 def suite_exactify(options: SuiteOptions) -> list[CheckResult]:
     results: list[CheckResult] = []
     rng = random.Random(options.seed)
-    corpus = formula_corpus(rng, options.corpus_size, max_variables=4, max_clauses=3)
+    corpus = formula_corpus(rng, CORPUS_SIZE, max_variables=4, max_clauses=3)
     agreements = 0
     tried = 0
     for formula in corpus:

@@ -42,6 +42,11 @@ class TestIndexCommand:
         assert "8/2^5" in out
         assert "0.25" in out
 
+    def test_echoes_the_command_it_ran(self, example1_file, capsys):
+        argv = ["index", str(example1_file), "--player", "1"]
+        assert main(argv) == EXIT_OK
+        assert f"command: {' '.join(argv)}\n" in capsys.readouterr().out
+
     def test_zero_weight_player(self, tmp_path, capsys):
         path = tmp_path / "dummy.game"
         path.write_text(dump_game(Game((0, 1, 1), 2)))
@@ -230,6 +235,21 @@ def test_unread_flag_is_rejected(example1_file, or2_cnf, tmp_path, capsys, comma
         main([files.get(arg, arg) for arg in command + flag])
     assert exit_info.value.code == EXIT_INPUT
     assert flag[0] in capsys.readouterr().err
+
+
+# A sampled NO drawn from no candidates is no evidence, so it is refused.
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["control", "GAME", "--player", "1", "--deletions", "1", "--goal", "decrease",
+         "--mode", "sampled", "--trials", "-3"],
+        ["verify", "no-direction-sampled", "--trials", "0"],
+    ],
+    ids=["control-negative", "verify-zero"],
+)
+def test_sampled_search_without_trials_exits_2(example1_file, capsys, command):
+    assert main([str(example1_file) if arg == "GAME" else arg for arg in command]) == EXIT_INPUT
+    assert "at least one trial" in capsys.readouterr().err
 
 
 class TestDocumentLoading:

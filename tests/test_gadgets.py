@@ -459,8 +459,22 @@ class TestGoldenPlayerOrder:
             (lambda: build_maintain(NO_FORMULA, 2, 5, strict=False), 332, "71f6c1d87b95c77c"),
             (lambda: build_decrease(WIDE5, 4), 318, "5b7e1f8da397366b"),
             (lambda: build_maintain(*exactify(WIDE5, 4, 1)), 1059, "f9ce5d0dff8c4831"),
+            (lambda: build_maintain(NO_FORMULA, 2, 7, strict=False), 465, "16464d56e6a71a9a"),
+            (lambda: build_maintain(OR2, 1, 1, strict=False), 47, "e871c9fa1546fb26"),
+            (lambda: build_decrease(OR2, 1, strict=False), 41, "cc18a66c14ac567e"),
+            (lambda: build_nonincrease(WIDE5, 4), 183, "ba93fabfcf81396a"),
         ],
-        ids=["decrease", "nonincrease", "maintain", "strict-decrease", "strict-maintain"],
+        ids=[
+            "decrease",
+            "nonincrease",
+            "maintain",
+            "strict-decrease",
+            "strict-maintain",
+            "maintain-three-levels",
+            "maintain-empty-l1",
+            "decrease-single-z-star",
+            "strict-nonincrease",
+        ],
     )
     def test_digest(self, build, players, digest):
         instance = build()
