@@ -2,7 +2,16 @@
 Penrose-Banzhaf indices, control by deleting players, and hardness-gadget
 compilation with structural verification."""
 
-from .bands import BandSystem, BlockKind, Decomposition, LightBlock, count_block, decompose_target, pivot_count_layered
+from .bands import (
+    BandSystem,
+    BlockKind,
+    DeletionCounter,
+    Decomposition,
+    LightBlock,
+    count_block,
+    decompose_target,
+    pivot_count_layered,
+)
 from .control import (
     EvaluationResult,
     Exhaustive,

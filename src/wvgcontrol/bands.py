@@ -18,14 +18,23 @@ light subsets hitting the residual is a product of per-block counts:
 
 Every no-carry precondition is asserted when a ``BandSystem`` is built;
 a wrong construction must fail loudly, never miscount.
+
+``pivot_count_layered`` counts one band system from scratch.  Deleting
+players never changes the per-block targets of a residual (the split is
+unique over all light subsets, and the survivors' subsets are among
+them), so ``DeletionCounter`` computes the targets and block counts of
+every heavy player's term once and scores a deletion by dropping the
+deleted heavy players' terms and recounting only the blocks it touches.
+Control search scores its candidates that way.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import AbstractSet, Iterable
 
 from .engines import HalfSums, count_window, half_sum_tables
 from .errors import BandStructureError, InputError
@@ -53,66 +62,66 @@ class LightBlock:
     members: tuple[int, ...]
     weights: tuple[int, ...]
     granularity: int
+    #: sum of the member weights, set at construction
+    max_sum: int = field(init=False, repr=False, compare=False)
+    #: smallest slack ``w_i - sum(w_j for j < i)`` of a superincreasing
+    #: block; greedy decomposition is forced only while the blocks below
+    #: weigh strictly less than this gap.  For other kinds (and an empty
+    #: block) it is the granularity, which plays that role.
+    min_gap: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.members) != len(self.weights):
+        weights, granularity = self.weights, self.granularity
+        if len(self.members) != len(weights):
             raise BandStructureError(f"block {self.name}: members/weights length mismatch")
-        if self.granularity < 1:
+        if granularity < 1:
             raise BandStructureError(f"block {self.name}: granularity must be positive")
-        if any(w < 1 for w in self.weights):
-            raise BandStructureError(f"block {self.name}: weights must be positive")
-        if any(w % self.granularity for w in self.weights):
-            raise BandStructureError(
-                f"block {self.name}: some weight is not a multiple of the granularity"
-            )
-        if self.kind is BlockKind.UNIFORM_CHAIN_LEVEL:
-            if any(w != self.granularity for w in self.weights):
+        # weights that all equal the granularity pass the next three checks
+        if weights.count(granularity) != len(weights):
+            if min(weights) < 1:
+                raise BandStructureError(f"block {self.name}: weights must be positive")
+            if granularity > 1 and any(map(granularity.__rmod__, weights)):  # w % g
+                raise BandStructureError(
+                    f"block {self.name}: some weight is not a multiple of the granularity"
+                )
+            if self.kind is BlockKind.UNIFORM_CHAIN_LEVEL:
                 raise BandStructureError(
                     f"uniform block {self.name}: all weights must equal the granularity"
                 )
-        if self.kind is BlockKind.SUPERINCREASING:
-            running = 0
-            for w in self.weights:
+        gap = granularity
+        if self.kind is BlockKind.SUPERINCREASING and weights:
+            gap, running = weights[0], 0
+            for w in weights:
                 if w <= running:
                     raise BandStructureError(
                         f"superincreasing block {self.name}: weights must each exceed "
                         "the sum of all smaller ones (sorted ascending)"
                     )
+                gap = min(gap, w - running)
                 running += w
-            if self.weights and self.granularity > self.weights[0]:
+            if granularity > weights[0]:
                 raise BandStructureError(
                     f"superincreasing block {self.name}: granularity above smallest weight"
                 )
+        object.__setattr__(self, "max_sum", sum(weights))
+        object.__setattr__(self, "min_gap", gap)
 
-    @property
-    def max_sum(self) -> int:
-        return sum(self.weights)
-
-    @property
-    def min_gap(self) -> int:
-        """Smallest slack ``w_i - sum(w_j for j < i)`` of a superincreasing block.
-
-        Greedy decomposition is forced only while the blocks below weigh
-        strictly less than this gap; for other kinds the granularity plays
-        that role.
-        """
-        if self.kind is not BlockKind.SUPERINCREASING or not self.weights:
-            return self.granularity
-        gap = self.weights[0]
-        running = self.weights[0]
-        for w in self.weights[1:]:
-            gap = min(gap, w - running)
-            running += w
-        return gap
+    def without(self, gone: AbstractSet[int]) -> LightBlock:
+        """The block minus the members in ``gone``; indices stay as they are."""
+        kept = [(m, w) for m, w in zip(self.members, self.weights) if m not in gone]
+        members, weights = (tuple(column) for column in zip(*kept)) if kept else ((), ())
+        return LightBlock(self.name, self.kind, members, weights, self.granularity)
 
     def restrict(self, surviving: dict[int, int]) -> LightBlock:
         """The block after a deletion, with indices remapped by ``surviving``."""
-        kept = [(surviving[m], w) for m, w in zip(self.members, self.weights) if m in surviving]
+        block = self
+        if not all(map(surviving.__contains__, self.members)):
+            block = self.without(set(self.members).difference(surviving))
         return LightBlock(
             self.name,
             self.kind,
-            tuple(m for m, _ in kept),
-            tuple(w for _, w in kept),
+            tuple(map(surviving.__getitem__, block.members)),
+            block.weights,
             self.granularity,
         )
 
@@ -141,6 +150,56 @@ class BandSystem:
 
     def __post_init__(self) -> None:
         game = self.game
+        if not self._covers_every_player_once():
+            self._raise_first_membership_fault()
+
+        below = 0  # total weight of blocks less significant than the current one
+        for block in reversed(self.blocks):
+            if below >= block.granularity:
+                raise BandStructureError(
+                    f"no-carry violation: blocks below {block.name} weigh {below} "
+                    f"total, at least its granularity {block.granularity}"
+                )
+            if below >= block.min_gap:
+                raise BandStructureError(
+                    f"no-carry violation: blocks below {block.name} weigh {below} "
+                    f"total, at least its smallest superincreasing gap {block.min_gap}"
+                )
+            below += block.max_sum
+
+        light_total = below
+        if light_total >= game.quota - game.weights[self.distinguished]:
+            raise BandStructureError(
+                "light players alone can reach the pivotal interval "
+                f"(total {light_total} vs quota {game.quota})"
+            )
+        heavy_weights = sorted(map(game.weights.__getitem__, self.heavy))
+        if len(heavy_weights) >= 2 and heavy_weights[0] + heavy_weights[1] <= game.quota:
+            raise BandStructureError(
+                "two heavy players fit under the quota together "
+                f"({heavy_weights[0]} + {heavy_weights[1]} <= {game.quota})"
+            )
+
+    def _covers_every_player_once(self) -> bool:
+        """Set-based partition check: every player in range, exactly once,
+        with each block's stored weights matching the game."""
+        weights = self.game.weights
+        players = [self.distinguished, *self.heavy]
+        for block in self.blocks:
+            players.extend(block.members)
+        return (
+            len(players) == len(weights) == len(set(players))
+            and min(players) >= 0
+            and max(players) < len(weights)
+            and all(
+                tuple(map(weights.__getitem__, block.members)) == block.weights
+                for block in self.blocks
+            )
+        )
+
+    def _raise_first_membership_fault(self) -> None:
+        """Walk the members in order and raise on the first fault found."""
+        game = self.game
         game.check_player(self.distinguished)
         seen: set[int] = {self.distinguished}
         for player in self.heavy:
@@ -164,33 +223,6 @@ class BandSystem:
         if len(seen) != game.num_players:
             raise BandStructureError("band system does not cover every player")
 
-        below = 0  # total weight of blocks less significant than the current one
-        for block in reversed(self.blocks):
-            if below >= block.granularity:
-                raise BandStructureError(
-                    f"no-carry violation: blocks below {block.name} weigh {below} "
-                    f"total, at least its granularity {block.granularity}"
-                )
-            if below >= block.min_gap:
-                raise BandStructureError(
-                    f"no-carry violation: blocks below {block.name} weigh {below} "
-                    f"total, at least its smallest superincreasing gap {block.min_gap}"
-                )
-            below += block.max_sum
-
-        light_total = below
-        if light_total >= game.quota - game.weights[self.distinguished]:
-            raise BandStructureError(
-                "light players alone can reach the pivotal interval "
-                f"(total {light_total} vs quota {game.quota})"
-            )
-        heavy_weights = sorted(game.weights[h] for h in self.heavy)
-        if len(heavy_weights) >= 2 and heavy_weights[0] + heavy_weights[1] <= game.quota:
-            raise BandStructureError(
-                "two heavy players fit under the quota together "
-                f"({heavy_weights[0]} + {heavy_weights[1]} <= {game.quota})"
-            )
-
     @property
     def light_total(self) -> int:
         return sum(block.max_sum for block in self.blocks)
@@ -208,7 +240,7 @@ class BandSystem:
         return BandSystem(
             game=game,
             distinguished=surviving[self.distinguished],
-            heavy=frozenset(surviving[h] for h in self.heavy if h in surviving),
+            heavy=frozenset(map(surviving.__getitem__, surviving.keys() & self.heavy)),
             blocks=tuple(block.restrict(surviving) for block in self.blocks),
         )
 
@@ -338,7 +370,12 @@ def pivot_count_layered(bands: BandSystem, player: int | None = None) -> int:
         raise InputError(
             "the layered engine only counts for the band system's distinguished player"
         )
-    w_p = bands.game.weights[player]
+    _check_pivot_interval(bands)
+    return sum(heavy_pivot_term(bands, h) for h in sorted(bands.heavy))
+
+
+def _check_pivot_interval(bands: BandSystem) -> None:
+    w_p = bands.game.weights[bands.distinguished]
     if w_p > _MAX_INTERVAL_WIDTH:
         raise BandStructureError(
             f"distinguished weight {w_p} spans too wide a pivotal interval "
@@ -347,4 +384,69 @@ def pivot_count_layered(bands: BandSystem, player: int | None = None) -> int:
     # Re-assert the zero heavy-free term rather than trusting construction.
     if bands.light_total >= bands.game.quota - w_p:
         raise BandStructureError("light players alone can reach the pivotal interval")
-    return sum(heavy_pivot_term(bands, h) for h in sorted(bands.heavy))
+
+
+class DeletionCounter:
+    """Exact pivot counts after deleting original players, recounting only
+    the blocks a deletion touches.
+
+    The no-carry split of a residual across blocks is unique over all
+    light subsets of the original game, and every subset of the survivors
+    is such a subset, so each heavy player's per-block targets and block
+    counts are computed once, here.  After a deletion the count is the
+    same sum of heavy terms, except that the terms of deleted heavy
+    players drop out and, in each block the deletion touches, the
+    original block count is replaced by the count over the survivors
+    (zero for a target above their total).  Counts only shrink, so a term
+    that is zero in the original game stays zero and is not kept; every
+    kept block count is nonzero, which makes ``product // old * new``
+    exact.
+    """
+
+    def __init__(self, bands: BandSystem) -> None:
+        _check_pivot_interval(bands)
+        self.bands = bands
+        self._block_of = {
+            member: index for index, block in enumerate(bands.blocks) for member in block.members
+        }
+        game = bands.game
+        w_p = game.weights[bands.distinguished]
+        # (heavy player, per-block targets, per-block counts, their product)
+        self._terms: list[tuple[int, tuple[int, ...], tuple[int, ...], int]] = []
+        for heavy in sorted(bands.heavy):
+            for coalition_weight in range(game.quota - w_p, game.quota):
+                residual = coalition_weight - game.weights[heavy]
+                decomposition = decompose_target(bands, residual) if residual >= 0 else None
+                if decomposition is None:
+                    continue
+                counts = tuple(map(count_block, bands.blocks, decomposition.targets))
+                product = math.prod(counts)
+                if product:
+                    self._terms.append((heavy, decomposition.targets, counts, product))
+
+    def count(self, players: Iterable[int]) -> int:
+        """The pivot count after deleting ``players`` (original indices)."""
+        bands = self.bands
+        deleted = bands.game.coalition(players)
+        if bands.distinguished in deleted:
+            raise InputError("cannot delete the distinguished player")
+        gone: dict[int, set[int]] = {}  # block index -> its deleted members
+        for player in deleted:
+            index = self._block_of.get(player)
+            if index is not None:
+                gone.setdefault(index, set()).add(player)
+        touched = [(index, bands.blocks[index].without(members)) for index, members in gone.items()]
+        recounted: dict[tuple[int, int], int] = {}
+        total = 0
+        for heavy, targets, counts, product in self._terms:
+            if heavy in deleted:
+                continue
+            for index, block in touched:
+                target = targets[index]
+                new = recounted.get((index, target))
+                if new is None:
+                    new = 0 if target > block.max_sum else count_block(block, target)
+                    recounted[index, target] = new
+                product = product // counts[index] * new
+            total += product
+        return total

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .bands import pivot_count_layered
+from .bands import DeletionCounter, pivot_count_layered
 from .engines import (
     DEFAULT_BUDGET,
     EngineBudget,
@@ -52,12 +52,19 @@ def relation_holds(goal: Goal, before: ExactIndex, after: ExactIndex) -> bool:
     return relation(after, before)
 
 
+#: scores one search candidate: (instance after the deletion, deleted
+#: players in the original numbering) -> pivot count
+CandidateScore = Callable[[ControlInstance, frozenset[int]], int]
+
+
 @dataclass(frozen=True)
 class _Engine:
-    """One entry of the engine table: when it accepts an instance, how it runs."""
+    """One entry of the engine table: when it accepts an instance, how it
+    runs, and how a search over that instance scores its candidates."""
 
     feasible: Callable[[ControlInstance, EngineBudget], bool]
     run: Callable[[ControlInstance, EngineBudget], int]
+    search: Callable[[ControlInstance, EngineBudget], CandidateScore]
 
 
 def _brute_force(
@@ -66,9 +73,13 @@ def _brute_force(
 ) -> _Engine:
     # ``engine`` returns the module global when called, so replacing that
     # global (as a tracer does) reroutes every run.
+    def run(instance: ControlInstance, budget: EngineBudget) -> int:
+        return engine()(instance.game, instance.distinguished, budget)
+
     return _Engine(
         lambda instance, budget: refusal(instance.game, budget) is None,
-        lambda instance, budget: engine()(instance.game, instance.distinguished, budget),
+        run,
+        lambda instance, budget: lambda variant, players: run(variant, budget),
     )
 
 
@@ -80,6 +91,13 @@ def _run_layered(instance: ControlInstance, budget: EngineBudget) -> int:
     return pivot_count_layered(instance.bands)
 
 
+def _search_layered(instance: ControlInstance, budget: EngineBudget) -> CandidateScore:
+    # Targets and block counts once per search; each candidate recounts
+    # only the blocks its deletion touches.
+    count = DeletionCounter(instance.bands).count
+    return lambda variant, players: count(players)
+
+
 _BRUTE_FORCE = {
     "enum": _brute_force(enum_refusal, lambda: pivot_count_enum),
     "mitm": _brute_force(mitm_refusal, lambda: pivot_count_mitm),
@@ -87,7 +105,9 @@ _BRUTE_FORCE = {
 }
 ENGINES = {
     **_BRUTE_FORCE,
-    "layered": _Engine(lambda instance, budget: instance.bands is not None, _run_layered),
+    "layered": _Engine(
+        lambda instance, budget: instance.bands is not None, _run_layered, _search_layered
+    ),
 }
 ENGINE_CHOICES = ("auto", *ENGINES)
 
@@ -355,6 +375,7 @@ def solve_control(
     """
     before_count, engine_used = compute_pivot_count(instance, engine, budget)
     run = ENGINES[engine_used].run
+    score = ENGINES[engine_used].search(instance, budget)
     before = ExactIndex(before_count, instance.game.num_players - 1)
     min_size = 1 if _RELATIONS[instance.goal](before, before) else 0
 
@@ -383,7 +404,7 @@ def solve_control(
     for candidate in candidates:
         variant = instance.delete(candidate.players)
         try:
-            count = run(variant, budget)
+            count = score(variant, candidate.players)
         except BudgetExceededError as error:
             raise BudgetExceededError(
                 f"engine {engine_used} refused the candidate "
@@ -396,6 +417,12 @@ def solve_control(
         if max_seen is None or after > max_seen:
             max_seen = after
         if relation_holds(instance.goal, before, after):
+            recount = run(variant, budget)
+            if recount != count:
+                raise WvgError(
+                    f"search count disagrees with a full {engine_used} recount on witness "
+                    f"[{candidate.describe()}]: {count} vs {recount}"
+                )
             witness, after_witness = candidate, after
             reverified = _reverify(variant, count, engine_used, budget)
             break

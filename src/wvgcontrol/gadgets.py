@@ -283,9 +283,7 @@ class ControlInstance:
             distinguished=remap[self.distinguished],
             budget=min(self.budget, new_game.num_players - 1),
             goal=self.goal,
-            groups=None
-            if self.groups is None
-            else tuple(self.groups[old] for old in sorted(remap)),
+            groups=None if self.groups is None else tuple(map(self.groups.__getitem__, remap)),
             bands=None if self.bands is None else self.bands.restrict(remap, new_game),
             a_players=carriers(self.a_players),
             b_players=carriers(self.b_players),

@@ -36,13 +36,19 @@ class Game:
     quota: int
 
     def __post_init__(self) -> None:
-        # ``bool`` is an ``int`` subclass but no weight or quota
-        if any(not isinstance(w, int) or type(w) is bool for w in self.weights):
-            raise InputError("weights must be integers")
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        if not self.weights:
+        weights = self.weights
+        kinds = set(map(type, weights))
+        if kinds != {int}:
+            # ``bool`` is an ``int`` subclass but no weight or quota
+            if bool in kinds or not all(issubclass(kind, int) for kind in kinds):
+                raise InputError("weights must be integers")
+            weights = tuple(map(int, weights))
+        elif type(weights) is not tuple:
+            weights = tuple(weights)
+        object.__setattr__(self, "weights", weights)
+        if not weights:
             raise InputError("a game needs at least one player")
-        if any(w < 0 for w in self.weights):
+        if min(weights) < 0:
             raise InputError("weights must be nonnegative")
         if not isinstance(self.quota, int) or type(self.quota) is bool or self.quota < 1:
             raise InputError(f"quota must be a positive integer, got {self.quota!r}")
@@ -99,19 +105,15 @@ def delete_players(game: Game, victims: Iterable[int]) -> tuple[Game, dict[int, 
     """Remove ``victims``; survivors keep their relative order.
 
     Returns the new game (same quota) and the index remap
-    ``old index -> new index`` for every survivor.
+    ``old index -> new index`` for every survivor, in ascending order.
     """
     victim_set = game.coalition(victims)
-    remap: dict[int, int] = {}
-    weights: list[int] = []
-    for old in range(game.num_players):
-        if old in victim_set:
-            continue
-        remap[old] = len(weights)
-        weights.append(game.weights[old])
-    if not weights:
+    kept = [p for p in range(game.num_players) if p not in victim_set]
+    if not kept:
         raise InputError("cannot delete every player")
-    return Game(tuple(weights), game.quota), remap
+    remap = dict(zip(kept, range(len(kept))))
+    weights = tuple(map(game.weights.__getitem__, kept))
+    return Game(weights, game.quota), remap
 
 
 @dataclass(frozen=True)

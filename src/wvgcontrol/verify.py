@@ -54,6 +54,11 @@ class SuiteOptions:
     seed: int = 20240817
     trials: int = 10_000
 
+    def __post_init__(self) -> None:
+        # the sampled suite's mode, built up front so that a trial count it
+        # refuses stops ``all`` before any suite runs
+        Sampled(seed=self.seed, trials=self.trials)
+
 
 #: random formulas per (goal, k, n[, ell]) cell of the closed-form grid
 FORMULAS_PER_CELL = 10

@@ -2,24 +2,36 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wvgcontrol import (
     BandStructureError,
     BandSystem,
     BlockKind,
+    CnfFormula,
+    DeletionCounter,
     Game,
+    InputError,
+    InvalidCoalitionError,
     LightBlock,
+    build_decrease,
+    build_maintain,
+    build_nonincrease,
     count_block,
     decompose_target,
     delete_players,
     pivot_count_layered,
 )
 from wvgcontrol.bands import count_light_subsets, heavy_pivot_term
+from wvgcontrol.control import _CandidateSpace, _candidate_classes
 from wvgcontrol.engines import pivot_count_enum, pivot_count_mitm
+from wvgcontrol.verify import NO_INSTANCES
 
 
 def uniform(name: str, members, weight: int) -> LightBlock:
@@ -219,3 +231,89 @@ class TestLayeredCount:
         )
         bands = BandSystem(game=game, distinguished=0, heavy=frozenset({1, 2}), blocks=blocks)
         assert pivot_count_layered(bands) == pivot_count_enum(game, 0)
+
+
+def _exhaustive_candidates(instance):
+    """Every candidate deletion an exhaustive search over ``instance`` scores."""
+    space = _CandidateSpace(_candidate_classes(instance, None), instance.budget)
+    return [
+        space.candidate(rank, size, size).players
+        for size in range(space.max_size + 1)
+        for rank in range(space.count(size, size))
+    ]
+
+
+def _gadget(kind: str, which: int):
+    formula, k = NO_INSTANCES[which]
+    if kind == "decrease":
+        return build_decrease(formula, k, strict=False)
+    if kind == "nonincrease":
+        return build_nonincrease(formula, k, strict=False)
+    return build_maintain(formula, k, 1, strict=False)
+
+
+@pytest.mark.filterwarnings("ignore::wvgcontrol.gadgets.GadgetConstructionNote")
+class TestDeletionCounter:
+    """The delta count after a deletion against a from-scratch count."""
+
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("kind", ["decrease", "nonincrease", "maintain"])
+    def test_every_exhaustive_candidate(self, kind, which):
+        instance = _gadget(kind, which)
+        counter = DeletionCounter(instance.bands)
+        candidates = _exhaustive_candidates(instance)
+        assert len(candidates) > 1
+        for players in candidates:
+            expected = pivot_count_layered(instance.delete(players).bands)
+            assert counter.count(players) == expected, sorted(players)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["decrease", "nonincrease", "maintain"]))
+    def test_arbitrary_player_sets(self, data, kind):
+        # any players, not only class representatives; heavy and Z* members
+        # are drawn often enough to be deleted alongside light ones
+        instance = _gadget(kind, 1)
+        deletable = [p for p in range(instance.game.num_players) if p != instance.distinguished]
+        player = st.one_of(
+            st.sampled_from(sorted(instance.bands.heavy)),
+            st.sampled_from(instance.group_members("Z*")),
+            st.sampled_from(deletable),
+        )
+        players = data.draw(st.frozensets(player, max_size=instance.budget + 1))
+        counter = DeletionCounter(instance.bands)
+        expected = pivot_count_layered(instance.delete(players).bands)
+        assert counter.count(players) == expected
+
+    def test_every_deletion_of_up_to_two_against_mitm(self):
+        instance = build_nonincrease(CnfFormula(2, (frozenset({1, 2}),)), 1, strict=False)
+        counter = DeletionCounter(instance.bands)
+        deletable = [p for p in range(instance.game.num_players) if p != instance.distinguished]
+        for size in range(3):
+            for players in itertools.combinations(deletable, size):
+                variant = instance.delete(players)
+                assert counter.count(players) == pivot_count_mitm(
+                    variant.game, variant.distinguished
+                ), players
+
+    @pytest.mark.parametrize("distinguished_weight", [1, 3])
+    def test_every_small_deletion_on_toys_against_enum(self, distinguished_weight):
+        base = banded_toy()
+        game = Game((distinguished_weight, *base.game.weights[1:]), base.game.quota)
+        bands = BandSystem(game, 0, base.heavy, base.blocks)
+        counter = DeletionCounter(bands)
+        for size in range(4):
+            for players in itertools.combinations(range(1, game.num_players), size):
+                smaller, remap = delete_players(game, players)
+                assert counter.count(players) == pivot_count_enum(smaller, remap[0]), players
+
+    def test_no_deletion_is_the_layered_count(self):
+        instance = _gadget("decrease", 1)
+        assert DeletionCounter(instance.bands).count(()) == pivot_count_layered(instance.bands)
+
+    def test_rejects_the_distinguished_player_and_strangers(self):
+        bands = banded_toy()
+        counter = DeletionCounter(bands)
+        with pytest.raises(InputError, match="distinguished"):
+            counter.count({0})
+        with pytest.raises(InvalidCoalitionError):
+            counter.count({bands.game.num_players})

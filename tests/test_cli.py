@@ -252,6 +252,13 @@ def test_sampled_search_without_trials_exits_2(example1_file, capsys, command):
     assert "at least one trial" in capsys.readouterr().err
 
 
+def test_verify_all_refuses_zero_trials_before_any_suite(capsys):
+    assert main(["verify", "all", "--trials", "0"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "at least one trial" in captured.err
+    assert "== suite" not in captured.out
+
+
 class TestDocumentLoading:
     def test_document_is_parsed_once(self, example1_file, monkeypatch, capsys):
         calls = []

@@ -15,11 +15,15 @@ from hypothesis import strategies as st
 from wvgcontrol import (
     CnfFormula,
     ControlInstance,
+    DeletionCounter,
     ExactIndex,
     Game,
     Goal,
     build_decrease,
+    build_maintain,
+    build_nonincrease,
     evaluate_deletion,
+    exactify,
     solve_control,
 )
 from wvgcontrol import control
@@ -314,3 +318,53 @@ class TestCandidateSpaceProperties:
             if low <= sum(vector) <= instance.budget
         ]
         assert Counter(sizes) == Counter(sum(vector) for vector in space)
+
+
+def _full_recount_search(monkeypatch) -> None:
+    """Make layered search score every candidate by a full layered count."""
+    layered = control.ENGINES["layered"]
+
+    def search(instance, budget):
+        return lambda variant, players: layered.run(variant, budget)
+
+    monkeypatch.setitem(control.ENGINES, "layered", replace(layered, search=search))
+
+
+class TestDeltaScoring:
+    """Layered search scores candidates with ``bands.DeletionCounter`` and
+    recounts a witness in full before reporting it."""
+
+    OR2 = CnfFormula(2, (frozenset({1, 2}),))
+
+    def test_witness_count_mismatch_raises(self, monkeypatch):
+        instance = build_decrease(self.OR2, 1, strict=False)
+        count = DeletionCounter.count
+        monkeypatch.setattr(
+            DeletionCounter, "count", lambda self, players: count(self, players) + 1
+        )
+        with pytest.raises(WvgError, match="full layered recount on witness"):
+            solve_control(instance, engine="layered")
+
+    @pytest.mark.parametrize(
+        "build, verdict",
+        [
+            (lambda f: build_decrease(f, 1, strict=False), "YES"),
+            (lambda f: build_nonincrease(f, 1, strict=False), "YES"),
+            (lambda f: build_maintain(exactify(f, 1, 1)[0], 1, 3, strict=False), "YES"),
+            (lambda f: build_decrease(*NO_INSTANCES[0], strict=False), "NO-exhaustive"),
+        ],
+        ids=["decrease-yes", "nonincrease-yes", "maintain-yes", "decrease-no"],
+    )
+    def test_reports_equal_full_recount_search(self, monkeypatch, build, verdict):
+        instance = build(self.OR2)
+        delta = solve_control(instance, engine="layered")
+        _full_recount_search(monkeypatch)
+        assert delta.verdict == verdict
+        assert solve_control(instance, engine="layered") == delta
+
+    def test_sampled_report_equals_full_recount_search(self, monkeypatch):
+        instance = build_decrease(*NO_INSTANCES[1], strict=False)
+        mode = Sampled(seed=11, trials=300)
+        delta = solve_control(instance, engine="layered", mode=mode)
+        _full_recount_search(monkeypatch)
+        assert solve_control(instance, engine="layered", mode=mode) == delta
