@@ -10,6 +10,13 @@ verification code always knows which algorithm produced a number.  Each
 budget rule is written once, as a ``*_refusal`` function that the engine
 raises on and the control layer's engine table reads.
 
+The weight table is one Python int with one limb of ``B = 8 * (m // 8 + 1)``
+bits for each sum ``0 .. quota - 1`` of the ``m`` co-players.  It is exact:
+a limb counts distinct subsets, at most ``2**m < 2**B``, so no limb carries
+into the next, and sums at or above the quota are never counted because
+the pivotal window ends at ``quota - 1``.  It takes ``quota * B / 8``
+bytes, about four times that at peak.
+
 The meet-in-the-middle core (``half_sum_tables`` / ``count_window``) is
 also the counter behind the layered engine's enumerable blocks and the
 subset-sum oracle.
@@ -195,25 +202,59 @@ def pivot_count_mitm(
     return count_subsets_mitm(others, lo, hi)
 
 
+def _packed_subset_counts(weights: list[int], cells: int, limb: int) -> int:
+    """Subset counts of ``weights`` by sum, sums ``0 .. cells - 1`` only,
+    as ``limb``-bit limbs of one int; ``limb`` must exceed ``len(weights)``."""
+    mask = (1 << (cells * limb)) - 1
+    table = 1
+    for w in sorted(weights):  # lightest first: the table fills up last
+        if w < cells:
+            table = (table + (table << (w * limb))) & mask
+    return table
+
+
 def pivot_count_weight_dp(
     game: Game, player: int, budget: EngineBudget = DEFAULT_BUDGET
 ) -> int:
-    """Exact pivotal count by a quota-wide subset-count table.
+    """Exact pivotal count by a quota-wide subset-count table packed into one int.
 
-    ``table[s]`` is the number of co-player subsets of capped weight ``s``;
-    sums at or above the quota are clamped into a single sink bucket, so
-    the table width is the quota regardless of the total weight.  Counts
-    are arbitrary-precision integers.
+    Cell ``s`` of the table, for ``0 <= s < quota``, is the number of
+    co-player subsets of weight exactly ``s``; it is the ``s``-th limb of
+    ``B = 8 * (m // 8 + 1)`` bits of a single Python int, where ``m`` is the
+    number of co-players.  A co-player of weight ``w < quota`` folds in as
+    one shift-add, ``T + (T << w * B)``, masked back to ``quota`` cells; a
+    co-player of weight ``w >= quota`` adds nothing below the quota and is
+    skipped.
+
+    Exactness: a cell counts distinct subsets of ``m`` players, so it never
+    exceeds ``2**m < 2**B`` and no limb carries into the next; the same
+    bound holds for any sum of cells, which the readout relies on.  Sums at
+    or above the quota are dropped, never counted: the pivotal window
+    ``[quota - w_i, quota - 1]`` ends below them, and a dropped sum can
+    only grow.  The table takes ``quota * B / 8`` bytes, and about four
+    times that at peak: the mask, the table, its shift and their sum.  A
+    table the machine cannot allocate is a ``BudgetExceededError`` naming
+    the quota.
     """
     others, lo, hi = _pivot_problem(game, player)
     _refuse(dp_refusal(game, budget))
-    quota = game.quota
-    table = [0] * (quota + 1)  # index quota == sink for sums >= quota
-    table[0] = 1
-    for w in others:
-        for s in range(quota, -1, -1):
-            if table[s]:
-                table[min(s + w, quota)] += table[s]
-    if hi < 0 or hi < lo:
+    if hi < lo:  # a zero-weight player is never pivotal
         return 0
-    return sum(table[max(lo, 0) : hi + 1])
+    quota = game.quota
+    limb = 8 * (len(others) // 8 + 1)
+    start = max(lo, 0)
+    try:
+        window = _packed_subset_counts(others, quota, limb) >> (start * limb)
+    except (MemoryError, OverflowError):
+        raise BudgetExceededError(
+            f"weight-table engine cannot allocate a table for quota {quota}"
+            f" (max_dp_quota={budget.max_dp_quota})"
+        ) from None
+    # Sum the window's cells by halving it: every partial sum counts
+    # distinct subsets, so it fits a limb like any single cell does.
+    cells = hi + 1 - start
+    while cells > 1:
+        half = (cells + 1) // 2
+        window = (window & ((1 << (half * limb)) - 1)) + (window >> (half * limb))
+        cells = half
+    return window

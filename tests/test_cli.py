@@ -67,6 +67,17 @@ class TestIndexCommand:
         )
         assert code == EXIT_BUDGET
 
+    def test_unallocatable_dp_table_exit_code(self, tmp_path, capsys):
+        # 10**14 one-byte cells: the allocation fails at once, never runs
+        path = tmp_path / "huge.game"
+        path.write_text(dump_game(Game((10**14,) * 3 + (1,), 10**14)))
+        code = main(
+            ["index", str(path), "--player", "3", "--engine", "dp",
+             "--budget-dp-quota", str(10**15)]
+        )
+        assert code == EXIT_BUDGET
+        assert "quota 100000000000000 (max_dp_quota=" in capsys.readouterr().err
+
 
 class TestReduceAndIndex:
     def test_reduce_roundtrip_and_layered_index(self, or2_cnf, tmp_path, capsys):

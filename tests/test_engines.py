@@ -7,6 +7,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wvgcontrol import (
     BudgetExceededError,
@@ -90,6 +92,14 @@ class TestBudgets:
         with pytest.raises(BudgetExceededError, match="max_dp_quota"):
             pivot_count_weight_dp(game, 0, EngineBudget(max_dp_quota=10))
 
+    @pytest.mark.parametrize("quota", [10**14, 10**20])
+    def test_unallocatable_table_is_a_refusal(self, quota):
+        # a table of 10**14 one-byte cells exceeds any machine's memory, so
+        # the allocation fails at once; at 10**20 the int size overflows
+        game = Game((quota,) * 3 + (1,), quota)
+        with pytest.raises(BudgetExceededError, match=f"quota {quota} .*max_dp_quota"):
+            pivot_count_weight_dp(game, 3, EngineBudget(max_dp_quota=10**21))
+
     def test_budget_validation(self):
         with pytest.raises(Exception):
             EngineBudget(max_enum_players=0)
@@ -147,6 +157,64 @@ class TestEngineAgreement:
             sub = Game(tuple(wide.weights[p] for p in keep), wide.quota)
             player = rng.randrange(20)
             assert pivot_count_mitm(sub, player) == pivot_count_enum(sub, player)
+
+
+class TestPackedWeightTable:
+    """Cells are limbs of ``8 * (m // 8 + 1)`` bits over sums ``0 .. quota - 1``."""
+
+    @pytest.mark.parametrize("m", [7, 8, 15, 16, 63, 64])
+    def test_full_cell_fits_its_limb(self, m):
+        # every one of the 2**m co-player subsets weighs 0: one full cell
+        assert pivot_count_weight_dp(Game((1,) + (0,) * m, 1), 0) == 2**m
+
+    def test_top_cell_is_counted(self):
+        # co-player sums are 0, 7 and 14; only 14 = quota - 1 is in [12, 14]
+        game = Game((3, 7, 7) + (0,) * 5, 15)
+        assert all_counts(game, 0) == {2**5}
+
+    def test_co_players_at_or_above_quota_are_skipped(self):
+        # only {3} and {3, 1} land in [3, 4]
+        game = Game((2, 5, 9, 3, 1), 5)
+        assert all_counts(game, 0) == {2}
+
+
+# sums that hit the edges: zero weights, weights at or above the quota
+def _weight(quota: int) -> st.SearchStrategy[int]:
+    return st.one_of(
+        st.just(0), st.integers(1, quota), st.integers(quota, 2 * quota + 3)
+    )
+
+
+class TestWeightTableProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), quota=st.one_of(st.just(1), st.integers(1, 40)))
+    def test_equals_enum_on_small_games(self, data, quota):
+        weights = data.draw(st.lists(_weight(quota), min_size=1, max_size=10))
+        game = Game(tuple(weights), quota)
+        player = data.draw(st.integers(0, game.num_players - 1))
+        assert pivot_count_weight_dp(game, player) == pivot_count_enum(game, player)
+
+    @settings(max_examples=15, deadline=None)
+    @given(weights=st.lists(st.integers(0, 200), min_size=30, max_size=36), data=st.data())
+    def test_equals_mitm_on_mid_sized_games(self, weights, data):
+        quota = data.draw(st.integers(1, max(sum(weights), 1) + 2))
+        game = Game(tuple(weights), quota)
+        player = data.draw(st.integers(0, game.num_players - 1))
+        assert pivot_count_weight_dp(game, player) == pivot_count_mitm(game, player)
+
+    @settings(max_examples=25, deadline=None)
+    @given(weights=st.lists(st.integers(0, 1000), min_size=46, max_size=60), data=st.data())
+    def test_equals_itself_on_the_dual_game(self, weights, data):
+        # T is pivotal at quota q iff its complement among the co-players
+        # is pivotal at quota W - q + 1
+        total = sum(weights)
+        assume(total >= 1)
+        quota = data.draw(st.integers(1, total))
+        player = data.draw(st.integers(0, len(weights) - 1))
+        dual = Game(tuple(weights), total - quota + 1)
+        assert pivot_count_weight_dp(Game(tuple(weights), quota), player) == (
+            pivot_count_weight_dp(dual, player)
+        )
 
 
 class TestBanzhaf:

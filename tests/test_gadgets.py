@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wvgcontrol import (
     CnfFormula,
@@ -20,6 +23,7 @@ from wvgcontrol import (
     build_prereduction,
     count_sat,
     count_subset_sum,
+    delete_players,
     dump_instance,
     e_exact_sat,
     e_minority_sat,
@@ -39,6 +43,18 @@ OR2 = CnfFormula(2, (frozenset({1, 2}),))
 WIDE5 = CnfFormula(5, (frozenset({1, 2, 3, 4, 5}),))
 
 pytestmark = pytest.mark.filterwarnings("ignore::wvgcontrol.gadgets.GadgetConstructionNote")
+
+NO_FORMULA, _ = NO_INSTANCES[1]  # the (n=4, k=2) minority no-instance
+RELAXED_NO_BUILDERS = {
+    "decrease": lambda: build_decrease(NO_FORMULA, 2, strict=False),
+    "nonincrease": lambda: build_nonincrease(NO_FORMULA, 2, strict=False),
+    "maintain": lambda: build_maintain(NO_FORMULA, 2, 5, strict=False),
+}
+
+
+@functools.cache
+def relaxed_no_gadget(kind: str):
+    return RELAXED_NO_BUILDERS[kind]()
 
 
 class TestPrereduction:
@@ -407,6 +423,36 @@ class TestInstanceDeletion:
         with pytest.raises(Exception, match="distinguished"):
             instance.delete({0})
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(sorted(RELAXED_NO_BUILDERS)))
+    def test_deletion_composes(self, data, kind):
+        # D2 is drawn in the original numbering and renumbered after D1
+        instance = relaxed_no_gadget(kind)
+        deletable = [p for p in range(instance.game.num_players) if p != instance.distinguished]
+        player = st.one_of(
+            st.sampled_from(sorted(instance.bands.heavy)),
+            st.sampled_from(instance.group_members("Z*")),
+            st.sampled_from(deletable),
+        )
+        first = data.draw(st.frozensets(player, max_size=4))
+        second = data.draw(st.frozensets(player, max_size=4)) - first
+        after_first = instance.delete(first)
+        _, remap = delete_players(instance.game, first)
+        renumbered = {remap[p] for p in second}
+        _, remap_after = delete_players(after_first.game, renumbered)
+        _, remap_direct = delete_players(instance.game, first | second)
+        composed = {p: remap_after[q] for p, q in remap.items() if q in remap_after}
+        assert composed == remap_direct
+        stepwise = after_first.delete(renumbered)
+        direct = instance.delete(first | second)
+        assert stepwise.game == direct.game
+        assert stepwise.distinguished == direct.distinguished
+        assert stepwise.budget == direct.budget
+        assert stepwise.groups == direct.groups
+        assert stepwise.a_players == direct.a_players
+        assert stepwise.b_players == direct.b_players
+        assert stepwise.bands == direct.bands
+
     def test_carrier_tables_remap(self):
         instance = build_decrease(OR2, 1, strict=False)
         victim = instance.a_players[0]
@@ -438,9 +484,6 @@ class TestClosedFormGridAgainstOracles:
                     pivot_count_layered(non.bands)
                     == expected_case_counts(Goal.NONINCREASE, k, n, xi).total
                 )
-
-
-NO_FORMULA, _ = NO_INSTANCES[1]  # the (n=4, k=2) minority no-instance
 
 
 class TestGoldenPlayerOrder:
