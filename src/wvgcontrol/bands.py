@@ -17,7 +17,12 @@ light subsets hitting the residual is a product of per-block counts:
   greedily.
 
 Every no-carry precondition is asserted when a ``BandSystem`` is built;
-a wrong construction must fail loudly, never miscount.
+a wrong construction must fail loudly, never miscount.  Deleting players
+preserves every one of them, so ``BandSystem.restrict`` derives the
+smaller system from its validated parent: it checks the index map and
+game it is handed, re-validates only the blocks that lost members, and
+re-runs the checks that cost O(blocks), skipping only the O(players)
+partition rescan (the proof is in its docstring).
 
 ``pivot_count_layered`` counts one band system from scratch.  Deleting
 players never changes the per-block targets of a residual (the split is
@@ -113,17 +118,21 @@ class LightBlock:
         return LightBlock(self.name, self.kind, members, weights, self.granularity)
 
     def restrict(self, surviving: dict[int, int]) -> LightBlock:
-        """The block after a deletion, with indices remapped by ``surviving``."""
-        block = self
-        if not all(map(surviving.__contains__, self.members)):
-            block = self.without(set(self.members).difference(surviving))
-        return LightBlock(
-            self.name,
-            self.kind,
-            tuple(map(surviving.__getitem__, block.members)),
-            block.weights,
-            self.granularity,
-        )
+        """The block after a deletion, with indices remapped by ``surviving``.
+
+        A block that lost no members keeps its weights, so it is copied with
+        its derived ``max_sum`` and ``min_gap`` and only ``members`` remapped;
+        a block that lost members is rebuilt and re-validated.
+        """
+        try:
+            members = tuple(map(surviving.__getitem__, self.members))
+        except KeyError:
+            kept = [(surviving[m], w) for m, w in zip(self.members, self.weights) if m in surviving]
+            members, weights = (tuple(column) for column in zip(*kept)) if kept else ((), ())
+            return LightBlock(self.name, self.kind, members, weights, self.granularity)
+        block = object.__new__(LightBlock)
+        vars(block).update(vars(self), members=members)
+        return block
 
 
 @dataclass(frozen=True)
@@ -149,9 +158,18 @@ class BandSystem:
     blocks: tuple[LightBlock, ...]
 
     def __post_init__(self) -> None:
-        game = self.game
         if not self._covers_every_player_once():
             self._raise_first_membership_fault()
+        self._check_structure()
+
+    def _check_structure(self) -> None:
+        """The checks that cost O(blocks), not O(players): the member count,
+        the no-carry chain, the light total against the pivotal interval,
+        and the pairwise heavy exclusion."""
+        game = self.game
+        members = sum(len(block.members) for block in self.blocks)
+        if 1 + len(self.heavy) + members != game.num_players:
+            raise BandStructureError("band system does not cover every player")
 
         below = 0  # total weight of blocks less significant than the current one
         for block in reversed(self.blocks):
@@ -173,7 +191,8 @@ class BandSystem:
                 "light players alone can reach the pivotal interval "
                 f"(total {light_total} vs quota {game.quota})"
             )
-        heavy_weights = sorted(map(game.weights.__getitem__, self.heavy))
+        weights = game.weights
+        heavy_weights = sorted([weights[h] for h in self.heavy])
         if len(heavy_weights) >= 2 and heavy_weights[0] + heavy_weights[1] <= game.quota:
             raise BandStructureError(
                 "two heavy players fit under the quota together "
@@ -234,15 +253,65 @@ class BandSystem:
         raise InputError(f"no block named {name!r}")
 
     def restrict(self, surviving: dict[int, int], game: Game) -> BandSystem:
-        """The band system after deleting every player absent from ``surviving``."""
+        """The band system after deleting every player absent from ``surviving``.
+
+        ``surviving`` maps each survivor's index here to its index in
+        ``game``, as ``delete_players`` returns it.  The result is derived
+        from this validated system rather than re-validated from scratch.
+        The inputs are checked first: ``surviving`` must map players of this
+        game, in ascending order, onto ``range(n)`` in order; ``game`` must
+        carry exactly their weights and the same quota; and the
+        distinguished player must survive.  Then every invariant holds by
+        deletion alone:
+
+        * partition: the parts were disjoint and covered every player; each
+          part keeps its survivors, renumbered by an injective map onto
+          ``range(n)``, so the parts are disjoint and cover ``game``.  Block
+          weights are the survivors' old weights, which ``game`` carries;
+        * blocks: a block that lost no members has the same weights, so its
+          checks and derived values carry over; a block that lost members
+          is re-validated by the ``LightBlock`` constructor;
+        * no-carry chain: the blocks below a block weigh no more than
+          before, its granularity is fixed, and its smallest gap only
+          widens (a subsequence of a superincreasing tuple has gaps no
+          smaller; an emptied block falls back to the granularity, which
+          the chain already cleared);
+        * light total: it only falls, and the quota and the distinguished
+          weight are unchanged;
+        * heavy exclusion: the heavy pairs are a subset of the old ones.
+
+        So only the O(players) partition rescan is skipped.  The O(blocks)
+        checks of ``_check_structure`` still run, and its member count
+        catches a block that kept a stale member list.
+        """
         if self.distinguished not in surviving:
             raise BandStructureError("cannot delete the distinguished player")
-        return BandSystem(
+        old = self.game
+        kept = [*surviving]
+        if not (
+            [*surviving.values()] == [*range(game.num_players)]
+            and kept == sorted(kept)
+            and 0 <= kept[0]
+            and kept[-1] < old.num_players
+        ):
+            raise BandStructureError(
+                "a restriction's index map must take players of this game, in "
+                "ascending order, onto the new game's players in order"
+            )
+        weights = old.weights
+        if game.quota != old.quota or list(game.weights) != [weights[p] for p in kept]:
+            raise BandStructureError(
+                "the restricted game must keep the quota and the survivors' weights"
+            )
+        restricted = object.__new__(BandSystem)
+        vars(restricted).update(
             game=game,
             distinguished=surviving[self.distinguished],
-            heavy=frozenset(map(surviving.__getitem__, surviving.keys() & self.heavy)),
+            heavy=frozenset([surviving[h] for h in self.heavy if h in surviving]),
             blocks=tuple(block.restrict(surviving) for block in self.blocks),
         )
+        restricted._check_structure()
+        return restricted
 
 
 def _greedy_remainder(weights: tuple[int, ...], value: int) -> int:

@@ -248,14 +248,16 @@ def _candidate_classes(
 
 
 def _make_candidate(
-    classes: list[tuple[int, tuple[int, ...]]], vector: list[int]
+    classes: list[tuple[int, tuple[int, ...]]], takes: list[tuple[int, int]]
 ) -> DeletionCandidate:
+    """The candidate deleting ``count`` players of class ``index`` for each
+    ``(index, count)`` in ``takes`` (ascending indices, nonzero counts)."""
     players: list[int] = []
     counts: list[tuple[int, int]] = []
-    for (weight, members), count in zip(classes, vector):
-        if count:
-            counts.append((weight, count))
-            players.extend(members[:count])
+    for index, count in takes:
+        weight, members = classes[index]
+        counts.append((weight, count))
+        players.extend(members[:count])
     return DeletionCandidate(tuple(counts), frozenset(players))
 
 
@@ -292,34 +294,52 @@ class _CandidateSpace:
         return top[high] - (top[low - 1] if low > 0 else 0)
 
     def candidate(self, rank: int, low: int, high: int) -> DeletionCandidate:
-        """The ``rank``-th count vector with total in ``[low, high]``."""
+        """The ``rank``-th count vector with total in ``[low, high]``.
+
+        The vectors over classes ``i..`` that take nothing from classes
+        ``i .. j-1`` are the last ``tail(j)`` of them, where ``tail(j)``
+        counts the vectors over classes ``j..`` in the window.  ``tail`` is
+        nonincreasing in ``j``, so the next class that takes something is
+        found by bisection instead of a walk over the classes in between.
+        """
         if not 0 <= rank < self.count(low, high):
             raise WvgError(f"rank {rank} is outside the candidate space")
         high = min(high, self.max_size)
-        ways = self.ways
-        vector: list[int] = []
-        for i, (_, members) in enumerate(self.classes):
-            if high == 0:
-                break  # budget used up: every later class takes nothing
-            here, after = ways[i], ways[i + 1]
+        ways, classes = self.ways, self.classes
+        end = len(classes)
+        takes: list[tuple[int, int]] = []
+        i = 0
+        while high > 0:  # once the budget is used up, later classes take nothing
             below = low - 1
-            taking = here[high] - after[high] - (
-                here[below] - after[below] if below >= 0 else 0
-            )
-            if rank >= taking:  # vectors taking nothing from class i come last
-                rank -= taking
-                vector.append(0)
-                continue
-            take = min(len(members), high)
+
+            def tail(j: int) -> int:
+                return ways[j][high] - (ways[j][below] if below >= 0 else 0)
+
+            # the vector is among the last tail(j) ones, that is
+            # rank >= tail(i) - tail(j), exactly for j up to the next class
+            # it takes from
+            target = tail(i) - rank
+            lo, hi = i, end
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if tail(mid) >= target:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            if lo == end:
+                break  # the vector takes nothing from here on
+            rank = tail(lo) - target
+            after = ways[lo + 1]
+            take = min(len(classes[lo][1]), high)
             while True:
                 ways_after = after[high - take] - (after[below - take] if below >= take else 0)
                 if rank < ways_after:
                     break
                 rank -= ways_after
                 take -= 1
-            vector.append(take)
-            high, low = high - take, low - take
-        return _make_candidate(self.classes, vector)
+            takes.append((lo, take))
+            high, low, i = high - take, low - take, lo + 1
+        return _make_candidate(classes, takes)
 
 
 def _reverify(

@@ -267,8 +267,11 @@ class ControlInstance:
     def delete(self, victims: Iterable[int]) -> ControlInstance:
         """The instance after deleting ``victims`` (never the distinguished player).
 
-        Band metadata shrinks with the game and is re-validated; the
-        budget is clamped to stay below the new player count.
+        Band metadata shrinks with the game: ``BandSystem.restrict``
+        derives it from this instance's validated system and skips only
+        the partition rescan, which deletion cannot fail (its docstring
+        gives the proof).  The budget is clamped to stay below the new
+        player count.
         """
         victim_set = frozenset(victims)
         if self.distinguished in victim_set:
@@ -283,7 +286,7 @@ class ControlInstance:
             distinguished=remap[self.distinguished],
             budget=min(self.budget, new_game.num_players - 1),
             goal=self.goal,
-            groups=None if self.groups is None else tuple(map(self.groups.__getitem__, remap)),
+            groups=None if self.groups is None else tuple([self.groups[p] for p in remap]),
             bands=None if self.bands is None else self.bands.restrict(remap, new_game),
             a_players=carriers(self.a_players),
             b_players=carriers(self.b_players),

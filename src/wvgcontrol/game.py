@@ -107,13 +107,14 @@ def delete_players(game: Game, victims: Iterable[int]) -> tuple[Game, dict[int, 
     Returns the new game (same quota) and the index remap
     ``old index -> new index`` for every survivor, in ascending order.
     """
-    victim_set = game.coalition(victims)
-    kept = [p for p in range(game.num_players) if p not in victim_set]
+    kept = list(range(game.num_players))
+    for victim in sorted(game.coalition(victims), reverse=True):
+        del kept[victim]
     if not kept:
         raise InputError("cannot delete every player")
     remap = dict(zip(kept, range(len(kept))))
-    weights = tuple(map(game.weights.__getitem__, kept))
-    return Game(weights, game.quota), remap
+    weights = game.weights
+    return Game(tuple([weights[p] for p in kept]), game.quota), remap
 
 
 @dataclass(frozen=True)

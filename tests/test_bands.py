@@ -317,3 +317,113 @@ class TestDeletionCounter:
             counter.count({0})
         with pytest.raises(InvalidCoalitionError):
             counter.count({bands.game.num_players})
+
+
+def _rebuilt(bands: BandSystem, surviving: dict[int, int], game: Game) -> BandSystem:
+    """The restricted system built by the validating constructor from the
+    same survivors."""
+    blocks = []
+    for block in bands.blocks:
+        kept = [(surviving[m], w) for m, w in zip(block.members, block.weights) if m in surviving]
+        blocks.append(
+            LightBlock(
+                block.name,
+                block.kind,
+                tuple(m for m, _ in kept),
+                tuple(w for _, w in kept),
+                block.granularity,
+            )
+        )
+    return BandSystem(
+        game,
+        surviving[bands.distinguished],
+        frozenset(surviving[h] for h in bands.heavy if h in surviving),
+        tuple(blocks),
+    )
+
+
+def _block_fields(block: LightBlock) -> tuple:
+    return (
+        block.name,
+        block.kind,
+        block.members,
+        block.weights,
+        block.granularity,
+        block.max_sum,
+        block.min_gap,
+    )
+
+
+def _assert_restrict_matches_rebuild(bands: BandSystem, players) -> None:
+    smaller, surviving = delete_players(bands.game, players)
+    derived = bands.restrict(surviving, smaller)
+    rebuilt = _rebuilt(bands, surviving, smaller)
+    assert derived.game == rebuilt.game
+    assert derived.distinguished == rebuilt.distinguished
+    assert derived.heavy == rebuilt.heavy
+    assert list(map(_block_fields, derived.blocks)) == list(map(_block_fields, rebuilt.blocks))
+
+
+@pytest.mark.filterwarnings("ignore::wvgcontrol.gadgets.GadgetConstructionNote")
+class TestDerivedRestrict:
+    """``BandSystem.restrict`` derives the smaller system from its parent;
+    the validating constructor over the same survivors is its oracle."""
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_every_exhaustive_candidate_of_the_decrease_gadgets(self, which):
+        instance = _gadget("decrease", which)
+        for players in _exhaustive_candidates(instance):
+            _assert_restrict_matches_rebuild(instance.bands, players)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["decrease", "nonincrease", "maintain"]))
+    def test_generated_deletions(self, data, kind):
+        # single players of any kind, plus whole provenance groups, so that
+        # blocks are emptied and heavy groups vanish as well
+        instance = _gadget(kind, 1)
+        deletable = [p for p in range(instance.game.num_players) if p != instance.distinguished]
+        player = st.one_of(
+            st.sampled_from(sorted(instance.bands.heavy)),
+            st.sampled_from(instance.group_members("Z*")),
+            st.sampled_from(deletable),
+        )
+        players = set(data.draw(st.frozensets(player, max_size=12)))
+        labels = sorted(set(instance.groups) - {"player-1"})
+        for label in data.draw(st.frozensets(st.sampled_from(labels), max_size=3)):
+            players.update(instance.group_members(label))
+        _assert_restrict_matches_rebuild(instance.bands, players)
+
+    def test_toy_deletions_that_empty_blocks(self):
+        bands = banded_toy()
+        for players in ({3, 4}, {1, 5, 6, 7}, {2, 3, 4, 8, 9, 10, 11}, set(range(1, 12))):
+            _assert_restrict_matches_rebuild(bands, players)
+
+    def test_rejects_a_game_whose_weights_disagree_with_the_survivors(self):
+        bands = banded_toy()
+        smaller, surviving = delete_players(bands.game, {5})
+        weights = smaller.weights
+        for game in (
+            Game((*weights[:-1], weights[-1] + 1), smaller.quota),
+            Game((weights[0], weights[2], weights[1], *weights[3:]), smaller.quota),
+            Game(weights, smaller.quota + 1),
+        ):
+            with pytest.raises(BandStructureError, match="survivors' weights"):
+                bands.restrict(surviving, game)
+
+    def test_rejects_a_map_that_is_not_onto_the_new_players_in_order(self):
+        bands = banded_toy()
+        smaller, surviving = delete_players(bands.game, {5})
+        shifted = {old: new + 1 for old, new in surviving.items()}
+        short = dict(list(surviving.items())[:-1])
+        swapped = dict(surviving)
+        swapped[3], swapped[4] = swapped[4], swapped[3]
+        for bad in (shifted, short, swapped):
+            with pytest.raises(BandStructureError, match="onto"):
+                bands.restrict(bad, smaller)
+
+    def test_rejects_a_map_that_drops_the_distinguished_player(self):
+        bands = banded_toy()
+        smaller, surviving = delete_players(bands.game, {5})
+        del surviving[bands.distinguished]
+        with pytest.raises(BandStructureError, match="distinguished"):
+            bands.restrict(surviving, smaller)

@@ -252,6 +252,27 @@ class TestGoldenCandidateOrder:
         assert self._walk(monkeypatch, instance, mode) == (length, digest)
 
 
+def _lex_walk(caps, low, high, descending):
+    """The count vectors under ``caps`` with total in ``[low, high]``, in the
+    order of the filtered ``itertools.product`` sorted greatest-lex first
+    (or least first), without visiting vectors outside the window."""
+    room = list(itertools.accumulate(reversed(caps), initial=0))[::-1]  # room[i] = sum(caps[i:])
+    vector: list[int] = []
+
+    def walk(i, low, high):
+        if i == len(caps):
+            if low <= 0 <= high:
+                yield tuple(vector)
+            return
+        takes = range(max(low - room[i + 1], 0), min(caps[i], high) + 1)
+        for take in reversed(takes) if descending else takes:
+            vector.append(take)
+            yield from walk(i + 1, low - take, high - take)
+            vector.pop()
+
+    return walk(0, low, high)
+
+
 class TestCandidateSpaceProperties:
     """The ranked space against ``itertools.product`` and through ``solve_control``."""
 
@@ -285,6 +306,73 @@ class TestCandidateSpaceProperties:
             ranked.append(tuple(taken.get(weight, 0) for weight, _ in classes))
         assert ranked == expected
         for rank in (-1, len(expected)):
+            with pytest.raises(WvgError, match="outside the candidate space"):
+                space.candidate(rank, low, high)
+
+    @pytest.mark.parametrize("caps", [(), (1,), (3, 1, 2), (2, 2, 1, 3, 1, 1)])
+    def test_the_pruned_walk_is_the_sorted_product(self, caps):
+        for low, high in itertools.product(range(6), repeat=2):
+            product = [
+                vector
+                for vector in itertools.product(*(range(cap + 1) for cap in caps))
+                if low <= sum(vector) <= high
+            ]
+            for descending in (True, False):
+                walked = list(_lex_walk(caps, low, high, descending))
+                assert walked == sorted(product, reverse=descending)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        caps=st.lists(st.integers(1, 3), min_size=20, max_size=60),
+        budget=st.integers(0, 4),
+        low=st.integers(0, 4),
+        high=st.integers(0, 4),
+    )
+    def test_long_class_lists_skip_runs_of_zero_classes(self, caps, budget, low, high):
+        # Most classes take nothing, so unranking must skip long runs of
+        # them.  The full product is out of reach here, so the expected
+        # order comes from a pruned walk in the same greatest-lex order;
+        # every rank is checked when the window holds at most 2 * edge
+        # vectors, and otherwise the first and last edge ranks.
+        weights = range(len(caps), 0, -1)
+        members = itertools.accumulate(caps, initial=0)
+        classes = [
+            (weight, tuple(range(first, first + cap)))
+            for weight, first, cap in zip(weights, members, caps)
+        ]
+        space = _CandidateSpace(classes, budget)
+        top = min(high, budget)
+        sizes = [1]  # sizes[s]: vectors with total s, by polynomial product
+        for cap in caps:
+            sizes = [
+                sum(sizes[max(s - cap, 0) : s + 1]) for s in range(min(len(sizes) + cap, top + 1))
+            ]
+        size = sum(sizes[low : top + 1])
+        assert space.count(low, high) == size
+
+        members_of = dict(classes)
+
+        def vector(rank):
+            # only classes that take something are listed, heaviest first,
+            # and each deletes its first members
+            candidate = space.candidate(rank, low, high)
+            taken = candidate.class_counts
+            assert all(count > 0 for _, count in taken)
+            assert [weight for weight, _ in taken] == sorted(dict(taken), reverse=True)
+            assert candidate.players == {
+                p for weight, count in taken for p in members_of[weight][:count]
+            }
+            return tuple(dict(taken).get(weight, 0) for weight, _ in classes)
+
+        edge = 200
+        first = list(itertools.islice(_lex_walk(caps, low, top, descending=True), 2 * edge))
+        if size <= 2 * edge:
+            assert [vector(rank) for rank in range(size)] == first
+        else:
+            last = list(itertools.islice(_lex_walk(caps, low, top, descending=False), edge))
+            assert [vector(rank) for rank in range(edge)] == first[:edge]
+            assert [vector(size - 1 - rank) for rank in range(edge)] == last
+        for rank in (-1, size):
             with pytest.raises(WvgError, match="outside the candidate space"):
                 space.candidate(rank, low, high)
 

@@ -6,6 +6,8 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wvgcontrol import (
     CnfFormula,
@@ -13,6 +15,7 @@ from wvgcontrol import (
     Game,
     build_decrease,
     build_maintain,
+    build_nonincrease,
     dump_game,
     dump_instance,
     load_game,
@@ -123,3 +126,43 @@ class TestInstanceDocuments:
         document["bands"]["blocks"][-1]["members"] = []
         with pytest.raises(Exception, match="cover"):
             load_instance(json.dumps(document))
+
+
+@st.composite
+def relaxed_gadgets(draw):
+    """A relaxed decrease, nonincrease or maintain gadget of a random CNF
+    formula over two or three variables, sometimes after a deletion, so
+    that emptied blocks and deleted carriers (``None``) occur too."""
+    n = draw(st.integers(2, 3))
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clause = st.frozensets(literal, min_size=1, max_size=n).filter(
+        lambda c: not any(-lit in c for lit in c)
+    )
+    clauses = st.lists(clause, min_size=1, max_size=3).filter(
+        lambda cs: {abs(lit) for c in cs for lit in c} == set(range(1, n + 1))
+    )
+    formula = CnfFormula(n, tuple(draw(clauses)))
+    k = draw(st.integers(1, n - 1))
+    kind = draw(st.sampled_from(["decrease", "nonincrease", "maintain"]))
+    if kind == "decrease":
+        instance = build_decrease(formula, k, strict=False)
+    elif kind == "nonincrease":
+        instance = build_nonincrease(formula, k, strict=False)
+    else:
+        instance = build_maintain(formula, k, draw(st.integers(1, 6)), strict=False)
+    others = [p for p in range(instance.game.num_players) if p != instance.distinguished]
+    return instance.delete(draw(st.frozensets(st.sampled_from(others), max_size=4)))
+
+
+class TestGeneratedRoundTrips:
+    @settings(max_examples=60, deadline=None)
+    @given(instance=relaxed_gadgets())
+    def test_load_inverts_dump_on_relaxed_gadgets(self, instance):
+        loaded = load_instance(dump_instance(instance))
+        assert loaded.bands == instance.bands
+        assert [(b.max_sum, b.min_gap) for b in loaded.bands.blocks] == [
+            (b.max_sum, b.min_gap) for b in instance.bands.blocks
+        ]
+        assert loaded.groups == instance.groups
+        assert (loaded.a_players, loaded.b_players) == (instance.a_players, instance.b_players)
+        assert loaded == instance
