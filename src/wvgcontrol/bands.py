@@ -17,12 +17,10 @@ light subsets hitting the residual is a product of per-block counts:
   greedily.
 
 Every no-carry precondition is asserted when a ``BandSystem`` is built;
-a wrong construction must fail loudly, never miscount.  Deleting players
-preserves every one of them, so ``BandSystem.restrict`` derives the
-smaller system from its validated parent: it checks the index map and
-game it is handed, re-validates only the blocks that lost members, and
-re-runs the checks that cost O(blocks), skipping only the O(players)
-partition rescan (the proof is in its docstring).
+a wrong construction must fail loudly, never miscount.
+``BandSystem.restrict`` gives the system after a deletion: it checks the
+index map and game it is handed, then builds the smaller system through
+the same validating constructor.
 
 ``pivot_count_layered`` counts one band system from scratch.  Deleting
 players never changes the per-block targets of a residual (the split is
@@ -30,7 +28,8 @@ unique over all light subsets, and the survivors' subsets are among
 them), so ``DeletionCounter`` computes the targets and block counts of
 every heavy player's term once and scores a deletion by dropping the
 deleted heavy players' terms and recounting only the blocks it touches.
-Control search scores its candidates that way.
+Control search scores its candidates that way, so it deletes players
+(and restricts their band system) only for a witness.
 """
 
 from __future__ import annotations
@@ -118,21 +117,10 @@ class LightBlock:
         return LightBlock(self.name, self.kind, members, weights, self.granularity)
 
     def restrict(self, surviving: dict[int, int]) -> LightBlock:
-        """The block after a deletion, with indices remapped by ``surviving``.
-
-        A block that lost no members keeps its weights, so it is copied with
-        its derived ``max_sum`` and ``min_gap`` and only ``members`` remapped;
-        a block that lost members is rebuilt and re-validated.
-        """
-        try:
-            members = tuple(map(surviving.__getitem__, self.members))
-        except KeyError:
-            kept = [(surviving[m], w) for m, w in zip(self.members, self.weights) if m in surviving]
-            members, weights = (tuple(column) for column in zip(*kept)) if kept else ((), ())
-            return LightBlock(self.name, self.kind, members, weights, self.granularity)
-        block = object.__new__(LightBlock)
-        vars(block).update(vars(self), members=members)
-        return block
+        """The block after a deletion, with indices remapped by ``surviving``."""
+        kept = [(surviving[m], w) for m, w in zip(self.members, self.weights) if m in surviving]
+        members, weights = (tuple(column) for column in zip(*kept)) if kept else ((), ())
+        return LightBlock(self.name, self.kind, members, weights, self.granularity)
 
 
 @dataclass(frozen=True)
@@ -158,18 +146,8 @@ class BandSystem:
     blocks: tuple[LightBlock, ...]
 
     def __post_init__(self) -> None:
-        if not self._covers_every_player_once():
-            self._raise_first_membership_fault()
-        self._check_structure()
-
-    def _check_structure(self) -> None:
-        """The checks that cost O(blocks), not O(players): the member count,
-        the no-carry chain, the light total against the pivotal interval,
-        and the pairwise heavy exclusion."""
         game = self.game
-        members = sum(len(block.members) for block in self.blocks)
-        if 1 + len(self.heavy) + members != game.num_players:
-            raise BandStructureError("band system does not cover every player")
+        self._check_partition()
 
         below = 0  # total weight of blocks less significant than the current one
         for block in reversed(self.blocks):
@@ -191,33 +169,16 @@ class BandSystem:
                 "light players alone can reach the pivotal interval "
                 f"(total {light_total} vs quota {game.quota})"
             )
-        weights = game.weights
-        heavy_weights = sorted([weights[h] for h in self.heavy])
+        heavy_weights = sorted(map(game.weights.__getitem__, self.heavy))
         if len(heavy_weights) >= 2 and heavy_weights[0] + heavy_weights[1] <= game.quota:
             raise BandStructureError(
                 "two heavy players fit under the quota together "
                 f"({heavy_weights[0]} + {heavy_weights[1]} <= {game.quota})"
             )
 
-    def _covers_every_player_once(self) -> bool:
-        """Set-based partition check: every player in range, exactly once,
-        with each block's stored weights matching the game."""
-        weights = self.game.weights
-        players = [self.distinguished, *self.heavy]
-        for block in self.blocks:
-            players.extend(block.members)
-        return (
-            len(players) == len(weights) == len(set(players))
-            and min(players) >= 0
-            and max(players) < len(weights)
-            and all(
-                tuple(map(weights.__getitem__, block.members)) == block.weights
-                for block in self.blocks
-            )
-        )
-
-    def _raise_first_membership_fault(self) -> None:
-        """Walk the members in order and raise on the first fault found."""
+    def _check_partition(self) -> None:
+        """Every player exactly once, each block's stored weights matching
+        the game; walks the members in order and raises on the first fault."""
         game = self.game
         game.check_player(self.distinguished)
         seen: set[int] = {self.distinguished}
@@ -256,33 +217,11 @@ class BandSystem:
         """The band system after deleting every player absent from ``surviving``.
 
         ``surviving`` maps each survivor's index here to its index in
-        ``game``, as ``delete_players`` returns it.  The result is derived
-        from this validated system rather than re-validated from scratch.
-        The inputs are checked first: ``surviving`` must map players of this
-        game, in ascending order, onto ``range(n)`` in order; ``game`` must
-        carry exactly their weights and the same quota; and the
-        distinguished player must survive.  Then every invariant holds by
-        deletion alone:
-
-        * partition: the parts were disjoint and covered every player; each
-          part keeps its survivors, renumbered by an injective map onto
-          ``range(n)``, so the parts are disjoint and cover ``game``.  Block
-          weights are the survivors' old weights, which ``game`` carries;
-        * blocks: a block that lost no members has the same weights, so its
-          checks and derived values carry over; a block that lost members
-          is re-validated by the ``LightBlock`` constructor;
-        * no-carry chain: the blocks below a block weigh no more than
-          before, its granularity is fixed, and its smallest gap only
-          widens (a subsequence of a superincreasing tuple has gaps no
-          smaller; an emptied block falls back to the granularity, which
-          the chain already cleared);
-        * light total: it only falls, and the quota and the distinguished
-          weight are unchanged;
-        * heavy exclusion: the heavy pairs are a subset of the old ones.
-
-        So only the O(players) partition rescan is skipped.  The O(blocks)
-        checks of ``_check_structure`` still run, and its member count
-        catches a block that kept a stale member list.
+        ``game``, as ``delete_players`` returns it.  It must take players of
+        this game, in ascending order, onto ``range(n)`` in order; ``game``
+        must carry exactly their weights and the same quota; and the
+        distinguished player must survive.  The result is then validated by
+        the constructor like any other band system.
         """
         if self.distinguished not in surviving:
             raise BandStructureError("cannot delete the distinguished player")
@@ -303,15 +242,12 @@ class BandSystem:
             raise BandStructureError(
                 "the restricted game must keep the quota and the survivors' weights"
             )
-        restricted = object.__new__(BandSystem)
-        vars(restricted).update(
+        return BandSystem(
             game=game,
             distinguished=surviving[self.distinguished],
             heavy=frozenset([surviving[h] for h in self.heavy if h in surviving]),
             blocks=tuple(block.restrict(surviving) for block in self.blocks),
         )
-        restricted._check_structure()
-        return restricted
 
 
 def _greedy_remainder(weights: tuple[int, ...], value: int) -> int:

@@ -237,8 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
     engines.add_argument("--budget-dp-quota", type=int, metavar="Q",
                          default=DEFAULT_BUDGET.max_dp_quota,
                          help="max quota for the weight-table engine")
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=20240817, help="RNG seed")
+    sampling = argparse.ArgumentParser(add_help=False)
+    defaults = SuiteOptions()
+    sampling.add_argument("--seed", type=int, default=defaults.seed, help="RNG seed")
+    sampling.add_argument("--trials", type=int, default=defaults.trials,
+                          help="samples in sampled mode and the no-direction suite")
     dimacs = argparse.ArgumentParser(add_help=False)
     dimacs.add_argument("--strip-tautologies", action="store_true",
                         help="drop tautological clauses while parsing DIMACS")
@@ -252,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="player position (defaults to the instance's distinguished player)")
     p_index.set_defaults(func=cmd_index)
 
-    p_control = sub.add_parser("control", parents=[engines, seeded],
+    p_control = sub.add_parser("control", parents=[engines, sampling],
                                help="decide a control-by-deletion instance")
     p_control.add_argument("input", help="instance document (or game document plus flags)")
     p_control.add_argument("--player", type=int, default=None)
@@ -263,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="override or supply the goal relation")
     p_control.add_argument("--mode", choices=("exhaustive", "sampled", "restricted"),
                            default="exhaustive")
-    p_control.add_argument("--trials", type=int, default=10_000,
-                           help="samples in sampled mode")
     p_control.add_argument("--groups", default=None,
                            help="comma-separated provenance groups for restricted mode")
     p_control.set_defaults(func=cmd_control)
@@ -292,11 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--ell", type=int, default=None, help="exact suffix count")
     p_oracle.set_defaults(func=cmd_oracle)
 
-    p_verify = sub.add_parser("verify", parents=[seeded],
+    p_verify = sub.add_parser("verify", parents=[sampling],
                               help="run a verification suite")
     p_verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    p_verify.add_argument("--trials", type=int, default=10_000,
-                          help="samples for the no-direction suite")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -52,9 +52,9 @@ def relation_holds(goal: Goal, before: ExactIndex, after: ExactIndex) -> bool:
     return relation(after, before)
 
 
-#: scores one search candidate: (instance after the deletion, deleted
-#: players in the original numbering) -> pivot count
-CandidateScore = Callable[[ControlInstance, frozenset[int]], int]
+#: scores one search candidate: deleted players in the original
+#: numbering -> pivot count after the deletion
+CandidateScore = Callable[[frozenset[int]], int]
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def _brute_force(
     return _Engine(
         lambda instance, budget: refusal(instance.game, budget) is None,
         run,
-        lambda instance, budget: lambda variant, players: run(variant, budget),
+        lambda instance, budget: lambda players: run(instance.delete(players), budget),
     )
 
 
@@ -93,9 +93,8 @@ def _run_layered(instance: ControlInstance, budget: EngineBudget) -> int:
 
 def _search_layered(instance: ControlInstance, budget: EngineBudget) -> CandidateScore:
     # Targets and block counts once per search; each candidate recounts
-    # only the blocks its deletion touches.
-    count = DeletionCounter(instance.bands).count
-    return lambda variant, players: count(players)
+    # only the blocks its deletion touches, and nothing is deleted.
+    return DeletionCounter(instance.bands).count
 
 
 _BRUTE_FORCE = {
@@ -391,7 +390,9 @@ def solve_control(
 
     Goals that deleting nobody would trivially meet (those whose relation
     holds between an index and itself) require at least one deletion; the
-    strict goals admit the empty deletion harmlessly.
+    strict goals admit the empty deletion harmlessly.  Each candidate is
+    scored from its deleted players alone; only a witness is built with
+    ``ControlInstance.delete``, recounted in full and re-verified.
     """
     before_count, engine_used = compute_pivot_count(instance, engine, budget)
     run = ENGINES[engine_used].run
@@ -422,21 +423,21 @@ def solve_control(
     after_witness: ExactIndex | None = None
     reverified: str | None = None
     for candidate in candidates:
-        variant = instance.delete(candidate.players)
         try:
-            count = score(variant, candidate.players)
+            count = score(candidate.players)
         except BudgetExceededError as error:
             raise BudgetExceededError(
                 f"engine {engine_used} refused the candidate "
                 f"[{candidate.describe()}]: {error}"
             ) from error
-        after = ExactIndex(count, variant.game.num_players - 1)
+        after = ExactIndex(count, instance.game.num_players - 1 - len(candidate.players))
         evaluated += 1
         if min_seen is None or after < min_seen:
             min_seen = after
         if max_seen is None or after > max_seen:
             max_seen = after
         if relation_holds(instance.goal, before, after):
+            variant = instance.delete(candidate.players)
             recount = run(variant, budget)
             if recount != count:
                 raise WvgError(

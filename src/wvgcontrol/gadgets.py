@@ -267,11 +267,12 @@ class ControlInstance:
     def delete(self, victims: Iterable[int]) -> ControlInstance:
         """The instance after deleting ``victims`` (never the distinguished player).
 
-        Band metadata shrinks with the game: ``BandSystem.restrict``
-        derives it from this instance's validated system and skips only
-        the partition rescan, which deletion cannot fail (its docstring
-        gives the proof).  The budget is clamped to stay below the new
-        player count.
+        Band metadata shrinks with the game: ``BandSystem.restrict`` checks
+        the survivors' map and game and re-validates the smaller system
+        through the constructor.  The budget is clamped to stay below the
+        new player count.  Control search calls this only for a witness
+        and for the brute-force engines' candidates; layered search scores
+        its candidates without deleting anything.
         """
         victim_set = frozenset(victims)
         if self.distinguished in victim_set:

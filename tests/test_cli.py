@@ -16,7 +16,8 @@ from wvgcontrol import (
     dump_instance,
     load_instance,
 )
-from wvgcontrol.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, main
+from wvgcontrol.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, build_parser, main
+from wvgcontrol.verify import SuiteOptions
 
 pytestmark = pytest.mark.filterwarnings("ignore::wvgcontrol.gadgets.GadgetConstructionNote")
 
@@ -261,6 +262,17 @@ def test_unread_flag_is_rejected(example1_file, or2_cnf, tmp_path, capsys, comma
 def test_sampled_search_without_trials_exits_2(example1_file, capsys, command):
     assert main([str(example1_file) if arg == "GAME" else arg for arg in command]) == EXIT_INPUT
     assert "at least one trial" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["control", "GAME"], ["verify", "all"]],
+    ids=["control", "verify"],
+)
+def test_seed_and_trials_default_to_the_suite_options(command):
+    args = build_parser().parse_args(command)
+    defaults = SuiteOptions()
+    assert (args.seed, args.trials) == (defaults.seed, defaults.trials)
 
 
 def test_verify_all_refuses_zero_trials_before_any_suite(capsys):

@@ -216,8 +216,8 @@ class TestEngineSelection:
 class TestGoldenCandidateOrder:
     """sha256 prefixes of the candidate sequences ``solve_control`` walks
     on the (n=4, k=2) no-instance gadget pin the exhaustive order and the
-    seeded sampled draws.  Deletion and counting are stubbed out and no
-    candidate is accepted, so only candidate generation runs."""
+    seeded sampled draws.  Counting is stubbed out and no candidate is
+    accepted, so only candidate generation runs."""
 
     @staticmethod
     def _walk(monkeypatch, instance, mode) -> tuple[int, str]:
@@ -227,9 +227,9 @@ class TestGoldenCandidateOrder:
         def record(self, players):
             counts = Counter(weights[p] for p in players)
             seen.append(tuple(sorted(counts.items(), reverse=True)))
-            return self
+            return 0
 
-        monkeypatch.setattr(ControlInstance, "delete", record)
+        monkeypatch.setattr(DeletionCounter, "count", record)
         monkeypatch.setattr(control, "pivot_count_layered", lambda bands: 0)
         monkeypatch.setattr(control, "relation_holds", lambda goal, before, after: False)
         report = solve_control(instance, engine="layered", mode=mode)
@@ -413,7 +413,7 @@ def _full_recount_search(monkeypatch) -> None:
     layered = control.ENGINES["layered"]
 
     def search(instance, budget):
-        return lambda variant, players: layered.run(variant, budget)
+        return lambda players: layered.run(instance.delete(players), budget)
 
     monkeypatch.setitem(control.ENGINES, "layered", replace(layered, search=search))
 
@@ -456,3 +456,47 @@ class TestDeltaScoring:
         delta = solve_control(instance, engine="layered", mode=mode)
         _full_recount_search(monkeypatch)
         assert solve_control(instance, engine="layered", mode=mode) == delta
+
+    @pytest.mark.parametrize(
+        "build, verdict, evaluated, deletions",
+        [
+            (lambda f: build_decrease(*NO_INSTANCES[0], strict=False), "NO-exhaustive", 45, 0),
+            (lambda f: build_decrease(f, 1, strict=False), "YES", 22, 1),
+        ],
+        ids=["decrease-no", "decrease-yes"],
+    )
+    def test_only_the_witness_is_deleted(self, monkeypatch, build, verdict, evaluated, deletions):
+        instance = build(self.OR2)
+        delete = ControlInstance.delete
+        calls = []
+
+        def counted(self, victims):
+            calls.append(victims)
+            return delete(self, victims)
+
+        monkeypatch.setattr(ControlInstance, "delete", counted)
+        report = solve_control(instance, engine="layered")
+        assert (report.verdict, report.candidates_evaluated) == (verdict, evaluated)
+        assert len(calls) == deletions
+        if report.witness is not None:
+            assert calls == [report.witness.players]
+
+    def test_brute_force_scorer_agrees_on_a_banded_instance(self):
+        instance = build_nonincrease(self.OR2, 1, strict=False)
+        assert instance.game.num_players == 29
+        mitm = solve_control(instance, engine="mitm")
+        layered = solve_control(instance, engine="layered")
+        fields = (
+            "verdict",
+            "witness",
+            "index_before",
+            "index_after_witness",
+            "candidates_evaluated",
+            "min_index_seen",
+            "max_index_seen",
+        )
+        assert [getattr(mitm, name) for name in fields] == [
+            getattr(layered, name) for name in fields
+        ]
+        assert mitm.candidates_evaluated == 16
+        assert (mitm.reverified_with, layered.reverified_with) == ("layered", "mitm")
