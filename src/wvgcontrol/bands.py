@@ -22,12 +22,14 @@ a wrong construction must fail loudly, never miscount.
 index map and game it is handed, then builds the smaller system through
 the same validating constructor.
 
-``pivot_count_layered`` counts one band system from scratch.  Deleting
+``pivot_count_layered``, ``heavy_pivot_term`` and ``DeletionCounter``
+read one walk over the pivotal coalition weights, which yields every
+nonzero heavy term with its per-block targets and counts.  Deleting
 players never changes the per-block targets of a residual (the split is
 unique over all light subsets, and the survivors' subsets are among
-them), so ``DeletionCounter`` computes the targets and block counts of
-every heavy player's term once and scores a deletion by dropping the
-deleted heavy players' terms and recounting only the blocks it touches.
+them), so ``DeletionCounter`` keeps the terms and scores a deletion by
+dropping the deleted heavy players' terms and recounting only the
+blocks it touches.
 Control search scores its candidates that way, so it deletes players
 (and restricts their band system) only for a witness.
 """
@@ -38,7 +40,8 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import AbstractSet, Iterable
+from itertools import takewhile
+from typing import AbstractSet, Iterable, Iterator
 
 from .engines import HalfSums, count_window, half_sum_tables
 from .errors import BandStructureError, InputError
@@ -329,35 +332,53 @@ def count_block(block: LightBlock, target: int) -> int:
     return _enum_count(block.weights, target)
 
 
-def count_light_subsets(bands: BandSystem, residual: int) -> int:
-    """Number of light subsets (all blocks combined) summing to ``residual``."""
+def _block_counts(bands: BandSystem, residual: int) -> tuple[tuple[int, ...], ...] | None:
+    """Per-block targets and counts of the light subsets summing to ``residual``,
+    or ``None`` at the first zero count (the blocks after it are not counted)."""
     decomposition = decompose_target(bands, residual)
     if decomposition is None:
-        return 0
-    product = 1
-    for block, target in zip(bands.blocks, decomposition.targets):
-        product *= count_block(block, target)
-        if product == 0:
-            return 0
-    return product
+        return None
+    counts = tuple(takewhile(bool, map(count_block, bands.blocks, decomposition.targets)))
+    return (decomposition.targets, counts) if len(counts) == len(bands.blocks) else None
+
+
+def count_light_subsets(bands: BandSystem, residual: int) -> int:
+    """Number of light subsets (all blocks combined) summing to ``residual``."""
+    counted = _block_counts(bands, residual)
+    return math.prod(counted[1]) if counted else 0
+
+
+_MAX_INTERVAL_WIDTH = 4096
+
+
+def _pivot_terms(bands: BandSystem, heavies: list[int]) -> Iterator[tuple]:
+    """Every nonzero pivot-count term: a pivotal coalition weight less the
+    weight of one of ``heavies``, as (heavy player, per-block targets,
+    per-block counts, their product).  A generator, so that a caller that
+    only sums the products holds one term at a time."""
+    game = bands.game
+    w_p = game.weights[bands.distinguished]
+    if w_p > _MAX_INTERVAL_WIDTH:
+        raise BandStructureError(
+            f"distinguished weight {w_p} spans too wide a pivotal interval "
+            f"for per-value decomposition (limit {_MAX_INTERVAL_WIDTH})"
+        )
+    # Re-assert the zero heavy-free term rather than trusting construction.
+    if bands.light_total >= game.quota - w_p:
+        raise BandStructureError("light players alone can reach the pivotal interval")
+    for coalition_weight in range(game.quota - w_p, game.quota):
+        for heavy in heavies:
+            residual = coalition_weight - game.weights[heavy]
+            counted = _block_counts(bands, residual) if residual >= 0 else None
+            if counted:
+                yield heavy, *counted, math.prod(counted[1])
 
 
 def heavy_pivot_term(bands: BandSystem, heavy_player: int) -> int:
     """Pivotal coalitions of the distinguished player through one heavy player."""
     if heavy_player not in bands.heavy:
         raise InputError(f"player {heavy_player} is not heavy in this band system")
-    game = bands.game
-    w_p = game.weights[bands.distinguished]
-    w_h = game.weights[heavy_player]
-    total = 0
-    for coalition_weight in range(game.quota - w_p, game.quota):
-        residual = coalition_weight - w_h
-        if residual >= 0:
-            total += count_light_subsets(bands, residual)
-    return total
-
-
-_MAX_INTERVAL_WIDTH = 4096
+    return sum(term[-1] for term in _pivot_terms(bands, [heavy_player]))
 
 
 def pivot_count_layered(bands: BandSystem, player: int | None = None) -> int:
@@ -375,20 +396,7 @@ def pivot_count_layered(bands: BandSystem, player: int | None = None) -> int:
         raise InputError(
             "the layered engine only counts for the band system's distinguished player"
         )
-    _check_pivot_interval(bands)
-    return sum(heavy_pivot_term(bands, h) for h in sorted(bands.heavy))
-
-
-def _check_pivot_interval(bands: BandSystem) -> None:
-    w_p = bands.game.weights[bands.distinguished]
-    if w_p > _MAX_INTERVAL_WIDTH:
-        raise BandStructureError(
-            f"distinguished weight {w_p} spans too wide a pivotal interval "
-            f"for per-value decomposition (limit {_MAX_INTERVAL_WIDTH})"
-        )
-    # Re-assert the zero heavy-free term rather than trusting construction.
-    if bands.light_total >= bands.game.quota - w_p:
-        raise BandStructureError("light players alone can reach the pivotal interval")
+    return sum(term[-1] for term in _pivot_terms(bands, sorted(bands.heavy)))
 
 
 class DeletionCounter:
@@ -409,25 +417,11 @@ class DeletionCounter:
     """
 
     def __init__(self, bands: BandSystem) -> None:
-        _check_pivot_interval(bands)
         self.bands = bands
         self._block_of = {
             member: index for index, block in enumerate(bands.blocks) for member in block.members
         }
-        game = bands.game
-        w_p = game.weights[bands.distinguished]
-        # (heavy player, per-block targets, per-block counts, their product)
-        self._terms: list[tuple[int, tuple[int, ...], tuple[int, ...], int]] = []
-        for heavy in sorted(bands.heavy):
-            for coalition_weight in range(game.quota - w_p, game.quota):
-                residual = coalition_weight - game.weights[heavy]
-                decomposition = decompose_target(bands, residual) if residual >= 0 else None
-                if decomposition is None:
-                    continue
-                counts = tuple(map(count_block, bands.blocks, decomposition.targets))
-                product = math.prod(counts)
-                if product:
-                    self._terms.append((heavy, decomposition.targets, counts, product))
+        self._terms = list(_pivot_terms(bands, sorted(bands.heavy)))
 
     def count(self, players: Iterable[int]) -> int:
         """The pivot count after deleting ``players`` (original indices)."""

@@ -114,6 +114,10 @@ def cmd_control(args: argparse.Namespace) -> int:
         )
     else:
         instance = loaded
+        for flag, value, own in (("--player", args.player, instance.distinguished),
+                                 ("--deletions", args.deletions, instance.budget)):
+            if value is not None and value != own:
+                raise InputError(f"{flag} {value} differs from the instance document's {own}")
         if args.goal is not None:
             instance = replace(
                 instance, goal=Goal(args.goal.upper()), meta=dict(instance.meta)
@@ -260,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_control.add_argument("input", help="instance document (or game document plus flags)")
     p_control.add_argument("--player", type=int, default=None)
     p_control.add_argument("--deletions", type=int, default=None,
-                           help="deletion budget k for a bare game document")
+                           help="deletion budget k; an instance document's own if given")
     p_control.add_argument("--goal", default=None,
                            choices=[g.value.lower() for g in Goal],
                            help="override or supply the goal relation")

@@ -231,6 +231,9 @@ def _candidate_classes(
     if restrict_groups is not None:
         if instance.groups is None:
             raise InputError("restricted search needs group labels on the instance")
+        unknown = ", ".join(repr(g) for g in restrict_groups if g not in instance.groups)
+        if unknown:
+            raise InputError(f"the instance has no provenance group {unknown}")
         allowed = {
             p for p, label in enumerate(instance.groups) if label in restrict_groups
         }

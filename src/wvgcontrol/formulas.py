@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .engines import count_subsets_mitm
 from .errors import BudgetExceededError, FormulaError, InputError
@@ -232,14 +233,20 @@ def suffix_satisfying_counts(formula: CnfFormula, k: int) -> list[int]:
     return counts
 
 
-def _prefix_tuples(k: int):
-    """All 0/1 prefixes of length k in lexicographic order (x_1 first)."""
+def _least_prefix(
+    formula: CnfFormula, k: int, accepts: Callable[[int], bool]
+) -> tuple[bool, Prefix | None]:
+    """``(True, p)`` for the lexicographically least length-``k`` prefix ``p``
+    whose suffix satisfying count ``accepts`` takes, else ``(False, None)``."""
+    if not 1 <= k <= formula.num_variables:
+        raise InputError(f"k={k} out of range, need 1 <= k <= {formula.num_variables}")
+    counts = suffix_satisfying_counts(formula, k)
     for code in range(1 << k):
-        yield tuple((code >> (k - 1 - i)) & 1 for i in range(k))
-
-
-def _prefix_low_bits(prefix: Prefix) -> int:
-    return sum(bit << i for i, bit in enumerate(prefix))
+        # x_1 is the code's most significant bit but the count index's lowest
+        prefix = tuple((code >> (k - 1 - i)) & 1 for i in range(k))
+        if accepts(counts[sum(bit << i for i, bit in enumerate(prefix))]):
+            return True, prefix
+    return False, None
 
 
 def e_minority_sat(formula: CnfFormula, k: int) -> tuple[bool, Prefix | None]:
@@ -248,15 +255,8 @@ def e_minority_sat(formula: CnfFormula, k: int) -> tuple[bool, Prefix | None]:
     Returns the verdict and the lexicographically least witness prefix
     (``None`` on a no-instance).
     """
-    if not 1 <= k <= formula.num_variables:
-        raise InputError(f"k={k} out of range, need 1 <= k <= {formula.num_variables}")
-    counts = suffix_satisfying_counts(formula, k)
-    n = formula.num_variables
-    for prefix in _prefix_tuples(k):
-        # "at most half of 2^(n-k)", written multiplicatively so k = n works
-        if 2 * counts[_prefix_low_bits(prefix)] <= 1 << (n - k):
-            return True, prefix
-    return False, None
+    # "at most half of 2^(n-k)", written multiplicatively so k = n works
+    return _least_prefix(formula, k, lambda count: 2 * count <= 1 << (formula.num_variables - k))
 
 
 def e_exact_sat(
@@ -267,17 +267,11 @@ def e_exact_sat(
     ``ell`` must be positive; ``allow_zero`` relaxes that for exploratory
     use only.
     """
-    if not 1 <= k <= formula.num_variables:
-        raise InputError(f"k={k} out of range, need 1 <= k <= {formula.num_variables}")
     if ell < 1 and not allow_zero:
         raise InputError("ell must be positive (pass allow_zero=True to permit 0)")
     if ell < 0:
         raise InputError("ell must be nonnegative")
-    counts = suffix_satisfying_counts(formula, k)
-    for prefix in _prefix_tuples(k):
-        if counts[_prefix_low_bits(prefix)] == ell:
-            return True, prefix
-    return False, None
+    return _least_prefix(formula, k, lambda count: count == ell)
 
 
 def count_subset_sum(sizes: list[int] | tuple[int, ...], target: int) -> int:

@@ -24,8 +24,7 @@ import random
 from dataclasses import dataclass
 
 from .bands import heavy_pivot_term, pivot_count_layered
-from .control import Restricted, Sampled, relation_holds, solve_control
-from .engines import pivot_count_enum, pivot_count_mitm, pivot_count_weight_dp
+from .control import Restricted, Sampled, banzhaf, evaluate_deletion, solve_control
 from .errors import InputError
 from .formulas import CnfFormula, count_sat, count_subset_sum, e_exact_sat, e_minority_sat
 from .game import ExactIndex, Game
@@ -103,16 +102,6 @@ def _check(results: list[CheckResult], name: str, passed: bool, detail: str = ""
 EXAMPLE1_GAME = Game((1, 2, 2, 2, 3, 3), 8)
 
 
-def _all_engines_agree(game: Game, player: int, expected: ExactIndex) -> bool:
-    counts = {
-        engine(game, player)
-        for engine in (pivot_count_enum, pivot_count_mitm, pivot_count_weight_dp)
-    }
-    if len(counts) != 1:
-        return False
-    return ExactIndex(counts.pop(), game.num_players - 1) == expected
-
-
 def suite_example1(options: SuiteOptions) -> list[CheckResult]:
     results: list[CheckResult] = []
     p = 1  # a weight-2 player
@@ -133,7 +122,8 @@ def suite_example1(options: SuiteOptions) -> list[CheckResult]:
             ExactIndex(1, 2),
         ),
     ):
-        _check(results, name, _all_engines_agree(game, p, expected))
+        indices = {banzhaf(game, p, engine) for engine in ("enum", "mitm", "dp")}
+        _check(results, name, indices == {expected})
     return results
 
 
@@ -243,15 +233,6 @@ def _yes_pairs(rng: random.Random, count: int) -> list[tuple[CnfFormula, int]]:
     return pairs
 
 
-def _witness_indices(instance, prefix) -> tuple[ExactIndex, ExactIndex]:
-    """Layered index before and after deleting the witness for ``prefix``."""
-    variant = instance.delete(witness_deletion(instance, prefix))
-    return tuple(
-        ExactIndex(pivot_count_layered(g.bands), g.game.num_players - 1)
-        for g in (instance, variant)
-    )
-
-
 def suite_yes_direction(options: SuiteOptions) -> list[CheckResult]:
     results: list[CheckResult] = []
     rng = random.Random(options.seed)
@@ -265,7 +246,8 @@ def suite_yes_direction(options: SuiteOptions) -> list[CheckResult]:
         for formula, k in pairs:
             _, prefix = e_minority_sat(formula, k)
             instance = builder(formula, k, strict=False)
-            ok += relation_holds(goal, *_witness_indices(instance, prefix))
+            deletion = witness_deletion(instance, prefix)
+            ok += evaluate_deletion(instance, deletion, "layered").relations[goal]
         _check(
             results,
             f"minority witnesses {claim.format(len(pairs))} gadgets",
@@ -282,7 +264,8 @@ def suite_yes_direction(options: SuiteOptions) -> list[CheckResult]:
                 continue
             maintain_tried += 1
             instance = build_maintain(extended, k, triple, strict=False)
-            maintain_ok += relation_holds(Goal.MAINTAIN, *_witness_indices(instance, prefix))
+            deletion = witness_deletion(instance, prefix)
+            maintain_ok += evaluate_deletion(instance, deletion, "layered").relations[Goal.MAINTAIN]
     _check(
         results,
         f"exact-count witnesses maintain the index exactly on {maintain_tried} maintain gadgets",

@@ -15,8 +15,10 @@ from wvgcontrol import (
     BandSystem,
     BlockKind,
     CnfFormula,
+    ControlInstance,
     DeletionCounter,
     Game,
+    Goal,
     InputError,
     InvalidCoalitionError,
     LightBlock,
@@ -29,7 +31,7 @@ from wvgcontrol import (
     pivot_count_layered,
 )
 from wvgcontrol.bands import count_light_subsets, heavy_pivot_term
-from wvgcontrol.control import _CandidateSpace, _candidate_classes
+from wvgcontrol.control import _CandidateSpace, _candidate_classes, solve_control
 from wvgcontrol.engines import pivot_count_enum, pivot_count_mitm
 from wvgcontrol.verify import NO_INSTANCES
 
@@ -231,6 +233,48 @@ class TestLayeredCount:
         )
         bands = BandSystem(game=game, distinguished=0, heavy=frozenset({1, 2}), blocks=blocks)
         assert pivot_count_layered(bands) == pivot_count_enum(game, 0)
+
+
+def oversized_block_system() -> BandSystem:
+    """Heavy 962 leaves residual 37 = 32 + 5: no subset of block ``hi``
+    (64, 64) makes 32, so block ``lo`` (31 ones, over the enumerable
+    limit) is never counted.  Quota 1000, distinguished weight 1."""
+    game = Game((1, 962, 64, 64) + (1,) * 31, 1000)
+    blocks = (
+        LightBlock("hi", BlockKind.ENUMERABLE, (2, 3), (64, 64), 32),
+        LightBlock("lo", BlockKind.ENUMERABLE, tuple(range(4, 35)), (1,) * 31, 1),
+    )
+    return BandSystem(game=game, distinguished=0, heavy=frozenset({1}), blocks=blocks)
+
+
+class TestOneTermWalk:
+    """The full count, the per-heavy terms and the deletion counter share
+    one walk, so they share its guards and its early stop."""
+
+    def test_every_user_applies_the_interval_width_guard(self):
+        game = Game((4097, 6000, 6000, 1, 2), 10000)
+        block = LightBlock("lo", BlockKind.ENUMERABLE, (3, 4), (1, 2), 1)
+        bands = BandSystem(game=game, distinguished=0, heavy=frozenset({1, 2}), blocks=(block,))
+        for count in (
+            lambda: heavy_pivot_term(bands, 1),
+            lambda: pivot_count_layered(bands),
+            lambda: DeletionCounter(bands),
+        ):
+            with pytest.raises(BandStructureError, match="limit 4096"):
+                count()
+
+    def test_a_zero_block_count_stops_before_an_oversized_block(self):
+        bands = oversized_block_system()
+        assert pivot_count_layered(bands) == DeletionCounter(bands).count(()) == 0
+        assert heavy_pivot_term(bands, 1) == count_light_subsets(bands, 37) == 0
+        assert pivot_count_mitm(bands.game, 0) == 0
+
+    def test_layered_search_past_an_oversized_block_is_exhaustive(self):
+        bands = oversized_block_system()
+        instance = ControlInstance(bands.game, 0, 1, Goal.DECREASE, bands=bands)
+        report = solve_control(instance, engine="layered")
+        assert report.verdict == "NO-exhaustive"
+        assert report.candidates_evaluated == 4
 
 
 def _exhaustive_candidates(instance):

@@ -184,6 +184,34 @@ class TestControlCommand:
         assert code == EXIT_OK
         assert "verdict: YES" in capsys.readouterr().out
 
+    def test_restricted_group_the_instance_lacks_exits_2(self, or2_cnf, tmp_path, capsys):
+        out = tmp_path / "dec.instance"
+        main(["reduce", str(or2_cnf), "--kind", "decrease", "-k", "1", "--relaxed", "-o", str(out)])
+        code = main(["control", str(out), "--mode", "restricted", "--groups", "A,Q"])
+        assert code == EXIT_INPUT
+        assert "'Q'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, code, named",
+        [
+            (["--deletions", "3"], EXIT_INPUT, "--deletions"),
+            (["--player", "5"], EXIT_INPUT, "--player"),
+            (["--player", "0", "--deletions", "1"], EXIT_OK, None),
+        ],
+    )
+    def test_instance_document_flags_must_match_the_document(
+        self, or2_cnf, tmp_path, capsys, flags, code, named
+    ):
+        out = tmp_path / "dec.instance"
+        main(["reduce", str(or2_cnf), "--kind", "decrease", "-k", "1", "--relaxed", "-o", str(out)])
+        capsys.readouterr()
+        assert main(["control", str(out), *flags]) == code
+        captured = capsys.readouterr()
+        if named is None:
+            assert "verdict: YES" in captured.out
+        else:
+            assert named in captured.err and not captured.out
+
     def test_sampled_mode(self, or2_cnf, tmp_path, capsys):
         out = tmp_path / "dec.instance"
         main(["reduce", str(or2_cnf), "--kind", "decrease", "-k", "1", "--relaxed", "-o", str(out)])

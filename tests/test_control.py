@@ -19,6 +19,7 @@ from wvgcontrol import (
     ExactIndex,
     Game,
     Goal,
+    InputError,
     build_decrease,
     build_maintain,
     build_nonincrease,
@@ -177,6 +178,13 @@ class TestModes:
         )
         with pytest.raises(Exception, match="group"):
             solve_control(instance, mode=Restricted(("A",)))
+
+    def test_restricted_rejects_groups_the_instance_lacks(self):
+        instance = build_decrease(CnfFormula(2, (frozenset({1, 2}),)), 1, strict=False)
+        with pytest.raises(InputError, match="'Q'"):
+            solve_control(instance, engine="layered", mode=Restricted(("Q",)))
+        with pytest.raises(InputError, match="'Q', 'R'$"):
+            solve_control(instance, engine="layered", mode=Restricted(("A", "Q", "R")))
 
     def test_restricted_a_only_covers_all_subsets(self):
         formula = CnfFormula(3, (frozenset({1, 2, 3}), frozenset({-1, 2, 3})))
