@@ -183,6 +183,12 @@ class Restricted:
 
     groups: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        # With no group nothing is deletable, and the one empty candidate
+        # would pass for an exhaustive NO.
+        if not self.groups:
+            raise InputError("restricted search needs at least one group")
+
 
 SearchMode = Exhaustive | Sampled | Restricted
 
@@ -193,10 +199,6 @@ class DeletionCandidate:
 
     class_counts: tuple[tuple[int, int], ...]  # (class weight, deleted) — weight desc
     players: frozenset[int]
-
-    @property
-    def size(self) -> int:
-        return sum(count for _, count in self.class_counts)
 
     def describe(self) -> str:
         if not self.class_counts:
@@ -405,12 +407,14 @@ def solve_control(
 
     restrict = mode.groups if isinstance(mode, Restricted) else None
     space = _CandidateSpace(_candidate_classes(instance, restrict), instance.budget)
-    if isinstance(mode, Sampled):
-        size = space.count(min_size, instance.budget)
-        rng = random.Random(mode.seed)
+    size = space.count(min_size, instance.budget)
+    # drawing from an empty space leaves nothing unexamined: that NO is exhaustive
+    sampled = mode if isinstance(mode, Sampled) and size else None
+    if sampled is not None:
+        rng = random.Random(sampled.seed)
         candidates = (
             space.candidate(rng.randrange(size), min_size, instance.budget)
-            for _ in range(mode.trials if size else 0)
+            for _ in range(sampled.trials)
         )
     else:
         candidates = (
@@ -450,7 +454,6 @@ def solve_control(
             witness, after_witness = candidate, after
             reverified = _reverify(variant, count, engine_used, budget)
             break
-    sampled = isinstance(mode, Sampled)
     verdict = "YES" if witness is not None else "NO-sampled" if sampled else "NO-exhaustive"
     return SearchReport(
         goal=instance.goal,
@@ -463,6 +466,6 @@ def solve_control(
         min_index_seen=min_seen,
         max_index_seen=max_seen,
         reverified_with=reverified,
-        seed=mode.seed if sampled else None,
-        trials=mode.trials if sampled else None,
+        seed=sampled.seed if sampled else None,
+        trials=sampled.trials if sampled else None,
     )

@@ -75,9 +75,6 @@ class CnfFormula:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
-    def variables_of_clause(self, index: int) -> frozenset[int]:
-        return frozenset(abs(lit) for lit in self.clauses[index])
-
     def satisfied_by(self, mask: int) -> bool:
         """Evaluate under the assignment bitmask (bit i-1 = value of x_i)."""
         for clause in self.clauses:

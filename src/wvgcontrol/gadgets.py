@@ -19,7 +19,9 @@ maintain gadget's L levels, and the ladder X, X', Y, Y', Y*, Y**, Z, Z')
 stacks by one rule, :func:`_stack`: a level's weight is one more than the
 number of members of the level below, times that level's weight.  All
 the members below a level then weigh less than one of its members, so
-the levels add up without carries.
+the levels add up without carries.  Each band block is declared where its
+players are added, at the weights they were added with: the band system
+lists E and ABC first, then the stacked levels from the top.
 
 Strict mode enforces the parameter range the hardness argument needs
 (``4 <= k < n``); relaxed mode accepts ``1 <= k < n`` so that every
@@ -246,6 +248,12 @@ class ControlInstance:
     meta: dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "goal", Goal(self.goal))
+        except ValueError:
+            raise InputError(
+                f"unknown goal {self.goal!r}; expected one of {[g.value for g in Goal]}"
+            ) from None
         self.game.check_player(self.distinguished)
         if not 0 <= self.budget < self.game.num_players:
             raise InputError(
@@ -308,29 +316,22 @@ def _check_mode(k: int, n: int, strict: bool) -> str:
     return "relaxed"
 
 
-def _uniform_block(name: str, members: Sequence[int], weight: int) -> LightBlock:
-    return LightBlock(
-        name,
-        BlockKind.UNIFORM_CHAIN_LEVEL,
-        tuple(members),
-        tuple(weight for _ in members),
-        weight,
-    )
-
-
 class _GadgetFrame:
     """What the decrease and maintain gadgets share, in canonical player order.
 
     Construction adds player 1 and the groups A to F; the builder then adds
-    its own heavy groups (and, for maintain, the L levels) through
-    ``add_group`` and ``add_family``; ``finish`` adds the ladder X, X', Y,
-    Y', Y*, Y**, Z, Z', Z* and assembles the band system and the instance.
+    its own heavy groups through ``add_group`` and ``add_family`` (and, for
+    maintain, the L levels through ``add_level``); ``finish`` adds the
+    ladder X, X', Y, Y', Y*, Y**, Z, Z', Z* and assembles the band system
+    and the instance.  A band block is declared where its players are
+    added: E and ABC at construction, the stacked levels bottom up through
+    ``add_level``; the band system lists E and ABC first, then the levels
+    from the top.
     """
 
     def __init__(
         self, formula: CnfFormula, k: int, x: int, wide: int, narrow: int
     ) -> None:
-        n = formula.num_variables
         self.formula, self.k = formula, k
         #: the ladder levels X .. Z' from the bottom up, as (label, members)
         self.ladder = (
@@ -347,17 +348,25 @@ class _GadgetFrame:
         self.weights: list[int] = []
         self.labels: list[str] = []
         self.heavy: list[int] = []
+        #: the stacked level blocks, least significant first
+        self.levels: list[LightBlock] = []
         self.add("player-1", 1)
-        self.a_idx: list[int | None] = [None] * n
-        self.b_idx: list[int | None] = [None] * n
-        for label, variables in (("A", range(k)), ("B", range(k, n))):
-            for carriers, weights in ((self.a_idx, pre.a_weights), (self.b_idx, pre.b_weights)):
-                for i in variables:
-                    carriers[i] = self.add(label, weights[i])
-        self.c_idx = self.add_group("C", pre.c_weights)
+        a_head = self.add_group("A", pre.a_weights[:k])
+        b_head = self.add_group("A", pre.b_weights[:k])
+        a_tail = self.add_group("B", pre.a_weights[k:])
+        b_tail = self.add_group("B", pre.b_weights[k:])
+        self.a_idx, self.b_idx = a_head + a_tail, b_head + b_tail
+        c_idx = self.add_group("C", pre.c_weights)
         self.add_family("D", [pre.q_prime + rung["X'"]], (rung["X"], range(k)))
-        self.e_idx = self.add_group("E", pre.scaled_weights)
+        e_idx = self.add_group("E", pre.scaled_weights)
         self.add_heavy("F", [pre.q_double_prime + rung["X'"]])
+        #: the two clause-encoding blocks, E above ABC
+        self.clause_blocks = (
+            self.block("E", BlockKind.ENUMERABLE, e_idx, 10**pre.t * pre.scale),
+            self.block(
+                "ABC", BlockKind.ENUMERABLE, self.a_idx + self.b_idx + c_idx, 10**pre.t
+            ),
+        )
         #: ``pairs[i]`` is the weight of both literals of variable ``x_{i+1}``, ``i < k``
         self.pairs = [a + b for a, b in zip(pre.a_weights[:k], pre.b_weights[:k])]
 
@@ -368,6 +377,20 @@ class _GadgetFrame:
 
     def add_group(self, label: str, group_weights: Iterable[int]) -> list[int]:
         return [self.add(label, w) for w in group_weights]
+
+    def block(
+        self, label: str, kind: BlockKind, members: Sequence[int], granularity: int
+    ) -> LightBlock:
+        """The band block of ``members``, at the weights they were added with."""
+        weights = tuple(self.weights[p] for p in members)
+        return LightBlock(label, kind, tuple(members), weights, granularity)
+
+    def add_level(
+        self, label: str, kind: BlockKind, weights: Sequence[int], granularity: int
+    ) -> None:
+        """Add a stacked level's players on top of the levels added so far."""
+        members = self.add_group(label, weights)
+        self.levels.append(self.block(label, kind, members, granularity))
 
     def add_heavy(self, label: str, completions: Iterable[int]) -> None:
         """One heavy player of weight ``(quota - 1) - completion`` per completion."""
@@ -390,56 +413,20 @@ class _GadgetFrame:
             completions = [c + m * weight for c in completions for m in multipliers]
         self.add_heavy(label, completions)
 
-    def finish(
-        self,
-        goal: Goal,
-        kind: str,
-        meta: dict[str, object],
-        extra_blocks: tuple[LightBlock, ...] = (),
-    ) -> ControlInstance:
+    def finish(self, goal: Goal, kind: str, meta: dict[str, object]) -> ControlInstance:
         """Add the ladder and build the instance; ``meta`` follows kind, k, n, m, t."""
         pre, k = self.pre, self.k
-        uniform = [
-            _uniform_block(
-                label, self.add_group(label, [self.rung[label]] * size), self.rung[label]
-            )
-            for label, size in self.ladder
-        ]
-        zs_idx = self.add_group("Z*", self.z_star)
+        for label, size in self.ladder:
+            weight = self.rung[label]
+            self.add_level(label, BlockKind.UNIFORM_CHAIN_LEVEL, [weight] * size, weight)
+        self.add_level("Z*", BlockKind.SUPERINCREASING, self.z_star, self.z_star[0])
 
         game = Game(tuple(self.weights), self.quota)
-        abc_members = (
-            [p for p in self.a_idx if p is not None]
-            + [p for p in self.b_idx if p is not None]
-            + self.c_idx
-        )
-        blocks = (
-            LightBlock(
-                "E",
-                BlockKind.ENUMERABLE,
-                tuple(self.e_idx),
-                pre.scaled_weights,
-                granularity=10**pre.t * pre.scale,
-            ),
-            LightBlock(
-                "ABC",
-                BlockKind.ENUMERABLE,
-                tuple(abc_members),
-                tuple(game.weights[p] for p in abc_members),
-                granularity=10**pre.t,
-            ),
-            LightBlock(
-                "Z*",
-                BlockKind.SUPERINCREASING,
-                tuple(zs_idx),
-                self.z_star,
-                granularity=self.z_star[0],
-            ),
-            *reversed(uniform),  # most significant first
-            *extra_blocks,
-        )
         bands = BandSystem(
-            game=game, distinguished=0, heavy=frozenset(self.heavy), blocks=blocks
+            game=game,
+            distinguished=0,
+            heavy=frozenset(self.heavy),
+            blocks=(*self.clause_blocks, *reversed(self.levels)),  # most significant first
         )
         return ControlInstance(
             game=game,
@@ -548,9 +535,8 @@ def build_maintain(
     # the ladder stacks on the L levels
     frame = _GadgetFrame(formula, k, x=_stack(1, delta.exponents)[-1], wide=n + 2, narrow=k)
     rung, pairs, z_star = frame.rung, frame.pairs, frame.z_star
-    level_idx = [
-        frame.add_group(f"L{i + 1}", [w_i] * d_i) for i, (d_i, w_i) in enumerate(levels)
-    ]
+    for i, (d_i, w_i) in enumerate(levels):
+        frame.add_level(f"L{i + 1}", BlockKind.UNIFORM_CHAIN_LEVEL, [w_i] * d_i, w_i)
     v_multiset = [0, 0] + list(range(1, n + 2)) + [n + 2, n + 2]
     for d_i, w_i in levels:
         l_term = (w_i, range(d_i + 1))
@@ -558,15 +544,10 @@ def build_maintain(
         frame.add_family("T", pairs, (rung["Y'"], range(n + 3)), (rung["Z'"], range(k)), l_term)
         frame.add_family("U", pairs, (rung["Y*"], range(1, k + 1)), l_term)
         frame.add_family("V", z_star, (rung["Y**"], v_multiset), l_term)
-    level_blocks = tuple(
-        _uniform_block(f"L{i + 1}", level_idx[i], w_i)
-        for i, (_, w_i) in reversed(list(enumerate(levels)))
-    )
     return frame.finish(
         Goal.MAINTAIN,
         "maintain",
         {"ell": ell, "delta_exponents": list(delta.exponents), "mode": mode},
-        level_blocks,
     )
 
 

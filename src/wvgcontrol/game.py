@@ -57,10 +57,6 @@ class Game:
     def num_players(self) -> int:
         return len(self.weights)
 
-    @property
-    def total_weight(self) -> int:
-        return sum(self.weights)
-
     def check_player(self, player: int) -> int:
         if not 0 <= player < len(self.weights):
             raise InvalidCoalitionError(

@@ -83,6 +83,11 @@ class TestGoalRelations:
         assert not relation_holds(Goal.DECREASE, hi, hi)
         assert not relation_holds(Goal.MAINTAIN, hi, lo)
 
+    def test_instance_refuses_an_unknown_goal(self, example1):
+        with pytest.raises(InputError, match="'decrease'"):
+            ControlInstance(example1, 1, 1, "decrease")
+        assert ControlInstance(example1, 1, 1, "DECREASE").goal is Goal.DECREASE
+
 
 class TestMinimumDeletionRule:
     def test_maintain_cannot_use_empty_deletion(self):
@@ -178,6 +183,20 @@ class TestModes:
         )
         with pytest.raises(Exception, match="group"):
             solve_control(instance, mode=Restricted(("A",)))
+
+    def test_sampled_over_an_empty_space_is_exhaustive(self):
+        # maintain needs one deletion and the budget allows none: no candidate
+        instance = example1_instance(Goal.MAINTAIN, budget=0)
+        report = solve_control(instance, mode=Sampled(seed=9, trials=40))
+        assert report.verdict == "NO-exhaustive"
+        assert report.candidates_evaluated == 0
+        assert report.seed is None and report.trials is None
+
+    def test_restricted_refuses_no_group(self):
+        instance = build_decrease(CnfFormula(2, (frozenset({1, 2}),)), 1, strict=False)
+        assert solve_control(instance, engine="layered").verdict == "YES"
+        with pytest.raises(InputError, match="at least one group"):
+            solve_control(instance, engine="layered", mode=Restricted(()))
 
     def test_restricted_rejects_groups_the_instance_lacks(self):
         instance = build_decrease(CnfFormula(2, (frozenset({1, 2}),)), 1, strict=False)
