@@ -45,7 +45,7 @@ from typing import AbstractSet, Iterable, Iterator
 
 from .engines import HalfSums, count_window, half_sum_tables
 from .errors import BandStructureError, InputError
-from .game import Game
+from .game import Game, decimal_str
 
 
 class BlockKind(str, Enum):
@@ -156,13 +156,14 @@ class BandSystem:
         for block in reversed(self.blocks):
             if below >= block.granularity:
                 raise BandStructureError(
-                    f"no-carry violation: blocks below {block.name} weigh {below} "
-                    f"total, at least its granularity {block.granularity}"
+                    f"no-carry violation: blocks below {block.name} weigh {decimal_str(below)} "
+                    f"total, at least its granularity {decimal_str(block.granularity)}"
                 )
             if below >= block.min_gap:
                 raise BandStructureError(
-                    f"no-carry violation: blocks below {block.name} weigh {below} "
-                    f"total, at least its smallest superincreasing gap {block.min_gap}"
+                    f"no-carry violation: blocks below {block.name} weigh {decimal_str(below)} "
+                    f"total, at least its smallest superincreasing gap "
+                    f"{decimal_str(block.min_gap)}"
                 )
             below += block.max_sum
 
@@ -170,13 +171,14 @@ class BandSystem:
         if light_total >= game.quota - game.weights[self.distinguished]:
             raise BandStructureError(
                 "light players alone can reach the pivotal interval "
-                f"(total {light_total} vs quota {game.quota})"
+                f"(total {decimal_str(light_total)} vs quota {decimal_str(game.quota)})"
             )
         heavy_weights = sorted(map(game.weights.__getitem__, self.heavy))
         if len(heavy_weights) >= 2 and heavy_weights[0] + heavy_weights[1] <= game.quota:
             raise BandStructureError(
                 "two heavy players fit under the quota together "
-                f"({heavy_weights[0]} + {heavy_weights[1]} <= {game.quota})"
+                f"({decimal_str(heavy_weights[0])} + {decimal_str(heavy_weights[1])} "
+                f"<= {decimal_str(game.quota)})"
             )
 
     def _check_partition(self) -> None:

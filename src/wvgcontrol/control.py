@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .bands import DeletionCounter, pivot_count_layered
@@ -32,7 +32,7 @@ from .engines import (
     pivot_count_weight_dp,
 )
 from .errors import BudgetExceededError, InputError, WvgError
-from .game import ExactIndex, Game, weight_class_partition
+from .game import ExactIndex, Game, decimal_str, weight_class_partition
 from .gadgets import ControlInstance, Goal
 
 _RELATIONS = {
@@ -59,10 +59,11 @@ CandidateScore = Callable[[frozenset[int]], int]
 
 @dataclass(frozen=True)
 class _Engine:
-    """One entry of the engine table: when it accepts an instance, how it
-    runs, and how a search over that instance scores its candidates."""
+    """One entry of the engine table: why it refuses an instance (``None``
+    when it accepts), how it runs, and how a search over that instance
+    scores its candidates."""
 
-    feasible: Callable[[ControlInstance, EngineBudget], bool]
+    refusal: Callable[[ControlInstance, EngineBudget], str | None]
     run: Callable[[ControlInstance, EngineBudget], int]
     search: Callable[[ControlInstance, EngineBudget], CandidateScore]
 
@@ -77,57 +78,46 @@ def _brute_force(
         return engine()(instance.game, instance.distinguished, budget)
 
     return _Engine(
-        lambda instance, budget: refusal(instance.game, budget) is None,
+        lambda instance, budget: refusal(instance.game, budget),
         run,
         lambda instance, budget: lambda players: run(instance.delete(players), budget),
     )
 
 
-def _run_layered(instance: ControlInstance, budget: EngineBudget) -> int:
+def _layered_refusal(instance: ControlInstance, budget: EngineBudget) -> str | None:
     if instance.bands is None:
-        raise BudgetExceededError(
-            "layered engine needs band metadata, which this instance lacks"
-        )
-    return pivot_count_layered(instance.bands)
+        return "layered engine needs band metadata, which this instance lacks"
+    return None
 
 
-def _search_layered(instance: ControlInstance, budget: EngineBudget) -> CandidateScore:
-    # Targets and block counts once per search; each candidate recounts
-    # only the blocks its deletion touches, and nothing is deleted.
-    return DeletionCounter(instance.bands).count
-
-
-_BRUTE_FORCE = {
+ENGINES = {
     "enum": _brute_force(enum_refusal, lambda: pivot_count_enum),
     "mitm": _brute_force(mitm_refusal, lambda: pivot_count_mitm),
     "dp": _brute_force(dp_refusal, lambda: pivot_count_weight_dp),
-}
-ENGINES = {
-    **_BRUTE_FORCE,
     "layered": _Engine(
-        lambda instance, budget: instance.bands is not None, _run_layered, _search_layered
+        _layered_refusal,
+        lambda instance, budget: pivot_count_layered(instance.bands),
+        # Targets and block counts once per search; each candidate recounts
+        # only the blocks its deletion touches, and nothing is deleted.
+        lambda instance, budget: DeletionCounter(instance.bands).count,
     ),
 }
 ENGINE_CHOICES = ("auto", *ENGINES)
 
 
 def pick_engine(instance: ControlInstance, budget: EngineBudget = DEFAULT_BUDGET) -> str:
-    """Deterministic auto-selection: layered when bands exist, else the
-    cheapest brute-force engine whose budget accepts the instance
-    (enumeration first while it has at most 20 co-players)."""
-    small_enum = replace(budget, max_enum_players=min(budget.max_enum_players, 20))
-    for name, limits in (
-        ("layered", budget),
-        ("enum", small_enum),
-        ("mitm", budget),
-        ("dp", budget),
-        ("enum", budget),
-    ):
-        if ENGINES[name].feasible(instance, limits):
+    """Deterministic auto-selection by a fixed order, not by cost: layered
+    when the instance has band metadata; then, up to 20 co-players, the
+    first of enum, mitm and dp that accepts, and past 20 the first of
+    mitm, dp and enum."""
+    small = instance.game.num_players - 1 <= 20
+    brute_force = ("enum", "mitm", "dp") if small else ("mitm", "dp", "enum")
+    for name in ("layered", *brute_force):
+        if ENGINES[name].refusal(instance, budget) is None:
             return name
     raise BudgetExceededError(
         f"no engine accepts this instance ({instance.game.num_players} players, "
-        f"quota {instance.game.quota}) within the configured budgets"
+        f"quota {decimal_str(instance.game.quota)}) within the configured budgets"
     )
 
 
@@ -138,6 +128,8 @@ def compute_pivot_count(
     name = pick_engine(instance, budget) if engine == "auto" else engine
     if name not in ENGINES:
         raise InputError(f"unknown engine {name!r}; expected one of {sorted(ENGINES)}")
+    if (refusal := ENGINES[name].refusal(instance, budget)) is not None:
+        raise BudgetExceededError(refusal)
     return ENGINES[name].run(instance, budget), name
 
 
@@ -153,10 +145,10 @@ def banzhaf(
 ) -> ExactIndex:
     """The probabilistic Penrose-Banzhaf index as an exact dyadic rational,
     by one of the brute-force engines (``enum``, ``mitm`` or ``dp``)."""
-    if engine not in _BRUTE_FORCE:
-        raise InputError(f"unknown engine {engine!r}; expected one of {sorted(_BRUTE_FORCE)}")
-    instance = ControlInstance(game, player, 0, Goal.DECREASE)
-    return ExactIndex(_BRUTE_FORCE[engine].run(instance, budget), game.num_players - 1)
+    brute_force = ("enum", "mitm", "dp")
+    if engine not in brute_force:
+        raise InputError(f"unknown engine {engine!r}; expected one of {sorted(brute_force)}")
+    return compute_index(ControlInstance(game, player, 0, Goal.DECREASE), engine, budget)[0]
 
 
 @dataclass(frozen=True)
@@ -184,6 +176,9 @@ class Restricted:
     groups: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        # A bare string would be searched as one group per character.
+        if isinstance(self.groups, str):
+            raise InputError(f"restricted search needs a tuple of group names, not {self.groups!r}")
         # With no group nothing is deletable, and the one empty candidate
         # would pass for an exhaustive NO.
         if not self.groups:
@@ -203,7 +198,7 @@ class DeletionCandidate:
     def describe(self) -> str:
         if not self.class_counts:
             return "delete nothing"
-        parts = [f"{count} x weight {weight}" for weight, count in self.class_counts]
+        parts = [f"{count} x weight {decimal_str(weight)}" for weight, count in self.class_counts]
         return "delete " + ", ".join(parts)
 
 
@@ -346,12 +341,22 @@ class _CandidateSpace:
         return _make_candidate(classes, takes)
 
 
-def _reverify(
-    variant: ControlInstance, count: int, engine_used: str, budget: EngineBudget
+def _confirm_witness(
+    instance: ControlInstance, witness: DeletionCandidate, count: int, engine_used: str,
+    budget: EngineBudget,
 ) -> str | None:
-    """Recompute a witness count with a different engine when budgets allow."""
+    """Delete a witness's players and recount in full, first with the engine
+    that searched, then with the first other engine that accepts; any
+    disagreement is a ``WvgError``.  Returns the second engine, if any."""
+    variant = instance.delete(witness.players)
+    recount = ENGINES[engine_used].run(variant, budget)
+    if recount != count:
+        raise WvgError(
+            f"search count disagrees with a full {engine_used} recount on witness "
+            f"[{witness.describe()}]: {count} vs {recount}"
+        )
     for name, entry in ENGINES.items():
-        if name == engine_used or not entry.feasible(variant, budget):
+        if name == engine_used or entry.refusal(variant, budget) is not None:
             continue
         other = entry.run(variant, budget)
         if other != count:
@@ -400,7 +405,6 @@ def solve_control(
     ``ControlInstance.delete``, recounted in full and re-verified.
     """
     before_count, engine_used = compute_pivot_count(instance, engine, budget)
-    run = ENGINES[engine_used].run
     score = ENGINES[engine_used].search(instance, budget)
     before = ExactIndex(before_count, instance.game.num_players - 1)
     min_size = 1 if _RELATIONS[instance.goal](before, before) else 0
@@ -444,15 +448,8 @@ def solve_control(
         if max_seen is None or after > max_seen:
             max_seen = after
         if relation_holds(instance.goal, before, after):
-            variant = instance.delete(candidate.players)
-            recount = run(variant, budget)
-            if recount != count:
-                raise WvgError(
-                    f"search count disagrees with a full {engine_used} recount on witness "
-                    f"[{candidate.describe()}]: {count} vs {recount}"
-                )
+            reverified = _confirm_witness(instance, candidate, count, engine_used, budget)
             witness, after_witness = candidate, after
-            reverified = _reverify(variant, count, engine_used, budget)
             break
     verdict = "YES" if witness is not None else "NO-sampled" if sampled else "NO-exhaustive"
     return SearchReport(

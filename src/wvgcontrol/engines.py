@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BudgetExceededError, InputError
-from .game import Game
+from .game import Game, decimal_str
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def _count_subsets_in_interval(weights: list[int], lo: int, hi: int) -> int:
 def _over_budget(refusal: str, size: int, budget: EngineBudget, limit: str) -> str | None:
     """``refusal`` naming ``size`` and the limit when ``size`` exceeds it."""
     allowed = getattr(budget, limit)
-    return None if size <= allowed else f"{refusal.format(size)} ({limit}={allowed})"
+    return None if size <= allowed else f"{refusal.format(decimal_str(size))} ({limit}={allowed})"
 
 
 def enum_refusal(game: Game, budget: EngineBudget) -> str | None:

@@ -23,6 +23,17 @@ from .errors import InputError, InvalidCoalitionError
 Coalition = frozenset[int]
 
 
+def decimal_str(value: int) -> str:
+    """``str(value)`` at any length.  CPython refuses int-to-str conversion
+    past ``sys.get_int_max_str_digits()`` digits (4,300 by default) and
+    ``decimal`` does not; library code leaves that interpreter-wide limit
+    alone."""
+    try:
+        return str(value)
+    except ValueError:
+        return str(Decimal(value))
+
+
 @dataclass(frozen=True)
 class Game:
     """A weighted voting game ``(w_0, ..., w_{n-1}; quota)``.

@@ -20,22 +20,22 @@ from __future__ import annotations
 
 import json
 import re
+from decimal import Decimal
 from typing import Any
 
 from .bands import BandSystem, BlockKind, LightBlock
 from .errors import FileFormatError
-from .game import Game
+from .game import Game, decimal_str
 from .gadgets import ControlInstance, Goal
-
-
-def _decimal_string(value: int) -> str:
-    return str(int(value))
 
 
 def _parse_decimal(value: Any, what: str) -> int:
     if not isinstance(value, str) or not re.fullmatch(r"-?[0-9]+", value):
         raise FileFormatError(f"{what} must be a decimal string, got {value!r}")
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:  # longer than the interpreter's int/str digit limit
+        return int(Decimal(value))
 
 
 def _is_int(value: Any) -> bool:
@@ -51,8 +51,8 @@ def _int_array(value: Any, what: str) -> list[int]:
 
 def _game_fields(game: Game) -> dict[str, Any]:
     return {
-        "weights": [_decimal_string(w) for w in game.weights],
-        "quota": _decimal_string(game.quota),
+        "weights": [decimal_str(w) for w in game.weights],
+        "quota": decimal_str(game.quota),
     }
 
 
@@ -65,6 +65,8 @@ def _parse_object(text: str, what: str) -> dict:
         document = json.loads(text)
     except json.JSONDecodeError as error:
         raise FileFormatError(f"not valid JSON: {error}") from error
+    except ValueError as error:  # longer than the interpreter's int/str digit limit
+        raise FileFormatError(f"unreadable JSON number: {error}") from error
     if not isinstance(document, dict):
         raise FileFormatError(f"{what} document must be a JSON object")
     return document
@@ -106,7 +108,7 @@ def dump_instance(instance: ControlInstance) -> str:
                     "name": block.name,
                     "kind": block.kind.value,
                     "members": list(block.members),
-                    "granularity": _decimal_string(block.granularity),
+                    "granularity": decimal_str(block.granularity),
                 }
                 for block in instance.bands.blocks
             ],

@@ -410,8 +410,9 @@ def _assert_restrict_matches_rebuild(bands: BandSystem, players) -> None:
 
 @pytest.mark.filterwarnings("ignore::wvgcontrol.gadgets.GadgetConstructionNote")
 class TestDerivedRestrict:
-    """``BandSystem.restrict`` derives the smaller system from its parent;
-    the validating constructor over the same survivors is its oracle."""
+    """``BandSystem.restrict`` checks its inputs and builds the smaller
+    system with the validating constructor; a rebuild from the survivors'
+    own fields is its oracle."""
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_every_exhaustive_candidate_of_the_decrease_gadgets(self, which):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -79,6 +80,19 @@ class TestIndexCommand:
         assert code == EXIT_BUDGET
         assert "quota 100000000000000 (max_dp_quota=" in capsys.readouterr().err
 
+    def test_layered_engine_on_a_bare_game_exits_3(self, example1_file, capsys):
+        code = main(["index", str(example1_file), "--player", "1", "--engine", "layered"])
+        assert code == EXIT_BUDGET
+        assert "band metadata" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("engine", ["auto", "dp"])
+    def test_refusal_names_a_quota_past_the_int_str_digit_limit(self, tmp_path, capsys, engine):
+        path = tmp_path / "wide.game"
+        path.write_text(dump_game(Game(tuple(range(1, 51)), 10**5000)))
+        code = main(["index", str(path), "--player", "0", "--engine", engine])
+        assert code == EXIT_BUDGET
+        assert "quota 1" + "0" * 5000 in capsys.readouterr().err
+
 
 class TestReduceAndIndex:
     def test_reduce_roundtrip_and_layered_index(self, or2_cnf, tmp_path, capsys):
@@ -140,6 +154,21 @@ class TestReduceAndIndex:
         document = json.loads(out.read_text())
         reloaded = load_instance(out.read_text())
         assert [str(w) for w in reloaded.game.weights] == document["weights"]
+
+    def test_reduce_writes_weights_past_the_int_str_digit_limit(self, tmp_path, capsys):
+        # 300 clauses over 6 variables: 2,138 players, weights of ~4,800 digits
+        rng = random.Random(1)
+        lines = ["p cnf 6 300"]
+        for _ in range(300):
+            literals = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 7), 3)]
+            lines.append(" ".join(map(str, literals)) + " 0")
+        cnf, out = tmp_path / "wide.cnf", tmp_path / "wide.instance"
+        cnf.write_text("\n".join(lines) + "\n")
+        code = main(["reduce", str(cnf), "--kind", "decrease", "-k", "4", "-o", str(out)])
+        assert code == EXIT_OK
+        assert "players: 2138" in capsys.readouterr().out
+        assert main(["index", str(out)]) == EXIT_INPUT
+        assert "enumerable block E has 912 members" in capsys.readouterr().err
 
 
 class TestControlCommand:

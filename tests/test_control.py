@@ -13,13 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wvgcontrol import (
+    BudgetExceededError,
     CnfFormula,
     ControlInstance,
     DeletionCounter,
+    EngineBudget,
     ExactIndex,
     Game,
     Goal,
     InputError,
+    banzhaf,
     build_decrease,
     build_maintain,
     build_nonincrease,
@@ -28,7 +31,16 @@ from wvgcontrol import (
     solve_control,
 )
 from wvgcontrol import control
-from wvgcontrol.control import Exhaustive, Restricted, Sampled, _CandidateSpace, relation_holds
+from wvgcontrol.control import (
+    DeletionCandidate,
+    Exhaustive,
+    Restricted,
+    Sampled,
+    _CandidateSpace,
+    compute_index,
+    pick_engine,
+    relation_holds,
+)
 from wvgcontrol.engines import pivot_count_enum
 from wvgcontrol.errors import WvgError
 from wvgcontrol.verify import NO_INSTANCES
@@ -198,6 +210,11 @@ class TestModes:
         with pytest.raises(InputError, match="at least one group"):
             solve_control(instance, engine="layered", mode=Restricted(()))
 
+    @pytest.mark.parametrize("groups", ["AB", "player-1"])
+    def test_restricted_refuses_a_bare_string(self, groups):
+        with pytest.raises(InputError, match="tuple of group names"):
+            Restricted(groups)
+
     def test_restricted_rejects_groups_the_instance_lacks(self):
         instance = build_decrease(CnfFormula(2, (frozenset({1, 2}),)), 1, strict=False)
         with pytest.raises(InputError, match="'Q'"):
@@ -239,6 +256,36 @@ class TestEngineSelection:
         report = solve_control(instance)
         assert report.engine == "enum"
 
+    @staticmethod
+    def _bare(num_players: int, quota: int) -> ControlInstance:
+        game = Game(tuple(range(1, num_players + 1)), quota)
+        return ControlInstance(game, 0, 0, Goal.DECREASE)
+
+    @pytest.mark.parametrize(
+        "co_players, engine",
+        [(20, "enum"), (21, "mitm"), (44, "mitm"), (45, "dp"), (60, "dp")],
+    )
+    def test_auto_order_by_co_players(self, co_players, engine):
+        assert pick_engine(self._bare(co_players + 1, 100)) == engine
+
+    def test_auto_falls_back_to_enum_when_mitm_and_dp_refuse(self):
+        budget = EngineBudget(max_mitm_half=5, max_dp_quota=10)
+        assert pick_engine(self._bare(22, 100), budget) == "enum"
+
+    def test_no_engine_accepts_a_wide_game_with_a_large_quota(self):
+        refusal = r"no engine accepts this instance \(50 players, quota 2000001\)"
+        with pytest.raises(BudgetExceededError, match=refusal):
+            compute_index(self._bare(50, 2_000_001))
+
+    def test_layered_refuses_a_bare_game(self, example1):
+        instance = ControlInstance(example1, 1, 0, Goal.DECREASE)
+        with pytest.raises(BudgetExceededError, match="band metadata"):
+            compute_index(instance, "layered")
+
+    def test_banzhaf_takes_brute_force_engines_only(self, example1):
+        with pytest.raises(InputError, match="unknown engine 'layered'"):
+            banzhaf(example1, 1, "layered")
+
 
 class TestGoldenCandidateOrder:
     """sha256 prefixes of the candidate sequences ``solve_control`` walks
@@ -277,6 +324,11 @@ class TestGoldenCandidateOrder:
         instance = build_decrease(*NO_INSTANCES[1], strict=False)
         instance = replace(instance, goal=goal)
         assert self._walk(monkeypatch, instance, mode) == (length, digest)
+
+
+def test_describe_writes_weights_past_the_int_str_digit_limit():
+    candidate = DeletionCandidate(((10**5000, 2),), frozenset({0, 1}))
+    assert candidate.describe() == "delete 2 x weight 1" + "0" * 5000
 
 
 def _lex_walk(caps, low, high, descending):

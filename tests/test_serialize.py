@@ -10,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wvgcontrol import (
+    BandStructureError,
     CnfFormula,
+    ControlInstance,
     FileFormatError,
     Game,
+    Goal,
     build_decrease,
     build_maintain,
     build_nonincrease,
@@ -37,6 +40,14 @@ class TestGameDocuments:
     def test_roundtrip_huge_weights(self):
         game = Game((10**60 + 7, 3, 10**45), 10**60)
         assert load_game(dump_game(game)) == game
+
+    def test_roundtrip_past_the_int_str_digit_limit(self):
+        game = Game((10**5000 + 7, 3, 7**6000), 10**5000)
+        assert load_game(dump_game(game)) == game
+
+    def test_overlong_json_number_is_a_format_error(self):
+        with pytest.raises(FileFormatError, match="JSON number"):
+            load_game('{"weights": ["1"], "quota": "1", "extra": 1' + "0" * 5000 + "}")
 
     def test_decimal_strings_only(self):
         text = dump_game(Game((10**40, 5), 10**39))
@@ -93,6 +104,29 @@ class TestInstanceDocuments:
         loaded = load_instance(dump_instance(instance))
         assert pivot_count_layered(loaded.bands) == pivot_count_layered(instance.bands)
         assert loaded.meta["ell"] == 3
+
+    def test_roundtrip_past_the_int_str_digit_limit(self):
+        game = Game((7**6000, 10**5000 + 1, 1), 10**5000)
+        instance = ControlInstance(game, 2, 1, Goal.NONINCREASE, groups=("A", "B", "p"))
+        assert load_instance(dump_instance(instance)) == instance
+
+    def test_band_error_names_weights_past_the_int_str_digit_limit(self):
+        heavy = "1" + "0" * 5000
+        document = {
+            "weights": [heavy, heavy, "1", "1"],
+            "quota": "3" + "0" * 5000,
+            "distinguished": 2,
+            "budget": 1,
+            "goal": "DECREASE",
+            "bands": {
+                "heavy": [0, 1],
+                "blocks": [
+                    {"name": "L", "kind": "ENUMERABLE", "members": [3], "granularity": "1"}
+                ],
+            },
+        }
+        with pytest.raises(BandStructureError, match=f"together \\({heavy} \\+ {heavy} <="):
+            load_instance(json.dumps(document))
 
     def test_bad_goal(self):
         instance = build_decrease(OR2, 1, strict=False)
