@@ -24,14 +24,15 @@ the same validating constructor.
 
 ``pivot_count_layered``, ``heavy_pivot_term`` and ``DeletionCounter``
 read one walk over the pivotal coalition weights, which yields every
-nonzero heavy term with its per-block targets and counts.  Deleting
-players never changes the per-block targets of a residual (the split is
-unique over all light subsets, and the survivors' subsets are among
-them), so ``DeletionCounter`` keeps the terms and scores a deletion by
-dropping the deleted heavy players' terms and recounting only the
-blocks it touches.
-Control search scores its candidates that way, so it deletes players
-(and restricts their band system) only for a witness.
+nonzero heavy term with its per-block targets and counts.  The walk
+memoises block counts and the splits below each block in two dicts that
+go when it ends, so each target is counted and each remainder split once.
+Deleting players never changes the per-block targets of a residual (the
+split is unique over all light subsets, and the survivors' subsets are
+among them), so ``DeletionCounter`` keeps the terms and scores a deletion
+by dropping the deleted heavy players' terms and recounting only the
+blocks it touches.  Control search scores its candidates that way, so it
+deletes players (and restricts their band system) only for a witness.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import takewhile
 from typing import AbstractSet, Iterable, Iterator
 
 from .engines import HalfSums, count_window, half_sum_tables
@@ -255,41 +255,51 @@ class BandSystem:
         )
 
 
-def _greedy_remainder(weights: tuple[int, ...], value: int) -> int:
-    """What is left of ``value`` after taking superincreasing ``weights``
-    greedily from the largest; zero iff some subset sums to ``value``."""
-    for w in reversed(weights):
-        if value >= w:
-            value -= w
-    return value
+def _share(block: LightBlock, remaining: int) -> int | None:
+    """The block's forced share of ``remaining``: its superincreasing members
+    taken greedily from the largest, or else the multiple of its granularity
+    that leaves the blocks below less than it (``None`` above its total)."""
+    if block.kind is BlockKind.SUPERINCREASING:
+        left = remaining
+        for w in reversed(block.weights):
+            if left >= w:
+                left -= w
+        return remaining - left
+    value = remaining - remaining % block.granularity
+    return value if value <= block.max_sum else None
+
+
+def _split(blocks: tuple[LightBlock, ...], residual: int, suffixes: dict) -> tuple | None:
+    """Per-block targets of ``residual``, or ``None``.  ``suffixes`` maps
+    (block index, remaining) to the targets from that block on, or ``None``;
+    the loop goes down to a known suffix and fills the memo on the way back."""
+    if residual < 0:
+        raise InputError("residual must be nonnegative")
+    path, index, remaining = [], 0, residual
+    while (index, remaining) not in suffixes:
+        if index == len(blocks):
+            suffixes[index, remaining] = None if remaining else ()
+            break
+        share = _share(blocks[index], remaining)
+        if share is None:
+            suffixes[index, remaining] = None
+            break
+        path.append((index, remaining, share))
+        index, remaining = index + 1, remaining - share
+    targets = suffixes[index, remaining]
+    for index, remaining, share in reversed(path):
+        if targets is not None:
+            targets = (share, *targets)
+        suffixes[index, remaining] = targets
+    return targets
 
 
 def decompose_target(bands: BandSystem, residual: int) -> Decomposition | None:
-    """Split ``residual`` into per-block targets; unique when it exists.
-
-    Works greedily from the most significant block.  For granular blocks
-    the block's share is forced: it is the unique multiple of the
-    granularity leaving a remainder the lower blocks can still carry.
-    Superincreasing blocks take members greedily from the largest.
-    Returns ``None`` when some block's forced share is unreachable or a
-    nonzero remainder survives the last block.
-    """
-    if residual < 0:
-        raise InputError("residual must be nonnegative")
-    remaining = residual
-    targets: list[int] = []
-    for block in bands.blocks:
-        if block.kind is BlockKind.SUPERINCREASING:
-            value = remaining - _greedy_remainder(block.weights, remaining)
-        else:
-            value = remaining - remaining % block.granularity
-            if value > block.max_sum:
-                return None
-        targets.append(value)
-        remaining -= value
-    if remaining != 0:
-        return None
-    return Decomposition(tuple(targets))
+    """Split ``residual`` into per-block targets, each block taking its forced
+    share from the most significant down; unique when it exists, ``None`` when
+    some share is unreachable or a nonzero remainder survives the last block."""
+    targets = _split(bands.blocks, residual, {})
+    return None if targets is None else Decomposition(targets)
 
 
 # Meet-in-the-middle tables for enumerable blocks, cached per weight tuple
@@ -325,7 +335,7 @@ def count_block(block: LightBlock, target: int) -> int:
     if block.kind is BlockKind.UNIFORM_CHAIN_LEVEL:
         return math.comb(len(block.members), target // block.granularity)
     if block.kind is BlockKind.SUPERINCREASING:
-        return 1 if _greedy_remainder(block.weights, target) == 0 else 0
+        return int(_share(block, target) == target)
     if len(block.members) > _MAX_ENUMERABLE:
         raise BandStructureError(
             f"enumerable block {block.name} has {len(block.members)} members "
@@ -334,19 +344,28 @@ def count_block(block: LightBlock, target: int) -> int:
     return _enum_count(block.weights, target)
 
 
-def _block_counts(bands: BandSystem, residual: int) -> tuple[tuple[int, ...], ...] | None:
+def _block_counts(blocks: tuple, residual: int, suffixes: dict, counts: dict) -> tuple | None:
     """Per-block targets and counts of the light subsets summing to ``residual``,
-    or ``None`` at the first zero count (the blocks after it are not counted)."""
-    decomposition = decompose_target(bands, residual)
-    if decomposition is None:
+    or ``None`` at the first zero count (the blocks after it are not counted).
+    The split is finished before any block is counted; ``suffixes`` memoises
+    it and ``counts`` memoises ``count_block`` on (block index, target)."""
+    targets = _split(blocks, residual, suffixes)
+    if targets is None:
         return None
-    counts = tuple(takewhile(bool, map(count_block, bands.blocks, decomposition.targets)))
-    return (decomposition.targets, counts) if len(counts) == len(bands.blocks) else None
+    found = []
+    for index, target in enumerate(targets):
+        count = counts.get((index, target))
+        if count is None:
+            count = counts[index, target] = count_block(blocks[index], target)
+        if not count:
+            return None
+        found.append(count)
+    return targets, tuple(found)
 
 
 def count_light_subsets(bands: BandSystem, residual: int) -> int:
     """Number of light subsets (all blocks combined) summing to ``residual``."""
-    counted = _block_counts(bands, residual)
+    counted = _block_counts(bands.blocks, residual, {}, {})
     return math.prod(counted[1]) if counted else 0
 
 
@@ -357,7 +376,9 @@ def _pivot_terms(bands: BandSystem, heavies: list[int]) -> Iterator[tuple]:
     """Every nonzero pivot-count term: a pivotal coalition weight less the
     weight of one of ``heavies``, as (heavy player, per-block targets,
     per-block counts, their product).  A generator, so that a caller that
-    only sums the products holds one term at a time."""
+    only sums the products holds one term at a time.  The walk memoises
+    block counts and split suffixes in two dicts of its own frame, which go
+    when it ends."""
     game = bands.game
     w_p = game.weights[bands.distinguished]
     if w_p > _MAX_INTERVAL_WIDTH:
@@ -368,10 +389,11 @@ def _pivot_terms(bands: BandSystem, heavies: list[int]) -> Iterator[tuple]:
     # Re-assert the zero heavy-free term rather than trusting construction.
     if bands.light_total >= game.quota - w_p:
         raise BandStructureError("light players alone can reach the pivotal interval")
+    blocks, suffixes, counts = bands.blocks, {}, {}
     for coalition_weight in range(game.quota - w_p, game.quota):
         for heavy in heavies:
             residual = coalition_weight - game.weights[heavy]
-            counted = _block_counts(bands, residual) if residual >= 0 else None
+            counted = _block_counts(blocks, residual, suffixes, counts) if residual >= 0 else None
             if counted:
                 yield heavy, *counted, math.prod(counted[1])
 

@@ -177,9 +177,12 @@ def _instance_from_document(document: dict) -> ControlInstance:
             members = _int_array(raw_block.get("members"), "block 'members'")
             for member in members:
                 game.check_player(member)
+            name = raw_block.get("name", kind.value)
+            if not isinstance(name, str):
+                raise FileFormatError(f"block 'name' must be a string, got {name!r}")
             blocks.append(
                 LightBlock(
-                    str(raw_block.get("name", kind.value)),
+                    name,
                     kind,
                     tuple(members),
                     tuple(game.weights[m] for m in members),

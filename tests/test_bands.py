@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import random
@@ -30,7 +31,8 @@ from wvgcontrol import (
     delete_players,
     pivot_count_layered,
 )
-from wvgcontrol.bands import count_light_subsets, heavy_pivot_term
+from wvgcontrol import bands as bands_module
+from wvgcontrol.bands import _pivot_terms, count_light_subsets, heavy_pivot_term
 from wvgcontrol.control import _CandidateSpace, _candidate_classes, solve_control
 from wvgcontrol.engines import pivot_count_enum, pivot_count_mitm
 from wvgcontrol.verify import NO_INSTANCES
@@ -361,6 +363,91 @@ class TestDeletionCounter:
             counter.count({0})
         with pytest.raises(InvalidCoalitionError):
             counter.count({bands.game.num_players})
+
+
+def _unmemoised_terms(bands: BandSystem) -> list[tuple]:
+    """The walk's terms with every residual split and every block counted
+    afresh: ``decompose_target``, then ``count_block`` from the most
+    significant block down to the first zero count."""
+    game = bands.game
+    w_p = game.weights[bands.distinguished]
+    terms = []
+    for coalition_weight in range(game.quota - w_p, game.quota):
+        for heavy in sorted(bands.heavy):
+            residual = coalition_weight - game.weights[heavy]
+            decomposition = decompose_target(bands, residual) if residual >= 0 else None
+            if decomposition is None:
+                continue
+            counts = []
+            for block, target in zip(bands.blocks, decomposition.targets):
+                counts.append(count_block(block, target))
+                if not counts[-1]:
+                    break
+            if all(counts):
+                terms.append((heavy, decomposition.targets, tuple(counts), math.prod(counts)))
+    return terms
+
+
+def _walked(name: str) -> BandSystem:
+    """The toy, the 318-player strict decrease gadget, or ``kind-which``,
+    a relaxed gadget of ``NO_INSTANCES[which]``."""
+    if name == "toy":
+        return banded_toy()
+    if name == "strict-decrease":
+        bands = build_decrease(CnfFormula(5, (frozenset({1, 2, 3, 4, 5}),)), 4).bands
+        assert bands.game.num_players == 318
+        return bands
+    kind, which = name.split("-")
+    return _gadget(kind, int(which)).bands
+
+
+@pytest.mark.filterwarnings("ignore::wvgcontrol.gadgets.GadgetConstructionNote")
+class TestMemoisedWalk:
+    """One walk splits each remainder and counts each block target once;
+    its terms are those of a split and a count per heavy player."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            *(f"{kind}-{which}" for kind in ("decrease", "nonincrease", "maintain") for which in (0, 1)),
+            "strict-decrease",
+            "toy",
+        ],
+    )
+    def test_terms_match_an_unmemoised_reference(self, name):
+        bands = _walked(name)
+        terms = list(_pivot_terms(bands, sorted(bands.heavy)))
+        assert terms
+        assert terms == _unmemoised_terms(bands)
+
+    @pytest.mark.parametrize("name", ["maintain-1", "strict-decrease"])
+    def test_each_block_target_is_counted_once_per_count(self, name, monkeypatch):
+        bands = _walked(name)
+        index_of = {id(block): index for index, block in enumerate(bands.blocks)}
+        counted = []
+        original = bands_module.count_block
+
+        def counting(block, target):
+            counted.append((index_of[id(block)], target))
+            return original(block, target)
+
+        monkeypatch.setattr(bands_module, "count_block", counting)
+        assert pivot_count_layered(bands) > 0
+        assert len(counted) == len(set(counted)) > 0
+        assert len(counted) < len(bands.heavy) * len(bands.blocks)
+
+    def test_the_walk_leaves_no_reference_cycle(self):
+        # two memo dicts die with the walk's frame; a self-referencing
+        # helper would keep them until the next cyclic collection
+        bands = _gadget("decrease", 1).bands
+        gc.collect()
+        gc.disable()
+        try:
+            pivot_count_layered(bands)
+            DeletionCounter(bands)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def _rebuilt(bands: BandSystem, surviving: dict[int, int], game: Game) -> BandSystem:

@@ -409,3 +409,14 @@ def test_malformed_instance_document_exits_2(tmp_path, capsys, banded, mutate, f
     path.write_text(json.dumps(document))
     assert main(["index", str(path), "--player", "0"]) == EXIT_INPUT
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", [5, [5]], ids=["int", "array"])
+def test_non_string_block_name_exits_2(tmp_path, capsys, name):
+    instance = build_decrease(CnfFormula(2, (frozenset({1, 2}),)), 1, strict=False)
+    document = json.loads(dump_instance(instance))
+    document["bands"]["blocks"][0]["name"] = name
+    path = tmp_path / "bad.instance"
+    path.write_text(json.dumps(document))
+    assert main(["index", str(path), "--player", "0"]) == EXIT_INPUT
+    assert "block 'name'" in capsys.readouterr().err

@@ -142,6 +142,21 @@ class TestInstanceDocuments:
         with pytest.raises(FileFormatError, match="kind"):
             load_instance(json.dumps(document))
 
+    @pytest.mark.parametrize("name", [5, [5], None, True])
+    def test_block_name_must_be_a_string(self, name):
+        instance = build_decrease(OR2, 1, strict=False)
+        document = json.loads(dump_instance(instance))
+        document["bands"]["blocks"][0]["name"] = name
+        with pytest.raises(FileFormatError, match="block 'name'"):
+            load_instance(json.dumps(document))
+
+    def test_missing_block_name_defaults_to_the_kind(self):
+        instance = build_decrease(OR2, 1, strict=False)
+        document = json.loads(dump_instance(instance))
+        del document["bands"]["blocks"][0]["name"]
+        kind = document["bands"]["blocks"][0]["kind"]
+        assert load_instance(json.dumps(document)).bands.blocks[0].name == kind
+
     def test_plain_instance_roundtrip(self, example1):
         from wvgcontrol import ControlInstance, Goal
 
