@@ -43,9 +43,18 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
-def _echo(args: argparse.Namespace, path: Path) -> None:
+def _read(path: Path) -> tuple[str, bytes]:
+    """The input file's text and the bytes it was decoded from, read once."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8"), data
+    except UnicodeDecodeError as error:
+        raise InputError(f"{path}: not UTF-8 text ({error})") from error
+
+
+def _echo(args: argparse.Namespace, path: Path, data: bytes) -> None:
     print(f"command: {' '.join(args.argv)}")
-    print(f"input:   {path} (sha256/16 {hashlib.sha256(path.read_bytes()).hexdigest()[:16]})")
+    print(f"input:   {path} (sha256/16 {hashlib.sha256(data).hexdigest()[:16]})")
 
 
 def _fraction_line(label: str, index: ExactIndex) -> str:
@@ -60,17 +69,18 @@ def _budget_from(args: argparse.Namespace) -> EngineBudget:
     )
 
 
-def _load_any_instance(path: Path) -> ControlInstance | Game:
+def _load_any_instance(path: Path, text: str) -> ControlInstance | Game:
     """Instance document if it has instance fields, else a bare game."""
     try:
-        return load_document(path.read_text())
+        return load_document(text)
     except (InputError, BandStructureError) as error:
         raise InputError(f"{path}: {error}") from error
 
 
 def cmd_index(args: argparse.Namespace) -> int:
     path = Path(args.input)
-    loaded = _load_any_instance(path)
+    text, data = _read(path)
+    loaded = _load_any_instance(path, text)
     if isinstance(loaded, ControlInstance) and args.player in (None, loaded.distinguished):
         instance = loaded
     elif args.player is None:
@@ -79,7 +89,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         # Indices of non-distinguished players never use band metadata.
         game = loaded.game if isinstance(loaded, ControlInstance) else loaded
         instance = ControlInstance(game, args.player, 0, Goal.DECREASE)
-    _echo(args, path)
+    _echo(args, path, data)
     started = time.perf_counter()
     index, engine_used = compute_index(instance, args.engine, _budget_from(args))
     elapsed = time.perf_counter() - started
@@ -91,7 +101,8 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_control(args: argparse.Namespace) -> int:
     path = Path(args.input)
-    loaded = _load_any_instance(path)
+    text, data = _read(path)
+    loaded = _load_any_instance(path, text)
     if isinstance(loaded, Game):
         missing = [
             flag
@@ -130,7 +141,7 @@ def cmd_control(args: argparse.Namespace) -> int:
         if not args.groups:
             raise InputError("restricted mode needs --groups")
         mode = Restricted(tuple(args.groups.split(",")))
-    _echo(args, path)
+    _echo(args, path, data)
     started = time.perf_counter()
     report = solve_control(instance, args.engine, mode, _budget_from(args))
     elapsed = time.perf_counter() - started
@@ -155,7 +166,8 @@ def cmd_control(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     path = Path(args.cnf)
-    formula = parse_dimacs(path.read_text(), strip_tautologies=args.strip_tautologies)
+    text, data = _read(path)
+    formula = parse_dimacs(text, strip_tautologies=args.strip_tautologies)
     strict = not args.relaxed
     if args.kind == "decrease":
         instance = build_decrease(formula, args.k, strict=strict)
@@ -170,7 +182,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         instance = build_maintain(formula, args.k, ell, strict=strict)
     out = Path(args.output)
     out.write_text(dump_instance(instance))
-    _echo(args, path)
+    _echo(args, path, data)
     print(f"kind:    {args.kind} ({instance.meta.get('mode')} mode)")
     print(f"players: {instance.game.num_players}, budget {instance.budget}")
     print(f"wrote:   {out}")
@@ -179,8 +191,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     path = Path(args.cnf)
-    formula = parse_dimacs(path.read_text(), strip_tautologies=args.strip_tautologies)
-    _echo(args, path)
+    text, data = _read(path)
+    formula = parse_dimacs(text, strip_tautologies=args.strip_tautologies)
+    _echo(args, path, data)
     started = time.perf_counter()
     if args.kind == "count-sat":
         print(f"#SAT = {count_sat(formula)}")

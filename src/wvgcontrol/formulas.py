@@ -6,9 +6,7 @@ of the suffix assignments satisfying?") and the exact-count variant.
 Everything enumerates within an explicit variable budget and refuses
 beyond it.
 
-Input conventions, enforced at construction: a clause never contains a
-variable together with its negation (such a clause would be trivially
-true), and every variable of the declared range occurs in some clause.
+Input conventions are enforced by ``CnfFormula`` alone (see its docstring).
 
 Assignments are encoded two ways: externally as tuples of 0/1 with
 position ``i`` holding variable ``x_{i+1}``, internally as bitmasks whose
@@ -36,7 +34,9 @@ class CnfFormula:
     """A CNF formula over variables ``1..num_variables``.
 
     Clauses are sets of nonzero literals; literal ``v`` means the variable
-    is true, ``-v`` that it is false.
+    is true, ``-v`` that it is false.  Construction alone judges clause
+    validity: no clause is empty, out of range or tautological (trivially
+    true), and every variable of the range occurs in some clause.
     """
 
     num_variables: int
@@ -62,8 +62,9 @@ class CnfFormula:
             for literal in clause:
                 if -literal in clause:
                     raise FormulaError(
-                        f"clause {position} contains x{abs(literal)} and its negation "
-                        "(tautological clauses are rejected)"
+                        f"clause {position} contains x{abs(literal)} and its negation; "
+                        "tautological clauses are rejected, strip them explicitly with "
+                        "--strip-tautologies (parse_dimacs's strip_tautologies=True)"
                     )
         missing = set(range(1, self.num_variables + 1)) - occurring
         if missing:
@@ -94,16 +95,16 @@ class CnfFormula:
 
 
 def parse_dimacs(text: str, strip_tautologies: bool = False) -> CnfFormula:
-    """Parse DIMACS cnf.
+    """Parse DIMACS cnf in one pass, closing a clause at each 0.
 
-    Tautological clauses are an error by default; with
-    ``strip_tautologies`` they are dropped instead (explicit
-    normalisation, never silent).  Unused variables remain an error either
-    way.
+    Only the DIMACS framing is checked here; ``CnfFormula`` judges the
+    clauses.  ``strip_tautologies`` drops tautological clauses before the
+    formula is built (explicit normalisation, never silent).
     """
     num_variables: int | None = None
-    declared_clauses: int | None = None
-    tokens: list[int] = []
+    declared_clauses = 0
+    clauses: list[frozenset[int]] = []
+    current: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -119,40 +120,27 @@ def parse_dimacs(text: str, strip_tautologies: bool = False) -> CnfFormula:
             continue
         if num_variables is None:
             raise FormulaError(f"line {line_no}: clause before the problem line")
-        try:
-            tokens.extend(int(tok) for tok in line.split())
-        except ValueError:
-            raise FormulaError(f"line {line_no}: non-integer token in {line!r}")
+        for token in line.split():
+            try:
+                literal = int(token)
+            except ValueError:
+                raise FormulaError(f"line {line_no}: non-integer token in {line!r}")
+            if literal:
+                current.append(literal)
+            else:
+                clauses.append(frozenset(current))
+                current = []
     if num_variables is None:
         raise FormulaError("missing problem line 'p cnf n m'")
-
-    clauses: list[list[int]] = []
-    current: list[int] = []
-    for token in tokens:
-        if token == 0:
-            clauses.append(current)
-            current = []
-        else:
-            current.append(token)
     if current:
         raise FormulaError("last clause is not terminated by 0")
     if declared_clauses != len(clauses):
         raise FormulaError(
             f"problem line declares {declared_clauses} clauses, found {len(clauses)}"
         )
-
-    kept: list[frozenset[int]] = []
-    for position, clause in enumerate(clauses, start=1):
-        literals = frozenset(clause)
-        if any(-lit in literals for lit in literals):
-            if strip_tautologies:
-                continue
-            raise FormulaError(
-                f"clause {position} is tautological; re-run with tautology "
-                "stripping to drop such clauses explicitly"
-            )
-        kept.append(literals)
-    return CnfFormula(num_variables, tuple(kept))
+    if strip_tautologies:
+        clauses = [c for c in clauses if not any(-literal in c for literal in c)]
+    return CnfFormula(num_variables, tuple(clauses))
 
 
 def _check_variable_budget(formula: CnfFormula) -> None:

@@ -266,6 +266,9 @@ class ControlInstance:
                 raise InputError("band metadata disagrees with the instance")
         if len(self.a_players) != len(self.b_players):
             raise InputError("a/b player tables must have equal length")
+        for carrier in self.a_players + self.b_players:
+            if carrier is not None:
+                self.game.check_player(carrier)
 
     def group_members(self, label: str) -> tuple[int, ...]:
         if self.groups is None:

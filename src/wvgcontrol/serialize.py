@@ -67,6 +67,8 @@ def _parse_object(text: str, what: str) -> dict:
         raise FileFormatError(f"not valid JSON: {error}") from error
     except ValueError as error:  # longer than the interpreter's int/str digit limit
         raise FileFormatError(f"unreadable JSON number: {error}") from error
+    except RecursionError as error:
+        raise FileFormatError("JSON nested too deeply to read") from error
     if not isinstance(document, dict):
         raise FileFormatError(f"{what} document must be a JSON object")
     return document

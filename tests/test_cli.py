@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,11 +15,13 @@ from wvgcontrol import (
     Game,
     Goal,
     build_decrease,
+    build_nonincrease,
     dump_game,
     dump_instance,
     load_instance,
 )
-from wvgcontrol.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, build_parser, main
+from wvgcontrol import verify
+from wvgcontrol.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_OK, build_parser, main
 from wvgcontrol.verify import SuiteOptions
 
 pytestmark = pytest.mark.filterwarnings("ignore::wvgcontrol.gadgets.GadgetConstructionNote")
@@ -148,6 +152,15 @@ class TestReduceAndIndex:
         instance = load_instance(out.read_text())
         assert instance.meta["ell"] == 3
 
+    def test_reduce_nonincrease(self, or2_cnf, tmp_path, capsys):
+        out = tmp_path / "non.instance"
+        command = ["reduce", str(or2_cnf), "--kind", "nonincrease", "-k", "1", "--relaxed",
+                   "-o", str(out)]
+        assert main(command) == EXIT_OK
+        assert "kind:    nonincrease (relaxed mode)" in capsys.readouterr().out
+        expected = build_nonincrease(CnfFormula(2, (frozenset({1, 2}),)), 1, strict=False)
+        assert out.read_text() == dump_instance(expected)
+
     def test_reduce_emits_bit_exact_game(self, or2_cnf, tmp_path):
         out = tmp_path / "dec.instance"
         main(["reduce", str(or2_cnf), "--kind", "decrease", "-k", "1", "--relaxed", "-o", str(out)])
@@ -265,6 +278,13 @@ class TestOracleCommand:
     def test_e_exact_needs_parameters(self, or2_cnf):
         assert main(["oracle", "e-exact-sat", str(or2_cnf)]) == EXIT_INPUT
 
+    def test_e_exact(self, or2_cnf, capsys):
+        # x1 = 0 leaves exactly one suffix (x2 = 1) satisfying x1 v x2
+        assert main(["oracle", "e-exact-sat", str(or2_cnf), "--k", "1", "--ell", "1"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "verdict: YES" in out
+        assert "witness prefix: 0" in out
+
     def test_tautology_errors_without_flag(self, tmp_path):
         path = tmp_path / "taut.cnf"
         path.write_text("p cnf 2 2\n1 -1 2 0\n1 2 0\n")
@@ -355,12 +375,75 @@ class TestDocumentLoading:
         assert str(path) in capsys.readouterr().err
 
 
+INPUT_COMMANDS = {
+    "index": ["index", "FILE", "--player", "0"],
+    "control": ["control", "FILE", "--player", "0", "--deletions", "1", "--goal", "decrease"],
+    "reduce": ["reduce", "FILE", "--kind", "decrease", "-k", "1", "--relaxed", "-o", "OUT"],
+    "oracle": ["oracle", "count-sat", "FILE"],
+}
+
+
+def _run_on(command, path, tmp_path):
+    files = {"FILE": str(path), "OUT": str(tmp_path / "out.instance")}
+    return main([files.get(arg, arg) for arg in INPUT_COMMANDS[command]])
+
+
+@pytest.mark.parametrize("command", sorted(INPUT_COMMANDS))
+def test_non_utf8_input_exits_2_naming_the_file(tmp_path, capsys, command):
+    path = tmp_path / "latin1.input"
+    path.write_bytes(b"\xff" + b"p cnf 2 1\n1 2 0\n")
+    assert _run_on(command, path, tmp_path) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "UTF-8" in err
+
+
+@pytest.mark.parametrize("command", sorted(INPUT_COMMANDS))
+def test_echoed_digest_is_of_the_one_read(example1_file, or2_cnf, tmp_path, monkeypatch,
+                                          capsys, command):
+    path = or2_cnf if command in ("reduce", "oracle") else example1_file
+    reads = []
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
+    monkeypatch.setattr(Path, "read_text", lambda self, *args, **kwargs: pytest.fail("read_text"))
+    assert _run_on(command, path, tmp_path) == EXIT_OK
+    monkeypatch.undo()
+    assert reads == [path]
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    assert f"(sha256/16 {digest})" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["index", "control"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "deep.game"
+    path.write_text("[" * 100_000)
+    assert _run_on(command, path, tmp_path) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "nested too deeply" in err
+    assert str(path) in err
+
+
 class TestVerifyCommand:
     def test_example1_suite(self, capsys):
         assert main(["verify", "example1"]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("suite", sorted(verify.SUITES))
+    def test_every_suite_passes(self, suite, capsys):
+        assert main(["verify", suite]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "PASS" in out
+        assert "FAIL" not in out
+
+    def test_failing_check_exits_1(self, monkeypatch, capsys):
+        failing = lambda options: [verify.CheckResult("always fails", False, "made to fail")]
+        monkeypatch.setitem(verify.SUITES, "example1", failing)
+        assert main(["verify", "example1"]) == EXIT_CHECK_FAILED
+        out = capsys.readouterr().out
+        assert "FAIL  always fails  [made to fail]" in out
+        assert "1 check(s) FAILED" in out
 
 
 def _set_weight(value):
@@ -385,6 +468,8 @@ def _set_band(key, value):
         (True, _set_band("blocks", [5]), "bands.blocks"),
         (False, lambda document: document.__setitem__("distinguished", True), "distinguished"),
         (False, lambda document: document.__setitem__("budget", False), "budget"),
+        (False, lambda document: document.update(a_players=[999], b_players=[998]),
+         "player 999 out of range"),
     ],
     ids=[
         "double-minus",
@@ -396,6 +481,7 @@ def _set_band(key, value):
         "blocks-int-entry",
         "distinguished-bool",
         "budget-bool",
+        "carrier-naming-no-player",
     ],
 )
 def test_malformed_instance_document_exits_2(tmp_path, capsys, banded, mutate, field):

@@ -22,6 +22,7 @@ from wvgcontrol import (
     Game,
     Goal,
     InputError,
+    InvalidCoalitionError,
     banzhaf,
     build_decrease,
     build_maintain,
@@ -99,6 +100,18 @@ class TestGoalRelations:
         with pytest.raises(InputError, match="'decrease'"):
             ControlInstance(example1, 1, 1, "decrease")
         assert ControlInstance(example1, 1, 1, "DECREASE").goal is Goal.DECREASE
+
+    @pytest.mark.parametrize(
+        "a_players, b_players",
+        [((999,), (998,)), ((2,), (6,)), ((None, -1), (3, None))],
+        ids=["both-past-the-end", "b-past-the-end", "negative"],
+    )
+    def test_carrier_tables_must_name_players(self, example1, a_players, b_players):
+        with pytest.raises(InvalidCoalitionError, match="out of range"):
+            ControlInstance(example1, 1, 1, Goal.DECREASE,
+                            a_players=a_players, b_players=b_players)
+        # null marks a deleted carrier and names no player
+        ControlInstance(example1, 1, 1, Goal.DECREASE, a_players=(None, 2), b_players=(5, None))
 
 
 class TestMinimumDeletionRule:

@@ -30,6 +30,10 @@ class TestParseDimacs:
         with pytest.raises(FormulaError, match="tautological"):
             parse_dimacs("p cnf 1 1\n1 -1 0\n")
 
+    def test_tautology_error_names_explicit_stripping(self):
+        with pytest.raises(FormulaError, match="--strip-tautologies"):
+            parse_dimacs("p cnf 2 2\n1 2 0\n2 -2 0\n")
+
     def test_tautology_stripping_is_explicit(self):
         formula = parse_dimacs("p cnf 2 2\n1 -1 2 0\n1 2 0\n", strip_tautologies=True)
         assert formula.clauses == (frozenset({1, 2}),)

@@ -16,6 +16,7 @@ from wvgcontrol import (
     FileFormatError,
     Game,
     Goal,
+    InvalidCoalitionError,
     build_decrease,
     build_maintain,
     build_nonincrease,
@@ -67,6 +68,10 @@ class TestGameDocuments:
     def test_invalid_json(self):
         with pytest.raises(FileFormatError, match="JSON"):
             load_game("not json")
+
+    def test_deeply_nested_json_is_a_format_error(self):
+        with pytest.raises(FileFormatError, match="nested too deeply"):
+            load_game("[" * 100_000)
 
 
 class TestLoadDocument:
@@ -156,6 +161,14 @@ class TestInstanceDocuments:
         del document["bands"]["blocks"][0]["name"]
         kind = document["bands"]["blocks"][0]["kind"]
         assert load_instance(json.dumps(document)).bands.blocks[0].name == kind
+
+    def test_carriers_must_name_players(self, example1):
+        document = json.loads(
+            dump_instance(ControlInstance(example1, 1, 1, Goal.DECREASE))
+        )
+        document["a_players"], document["b_players"] = [999], [998]
+        with pytest.raises(InvalidCoalitionError, match="player 999 out of range"):
+            load_instance(json.dumps(document))
 
     def test_plain_instance_roundtrip(self, example1):
         from wvgcontrol import ControlInstance, Goal
