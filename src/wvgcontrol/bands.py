@@ -29,9 +29,12 @@ memoises block counts and the splits below each block in two dicts that
 go when it ends, so each target is counted and each remainder split once.
 Deleting players never changes the per-block targets of a residual (the
 split is unique over all light subsets, and the survivors' subsets are
-among them), so ``DeletionCounter`` keeps the terms and scores a deletion
-by dropping the deleted heavy players' terms and recounting only the
-blocks it touches.  Control search scores its candidates that way, so it
+among them), so ``DeletionCounter`` keeps the terms, grouped by heavy
+player, and scores a deletion of light players L and heavy players H as
+``T(L) - sum(t_h(L) for h in H)``: every term after deleting L, less the
+deleted heavies' own, each term recounting only the blocks L touches.
+Two bounded memos on the counter reuse that work across the candidates
+of one search.  Control search scores its candidates that way, so it
 deletes players (and restricts their band system) only for a witness.
 """
 
@@ -423,6 +426,18 @@ def pivot_count_layered(bands: BandSystem, player: int | None = None) -> int:
     return sum(term[-1] for term in _pivot_terms(bands, sorted(bands.heavy)))
 
 
+# Each per-search memo of a ``DeletionCounter`` holds at most this many
+# entries and is emptied when full.
+_DELETION_MEMO_SIZE = 4096
+
+
+def _remember(memo: dict, key, value):
+    if len(memo) >= _DELETION_MEMO_SIZE:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
 class DeletionCounter:
     """Exact pivot counts after deleting original players, recounting only
     the blocks a deletion touches.
@@ -430,14 +445,19 @@ class DeletionCounter:
     The no-carry split of a residual across blocks is unique over all
     light subsets of the original game, and every subset of the survivors
     is such a subset, so each heavy player's per-block targets and block
-    counts are computed once, here.  After a deletion the count is the
-    same sum of heavy terms, except that the terms of deleted heavy
-    players drop out and, in each block the deletion touches, the
-    original block count is replaced by the count over the survivors
-    (zero for a target above their total).  Counts only shrink, so a term
-    that is zero in the original game stays zero and is not kept; every
-    kept block count is nonzero, which makes ``product // old * new``
-    exact.
+    counts are computed once, here, and grouped by heavy player.  After
+    deleting light players L and heavy players H the count is
+    ``T(L) - sum(t_h(L) for h in H)``: ``T(L)`` sums every heavy term
+    after deleting L and ``t_h(L)`` sums h's own terms.  A term after
+    deleting L is its original product with, in each block L touches, the
+    original block count replaced by the survivors' count (zero for a
+    target above their total).  Counts only shrink, so a term that is
+    zero in the original game stays zero and is not kept; every kept
+    block count is nonzero, which makes ``product // old * new`` exact.
+
+    Two memos of ints serve the candidates of one search: L to ``T(L)``,
+    and (block index, its deleted members) to the survivors' count of each
+    target in that block.  Each is emptied at ``_DELETION_MEMO_SIZE``.
     """
 
     def __init__(self, bands: BandSystem) -> None:
@@ -445,7 +465,13 @@ class DeletionCounter:
         self._block_of = {
             member: index for index, block in enumerate(bands.blocks) for member in block.members
         }
-        self._terms = list(_pivot_terms(bands, sorted(bands.heavy)))
+        self._terms: list[tuple] = []  # (targets, counts, product) of every heavy term
+        self._terms_of: dict[int, list[tuple]] = {}  # the same terms by heavy player
+        for heavy, *term in _pivot_terms(bands, sorted(bands.heavy)):
+            self._terms.append(term := tuple(term))
+            self._terms_of.setdefault(heavy, []).append(term)
+        self._totals: dict[frozenset[int], int] = {}
+        self._recounts: dict[tuple[int, frozenset[int]], dict[int, int]] = {}
 
     def count(self, players: Iterable[int]) -> int:
         """The pivot count after deleting ``players`` (original indices)."""
@@ -453,23 +479,37 @@ class DeletionCounter:
         deleted = bands.game.coalition(players)
         if bands.distinguished in deleted:
             raise InputError("cannot delete the distinguished player")
-        gone: dict[int, set[int]] = {}  # block index -> its deleted members
-        for player in deleted:
-            index = self._block_of.get(player)
-            if index is not None:
-                gone.setdefault(index, set()).add(player)
-        touched = [(index, bands.blocks[index].without(members)) for index, members in gone.items()]
-        recounted: dict[tuple[int, int], int] = {}
+        heavies = deleted & bands.heavy
+        light = deleted - heavies
+        total = self._totals.get(light)
+        if total is None or heavies:
+            gone: dict[int, set[int]] = {}  # block index -> its deleted members
+            for player in light:
+                gone.setdefault(self._block_of[player], set()).add(player)
+            touched = [self._recounted(index, frozenset(members)) for index, members in gone.items()]
+            if total is None:
+                total = _remember(self._totals, light, self._sum(self._terms, touched))
+            for heavy in heavies:
+                total -= self._sum(self._terms_of.get(heavy, ()), touched)
+        return total
+
+    def _recounted(self, index: int, members: frozenset[int]) -> tuple[int, dict[int, int]]:
+        """The block index with the survivors' count of each of its targets."""
+        recounted = self._recounts.get((index, members))
+        if recounted is None:
+            block = self.bands.blocks[index].without(members)
+            recounted = {
+                target: 0 if target > block.max_sum else count_block(block, target)
+                for target in {targets[index] for targets, _, _ in self._terms}
+            }
+            _remember(self._recounts, (index, members), recounted)
+        return index, recounted
+
+    @staticmethod
+    def _sum(terms: Iterable[tuple], touched: list[tuple[int, dict[int, int]]]) -> int:
         total = 0
-        for heavy, targets, counts, product in self._terms:
-            if heavy in deleted:
-                continue
-            for index, block in touched:
-                target = targets[index]
-                new = recounted.get((index, target))
-                if new is None:
-                    new = 0 if target > block.max_sum else count_block(block, target)
-                    recounted[index, target] = new
-                product = product // counts[index] * new
+        for targets, counts, product in terms:
+            for index, recounted in touched:
+                product = product // counts[index] * recounted[targets[index]]
             total += product
         return total

@@ -66,11 +66,13 @@ class CnfFormula:
                         "tautological clauses are rejected, strip them explicitly with "
                         "--strip-tautologies (parse_dimacs's strip_tautologies=True)"
                     )
-        missing = set(range(1, self.num_variables + 1)) - occurring
+        missing = self.num_variables - len(occurring)
         if missing:
-            raise FormulaError(
-                f"variables {sorted(missing)} never occur in any clause"
-            )
+            # the first five missing lie among the first len(occurring) + 5 variables
+            last = min(self.num_variables, len(occurring) + 5)
+            first = [v for v in range(1, last + 1) if v not in occurring][:5]
+            more = f" ({missing} in all)" if missing > len(first) else ""
+            raise FormulaError(f"variables {first}{more} never occur in any clause")
 
     @property
     def num_clauses(self) -> int:
@@ -115,8 +117,10 @@ def parse_dimacs(text: str, strip_tautologies: bool = False) -> CnfFormula:
             match = re.fullmatch(r"p\s+cnf\s+(\d+)\s+(\d+)", line)
             if not match:
                 raise FormulaError(f"line {line_no}: malformed problem line {line!r}")
-            num_variables = int(match.group(1))
-            declared_clauses = int(match.group(2))
+            try:
+                num_variables, declared_clauses = int(match.group(1)), int(match.group(2))
+            except ValueError:  # a count past the interpreter's int/str digit limit
+                raise FormulaError(f"line {line_no}: problem line count has too many digits")
             continue
         if num_variables is None:
             raise FormulaError(f"line {line_no}: clause before the problem line")

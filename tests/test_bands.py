@@ -6,6 +6,7 @@ import gc
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -363,6 +364,53 @@ class TestDeletionCounter:
             counter.count({0})
         with pytest.raises(InvalidCoalitionError):
             counter.count({bands.game.num_players})
+
+
+@pytest.mark.filterwarnings("ignore::wvgcontrol.gadgets.GadgetConstructionNote")
+class TestDeletionCounterMemos:
+    """One counter scores many deletions, as one search does; its memos of
+    light-deletion totals and touched-block recounts give the counts of a
+    fresh full count, also when every insertion evicts."""
+
+    @pytest.mark.parametrize("bound", [None, 1])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["decrease", "nonincrease", "maintain"]))
+    def test_one_counter_across_many_deletions(self, bound, data, kind):
+        instance = _gadget(kind, 1)
+        bands = instance.bands
+        light = [
+            p
+            for p in range(instance.game.num_players)
+            if p != instance.distinguished and p not in bands.heavy
+        ]
+        # a few light sets, each drawn again and again with heavy and Z*
+        # players added, the players of each deletion in shuffled order
+        light_sets = data.draw(
+            st.lists(
+                st.frozensets(st.sampled_from(light), max_size=instance.budget),
+                min_size=1,
+                max_size=5,
+            )
+        )
+        extra = st.one_of(
+            st.sampled_from(sorted(bands.heavy)), st.sampled_from(instance.group_members("Z*"))
+        )
+        draws = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(light_sets), st.frozensets(extra, max_size=2)),
+                min_size=2,
+                max_size=20,
+            )
+        )
+        limit = bands_module._DELETION_MEMO_SIZE if bound is None else bound
+        with mock.patch.object(bands_module, "_DELETION_MEMO_SIZE", limit):
+            counter = DeletionCounter(bands)
+            for light_set, more in draws:
+                players = data.draw(st.permutations(sorted(light_set | more)))
+                expected = pivot_count_layered(instance.delete(players).bands)
+                assert counter.count(players) == expected, sorted(players)
+                assert len(counter._totals) <= limit
+                assert len(counter._recounts) <= limit
 
 
 def _unmemoised_terms(bands: BandSystem) -> list[tuple]:

@@ -285,6 +285,12 @@ class TestOracleCommand:
         assert "verdict: YES" in out
         assert "witness prefix: 0" in out
 
+    def test_problem_line_count_past_the_int_str_digit_limit_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "long.cnf"
+        path.write_text("p cnf 1 " + "9" * 5000 + "\n1 0\n")
+        assert main(["oracle", "count-sat", str(path)]) == EXIT_INPUT
+        assert "line 1: problem line count has too many digits" in capsys.readouterr().err
+
     def test_tautology_errors_without_flag(self, tmp_path):
         path = tmp_path / "taut.cnf"
         path.write_text("p cnf 2 2\n1 -1 2 0\n1 2 0\n")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -66,6 +67,26 @@ class TestParseDimacs:
     def test_roundtrip(self):
         formula = CnfFormula(3, (frozenset({1, -2}), frozenset({2, 3})))
         assert parse_dimacs(formula.to_dimacs()) == formula
+
+    @pytest.mark.parametrize("header", ["p cnf 1 {digits}", "p cnf {digits} 1"])
+    def test_problem_line_count_past_the_int_str_digit_limit(self, header):
+        # 5,000 digits exceed CPython's default 4,300-digit int/str limit
+        text = "c a comment\n" + header.format(digits="9" * 5000) + "\n1 0\n"
+        with pytest.raises(FormulaError, match="line 2: problem line count"):
+            parse_dimacs(text)
+
+    def test_unused_variables_are_judged_in_time_with_the_input(self):
+        start = time.perf_counter()
+        with pytest.raises(FormulaError, match="never occur") as error:
+            parse_dimacs("p cnf 1000000000 1\n1 0\n")
+        assert time.perf_counter() - start < 1.0
+        message = str(error.value)
+        assert len(message) < 1024
+        assert "[2, 3, 4, 5, 6] (999999999 in all)" in message
+
+    def test_unused_variables_are_all_named_when_few(self):
+        with pytest.raises(FormulaError, match=r"variables \[1, 3, 4, 5, 7\] never occur"):
+            parse_dimacs("p cnf 7 2\n2 0\n6 0\n")
 
 
 class TestFormulaValidation:
