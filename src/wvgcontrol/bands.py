@@ -33,6 +33,8 @@ among them), so ``DeletionCounter`` keeps the terms, grouped by heavy
 player, and scores a deletion of light players L and heavy players H as
 ``T(L) - sum(t_h(L) for h in H)``: every term after deleting L, less the
 deleted heavies' own, each term recounting only the blocks L touches.
+``heavy_terms(L)`` gives every nonzero ``t_h(L)`` by the same recount;
+``gadgets.layered_case_counts`` reads one counter's, for L empty.
 Two bounded memos on the counter reuse that work across the candidates
 of one search.  Control search scores its candidates that way, so it
 deletes players (and restricts their band system) only for a witness.
@@ -44,7 +46,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import AbstractSet, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .engines import HalfSums, count_window, half_sum_tables
 from .errors import BandStructureError, InputError
@@ -115,12 +117,6 @@ class LightBlock:
                 )
         object.__setattr__(self, "max_sum", sum(weights))
         object.__setattr__(self, "min_gap", gap)
-
-    def without(self, gone: AbstractSet[int]) -> LightBlock:
-        """The block minus the members in ``gone``; indices stay as they are."""
-        kept = [(m, w) for m, w in zip(self.members, self.weights) if m not in gone]
-        members, weights = (tuple(column) for column in zip(*kept)) if kept else ((), ())
-        return LightBlock(self.name, self.kind, members, weights, self.granularity)
 
     def restrict(self, surviving: dict[int, int]) -> LightBlock:
         """The block after a deletion, with indices remapped by ``surviving``."""
@@ -448,16 +444,18 @@ class DeletionCounter:
     counts are computed once, here, and grouped by heavy player.  After
     deleting light players L and heavy players H the count is
     ``T(L) - sum(t_h(L) for h in H)``: ``T(L)`` sums every heavy term
-    after deleting L and ``t_h(L)`` sums h's own terms.  A term after
-    deleting L is its original product with, in each block L touches, the
-    original block count replaced by the survivors' count (zero for a
-    target above their total).  Counts only shrink, so a term that is
-    zero in the original game stays zero and is not kept; every kept
-    block count is nonzero, which makes ``product // old * new`` exact.
+    after deleting L and ``t_h(L)`` sums h's own terms; ``heavy_terms``
+    gives every nonzero ``t_h(L)``.  A term after deleting L is its
+    original product with, in each block L touches, the original block
+    count replaced by the survivors' count (zero for a target above their
+    total).  Counts only shrink, so a term that is zero in the original
+    game stays zero and is not kept; every kept block count is nonzero,
+    which makes ``product // old * new`` exact.
 
     Two memos of ints serve the candidates of one search: L to ``T(L)``,
     and (block index, its deleted members) to the survivors' count of each
     target in that block.  Each is emptied at ``_DELETION_MEMO_SIZE``.
+    ``heavy_terms`` shares the second and keeps no dict per L.
     """
 
     def __init__(self, bands: BandSystem) -> None:
@@ -483,21 +481,37 @@ class DeletionCounter:
         light = deleted - heavies
         total = self._totals.get(light)
         if total is None or heavies:
-            gone: dict[int, set[int]] = {}  # block index -> its deleted members
-            for player in light:
-                gone.setdefault(self._block_of[player], set()).add(player)
-            touched = [self._recounted(index, frozenset(members)) for index, members in gone.items()]
+            touched = self._touched(light)
             if total is None:
                 total = _remember(self._totals, light, self._sum(self._terms, touched))
             for heavy in heavies:
                 total -= self._sum(self._terms_of.get(heavy, ()), touched)
         return total
 
+    def heavy_terms(self, light: Iterable[int]) -> dict[int, int]:
+        """``t_h(L)`` for every heavy player h whose term is nonzero after
+        deleting the light players ``light`` (original indices)."""
+        bands = self.bands
+        light = bands.game.coalition(light)
+        if bands.distinguished in light or light & bands.heavy:
+            raise InputError("heavy terms follow a deletion of light players only")
+        touched = self._touched(light)
+        terms_of = self._terms_of.items()
+        return {heavy: term for heavy, own in terms_of if (term := self._sum(own, touched))}
+
+    def _touched(self, light: frozenset[int]) -> list[tuple[int, dict[int, int]]]:
+        """Each block ``light`` deletes from, with its survivors' recounts."""
+        gone: dict[int, set[int]] = {}  # block index -> its deleted members
+        for player in light:
+            gone.setdefault(self._block_of[player], set()).add(player)
+        return [self._recounted(index, frozenset(members)) for index, members in gone.items()]
+
     def _recounted(self, index: int, members: frozenset[int]) -> tuple[int, dict[int, int]]:
         """The block index with the survivors' count of each of its targets."""
         recounted = self._recounts.get((index, members))
         if recounted is None:
-            block = self.bands.blocks[index].without(members)
+            block = self.bands.blocks[index]
+            block = block.restrict({m: m for m in block.members if m not in members})
             recounted = {
                 target: 0 if target > block.max_sum else count_block(block, target)
                 for target in {targets[index] for targets, _, _ in self._terms}

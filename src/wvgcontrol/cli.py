@@ -43,13 +43,20 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
-def _read(path: Path) -> tuple[str, bytes]:
-    """The input file's text and the bytes it was decoded from, read once."""
+def _load(path: Path, strip_tautologies: bool | None = None) -> tuple:
+    """The file's DIMACS formula (if ``strip_tautologies`` is given) or its
+    game or instance document, and the bytes of its one read; input errors
+    name the file."""
     data = path.read_bytes()
     try:
-        return data.decode("utf-8"), data
+        text = data.decode("utf-8")
+        if strip_tautologies is None:
+            return load_document(text), data
+        return parse_dimacs(text, strip_tautologies=strip_tautologies), data
     except UnicodeDecodeError as error:
         raise InputError(f"{path}: not UTF-8 text ({error})") from error
+    except (InputError, BandStructureError) as error:
+        raise InputError(f"{path}: {error}") from error
 
 
 def _echo(args: argparse.Namespace, path: Path, data: bytes) -> None:
@@ -69,18 +76,9 @@ def _budget_from(args: argparse.Namespace) -> EngineBudget:
     )
 
 
-def _load_any_instance(path: Path, text: str) -> ControlInstance | Game:
-    """Instance document if it has instance fields, else a bare game."""
-    try:
-        return load_document(text)
-    except (InputError, BandStructureError) as error:
-        raise InputError(f"{path}: {error}") from error
-
-
 def cmd_index(args: argparse.Namespace) -> int:
     path = Path(args.input)
-    text, data = _read(path)
-    loaded = _load_any_instance(path, text)
+    loaded, data = _load(path)
     if isinstance(loaded, ControlInstance) and args.player in (None, loaded.distinguished):
         instance = loaded
     elif args.player is None:
@@ -101,8 +99,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_control(args: argparse.Namespace) -> int:
     path = Path(args.input)
-    text, data = _read(path)
-    loaded = _load_any_instance(path, text)
+    loaded, data = _load(path)
     if isinstance(loaded, Game):
         missing = [
             flag
@@ -166,8 +163,7 @@ def cmd_control(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     path = Path(args.cnf)
-    text, data = _read(path)
-    formula = parse_dimacs(text, strip_tautologies=args.strip_tautologies)
+    formula, data = _load(path, args.strip_tautologies)
     strict = not args.relaxed
     if args.kind == "decrease":
         instance = build_decrease(formula, args.k, strict=strict)
@@ -191,8 +187,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     path = Path(args.cnf)
-    text, data = _read(path)
-    formula = parse_dimacs(text, strip_tautologies=args.strip_tautologies)
+    formula, data = _load(path, args.strip_tautologies)
     _echo(args, path, data)
     started = time.perf_counter()
     if args.kind == "count-sat":

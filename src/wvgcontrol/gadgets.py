@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .bands import BandSystem, BlockKind, LightBlock, heavy_pivot_term
+from .bands import BandSystem, BlockKind, DeletionCounter, LightBlock
 from .errors import GadgetParameterError, InputError
 from .formulas import CnfFormula
 from .game import ExactIndex, Game, delete_players
@@ -618,15 +618,16 @@ def expected_index(
 
 
 def layered_case_counts(instance: ControlInstance) -> CaseCounts:
-    """Per-case pivotal counts of a gadget instance via the layered counter."""
+    """Per-case pivotal counts of a gadget instance, from one layered walk."""
     if instance.bands is None or instance.groups is None:
         raise InputError("per-case counting needs band metadata and group labels")
     totals = {label: 0 for label in _CASE_GROUPS}
+    terms = DeletionCounter(instance.bands).heavy_terms(())
     for player in sorted(instance.bands.heavy):
         label = instance.groups[player]
         if label not in totals:
             raise InputError(f"heavy player {player} carries unexpected label {label!r}")
-        totals[label] += heavy_pivot_term(instance.bands, player)
+        totals[label] += terms.get(player, 0)
     return CaseCounts(*(totals[label] for label in _CASE_GROUPS))
 
 

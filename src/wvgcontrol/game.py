@@ -86,7 +86,7 @@ class Game:
         return sum(self.weights[p] for p in self.coalition(members))
 
     def __str__(self) -> str:
-        return f"({', '.join(str(w) for w in self.weights)}; {self.quota})"
+        return f"({', '.join(map(decimal_str, self.weights))}; {decimal_str(self.quota)})"
 
 
 def characteristic(game: Game, members: Iterable[int]) -> int:
@@ -218,4 +218,4 @@ class ExactIndex:
         return str(value)
 
     def __str__(self) -> str:
-        return f"{self.pivot_count}/2^{self.exponent}"
+        return f"{decimal_str(self.pivot_count)}/2^{self.exponent}"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 import math
@@ -411,6 +412,55 @@ class TestDeletionCounterMemos:
                 assert counter.count(players) == expected, sorted(players)
                 assert len(counter._totals) <= limit
                 assert len(counter._recounts) <= limit
+
+
+@functools.cache
+def _terms_instance(name: str) -> ControlInstance:
+    """A relaxed gadget of ``NO_INSTANCES[1]``, or the 318-player strict
+    decrease gadget."""
+    if name == "strict-decrease":
+        return build_decrease(CnfFormula(5, (frozenset({1, 2, 3, 4, 5}),)), 4)
+    return _gadget(name, 1)
+
+
+@pytest.mark.filterwarnings("ignore::wvgcontrol.gadgets.GadgetConstructionNote")
+class TestHeavyTerms:
+    """Each heavy player's term after a light deletion against a fresh walk
+    over the game with those players deleted."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        name=st.sampled_from(["decrease", "nonincrease", "maintain", "strict-decrease"]),
+    )
+    def test_terms_after_a_light_deletion(self, data, name):
+        instance = _terms_instance(name)
+        bands = instance.bands
+        light = [
+            p
+            for p in range(instance.game.num_players)
+            if p != instance.distinguished and p not in bands.heavy
+        ]
+        deleted = data.draw(st.frozensets(st.sampled_from(light), max_size=instance.budget))
+        counter = DeletionCounter(bands)
+        terms = counter.heavy_terms(deleted)
+
+        smaller = instance.delete(deleted).bands
+        original = {new: old for old, new in delete_players(instance.game, deleted)[1].items()}
+        expected = dict.fromkeys(bands.heavy, 0)
+        for heavy, *_, product in _pivot_terms(smaller, sorted(smaller.heavy)):
+            expected[original[heavy]] += product
+        assert all(terms.values())
+        assert {h: terms.get(h, 0) for h in bands.heavy} == expected
+        assert sum(terms.values()) == counter.count(deleted)
+        assert counter.heavy_terms(deleted) == terms  # from the recount memo
+
+        heavy = data.draw(st.sampled_from(sorted(bands.heavy)))
+        with pytest.raises(InvalidCoalitionError):
+            counter.heavy_terms(deleted | {instance.game.num_players})
+        for player in (instance.distinguished, heavy):
+            with pytest.raises(InputError, match="light players only"):
+                counter.heavy_terms(deleted | {player})
 
 
 def _unmemoised_terms(bands: BandSystem) -> list[tuple]:

@@ -12,6 +12,7 @@ import pytest
 from wvgcontrol import (
     CnfFormula,
     ControlInstance,
+    ExactIndex,
     Game,
     Goal,
     build_decrease,
@@ -21,7 +22,15 @@ from wvgcontrol import (
     load_instance,
 )
 from wvgcontrol import verify
-from wvgcontrol.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_OK, build_parser, main
+from wvgcontrol.cli import (
+    EXIT_BUDGET,
+    EXIT_CHECK_FAILED,
+    EXIT_INPUT,
+    EXIT_OK,
+    _fraction_line,
+    build_parser,
+    main,
+)
 from wvgcontrol.verify import SuiteOptions
 
 pytestmark = pytest.mark.filterwarnings("ignore::wvgcontrol.gadgets.GadgetConstructionNote")
@@ -427,6 +436,20 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "nested too deeply" in err
     assert str(path) in err
+
+
+@pytest.mark.parametrize("command", ["oracle", "reduce"])
+def test_dimacs_error_names_the_file(tmp_path, capsys, command):
+    path = tmp_path / "long.cnf"
+    path.write_text("p cnf 1 " + "9" * 5000 + "\n1 0\n")
+    assert _run_on(command, path, tmp_path) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"input error: {path}: line 1: problem line count has too many digits" in err
+
+
+def test_fraction_line_prints_a_count_past_the_int_str_digit_limit():
+    line = _fraction_line("index", ExactIndex(10**5000, 3))
+    assert line.startswith("index: 1" + "0" * 5000 + "/2^3 (~ 1.25")
 
 
 class TestVerifyCommand:

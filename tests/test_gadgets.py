@@ -6,17 +6,20 @@ import functools
 import hashlib
 import random
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wvgcontrol import (
+    CaseCounts,
     CnfFormula,
     DeltaDecomposition,
     ExactIndex,
     GadgetParameterError,
     Goal,
+    InputError,
     build_decrease,
     build_maintain,
     build_nonincrease,
@@ -34,7 +37,8 @@ from wvgcontrol import (
     pivot_count_layered,
     witness_deletion,
 )
-from wvgcontrol.bands import heavy_pivot_term
+from wvgcontrol import bands as bands_module
+from wvgcontrol.bands import DeletionCounter, heavy_pivot_term
 from wvgcontrol.engines import EngineBudget, pivot_count_mitm
 from wvgcontrol.gadgets import GadgetConstructionNote
 from wvgcontrol.verify import NO_INSTANCES
@@ -463,6 +467,39 @@ class TestInstanceDeletion:
         assert variant.game.weights[survivor] == instance.game.weights[
             instance.b_players[0]
         ]
+
+
+class TestLayeredCaseCounts:
+    """The per-case split reads every heavy term from one walk."""
+
+    @pytest.mark.parametrize("kind", [*sorted(RELAXED_NO_BUILDERS), "strict-decrease"])
+    def test_one_walk_per_call_gives_the_per_heavy_split(self, kind, monkeypatch):
+        instance = build_decrease(WIDE5, 4) if kind == "strict-decrease" else relaxed_no_gadget(kind)
+        labels = ("D", "F", "S", "T", "U", "V")
+        totals = dict.fromkeys(labels, 0)
+        for heavy in instance.bands.heavy:
+            totals[instance.groups[heavy]] += heavy_pivot_term(instance.bands, heavy)
+        walks = []
+        walk = bands_module._pivot_terms
+        monkeypatch.setattr(
+            bands_module, "_pivot_terms", lambda *args: walks.append(args) or walk(*args)
+        )
+        counts = layered_case_counts(instance)
+        assert len(walks) == 1
+        assert counts == CaseCounts(*(totals[label] for label in labels))
+
+    @pytest.mark.parametrize("zero_term", [False, True], ids=["nonzero-term", "zero-term"])
+    def test_rejects_a_heavy_player_outside_the_six_cases(self, zero_term):
+        instance = relaxed_no_gadget("decrease")
+        if zero_term:
+            # without its Y players, some S players have no completing light subset
+            instance = instance.delete(instance.group_members("Y"))
+        terms = DeletionCounter(instance.bands).heavy_terms(())
+        heavy = min(h for h in instance.bands.heavy if (h in terms) != zero_term)
+        groups = list(instance.groups)
+        groups[heavy] = "Z"
+        with pytest.raises(InputError, match=f"heavy player {heavy} carries unexpected label 'Z'"):
+            layered_case_counts(replace(instance, groups=tuple(groups), meta=dict(instance.meta)))
 
 
 class TestClosedFormGridAgainstOracles:

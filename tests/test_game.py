@@ -158,6 +158,19 @@ class TestGameValidation:
             Game(weights, quota)
 
 
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (Game((10**5000, 1), 2), "(1" + "0" * 5000 + ", 1; 2)"),
+        (Game((1, 2), 10**5000), "(1, 2; 1" + "0" * 5000 + ")"),
+        (ExactIndex(10**5000, 3), "1" + "0" * 5000 + "/2^3"),
+    ],
+    ids=["game-weight", "game-quota", "index-count"],
+)
+def test_str_past_the_int_str_digit_limit(value, text):
+    assert str(value) == text
+
+
 class TestExactIndex:
     def test_equality_across_representations(self):
         assert ExactIndex(8, 5) == ExactIndex(1, 2)
