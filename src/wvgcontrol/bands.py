@@ -49,7 +49,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .engines import HalfSums, count_window, half_sum_tables
-from .errors import BandStructureError, InputError
+from .errors import BandStructureError, BudgetExceededError, InputError
 from .game import Game, decimal_str
 
 
@@ -308,6 +308,8 @@ def decompose_target(bands: BandSystem, residual: int) -> Decomposition | None:
 _TABLE_CACHE_SIZE = 8
 _COUNT_CACHE_SIZE = 4096
 
+# The layered engine's size budget for one enumerable block: past it the
+# block is a budget refusal, not a broken band invariant.
 _MAX_ENUMERABLE = 30
 
 
@@ -336,9 +338,9 @@ def count_block(block: LightBlock, target: int) -> int:
     if block.kind is BlockKind.SUPERINCREASING:
         return int(_share(block, target) == target)
     if len(block.members) > _MAX_ENUMERABLE:
-        raise BandStructureError(
-            f"enumerable block {block.name} has {len(block.members)} members "
-            f"(limit {_MAX_ENUMERABLE}); it should have been banded further"
+        raise BudgetExceededError(
+            f"layered engine refuses: enumerable block {block.name} has "
+            f"{len(block.members)} members (limit {_MAX_ENUMERABLE})"
         )
     return _enum_count(block.weights, target)
 

@@ -238,7 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     # Small parent parsers, so each subcommand accepts only the flags it reads.
     engines = argparse.ArgumentParser(add_help=False)
     engines.add_argument(
-        "--engine", choices=ENGINE_CHOICES, default="auto", help="index engine"
+        "--engine", choices=ENGINE_CHOICES, default="auto",
+        help="index engine; auto takes layered when the instance has bands, "
+        "else the accepting engine of least estimated time in picoseconds: "
+        "enum 40,000*2^m, mitm 700,000*2^ceil(m/2), "
+        "dp 3,000,000 + 30*m*quota*limb for m co-players, ties to enum, then mitm",
     )
     engines.add_argument("--budget-enum", type=int, metavar="N",
                          default=DEFAULT_BUDGET.max_enum_players,

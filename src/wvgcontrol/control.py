@@ -105,16 +105,44 @@ ENGINES = {
 ENGINE_CHOICES = ("auto", *ENGINES)
 
 
+# Estimated run time in picoseconds of each brute-force engine on a game
+# of m co-players, in integers: quotas reach thousands of digits, and no
+# float may enter the comparison.  Rounded medians of per-engine timings
+# (x86_64, Python 3.11) on the benchmark's bare games and on random games
+# of 3-16 players: enum 17-49 ns per subset, mitm 0.65-0.8 us per
+# half-subset, dp 28-47 ps per table bit plus ~3 us per call.  Games of up
+# to 6 co-players thus stay on enum.
+_ENUM_PS_PER_SUBSET = 40_000
+_MITM_PS_PER_HALF_SUBSET = 700_000
+_DP_PS_PER_CALL = 3_000_000
+_DP_PS_PER_TABLE_BIT = 30
+
+
+def _dp_cost_ps(game: Game) -> int:
+    m = game.num_players - 1
+    limb = 8 * (m // 8 + 1)
+    return _DP_PS_PER_CALL + _DP_PS_PER_TABLE_BIT * m * game.quota * limb
+
+
+_COSTS_PS: dict[str, Callable[[Game], int]] = {  # in tie order
+    "enum": lambda game: _ENUM_PS_PER_SUBSET << (game.num_players - 1),
+    "mitm": lambda game: _MITM_PS_PER_HALF_SUBSET << (game.num_players // 2),
+    "dp": _dp_cost_ps,
+}
+
+
 def pick_engine(instance: ControlInstance, budget: EngineBudget = DEFAULT_BUDGET) -> str:
-    """Deterministic auto-selection by a fixed order, not by cost: layered
-    when the instance has band metadata; then, up to 20 co-players, the
-    first of enum, mitm and dp that accepts, and past 20 the first of
-    mitm, dp and enum."""
-    small = instance.game.num_players - 1 <= 20
-    brute_force = ("enum", "mitm", "dp") if small else ("mitm", "dp", "enum")
-    for name in ("layered", *brute_force):
-        if ENGINES[name].refusal(instance, budget) is None:
-            return name
+    """Deterministic auto-selection: layered when the instance has band
+    metadata; otherwise the brute-force engine of least estimated cost
+    among those whose refusal is ``None``, ties going to enum, then mitm.
+    For ``m`` co-players the estimates, in picoseconds, are enum
+    ``40,000·2^m``, mitm ``700,000·2^⌈m/2⌉`` and dp
+    ``3,000,000 + 30·m·quota·limb`` with ``limb = 8·(m//8 + 1)``."""
+    if ENGINES["layered"].refusal(instance, budget) is None:
+        return "layered"
+    feasible = [name for name in _COSTS_PS if ENGINES[name].refusal(instance, budget) is None]
+    if feasible:
+        return min(feasible, key=lambda name: _COSTS_PS[name](instance.game))
     raise BudgetExceededError(
         f"no engine accepts this instance ({instance.game.num_players} players, "
         f"quota {decimal_str(instance.game.quota)}) within the configured budgets"

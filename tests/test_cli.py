@@ -189,7 +189,7 @@ class TestReduceAndIndex:
         code = main(["reduce", str(cnf), "--kind", "decrease", "-k", "4", "-o", str(out)])
         assert code == EXIT_OK
         assert "players: 2138" in capsys.readouterr().out
-        assert main(["index", str(out)]) == EXIT_INPUT
+        assert main(["index", str(out)]) == EXIT_BUDGET
         assert "enumerable block E has 912 members" in capsys.readouterr().err
 
 

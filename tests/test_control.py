@@ -9,7 +9,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from wvgcontrol import (
@@ -42,7 +42,7 @@ from wvgcontrol.control import (
     pick_engine,
     relation_holds,
 )
-from wvgcontrol.engines import pivot_count_enum
+from wvgcontrol.engines import DEFAULT_BUDGET, pivot_count_enum
 from wvgcontrol.errors import WvgError
 from wvgcontrol.verify import NO_INSTANCES
 
@@ -274,12 +274,72 @@ class TestEngineSelection:
         game = Game(tuple(range(1, num_players + 1)), quota)
         return ControlInstance(game, 0, 0, Goal.DECREASE)
 
+    @staticmethod
+    def _drawn(num_players: int, low: int, high: int) -> ControlInstance:
+        """A bare game of seeded weights in ``[low, high]``, its quota between
+        half and two thirds of the total weight."""
+        rng = random.Random(num_players)
+        weights = tuple(rng.randint(low, high) for _ in range(num_players))
+        total = sum(weights)
+        game = Game(weights, rng.randint(total // 2, 2 * total // 3))
+        return ControlInstance(game, rng.randrange(num_players), 0, Goal.DECREASE)
+
     @pytest.mark.parametrize(
-        "co_players, engine",
-        [(20, "enum"), (21, "mitm"), (44, "mitm"), (45, "dp"), (60, "dp")],
+        "num_players, low, high, budget, engine",
+        [
+            (16, 1, 1_000, DEFAULT_BUDGET, "dp"),
+            (21, 1, 1_000, DEFAULT_BUDGET, "dp"),
+            (18, 10**20, 10**40, DEFAULT_BUDGET, "mitm"),
+            (24, 10**20, 10**40, DEFAULT_BUDGET, "mitm"),
+            (30, 1, 10_000, DEFAULT_BUDGET, "dp"),
+            (34, 1, 10_000, DEFAULT_BUDGET, "dp"),
+            (22, 1, 1_000, EngineBudget(max_mitm_half=5, max_dp_quota=10), "enum"),
+        ],
+        ids=[
+            "16-small-weights-dp",
+            "21-small-weights-dp",
+            "18-40-digit-weights-mitm",
+            "24-40-digit-weights-mitm",
+            "30-weights-to-10000-dp",
+            "34-weights-to-10000-dp",
+            "22-mitm-and-dp-refuse-enum",
+        ],
     )
-    def test_auto_order_by_co_players(self, co_players, engine):
-        assert pick_engine(self._bare(co_players + 1, 100)) == engine
+    def test_auto_picks_the_least_estimated_cost(self, num_players, low, high, budget, engine):
+        assert pick_engine(self._drawn(num_players, low, high), budget) == engine
+
+    def test_auto_compares_the_costs_of_a_5000_digit_quota_exactly(self):
+        quota = 10**5000
+        game = Game(tuple(quota // 4 + weight for weight in range(10)), quota)
+        instance = ControlInstance(game, 0, 0, Goal.DECREASE)
+        budget = EngineBudget(max_dp_quota=quota)  # so dp is costed too
+        assert all(type(cost(game)) is int for cost in control._COSTS_PS.values())
+        index, used = compute_index(instance, "auto", budget)
+        assert used == "enum"
+        assert index == compute_index(instance, "mitm", budget)[0]
+
+    # (players, weights) ranges of the enum, mitm and dp regimes, and
+    # budgets small enough that every feasible engine runs within a few ms
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        shape=st.sampled_from([(1, 8, 1, 2_000), (9, 17, 10**20, 10**40), (9, 24, 1, 2_000)]),
+    )
+    def test_auto_agrees_with_every_other_feasible_engine(self, data, shape):
+        budget = EngineBudget(max_enum_players=16, max_mitm_half=12, max_dp_quota=50_000)
+        fewest, most, low, high = shape
+        num_players = data.draw(st.integers(fewest, most))
+        weights = data.draw(st.lists(st.integers(low, high), min_size=num_players, max_size=num_players))
+        total = sum(weights)
+        quota = data.draw(st.integers(max(1, total // 2), max(1, 2 * total // 3)))
+        player = data.draw(st.integers(0, num_players - 1))
+        instance = ControlInstance(Game(tuple(weights), quota), player, 0, Goal.DECREASE)
+        index, used = compute_index(instance, "auto", budget)
+        event(f"auto picks {used}")
+        assert used == pick_engine(instance, budget)
+        for name in ("enum", "mitm", "dp"):
+            if name != used and control.ENGINES[name].refusal(instance, budget) is None:
+                assert compute_index(instance, name, budget)[0] == index
 
     def test_auto_falls_back_to_enum_when_mitm_and_dp_refuse(self):
         budget = EngineBudget(max_mitm_half=5, max_dp_quota=10)
