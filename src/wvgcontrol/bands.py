@@ -1,13 +1,14 @@
 """Structured exact counting for games whose weights live in no-carry bands.
 
 The gadget games have two kinds of players.  "Heavy" players are so large
-that no two of them fit together under the quota, so a pivotal coalition
+that any two of them together reach the quota, so a pivotal coalition
 for the (weight-1) distinguished player contains exactly one of them.
 The remaining "light" players are organised in blocks whose weight
-magnitudes never interfere: the total weight of all blocks below a block
-is smaller than that block's granularity.  Consequently the residual a
-heavy player leaves open splits uniquely across blocks, and the number of
-light subsets hitting the residual is a product of per-block counts:
+magnitudes never interfere: the total weight of all blocks below a
+nonempty block is smaller than that block's smallest gap (``min_gap``)
+between two of its subset sums.  Consequently the residual a heavy player
+leaves open splits uniquely across blocks, and the number of light
+subsets hitting the residual is a product of per-block counts:
 
 * ``ENUMERABLE`` blocks (a few dozen structured weights) are counted by
   the engines' meet-in-the-middle core, with bounded caches;
@@ -16,7 +17,7 @@ light subsets hitting the residual is a product of per-block counts:
 * ``SUPERINCREASING`` blocks admit at most one subset per value, found
   greedily.
 
-Every no-carry precondition is asserted when a ``BandSystem`` is built;
+Each band rule is exact and checked once, when a ``BandSystem`` is built:
 a wrong construction must fail loudly, never miscount.
 ``BandSystem.restrict`` gives the system after a deletion: it checks the
 index map and game it is handed, then builds the smaller system through
@@ -63,10 +64,10 @@ class BlockKind(str, Enum):
 class LightBlock:
     """One no-carry band of light players.
 
-    ``granularity`` divides every member weight and exceeds the combined
-    weight of all less-significant blocks (checked by the owning
-    ``BandSystem``).  It is stored explicitly so a block keeps its band
-    position even after all its members were deleted.
+    ``granularity`` divides every member weight.  It is stored explicitly
+    so a block keeps its band position even after all its members were
+    deleted.  The owning ``BandSystem`` checks that the less-significant
+    blocks weigh less than ``min_gap`` in total.
     """
 
     name: str
@@ -76,10 +77,10 @@ class LightBlock:
     granularity: int
     #: sum of the member weights, set at construction
     max_sum: int = field(init=False, repr=False, compare=False)
-    #: smallest slack ``w_i - sum(w_j for j < i)`` of a superincreasing
-    #: block; greedy decomposition is forced only while the blocks below
-    #: weigh strictly less than this gap.  For other kinds (and an empty
-    #: block) it is the granularity, which plays that role.
+    #: smallest distance between two subset sums: the least slack
+    #: ``w_i - sum(w_j for j < i)`` of a superincreasing block, else the
+    #: granularity.  Shares are forced while the blocks below weigh less;
+    #: an empty block takes no share, whatever lies below it.
     min_gap: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -111,10 +112,6 @@ class LightBlock:
                     )
                 gap = min(gap, w - running)
                 running += w
-            if granularity > weights[0]:
-                raise BandStructureError(
-                    f"superincreasing block {self.name}: granularity above smallest weight"
-                )
         object.__setattr__(self, "max_sum", sum(weights))
         object.__setattr__(self, "min_gap", gap)
 
@@ -137,9 +134,10 @@ class BandSystem:
     """Band metadata for one game: heavy set, light blocks, distinguished player.
 
     Blocks are ordered from most to least significant.  Construction
-    checks the full partition, the pairwise heavy exclusion, the no-carry
-    chain, and that the light players alone can never make the
-    distinguished player pivotal.
+    checks the full partition, that the blocks below each nonempty block
+    weigh less than its ``min_gap``, that the light players alone stay
+    below the pivotal window ``[quota - w_p, quota - 1]``, and that any two
+    heavy players together reach the quota, past the window.
     """
 
     game: Game
@@ -153,16 +151,10 @@ class BandSystem:
 
         below = 0  # total weight of blocks less significant than the current one
         for block in reversed(self.blocks):
-            if below >= block.granularity:
+            if block.weights and below >= block.min_gap:
                 raise BandStructureError(
                     f"no-carry violation: blocks below {block.name} weigh {decimal_str(below)} "
-                    f"total, at least its granularity {decimal_str(block.granularity)}"
-                )
-            if below >= block.min_gap:
-                raise BandStructureError(
-                    f"no-carry violation: blocks below {block.name} weigh {decimal_str(below)} "
-                    f"total, at least its smallest superincreasing gap "
-                    f"{decimal_str(block.min_gap)}"
+                    f"total, at least its smallest gap {decimal_str(block.min_gap)}"
                 )
             below += block.max_sum
 
@@ -173,11 +165,11 @@ class BandSystem:
                 f"(total {decimal_str(light_total)} vs quota {decimal_str(game.quota)})"
             )
         heavy_weights = sorted(map(game.weights.__getitem__, self.heavy))
-        if len(heavy_weights) >= 2 and heavy_weights[0] + heavy_weights[1] <= game.quota:
+        if len(heavy_weights) >= 2 and heavy_weights[0] + heavy_weights[1] < game.quota:
             raise BandStructureError(
                 "two heavy players fit under the quota together "
                 f"({decimal_str(heavy_weights[0])} + {decimal_str(heavy_weights[1])} "
-                f"<= {decimal_str(game.quota)})"
+                f"< {decimal_str(game.quota)})"
             )
 
     def _check_partition(self) -> None:
@@ -256,9 +248,10 @@ class BandSystem:
 
 def _share(block: LightBlock, remaining: int) -> int | None:
     """The block's forced share of ``remaining``: its superincreasing members
-    taken greedily from the largest, or else the multiple of its granularity
-    that leaves the blocks below less than it (``None`` above its total)."""
-    if block.kind is BlockKind.SUPERINCREASING:
+    taken greedily from the largest (nothing from an empty block), or else
+    the multiple of its granularity that leaves the blocks below less than
+    it (``None`` above its total)."""
+    if block.kind is BlockKind.SUPERINCREASING or not block.weights:
         left = remaining
         for w in reversed(block.weights):
             if left >= w:
@@ -387,9 +380,6 @@ def _pivot_terms(bands: BandSystem, heavies: list[int]) -> Iterator[tuple]:
             f"distinguished weight {w_p} spans too wide a pivotal interval "
             f"for per-value decomposition (limit {_MAX_INTERVAL_WIDTH})"
         )
-    # Re-assert the zero heavy-free term rather than trusting construction.
-    if bands.light_total >= game.quota - w_p:
-        raise BandStructureError("light players alone can reach the pivotal interval")
     blocks, suffixes, counts = bands.blocks, {}, {}
     for coalition_weight in range(game.quota - w_p, game.quota):
         for heavy in heavies:
@@ -412,7 +402,7 @@ def pivot_count_layered(bands: BandSystem, player: int | None = None) -> int:
     Sums, over every heavy player, the factorised count of light subsets
     completing a coalition to a pivotal weight.  The heavy-free term is
     zero by the construction invariant (light players alone cannot reach
-    the pivotal interval) and coalitions with two heavies overshoot the
+    the pivotal interval) and coalitions with two heavies reach the
     quota, so the heavy terms are the whole count.
     """
     if player is None:

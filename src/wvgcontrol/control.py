@@ -192,6 +192,8 @@ class Sampled:
     trials: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.trials, int) or isinstance(self.trials, bool):
+            raise InputError(f"sampled search needs an integer trial count, got {self.trials!r}")
         # A sampled NO with no draws would be no evidence at all.
         if self.trials < 1:
             raise InputError(f"sampled search needs at least one trial, got {self.trials}")

@@ -42,5 +42,8 @@ class BudgetExceededError(WvgError):
 
 
 class BandStructureError(WvgError):
-    """A band-system invariant does not hold (no-carry violation, broken
-    partition, heavy players that fit together under the quota, ...)."""
+    """A band-system invariant does not hold: a broken partition, a block
+    whose weights break its own kind, blocks below a nonempty block that
+    weigh at least its smallest gap (no-carry violation), light players
+    that reach the pivotal window alone, or two heavy players whose sum is
+    below the quota."""

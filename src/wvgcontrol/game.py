@@ -188,10 +188,14 @@ class ExactIndex:
             self.pivot_count << other.exponent == other.pivot_count << self.exponent
         )
 
-    def __lt__(self, other: ExactIndex) -> bool:
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, ExactIndex):
+            return NotImplemented
         return self.pivot_count << other.exponent < other.pivot_count << self.exponent
 
-    def __le__(self, other: ExactIndex) -> bool:
+    def __le__(self, other: object) -> bool:
+        if not isinstance(other, ExactIndex):
+            return NotImplemented
         return self.pivot_count << other.exponent <= other.pivot_count << self.exponent
 
     def __gt__(self, other: ExactIndex) -> bool:

@@ -75,10 +75,7 @@ def random_formula(rng: random.Random, num_variables: int, num_clauses: int) -> 
     covered = {abs(lit) for clause in clauses for lit in clause}
     for variable in range(1, num_variables + 1):
         if variable not in covered:
-            hosts = [c for c in clauses if variable not in {abs(l) for l in c}]
-            host = rng.choice(hosts) if hosts else clauses[rng.randrange(len(clauses))]
-            if variable not in {abs(l) for l in host}:
-                host.add(variable if rng.randint(0, 1) else -variable)
+            rng.choice(clauses).add(variable if rng.randint(0, 1) else -variable)
     return CnfFormula(num_variables, tuple(frozenset(c) for c in clauses))
 
 

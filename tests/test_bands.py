@@ -7,10 +7,11 @@ import gc
 import itertools
 import math
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from wvgcontrol import (
@@ -38,6 +39,8 @@ from wvgcontrol.bands import _pivot_terms, count_light_subsets, heavy_pivot_term
 from wvgcontrol.control import _CandidateSpace, _candidate_classes, solve_control
 from wvgcontrol.engines import pivot_count_enum, pivot_count_mitm
 from wvgcontrol.verify import NO_INSTANCES
+
+from conftest import BAND_RULES, BandClaim, bottom_up_band_claims, random_band_claims
 
 
 def uniform(name: str, members, weight: int) -> LightBlock:
@@ -657,3 +660,157 @@ class TestDerivedRestrict:
         del surviving[bands.distinguished]
         with pytest.raises(BandStructureError, match="distinguished"):
             bands.restrict(surviving, smaller)
+
+
+def _count_after(game: Game, player: int, deleted) -> int:
+    """The player's pivot count after deleting ``deleted``, by enumeration,
+    checked against meet-in-the-middle."""
+    smaller, remap = delete_players(game, deleted)
+    count = pivot_count_enum(smaller, remap[player])
+    assert pivot_count_mitm(smaller, remap[player]) == count
+    return count
+
+
+# A few deletions, each a mask of players and a mask of blocks deleted whole.
+_DELETION_MASKS = st.lists(
+    st.tuples(st.integers(0, (1 << 12) - 1), st.integers(0, 7)), min_size=1, max_size=3
+)
+
+
+def _deleted(claim: BandClaim, players: int, blocks: int) -> frozenset[int]:
+    """The players and the members of the blocks in the two masks, less the
+    distinguished player."""
+    deleted = {p for p in range(claim.game.num_players) if players >> p & 1}
+    for index, (_, _, members, _) in enumerate(claim.blocks):
+        if blocks >> index & 1:
+            deleted.update(members)
+    return frozenset(deleted - {claim.distinguished})
+
+
+def _assert_refused_or_exact(claim: BandClaim, masks) -> None:
+    """Either the constructor refuses the claim, or every count of the
+    system is exact: the light subsets of each subset sum and one above it
+    against enumerating them, and against enum and mitm the full count and,
+    after each deletion of ``masks``, the ``DeletionCounter`` count, the
+    restricted system's count and each heavy player's term after the
+    deletion's light players."""
+    try:
+        bands = claim.build()
+    except BandStructureError:
+        return
+    game, player, heavy = claim.game, claim.distinguished, claim.heavy
+    weights = [w for block in bands.blocks for w in block.weights]
+    sums = Counter(
+        sum(subset)
+        for size in range(len(weights) + 1)
+        for subset in itertools.combinations(weights, size)
+    )
+    for value in {*sums, *(s + 1 for s in sums)}:
+        assert count_light_subsets(bands, value) == sums[value], value
+    assert pivot_count_layered(bands) == _count_after(game, player, ())
+    counter = DeletionCounter(bands)
+    for mask in masks:
+        players = _deleted(claim, *mask)
+        count = _count_after(game, player, players)
+        assert counter.count(players) == count
+        smaller, surviving = delete_players(game, players)
+        assert pivot_count_layered(bands.restrict(surviving, smaller)) == count
+        light = players - heavy
+        terms = counter.heavy_terms(light)
+        # a pivotal coalition holds one heavy player: t_h(L) = eta(L) - eta(L + h)
+        total = _count_after(game, player, light)
+        assert {h: terms.get(h, 0) for h in heavy} == {
+            h: total - _count_after(game, player, light | {h}) for h in heavy
+        }
+
+
+class TestRandomBandSystems:
+    """The band rules on systems nobody designed: the constructor refuses a
+    claim, or every layered count of the system is exact."""
+
+    @pytest.mark.parametrize("broken", [None, *BAND_RULES])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), masks=_DELETION_MASKS)
+    def test_bottom_up_systems_are_refused_or_exact(self, broken, data, masks):
+        _assert_refused_or_exact(data.draw(bottom_up_band_claims(broken)), masks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(claim=random_band_claims(), masks=_DELETION_MASKS)
+    def test_random_claims_are_refused_or_exact(self, claim, masks):
+        _assert_refused_or_exact(claim, masks)
+
+
+def _pivotal_at_both_ends(bands: BandSystem) -> bool:
+    """A window at least two wide, with a heavy term at either end."""
+    game = bands.game
+    w_p = game.weights[bands.distinguished]
+    heavy = [game.weights[h] for h in bands.heavy]
+    return w_p > 1 and all(
+        any(count_light_subsets(bands, end - w) for w in heavy if end >= w)
+        for end in (game.quota - w_p, game.quota - 1)
+    )
+
+
+def _boundaries(claim: BandClaim) -> set[str]:
+    """The band-rule boundaries a claim sits at."""
+    try:
+        blocks = claim.light_blocks()
+    except BandStructureError:
+        return set()
+    try:
+        bands = claim.build()
+    except BandStructureError:
+        bands = None
+    found, below = set(), 0
+    for block in reversed(blocks):
+        if not block.weights and below >= block.granularity:
+            found.add("an empty block over a heavier band")
+        elif below and below == block.min_gap:
+            found.add("blocks below weigh exactly the gap")
+        elif below and below == block.min_gap - 1:
+            found.add("blocks below weigh one less than the gap")
+        superincreasing = block.kind is BlockKind.SUPERINCREASING
+        if superincreasing and block.weights and below >= block.granularity:
+            found.add("a superincreasing gap above the granularity")
+        below += block.max_sum
+    lightest = sorted(claim.game.weights[h] for h in claim.heavy)[:2]
+    if len(lightest) == 2 and claim.game.quota - sum(lightest) in (0, 1):
+        found.add(f"a heavy pair {claim.game.quota - sum(lightest)} short of the quota")
+    if bands is not None:
+        if _pivotal_at_both_ends(bands):
+            found.add("residuals at both ends of the window")
+        if any(
+            target == block.max_sum > 0 and block.kind is not BlockKind.SUPERINCREASING
+            for _, targets, _, _ in _pivot_terms(bands, sorted(bands.heavy))
+            for block, target in zip(bands.blocks, targets)
+        ):
+            found.add("a full uniform or enumerable share")
+    verdict = "refused" if bands is None else "accepted"
+    return {f"{verdict}: {label}" for label in found}
+
+
+class TestBottomUpClaimsReachTheBoundaries:
+    """The bottom-up strategy reaches each rule's boundary from inside, and
+    one unit past it where the rule then refuses."""
+
+    @pytest.mark.parametrize(
+        "broken, boundary",
+        [
+            (None, "accepted: blocks below weigh one less than the gap"),
+            ("gap", "refused: blocks below weigh exactly the gap"),
+            (None, "accepted: a superincreasing gap above the granularity"),
+            (None, "accepted: an empty block over a heavier band"),
+            (None, "accepted: a heavy pair 0 short of the quota"),
+            ("pair", "refused: a heavy pair 1 short of the quota"),
+            (None, "accepted: residuals at both ends of the window"),
+            (None, "accepted: a full uniform or enumerable share"),
+        ],
+    )
+    def test_reaches(self, broken, boundary):
+        find(
+            bottom_up_band_claims(broken),
+            lambda claim: boundary in _boundaries(claim),
+            settings=settings(
+                max_examples=1000, database=None, derandomize=True, phases=[Phase.generate]
+            ),
+        )

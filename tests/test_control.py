@@ -202,6 +202,11 @@ class TestModes:
         assert report.verdict == "NO-sampled"
         assert report.trials == 50 and report.seed == 3
 
+    @pytest.mark.parametrize("trials", [2.0, True, "40", None])
+    def test_sampled_refuses_a_trial_count_that_is_not_an_int(self, trials):
+        with pytest.raises(InputError, match="integer trial count"):
+            Sampled(seed=1, trials=trials)
+
     def test_restricted_needs_groups(self, example1):
         instance = ControlInstance(
             game=example1, distinguished=1, budget=1, goal=Goal.DECREASE

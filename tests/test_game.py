@@ -198,6 +198,19 @@ class TestExactIndex:
         if a == b:
             assert hash(a) == hash(b)
 
+    @pytest.mark.parametrize("other", [0.3, 0, Fraction(1, 4), None])
+    def test_ordering_against_another_type_is_a_type_error(self, other):
+        value = ExactIndex(1, 2)
+        for compare in (
+            lambda: value < other,
+            lambda: value <= other,
+            lambda: value > other,
+            lambda: value >= other,
+        ):
+            with pytest.raises(TypeError):
+                compare()
+        assert value != other
+
     def test_total_order_is_consistent(self):
         values = [ExactIndex(3, 4), ExactIndex(8, 5), ExactIndex(0, 0), ExactIndex(7, 3)]
         by_cross_mult = sorted(values)

@@ -29,6 +29,8 @@ from wvgcontrol import (
 )
 from wvgcontrol.serialize import load_document
 
+from conftest import bottom_up_band_claims
+
 pytestmark = pytest.mark.filterwarnings("ignore::wvgcontrol.gadgets.GadgetConstructionNote")
 
 OR2 = CnfFormula(2, (frozenset({1, 2}),))
@@ -130,7 +132,8 @@ class TestInstanceDocuments:
                 ],
             },
         }
-        with pytest.raises(BandStructureError, match=f"together \\({heavy} \\+ {heavy} <="):
+        message = f"together \\({heavy} \\+ {heavy} < {document['quota']}\\)"
+        with pytest.raises(BandStructureError, match=message):
             load_instance(json.dumps(document))
 
     def test_bad_goal(self):
@@ -228,3 +231,15 @@ class TestGeneratedRoundTrips:
         assert loaded.groups == instance.groups
         assert (loaded.a_players, loaded.b_players) == (instance.a_players, instance.b_players)
         assert loaded == instance
+
+    @settings(max_examples=40, deadline=None)
+    @given(claim=bottom_up_band_claims())
+    def test_load_inverts_dump_on_bottom_up_band_systems(self, claim):
+        # including systems that only the exact band rules accept
+        bands = claim.build()
+        instance = ControlInstance(claim.game, claim.distinguished, 1, Goal.DECREASE, bands=bands)
+        loaded = load_instance(dump_instance(instance))
+        assert loaded == instance
+        assert [(b.max_sum, b.min_gap) for b in loaded.bands.blocks] == [
+            (b.max_sum, b.min_gap) for b in instance.bands.blocks
+        ]
