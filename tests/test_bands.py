@@ -18,9 +18,11 @@ from wvgcontrol import (
     BandStructureError,
     BandSystem,
     BlockKind,
+    BudgetExceededError,
     CnfFormula,
     ControlInstance,
     DeletionCounter,
+    ExactIndex,
     Game,
     Goal,
     InputError,
@@ -30,15 +32,18 @@ from wvgcontrol import (
     build_maintain,
     build_nonincrease,
     count_block,
+    count_sat,
     decompose_target,
     delete_players,
+    expected_index,
     pivot_count_layered,
 )
 from wvgcontrol import bands as bands_module
 from wvgcontrol.bands import _pivot_terms, count_light_subsets, heavy_pivot_term
 from wvgcontrol.control import _CandidateSpace, _candidate_classes, solve_control
 from wvgcontrol.engines import pivot_count_enum, pivot_count_mitm
-from wvgcontrol.verify import NO_INSTANCES
+from wvgcontrol.gadgets import build_prereduction
+from wvgcontrol.verify import NO_INSTANCES, random_formula
 
 from conftest import BAND_RULES, BandClaim, bottom_up_band_claims, random_band_claims
 
@@ -814,3 +819,148 @@ class TestBottomUpClaimsReachTheBoundaries:
                 max_examples=1000, database=None, derandomize=True, phases=[Phase.generate]
             ),
         )
+
+
+@st.composite
+def column_blocks(draw) -> LightBlock:
+    """An enumerable block of 1-9 members whose weights sit in random
+    decimal columns of 1-3 digits, with empty positions between some.
+    Members touch one column or several; a column may get a last member
+    that brings its total to exactly one below the next column's place or
+    exactly to it, so some columns carry and the counter must merge them."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    starts, position = [], 0
+    for width in widths:
+        position += draw(st.integers(0, 2))
+        starts.append(position)
+        position += width
+    parts = []
+    for _ in range(draw(st.integers(1, 8))):
+        columns = draw(st.sets(st.integers(0, len(widths) - 1), min_size=1, max_size=3))
+        parts.append({c: draw(st.integers(1, 10 ** widths[c] - 1)) for c in columns})
+    for column, width in enumerate(widths):
+        edge = 10**width - 1 + draw(st.integers(0, 1))
+        total = sum(own.get(column, 0) for own in parts)
+        if draw(st.booleans()) and total < edge:
+            parts.append({column: edge - total})
+    granularity = draw(st.sampled_from((1, 1, 7, 10, 1000)))
+    weights = tuple(
+        granularity * sum(part * 10 ** starts[c] for c, part in own.items()) for own in parts
+    )
+    members = tuple(range(len(weights)))
+    return LightBlock("cols", BlockKind.ENUMERABLE, members, weights, granularity)
+
+
+def _assert_columns_count(block: LightBlock, rng: random.Random) -> None:
+    """The column counter against enumerating the block's subsets: every
+    subset sum (at most 40 of them, drawn by ``rng``), one granularity
+    above each, and multiples of the granularity no subset reaches."""
+    weights, granularity = block.weights, block.granularity
+    layout = bands_module._column_layout(weights, granularity)
+    assert layout is not None
+    sums = Counter(
+        sum(subset)
+        for size in range(len(weights) + 1)
+        for subset in itertools.combinations(weights, size)
+    )
+    on_grid = rng.sample(sorted(sums), min(len(sums), 40))
+    top = 2 * block.max_sum // granularity + 2
+    off_grid = [granularity * rng.randint(0, top) for _ in range(10)]
+    for target in {*on_grid, *(s + granularity for s in on_grid), *off_grid}:
+        count = bands_module._column_count(layout, target // granularity)
+        assert count == sums[target], target
+
+
+def _compile_batch(rng: random.Random):
+    """Strict gadgets of every kind for n = 5..7 and 1-4 random clauses."""
+    for n in (5, 6, 7):
+        for m in (1, 2, 3, 4):
+            for build in (build_decrease, build_nonincrease, build_maintain):
+                formula, k = random_formula(rng, n, m), rng.randint(4, n - 1)
+                if build is build_maintain:
+                    yield build(formula, k, 3 * rng.randint(1, 1 << (n - k)))
+                else:
+                    yield build(formula, k)
+
+
+@pytest.mark.filterwarnings("ignore::wvgcontrol.gadgets.GadgetConstructionNote")
+class TestColumnCounter:
+    """Enumerable blocks past ``_MITM_MEMBERS`` members are counted by their
+    decimal columns."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        block=column_blocks(),
+        keep=st.integers(0, (1 << 12) - 1),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_matches_brute_force_on_random_column_blocks(self, block, keep, rng):
+        _assert_columns_count(block, rng)
+        surviving = {m: m for m in block.members if keep >> m & 1}
+        _assert_columns_count(block.restrict(surviving), rng)
+
+    def test_matches_mitm_on_every_walk_target_of_a_compile_batch(self, monkeypatch):
+        recorded, checked = [], Counter()
+        original = bands_module.count_block
+
+        def recording(block, target):
+            recorded.append((block, target))
+            return original(block, target)
+
+        monkeypatch.setattr(bands_module, "count_block", recording)
+        for instance in _compile_batch(random.Random(3)):
+            recorded.clear()
+            pivot_count_layered(instance.bands)
+            for block, target in recorded:
+                if block.name not in ("E", "ABC") or len(block.members) > 30:
+                    continue
+                layout = bands_module._column_layout(block.weights, block.granularity)
+                assert layout is not None
+                by_columns = bands_module._column_count(layout, target // block.granularity)
+                assert by_columns == bands_module._enum_count(block.weights, target)
+                checked[block.name, len(block.members) > bands_module._MITM_MEMBERS] += 1
+        # both blocks, on both sides of the member limit
+        assert set(checked) == {("E", False), ("E", True), ("ABC", False), ("ABC", True)}
+
+    def test_a_300_clause_e_block_counts_the_models(self):
+        # clauses true under x1..x6 = 1, 0, 1, 1, 0, 0 keep the formula satisfiable
+        rng, planted, clauses = random.Random(7), {1, -2, 3, 4, -5, -6}, []
+        while len(clauses) < 300:
+            clause = frozenset(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 7), 3))
+            if clause & planted:
+                clauses.append(clause)
+        formula = CnfFormula(6, tuple(clauses))
+        instance = build_decrease(formula, 4)
+        e_block = instance.bands.block_named("E")
+        pre = build_prereduction(formula, 4, t_floor=10 ** instance.meta["t"] - 1)
+        assert e_block.weights == pre.scaled_weights and len(e_block.members) == 912
+        gc.collect()
+        gc.disable()
+        try:
+            assert count_block(e_block, pre.q_double_prime) == count_sat(formula) > 0
+            assert gc.collect() == 0  # the walk keeps an explicit stack
+        finally:
+            gc.enable()
+        assert ExactIndex(pivot_count_layered(instance.bands), instance.game.num_players - 1) == (
+            expected_index(Goal.DECREASE, 4, 6, count_sat(formula), instance.game.num_players)
+        )
+
+    def test_a_block_without_a_layout_is_refused_past_thirty_members(self):
+        # every member spans both columns with the same top column: the
+        # walk bound is 2**32 nodes, past _MAX_COLUMN_WORK
+        weights = tuple(10**6 * (i % 9 + 1) + i % 7 + 1 for i in range(31))
+        block = LightBlock("wide", BlockKind.ENUMERABLE, tuple(range(31)), weights, 1)
+        assert bands_module._column_layout(weights, 1) is None
+        with pytest.raises(BudgetExceededError, match="31 members .limit 30. and no column layout"):
+            count_block(block, weights[0])
+        smaller = block.restrict({m: m for m in range(25)})  # within the mitm limit
+        expected = bands_module._enum_count(smaller.weights, weights[0])
+        assert count_block(smaller, weights[0]) == expected
+
+    def test_layouts_are_cached_in_a_bounded_lru(self):
+        bands_module._column_layout.cache_clear()
+        block = LightBlock("ones", BlockKind.ENUMERABLE, tuple(range(31)), (1,) * 31, 1)
+        assert count_block(block, 5) == math.comb(31, 5)
+        assert count_block(block, 6) == math.comb(31, 6)
+        info = bands_module._column_layout.cache_info()
+        assert (info.hits, info.misses, info.maxsize) == (1, 1, bands_module._TABLE_CACHE_SIZE)

@@ -17,9 +17,12 @@ from wvgcontrol import (
     Goal,
     build_decrease,
     build_nonincrease,
+    count_sat,
     dump_game,
     dump_instance,
+    expected_index,
     load_instance,
+    parse_dimacs,
 )
 from wvgcontrol import verify
 from wvgcontrol.cli import (
@@ -189,8 +192,11 @@ class TestReduceAndIndex:
         code = main(["reduce", str(cnf), "--kind", "decrease", "-k", "4", "-o", str(out)])
         assert code == EXIT_OK
         assert "players: 2138" in capsys.readouterr().out
-        assert main(["index", str(out)]) == EXIT_BUDGET
-        assert "enumerable block E has 912 members" in capsys.readouterr().err
+        # the 912-member E block is counted by its decimal columns
+        assert main(["index", str(out)]) == EXIT_OK
+        xi = count_sat(parse_dimacs(cnf.read_text()))
+        expected = expected_index(Goal.DECREASE, 4, 6, xi, 2138)
+        assert _fraction_line("index of player 0", expected) in capsys.readouterr().out.splitlines()
 
 
 class TestControlCommand:
