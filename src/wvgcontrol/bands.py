@@ -625,8 +625,9 @@ class DeletionCounter:
     The no-carry split of a residual across blocks is unique over all
     light subsets of the original game, and every subset of the survivors
     is such a subset, so each heavy player's per-block targets and block
-    counts are computed once, here, and grouped by heavy player.  After
-    deleting light players L and heavy players H the count is
+    counts are computed once, here, and grouped by heavy player; so is the
+    set of targets each block recount counts.  After deleting light
+    players L and heavy players H the count is
     ``T(L) - sum(t_h(L) for h in H)``: ``T(L)`` sums every heavy term
     after deleting L and ``t_h(L)`` sums h's own terms; ``heavy_terms``
     gives every nonzero ``t_h(L)``.  A term after deleting L is its
@@ -652,6 +653,9 @@ class DeletionCounter:
         for heavy, *term in _pivot_terms(bands, sorted(bands.heavy)):
             self._terms.append(term := tuple(term))
             self._terms_of.setdefault(heavy, []).append(term)
+        self._targets = [
+            {targets[index] for targets, _, _ in self._terms} for index in range(len(bands.blocks))
+        ]
         self._totals: dict[frozenset[int], int] = {}
         self._recounts: dict[tuple[int, frozenset[int]], dict[int, int]] = {}
 
@@ -698,7 +702,7 @@ class DeletionCounter:
             block = block.restrict({m: m for m in block.members if m not in members})
             recounted = {
                 target: 0 if target > block.max_sum else count_block(block, target)
-                for target in {targets[index] for targets, _, _ in self._terms}
+                for target in self._targets[index]
             }
             _remember(self._recounts, (index, members), recounted)
         return index, recounted

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import operator
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -276,27 +277,16 @@ def _candidate_classes(
     return classes
 
 
-def _make_candidate(
-    classes: list[tuple[int, tuple[int, ...]]], takes: list[tuple[int, int]]
-) -> DeletionCandidate:
-    """The candidate deleting ``count`` players of class ``index`` for each
-    ``(index, count)`` in ``takes`` (ascending indices, nonzero counts)."""
-    players: list[int] = []
-    counts: list[tuple[int, int]] = []
-    for index, count in takes:
-        weight, members = classes[index]
-        counts.append((weight, count))
-        players.extend(members[:count])
-    return DeletionCandidate(tuple(counts), frozenset(players))
-
-
 class _CandidateSpace:
     """Count vectors over the weight classes, ranked greatest-lexicographic
     first (prefer deleting from the heaviest class).
 
     ``ways[i][s]`` is the number of count vectors over classes ``i..`` with
     total at most ``s``, for ``s`` up to the largest total the budget and
-    the classes allow.
+    the classes allow.  Unranking bisects rows of ``-tail`` read off
+    ``ways`` (see ``candidate``) with ``bisect``, so each probe runs in C.
+    A row is built on first use and cached for the space's life; the ranks
+    of one window fill at most ``max_size + 1`` rows.
     """
 
     def __init__(self, classes: list[tuple[int, tuple[int, ...]]], max_size: int) -> None:
@@ -313,6 +303,7 @@ class _CandidateSpace:
                 row.append(window)
             ways.append(row)
         self.ways = ways[::-1]
+        self._rows: dict[tuple[int, int], list[int]] = {}  # (high, below) -> -tail row
 
     def count(self, low: int, high: int) -> int:
         """Number of count vectors with total in ``[low, high]``."""
@@ -322,6 +313,13 @@ class _CandidateSpace:
         top = self.ways[0]
         return top[high] - (top[low - 1] if low > 0 else 0)
 
+    def _row(self, high: int, below: int) -> list[int]:
+        """Cache and return ``-tail(j)`` of every ``j`` for the window ``(below, high]``."""
+        ways = self.ways
+        neg = [w[below] - w[high] for w in ways] if below >= 0 else [-w[high] for w in ways]
+        self._rows[high, below] = neg
+        return neg
+
     def candidate(self, rank: int, low: int, high: int) -> DeletionCandidate:
         """The ``rank``-th count vector with total in ``[low, high]``.
 
@@ -329,46 +327,48 @@ class _CandidateSpace:
         ``i .. j-1`` are the last ``tail(j)`` of them, where ``tail(j)``
         counts the vectors over classes ``j..`` in the window.  ``tail`` is
         nonincreasing in ``j``, so the next class that takes something is
-        found by bisection instead of a walk over the classes in between.
+        found by bisection over the row ``-tail(j)`` of all ``j``, with no
+        walk over the classes in between.  Rows are keyed on ``(high,
+        low - 1)``, every negative ``low - 1`` under -1 since their rows
+        agree.  Taking from a class shifts both ends of the window alike,
+        so one unrank meets rows of one width only, at most one per
+        ``high`` in ``0 .. max_size``.
         """
-        if not 0 <= rank < self.count(low, high):
-            raise WvgError(f"rank {rank} is outside the candidate space")
         high = min(high, self.max_size)
-        ways, classes = self.ways, self.classes
+        below = low - 1 if low > 0 else -1
+        ways, classes, rows = self.ways, self.classes, self._rows
+        # -neg[0] counts the whole window; an empty one has no row
+        neg = (rows.get((high, below)) or self._row(high, below)) if high > below else (0,)
+        if not 0 <= rank < -neg[0]:
+            raise WvgError(f"rank {rank} is outside the candidate space")
         end = len(classes)
-        takes: list[tuple[int, int]] = []
+        counts: list[tuple[int, int]] = []  # (class weight, deleted), heaviest first
+        players: list[int] = []
         i = 0
-        while high > 0:  # once the budget is used up, later classes take nothing
-            below = low - 1
-
-            def tail(j: int) -> int:
-                return ways[j][high] - (ways[j][below] if below >= 0 else 0)
-
-            # the vector is among the last tail(j) ones, that is
-            # rank >= tail(i) - tail(j), exactly for j up to the next class
-            # it takes from
-            target = tail(i) - rank
-            lo, hi = i, end
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if tail(mid) >= target:
-                    lo = mid
-                else:
-                    hi = mid - 1
+        while True:
+            # the vector is among the last tail(j) ones, that is rank >=
+            # tail(i) - tail(j), exactly for j up to the next class it takes from
+            lo = bisect_right(neg, rank + neg[i], i, end + 1) - 1
             if lo == end:
                 break  # the vector takes nothing from here on
-            rank = tail(lo) - target
+            rank += neg[i] - neg[lo]
+            weight, members = classes[lo]
             after = ways[lo + 1]
-            take = min(len(classes[lo][1]), high)
+            take = min(len(members), high)
             while True:
                 ways_after = after[high - take] - (after[below - take] if below >= take else 0)
                 if rank < ways_after:
                     break
                 rank -= ways_after
                 take -= 1
-            takes.append((lo, take))
+            counts.append((weight, take))
+            players.extend(members[:take])
             high, low, i = high - take, low - take, lo + 1
-        return _make_candidate(classes, takes)
+            if not high:
+                break  # the budget is used up, so later classes take nothing
+            below = low - 1 if low > 0 else -1
+            neg = rows.get((high, below)) or self._row(high, below)
+        return DeletionCandidate(tuple(counts), frozenset(players))
 
 
 def _confirm_witness(

@@ -565,6 +565,50 @@ class TestCandidateSpaceProperties:
         assert Counter(sizes) == Counter(sum(vector) for vector in space)
 
 
+class TestCandidateRowCache:
+    """The unranking rows a space caches are keyed on both ends of the
+    window and stay few."""
+
+    @staticmethod
+    def _space(caps, budget):
+        firsts = itertools.accumulate(caps, initial=0)
+        classes = [
+            (weight, tuple(range(first, first + cap)))
+            for weight, first, cap in zip(range(len(caps), 0, -1), firsts, caps)
+        ]
+        return _CandidateSpace(classes, budget)
+
+    @pytest.mark.parametrize("caps", [(3, 1, 2), (2, 2, 1, 3, 1, 1), (1,) * 9])
+    def test_interleaved_windows_unrank_as_on_fresh_spaces(self, caps):
+        windows = list(itertools.product(range(7), repeat=2))
+        expected = {}
+        for low, high in windows:
+            fresh = self._space(caps, 6)
+            expected[low, high] = [
+                fresh.candidate(rank, low, high) for rank in range(fresh.count(low, high))
+            ]
+        shared = self._space(caps, 6)
+        # rank r of every window before rank r + 1 of any, so that windows
+        # sharing a high end meet each other's rows
+        for rank in range(max(map(len, expected.values()))):
+            for window in windows:
+                if rank < len(expected[window]):
+                    assert shared.candidate(rank, *window) == expected[window][rank]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        caps=st.lists(st.integers(1, 4), max_size=6),
+        budget=st.integers(0, 12),
+        low=st.integers(-2, 6),
+        high=st.integers(0, 14),
+    )
+    def test_one_window_fills_at_most_max_size_plus_one_rows(self, caps, budget, low, high):
+        space = self._space(caps, budget)
+        for rank in range(space.count(low, high)):
+            space.candidate(rank, low, high)
+        assert len(space._rows) <= space.max_size + 1
+
+
 def _full_recount_search(monkeypatch) -> None:
     """Make layered search score every candidate by a full layered count."""
     layered = control.ENGINES["layered"]
