@@ -36,8 +36,14 @@ the same validating constructor.
 ``pivot_count_layered``, ``heavy_pivot_term`` and ``DeletionCounter``
 read one walk over the pivotal coalition weights, which yields every
 nonzero heavy term with its per-block targets and counts.  The walk
-memoises block counts and the splits below each block in two dicts that
-go when it ends, so each target is counted and each remainder split once.
+keeps two memos that go when it ends: block counts keyed on (block
+index, target), and keyed on (block index, remainder) the counted suffix
+from that block down: the product of its block counts, linked to the
+share and count of its first block and to the suffix below.  So each
+target is counted and each remainder split once, and a residual that
+meets a known remainder costs only a share, a count lookup and a product
+for each block above it; the per-block targets and counts are read off
+the links only where they are kept, in ``DeletionCounter``.
 Deleting players never changes the per-block targets of a residual (the
 split is unique over all light subsets, and the survivors' subsets are
 among them), so ``DeletionCounter`` keeps the terms, grouped by heavy
@@ -55,10 +61,12 @@ from __future__ import annotations
 
 import bisect
 import functools
+import heapq
 import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .engines import HalfSums, count_window, half_sum_tables
@@ -176,7 +184,7 @@ class BandSystem:
                 "light players alone can reach the pivotal interval "
                 f"(total {decimal_str(light_total)} vs quota {decimal_str(game.quota)})"
             )
-        heavy_weights = sorted(map(game.weights.__getitem__, self.heavy))
+        heavy_weights = heapq.nsmallest(2, map(game.weights.__getitem__, self.heavy))
         if len(heavy_weights) >= 2 and heavy_weights[0] + heavy_weights[1] < game.quota:
             raise BandStructureError(
                 "two heavy players fit under the quota together "
@@ -186,8 +194,20 @@ class BandSystem:
 
     def _check_partition(self) -> None:
         """Every player exactly once, each block's stored weights matching
-        the game; walks the members in order and raises on the first fault."""
+        the game.  Checked in bulk: one range check, one set size and one
+        comparison of the weight tuples; only when one fails does the walk
+        over the members in order find the first fault and raise on it."""
         game = self.game
+        members = [*chain.from_iterable(block.members for block in self.blocks)]
+        players = [self.distinguished, *self.heavy, *members]
+        if (
+            len(set(players)) == len(players) == game.num_players
+            and min(players) >= 0
+            and max(players) < game.num_players
+            and [*chain.from_iterable(block.weights for block in self.blocks)]
+            == [*map(game.weights.__getitem__, members)]
+        ):
+            return
         game.check_player(self.distinguished)
         seen: set[int] = {self.distinguished}
         for player in self.heavy:
@@ -273,36 +293,26 @@ def _share(block: LightBlock, remaining: int) -> int | None:
     return value if value <= block.max_sum else None
 
 
-def _split(blocks: tuple[LightBlock, ...], residual: int, suffixes: dict) -> tuple | None:
-    """Per-block targets of ``residual``, or ``None``.  ``suffixes`` maps
-    (block index, remaining) to the targets from that block on, or ``None``;
-    the loop goes down to a known suffix and fills the memo on the way back."""
+def _split(blocks: tuple[LightBlock, ...], residual: int) -> tuple | None:
+    """Per-block targets of ``residual``, or ``None``: each block's share
+    from the most significant down, with nothing left after the last."""
     if residual < 0:
         raise InputError("residual must be nonnegative")
-    path, index, remaining = [], 0, residual
-    while (index, remaining) not in suffixes:
-        if index == len(blocks):
-            suffixes[index, remaining] = None if remaining else ()
-            break
-        share = _share(blocks[index], remaining)
+    targets = []
+    for block in blocks:
+        share = _share(block, residual)
         if share is None:
-            suffixes[index, remaining] = None
-            break
-        path.append((index, remaining, share))
-        index, remaining = index + 1, remaining - share
-    targets = suffixes[index, remaining]
-    for index, remaining, share in reversed(path):
-        if targets is not None:
-            targets = (share, *targets)
-        suffixes[index, remaining] = targets
-    return targets
+            return None
+        targets.append(share)
+        residual -= share
+    return None if residual else tuple(targets)
 
 
 def decompose_target(bands: BandSystem, residual: int) -> Decomposition | None:
     """Split ``residual`` into per-block targets, each block taking its forced
     share from the most significant down; unique when it exists, ``None`` when
     some share is unreachable or a nonzero remainder survives the last block."""
-    targets = _split(bands.blocks, residual, {})
+    targets = _split(bands.blocks, residual)
     return None if targets is None else Decomposition(targets)
 
 
@@ -530,41 +540,89 @@ def count_block(block: LightBlock, target: int) -> int:
     return _enum_count(block.weights, target)
 
 
-def _block_counts(blocks: tuple, residual: int, suffixes: dict, counts: dict) -> tuple | None:
-    """Per-block targets and counts of the light subsets summing to ``residual``,
-    or ``None`` at the first zero count (the blocks after it are not counted).
-    The split is finished before any block is counted; ``suffixes`` memoises
-    it and ``counts`` memoises ``count_block`` on (block index, target)."""
-    targets = _split(blocks, residual, suffixes)
-    if targets is None:
+# A counted suffix: the light subsets of the blocks from some index down
+# that hit a remainder, as (product of the block counts, the first block's
+# share, its count, the suffix below), or ``(1,)`` past the last block.
+# The walk links each suffix to the one below, so a residual that meets a
+# known remainder adds one small tuple per block above it.
+_PAST_THE_LAST_BLOCK = (1,)
+# marks a remainder the walk has not split yet
+_UNSEEN = object()
+
+
+def _walk_memos(blocks: tuple) -> tuple[list[dict], list[dict]]:
+    """The empty memos of one walk: per block index, remainder to counted
+    suffix (past the last block, only 0 to the empty suffix), and per block
+    index, target to ``count_block``."""
+    return [{} for _ in blocks] + [{0: _PAST_THE_LAST_BLOCK}], [{} for _ in blocks]
+
+
+def _counted_suffix(blocks: tuple, residual: int, suffixes: list, counts: list) -> tuple | None:
+    """The counted suffix of ``residual`` from the first block down, or
+    ``None`` when the split fails or a block count is zero.
+
+    ``suffixes`` and ``counts`` are a walk's memos (``_walk_memos``); a
+    remainder maps to ``None`` when its suffix is.  The loop splits down
+    to a known remainder, counts the new blocks from the most significant
+    down to the first zero (the blocks after it are not counted) and fills
+    the memo on the way back, so a residual costs a share, a count lookup
+    and a product for each block where its remainder is new."""
+    if residual < 0:
+        raise InputError("residual must be nonnegative")
+    path, index, remaining = [], 0, residual
+    while (suffix := suffixes[index].get(remaining, _UNSEEN)) is _UNSEEN:
+        share = _share(blocks[index], remaining) if index < len(blocks) else None
+        if share is None:
+            suffix = None
+            break
+        path.append((index, remaining, share))
+        index, remaining = index + 1, remaining - share
+    decided, found = len(path), []  # the path levels whose suffix is known
+    if suffix is not None:
+        for index, _, share in path:
+            count = counts[index].get(share)
+            if count is None:
+                count = counts[index][share] = count_block(blocks[index], share)
+            if not count:
+                suffix, decided = None, len(found) + 1
+                break
+            found.append(count)
+    if suffix is None:
+        for index, remaining, _ in path[:decided]:
+            suffixes[index][remaining] = None
         return None
-    found = []
-    for index, target in enumerate(targets):
-        count = counts.get((index, target))
-        if count is None:
-            count = counts[index, target] = count_block(blocks[index], target)
-        if not count:
-            return None
-        found.append(count)
-    return targets, tuple(found)
+    for (index, remaining, share), count in zip(reversed(path), reversed(found)):
+        suffix = suffixes[index][remaining] = (count * suffix[0], share, count, suffix)
+    return suffix
+
+
+def _unlinked(suffix: tuple) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """A counted suffix as (per-block targets, per-block counts, product)."""
+    product, targets, counts = suffix[0], [], []
+    while len(suffix) > 1:
+        _, share, count, suffix = suffix
+        targets.append(share)
+        counts.append(count)
+    return tuple(targets), tuple(counts), product
 
 
 def count_light_subsets(bands: BandSystem, residual: int) -> int:
     """Number of light subsets (all blocks combined) summing to ``residual``."""
-    counted = _block_counts(bands.blocks, residual, {}, {})
-    return math.prod(counted[1]) if counted else 0
+    suffix = _counted_suffix(bands.blocks, residual, *_walk_memos(bands.blocks))
+    return suffix[0] if suffix else 0
 
 
 _MAX_INTERVAL_WIDTH = 4096
 
 
-def _pivot_terms(bands: BandSystem, heavies: list[int]) -> Iterator[tuple]:
+def _pivot_terms(bands: BandSystem, heavies: list[int]) -> Iterator[tuple[int, tuple]]:
     """Every nonzero pivot-count term: a pivotal coalition weight less the
-    weight of one of ``heavies``, as (heavy player, per-block targets,
-    per-block counts, their product).  A generator, so that a caller that
-    only sums the products holds one term at a time.  The walk memoises
-    block counts and split suffixes in two dicts of its own frame, which go
-    when it ends."""
+    weight of one of ``heavies``, as (heavy player, its counted suffix from
+    the first block down); the suffix's first entry is the term, and
+    ``_unlinked`` gives its per-block targets and counts.  A generator, so
+    that a caller that only sums the terms holds one at a time.  The walk
+    memoises block counts and counted suffixes in two memos of its own
+    frame, which go when it ends."""
     game = bands.game
     w_p = game.weights[bands.distinguished]
     if w_p > _MAX_INTERVAL_WIDTH:
@@ -572,20 +630,21 @@ def _pivot_terms(bands: BandSystem, heavies: list[int]) -> Iterator[tuple]:
             f"distinguished weight {w_p} spans too wide a pivotal interval "
             f"for per-value decomposition (limit {_MAX_INTERVAL_WIDTH})"
         )
-    blocks, suffixes, counts = bands.blocks, {}, {}
+    blocks = bands.blocks
+    suffixes, counts = _walk_memos(blocks)
     for coalition_weight in range(game.quota - w_p, game.quota):
         for heavy in heavies:
             residual = coalition_weight - game.weights[heavy]
-            counted = _block_counts(blocks, residual, suffixes, counts) if residual >= 0 else None
-            if counted:
-                yield heavy, *counted, math.prod(counted[1])
+            suffix = _counted_suffix(blocks, residual, suffixes, counts) if residual >= 0 else None
+            if suffix:
+                yield heavy, suffix
 
 
 def heavy_pivot_term(bands: BandSystem, heavy_player: int) -> int:
     """Pivotal coalitions of the distinguished player through one heavy player."""
     if heavy_player not in bands.heavy:
         raise InputError(f"player {heavy_player} is not heavy in this band system")
-    return sum(term[-1] for term in _pivot_terms(bands, [heavy_player]))
+    return sum(suffix[0] for _, suffix in _pivot_terms(bands, [heavy_player]))
 
 
 def pivot_count_layered(bands: BandSystem, player: int | None = None) -> int:
@@ -603,7 +662,7 @@ def pivot_count_layered(bands: BandSystem, player: int | None = None) -> int:
         raise InputError(
             "the layered engine only counts for the band system's distinguished player"
         )
-    return sum(term[-1] for term in _pivot_terms(bands, sorted(bands.heavy)))
+    return sum(suffix[0] for _, suffix in _pivot_terms(bands, sorted(bands.heavy)))
 
 
 # Each per-search memo of a ``DeletionCounter`` holds at most this many
@@ -650,8 +709,8 @@ class DeletionCounter:
         }
         self._terms: list[tuple] = []  # (targets, counts, product) of every heavy term
         self._terms_of: dict[int, list[tuple]] = {}  # the same terms by heavy player
-        for heavy, *term in _pivot_terms(bands, sorted(bands.heavy)):
-            self._terms.append(term := tuple(term))
+        for heavy, suffix in _pivot_terms(bands, sorted(bands.heavy)):
+            self._terms.append(term := _unlinked(suffix))
             self._terms_of.setdefault(heavy, []).append(term)
         self._targets = [
             {targets[index] for targets, _, _ in self._terms} for index in range(len(bands.blocks))

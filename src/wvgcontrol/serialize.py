@@ -29,8 +29,14 @@ from .game import Game, decimal_str
 from .gadgets import ControlInstance, Goal
 
 
+_DECIMAL = re.compile("-?[0-9]+")
+# decimal strings joined by commas; ``_parse_decimals`` also counts the
+# commas, so that no entry can hide one
+_DECIMALS = re.compile("-?[0-9]+(?:,-?[0-9]+)*")
+
+
 def _parse_decimal(value: Any, what: str) -> int:
-    if not isinstance(value, str) or not re.fullmatch(r"-?[0-9]+", value):
+    if not isinstance(value, str) or not _DECIMAL.fullmatch(value):
         raise FileFormatError(f"{what} must be a decimal string, got {value!r}")
     try:
         return int(value)
@@ -38,13 +44,34 @@ def _parse_decimal(value: Any, what: str) -> int:
         return int(Decimal(value))
 
 
+def _parse_decimals(values: list, what: str) -> tuple[int, ...]:
+    """``_parse_decimal`` of each entry.  One match of the entries joined by
+    commas checks them all; only when it fails, or an entry is past the
+    int/str digit limit, are they parsed one by one, so an error names the
+    first bad entry."""
+    if set(map(type, values)) <= {str}:
+        joined = ",".join(values)
+        if joined.count(",") == len(values) - 1 and _DECIMALS.fullmatch(joined):
+            try:
+                return tuple(map(int, values))
+            except ValueError:
+                pass
+    return tuple(_parse_decimal(value, what) for value in values)
+
+
 def _is_int(value: Any) -> bool:
     """A JSON integer; ``true``/``false`` are not integers here."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_array_of(value: Any, types: set[type]) -> bool:
+    """Whether ``value`` is a list whose items' exact types lie in ``types``;
+    ``json`` gives exact ``int`` and ``str``, and ``bool`` is not ``int``."""
+    return isinstance(value, list) and set(map(type, value)) <= types
+
+
 def _int_array(value: Any, what: str) -> list[int]:
-    if not isinstance(value, list) or not all(_is_int(x) for x in value):
+    if not _is_array_of(value, {int}):
         raise FileFormatError(f"{what} must be an array of integers")
     return value
 
@@ -80,10 +107,7 @@ def _game_from_document(document: dict) -> Game:
     weights = document["weights"]
     if not isinstance(weights, list):
         raise FileFormatError("'weights' must be an array of decimal strings")
-    return Game(
-        tuple(_parse_decimal(w, "weight") for w in weights),
-        _parse_decimal(document["quota"], "quota"),
-    )
+    return Game(_parse_decimals(weights, "weight"), _parse_decimal(document["quota"], "quota"))
 
 
 def load_game(text: str) -> Game:
@@ -149,13 +173,13 @@ def _instance_from_document(document: dict) -> ControlInstance:
     groups = None
     if "groups" in document:
         raw = document["groups"]
-        if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
+        if not _is_array_of(raw, {str}):
             raise FileFormatError("'groups' must be an array of strings")
         groups = tuple(raw)
 
     def carrier_table(key: str) -> tuple[int | None, ...]:
         raw = document.get(key, [])
-        if not isinstance(raw, list) or not all(x is None or _is_int(x) for x in raw):
+        if not _is_array_of(raw, {int, type(None)}):
             raise FileFormatError(f"{key!r} must be an array of ints or nulls")
         return tuple(raw)
 
@@ -165,6 +189,12 @@ def _instance_from_document(document: dict) -> ControlInstance:
         if not isinstance(raw, dict) or "heavy" not in raw or "blocks" not in raw:
             raise FileFormatError("'bands' needs 'heavy' and 'blocks'")
         heavy = _int_array(raw["heavy"], "'bands.heavy'")
+        if len(set(heavy)) != len(heavy):
+            seen: set[int] = set()
+            for player in heavy:
+                if player in seen:
+                    raise FileFormatError(f"'bands.heavy' lists player {player} twice")
+                seen.add(player)
         raw_blocks = raw["blocks"]
         if not isinstance(raw_blocks, list) or not all(
             isinstance(b, dict) for b in raw_blocks
@@ -177,8 +207,9 @@ def _instance_from_document(document: dict) -> ControlInstance:
             except (KeyError, ValueError):
                 raise FileFormatError(f"bad block kind in {raw_block!r}")
             members = _int_array(raw_block.get("members"), "block 'members'")
-            for member in members:
-                game.check_player(member)
+            if members and (min(members) < 0 or max(members) >= game.num_players):
+                for member in members:  # the first one out of range
+                    game.check_player(member)
             name = raw_block.get("name", kind.value)
             if not isinstance(name, str):
                 raise FileFormatError(f"block 'name' must be a string, got {name!r}")
@@ -187,7 +218,7 @@ def _instance_from_document(document: dict) -> ControlInstance:
                     name,
                     kind,
                     tuple(members),
-                    tuple(game.weights[m] for m in members),
+                    tuple(map(game.weights.__getitem__, members)),
                     _parse_decimal(raw_block.get("granularity"), "granularity"),
                 )
             )

@@ -39,7 +39,7 @@ from wvgcontrol import (
     pivot_count_layered,
 )
 from wvgcontrol import bands as bands_module
-from wvgcontrol.bands import _pivot_terms, count_light_subsets, heavy_pivot_term
+from wvgcontrol.bands import _pivot_terms, _unlinked, count_light_subsets, heavy_pivot_term
 from wvgcontrol.control import _CandidateSpace, _candidate_classes, solve_control
 from wvgcontrol.engines import pivot_count_enum, pivot_count_mitm
 from wvgcontrol.gadgets import build_prereduction
@@ -117,6 +117,25 @@ class TestBandSystemValidation:
         game = Game((1, 286, 287, 100), 400)
         with pytest.raises(BandStructureError, match="cover"):
             BandSystem(game=game, distinguished=0, heavy=frozenset({1, 2}), blocks=())
+
+    @pytest.mark.parametrize(
+        "ones, weight_of_4, message",
+        [
+            ((8, 9, 10, 10), 100, "player 10 appears twice in the band system"),
+            ((8, 9, 10, -1), 100, "player -1 out of range for a 12-player game"),
+            ((8, 9, 10, 11), 200, "block hundreds: stored weight of player 4 disagrees with the game"),
+        ],
+    )
+    def test_a_fault_that_keeps_the_player_count_is_named(self, ones, weight_of_4, message):
+        # twelve entries for twelve players: only the bulk check's set size,
+        # range check and weight comparison tell these from a partition
+        toy = banded_toy()
+        weights = list(toy.game.weights)
+        weights[4] = weight_of_4
+        blocks = (*toy.blocks[:2], uniform("ones", ones, 1))
+        with pytest.raises((BandStructureError, InvalidCoalitionError)) as error:
+            BandSystem(Game(tuple(weights), 400), 0, toy.heavy, blocks)
+        assert str(error.value) == message
 
     def test_heavy_pair_must_exceed_quota(self):
         game = Game((1, 150, 150), 400)
@@ -456,8 +475,8 @@ class TestHeavyTerms:
         smaller = instance.delete(deleted).bands
         original = {new: old for old, new in delete_players(instance.game, deleted)[1].items()}
         expected = dict.fromkeys(bands.heavy, 0)
-        for heavy, *_, product in _pivot_terms(smaller, sorted(smaller.heavy)):
-            expected[original[heavy]] += product
+        for heavy, suffix in _pivot_terms(smaller, sorted(smaller.heavy)):
+            expected[original[heavy]] += suffix[0]
         assert all(terms.values())
         assert {h: terms.get(h, 0) for h in bands.heavy} == expected
         assert sum(terms.values()) == counter.count(deleted)
@@ -471,13 +490,14 @@ class TestHeavyTerms:
                 counter.heavy_terms(deleted | {player})
 
 
-def _unmemoised_terms(bands: BandSystem) -> list[tuple]:
+def _unmemoised_terms(bands: BandSystem) -> tuple[list[tuple], set[tuple[int, int]]]:
     """The walk's terms with every residual split and every block counted
     afresh: ``decompose_target``, then ``count_block`` from the most
-    significant block down to the first zero count."""
+    significant block down to the first zero; and each (block index,
+    target) that counts."""
     game = bands.game
     w_p = game.weights[bands.distinguished]
-    terms = []
+    terms, counted = [], set()
     for coalition_weight in range(game.quota - w_p, game.quota):
         for heavy in sorted(bands.heavy):
             residual = coalition_weight - game.weights[heavy]
@@ -485,20 +505,62 @@ def _unmemoised_terms(bands: BandSystem) -> list[tuple]:
             if decomposition is None:
                 continue
             counts = []
-            for block, target in zip(bands.blocks, decomposition.targets):
+            for index, (block, target) in enumerate(zip(bands.blocks, decomposition.targets)):
+                counted.add((index, target))
                 counts.append(count_block(block, target))
                 if not counts[-1]:
                     break
             if all(counts):
                 terms.append((heavy, decomposition.targets, tuple(counts), math.prod(counts)))
+    return terms, counted
+
+
+def _walk_counting(bands: BandSystem) -> tuple[list[tuple], list[tuple[int, int]]]:
+    """The walk's terms, and each (block index, target) it hands to
+    ``count_block``, in order."""
+    index_of = {id(block): index for index, block in enumerate(bands.blocks)}
+    counted = []
+
+    def counting(block, target):
+        counted.append((index_of[id(block)], target))
+        return count_block(block, target)
+
+    with mock.patch.object(bands_module, "count_block", counting):
+        suffixes = list(_pivot_terms(bands, sorted(bands.heavy)))
+    return [(heavy, *_unlinked(suffix)) for heavy, suffix in suffixes], counted
+
+
+def _assert_walk_matches_reference(bands: BandSystem) -> list[tuple]:
+    """The walk's terms are the unmemoised reference's; it counts each
+    (block index, target) once, and only ones the reference counts, so it
+    refuses no count the reference makes.  Returns the terms."""
+    terms, counted = _walk_counting(bands)
+    expected, reference_counted = _unmemoised_terms(bands)
+    assert terms == expected
+    assert len(counted) == len(set(counted))
+    assert set(counted) <= reference_counted
     return terms
 
 
+def zero_top_toy() -> BandSystem:
+    """Distinguished player 0 (weight 1) and quota 50; heavies 1-3 leave
+    residuals 11, 21 and 12 for the top block {20, 20} (granularity 10)
+    over the uniform block {1, 1}.  Residuals 11 and 12 take the share 10
+    of the top block, which no subset hits, so their remainders 1 and 2
+    need not be counted; residual 21 reaches remainder 1 again after the
+    share 20, and its term is the only one (4 coalitions)."""
+    top = LightBlock("top", BlockKind.ENUMERABLE, (4, 5), (20, 20), 10)
+    game = Game((1, 38, 28, 37, 20, 20, 1, 1), 50)
+    return BandSystem(game, 0, frozenset({1, 2, 3}), (top, uniform("ones", (6, 7), 1)))
+
+
 def _walked(name: str) -> BandSystem:
-    """The toy, the 318-player strict decrease gadget, or ``kind-which``,
+    """A toy, the 318-player strict decrease gadget, or ``kind-which``,
     a relaxed gadget of ``NO_INSTANCES[which]``."""
     if name == "toy":
         return banded_toy()
+    if name == "zero-top":
+        return zero_top_toy()
     if name == "strict-decrease":
         bands = build_decrease(CnfFormula(5, (frozenset({1, 2, 3, 4, 5}),)), 4).bands
         assert bands.game.num_players == 318
@@ -518,32 +580,31 @@ class TestMemoisedWalk:
             *(f"{kind}-{which}" for kind in ("decrease", "nonincrease", "maintain") for which in (0, 1)),
             "strict-decrease",
             "toy",
+            "zero-top",
         ],
     )
     def test_terms_match_an_unmemoised_reference(self, name):
-        bands = _walked(name)
-        terms = list(_pivot_terms(bands, sorted(bands.heavy)))
-        assert terms
-        assert terms == _unmemoised_terms(bands)
+        assert _assert_walk_matches_reference(_walked(name))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), claims=st.sampled_from([bottom_up_band_claims, random_band_claims]))
+    def test_terms_match_an_unmemoised_reference_on_band_claims(self, data, claims):
+        try:
+            bands = data.draw(claims()).build()
+        except BandStructureError:
+            return
+        _assert_walk_matches_reference(bands)
 
     @pytest.mark.parametrize("name", ["maintain-1", "strict-decrease"])
-    def test_each_block_target_is_counted_once_per_count(self, name, monkeypatch):
+    def test_each_block_target_is_counted_once_per_count(self, name):
         bands = _walked(name)
-        index_of = {id(block): index for index, block in enumerate(bands.blocks)}
-        counted = []
-        original = bands_module.count_block
-
-        def counting(block, target):
-            counted.append((index_of[id(block)], target))
-            return original(block, target)
-
-        monkeypatch.setattr(bands_module, "count_block", counting)
-        assert pivot_count_layered(bands) > 0
+        terms, counted = _walk_counting(bands)
+        assert sum(term[-1] for term in terms) == pivot_count_layered(bands) > 0
         assert len(counted) == len(set(counted)) > 0
         assert len(counted) < len(bands.heavy) * len(bands.blocks)
 
     def test_the_walk_leaves_no_reference_cycle(self):
-        # two memo dicts die with the walk's frame; a self-referencing
+        # the two memos die with the walk's frame; a self-referencing
         # helper would keep them until the next cyclic collection
         bands = _gadget("decrease", 1).bands
         gc.collect()
@@ -786,8 +847,8 @@ def _boundaries(claim: BandClaim) -> set[str]:
             found.add("residuals at both ends of the window")
         if any(
             target == block.max_sum > 0 and block.kind is not BlockKind.SUPERINCREASING
-            for _, targets, _, _ in _pivot_terms(bands, sorted(bands.heavy))
-            for block, target in zip(bands.blocks, targets)
+            for _, suffix in _pivot_terms(bands, sorted(bands.heavy))
+            for block, target in zip(bands.blocks, _unlinked(suffix)[0])
         ):
             found.add("a full uniform or enumerable share")
     verdict = "refused" if bands is None else "accepted"

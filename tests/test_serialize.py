@@ -36,6 +36,20 @@ pytestmark = pytest.mark.filterwarnings("ignore::wvgcontrol.gadgets.GadgetConstr
 OR2 = CnfFormula(2, (frozenset({1, 2}),))
 
 
+# (array, bad entry, the message naming it); "n" stands for the player count
+MALFORMED_ENTRIES = [
+    *(
+        ("weights", entry, f"weight must be a decimal string, got {entry!r}")
+        for entry in ["\u0663", "1,2", "+1", " 1", "1 ", "", "-", True, 1.5, None]
+    ),
+    ("members", True, "block 'members' must be an array of integers"),
+    ("members", 1.0, "block 'members' must be an array of integers"),
+    ("members", -1, "player -1 out of range for a {n}-player game"),
+    ("members", "n", "player {n} out of range for a {n}-player game"),
+    ("groups", 5, "'groups' must be an array of strings"),
+]
+
+
 class TestGameDocuments:
     def test_roundtrip_small(self, example1):
         assert load_game(dump_game(example1)) == example1
@@ -183,6 +197,39 @@ class TestInstanceDocuments:
         assert loaded.game == example1
         assert loaded.groups is None and loaded.bands is None
         assert loaded.goal is Goal.MAINTAIN and loaded.budget == 2
+
+    def test_a_repeated_heavy_player_is_refused(self):
+        instance = build_decrease(OR2, 1, strict=False)
+        document = json.loads(dump_instance(instance))
+        heavy = document["bands"]["heavy"]
+        heavy.append(heavy[0])
+        with pytest.raises(FileFormatError) as error:
+            load_instance(json.dumps(document))
+        assert str(error.value) == f"'bands.heavy' lists player {heavy[0]} twice"
+
+    @pytest.mark.parametrize(
+        "field, entry, message",
+        [pytest.param(*case, id=f"{case[0]}={case[1]!r}") for case in MALFORMED_ENTRIES],
+    )
+    def test_a_malformed_entry_is_named(self, field, entry, message):
+        # alone, the bulk check must refuse it; before a later bad entry,
+        # the walk that follows a failed bulk check must name it first
+        instance = build_decrease(OR2, 1, strict=False)
+        n = instance.game.num_players
+        expected = InvalidCoalitionError if "out of range" in message else FileFormatError
+        for later in (None, n + 7 if field == "members" else "x"):
+            document = json.loads(dump_instance(instance))
+            if field == "members":
+                array = max((block["members"] for block in document["bands"]["blocks"]), key=len)
+            else:
+                array = document[field]
+            array[1] = n if entry == "n" else entry
+            if later is not None:
+                array[-1] = later
+            with pytest.raises(expected) as error:
+                load_instance(json.dumps(document))
+            assert type(error.value) is expected
+            assert str(error.value) == message.format(n=n)
 
     def test_tampered_band_membership_is_caught(self):
         # dropping a block's member breaks the cover invariant on load
