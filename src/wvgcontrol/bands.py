@@ -10,18 +10,11 @@ between two of its subset sums.  Consequently the residual a heavy player
 leaves open splits uniquely across blocks, and the number of light
 subsets hitting the residual is a product of per-block counts:
 
-* ``ENUMERABLE`` blocks of up to ``_MITM_MEMBERS`` (20) members are
-  counted by the engines' meet-in-the-middle core, with bounded caches.
-  A larger one is counted by its decimal columns when it has a column
-  layout, derived from its weights in units of its granularity: a cut
-  at ``10**p`` is valid exactly when the members' per-position digit
-  totals carry nothing into position ``p``.  One walk over the members
-  spanning several columns closes each column as soon as its last such
-  member is decided, against a table of the column's one-column
-  members.  A layout whose bound exceeds ``_MAX_COLUMN_WORK`` counts as
-  none; without one, a block of up to ``_MAX_ENUMERABLE`` (30) members
-  goes to meet-in-the-middle and a larger one is a budget refusal.
-  Layouts are cached in a bounded LRU;
+* ``ENUMERABLE`` blocks are counted by one pruned subset-sum pass over
+  their members, heaviest first, exact for any positive weights.  A
+  block the pass cannot finish within ``_MAX_PRUNED_STATES`` visited
+  remainders goes to the engines' meet-in-the-middle core up to
+  ``_MAX_ENUMERABLE`` (30) members, and a larger one is a budget refusal;
 * ``UNIFORM_CHAIN_LEVEL`` blocks (all weights equal) contribute a binomial
   coefficient;
 * ``SUPERINCREASING`` blocks admit at most one subset per value, found
@@ -59,17 +52,14 @@ deletes players (and restricts their band system) only for a witness.
 
 from __future__ import annotations
 
-import bisect
-import functools
 import heapq
 import math
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from typing import Iterable, Iterator
 
-from .engines import HalfSums, count_window, half_sum_tables
+from .engines import count_subsets_mitm
 from .errors import BandStructureError, BudgetExceededError, InputError
 from .game import Game, decimal_str
 
@@ -316,203 +306,46 @@ def decompose_target(bands: BandSystem, residual: int) -> Decomposition | None:
     return None if targets is None else Decomposition(targets)
 
 
-# Meet-in-the-middle tables for enumerable blocks, cached per weight tuple
-# so the control solver's thousands of deletion variants reuse them, and
-# the (weights, target) counts on top.  Both caches are bounded; their
-# ``cache_info()`` gives the hit counts and ``cache_clear()`` empties them.
-_TABLE_CACHE_SIZE = 8
-_COUNT_CACHE_SIZE = 4096
-
-# The layered engine's size budget for one enumerable block without a
-# column layout: past it the block is a budget refusal, not a broken band
-# invariant.
+# The most remainders the pruned pass may visit, summed over its steps.  Past
+# it an enumerable block goes to meet-in-the-middle, up to ``_MAX_ENUMERABLE``
+# members; a larger block is a budget refusal, not a broken band invariant.
+_MAX_PRUNED_STATES = 1 << 18
 _MAX_ENUMERABLE = 30
 
 
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _enum_tables(weights: tuple[int, ...]) -> HalfSums:
-    return half_sum_tables(weights)
+def _pruned_count(weights: tuple[int, ...], target: int) -> int | None:
+    """Subsets of ``weights`` summing to ``target``, or ``None`` once the pass
+    has visited more than ``_MAX_PRUNED_STATES`` remainders.
 
-
-@functools.lru_cache(maxsize=_COUNT_CACHE_SIZE)
-def _enum_count(weights: tuple[int, ...], target: int) -> int:
-    return count_window(_enum_tables(weights), target, target)
-
-
-# Enumerable blocks of at most this many members go to meet-in-the-middle;
-# a larger block is counted by its decimal columns when it has a column
-# layout.  A deletion search recounts its small blocks once per deletion
-# variant, and there the cached half-sum tables are cheaper than a walk.
-_MITM_MEMBERS = 20
-
-# The most steps a column layout may cost: singles-table entries built
-# plus walk nodes, bounded before any walk runs.  Past it a block has no
-# column layout.
-_MAX_COLUMN_WORK = 1 << 18
-
-_NONZERO_DIGIT = re.compile("[1-9]")
-
-
-def _digits(value: int) -> list[tuple[int, int]]:
-    """The nonzero decimal digits of ``value`` as (position, digit), the
-    units at position 0; one scan of its decimal string."""
-    text = decimal_str(value)
-    top = len(text) - 1
-    return [(top - at.start(), ord(at.group()) - 48) for at in _NONZERO_DIGIT.finditer(text)]
-
-
-@dataclass(frozen=True)
-class _Columns:
-    """A block's weights, in units of its granularity, split into decimal
-    columns that never carry.
-
-    Column ``c`` holds the positions from ``starts[c]`` up to the next
-    start; the top column has no end.  A column starts at a position where
-    the members' weights below it sum to less than ``10**position``, so any
-    subset's sum splits into per-column sums with no carry, and it hits a
-    target exactly when every column sum equals the target's own part.
-    """
-
-    starts: tuple[int, ...]
-    #: the (column, part) pairs of each member spanning several columns, in
-    #: walk order: top column first, heaviest first
-    steps: tuple[tuple[tuple[int, int], ...], ...]
-    #: ``closes[0]``: the columns no walk member touches; ``closes[i + 1]``:
-    #: the columns whose last walk member is ``steps[i]``
-    closes: tuple[tuple[int, ...], ...]
-    #: per column, subset-sum counts of its one-column members
-    tables: tuple[dict[int, int], ...]
-
-
-def _parts(starts: list[int] | tuple[int, ...], digits: list[tuple[int, int]]) -> dict[int, int]:
-    """The nonzero part of each column, from nonzero (position, digit) pairs."""
-    parts: dict[int, int] = {}
-    for position, digit in digits:
-        column = bisect.bisect_right(starts, position) - 1
-        parts[column] = parts.get(column, 0) + digit * 10 ** (position - starts[column])
-    return parts
-
-
-def _grown(table: dict[int, int], part: int) -> dict[int, int]:
-    """Subset-sum counts ``table`` with one more member of weight ``part``."""
-    grown = dict(table)
-    for value, count in table.items():
-        grown[value + part] = grown.get(value + part, 0) + count
-    return grown
-
-
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _column_layout(weights: tuple[int, ...], granularity: int) -> _Columns | None:
-    """The decimal columns of ``weights`` in units of ``granularity``, or
-    ``None`` when counting by them could cost more than ``_MAX_COLUMN_WORK``.
-
-    A cut at ``10**p`` is valid exactly when the column addition of the
-    members' per-position digit totals carries nothing into position ``p``;
-    one sweep over those totals finds every valid cut, and each column
-    starts at a position holding a digit, at a valid cut.  The walk bound:
-    members whose top column is ``c`` are walked together and close ``c``
-    when they are decided, so each path before them leaves at most
-    ``min(2**size, entries of c's table * most subsets of them sharing a
-    column-c sum)`` paths after them, and makes at most ``2**(size + 1)``
-    nodes among them.
-    """
-    members = [_digits(w // granularity) for w in weights]
-    totals: dict[int, int] = {}
-    for digits in members:
-        for position, digit in digits:
-            totals[position] = totals.get(position, 0) + digit
-    starts, carry, at = [], 0, 0
-    for position in sorted(totals):
-        while carry and at < position:  # a carry dies out over empty positions
-            carry, at = carry // 10, at + 1
-        if not carry:
-            starts.append(position)
-        carry, at = (carry + totals[position]) // 10, position + 1
-    starts[:1] = [0]  # the lowest column reaches down to the units
-
-    spans = [sorted(_parts(starts, digits).items(), reverse=True) for digits in members]
-    tables: list[dict[int, int]] = [{0: 1} for _ in starts]
-    work = 0
-    for own in spans:
-        if len(own) == 1:
-            column, part = own[0]
-            tables[column] = _grown(tables[column], part)
-            work += len(tables[column])
-            if work > _MAX_COLUMN_WORK:
-                return None
-    walked = [i for i, own in enumerate(spans) if len(own) > 1]
-    walked.sort(key=weights.__getitem__, reverse=True)
-    steps = [tuple(spans[i]) for i in walked]  # each top column first
-
-    paths, first = 1, 0
-    while first < len(steps):
-        top = steps[first][0][0]
-        end = first
-        while end < len(steps) and steps[end][0][0] == top:
-            end += 1
-        size = end - first
-        work += paths << (size + 1)
-        if work > _MAX_COLUMN_WORK:
+    The members are taken heaviest first, with a dict from remainder to its
+    number of ways.  A remainder is dropped once it is negative or above the
+    total of the members still to come, so the pass is exact for any
+    positive weights.  The no-carry digits of the E and ABC blocks only keep
+    the dict small: in a gadget over ``n`` variables at most ``2**n``
+    remainders survive the name members, so the pass visits about that
+    many per member after them."""
+    ordered = sorted(weights, reverse=True)
+    rest, ways, visited = sum(ordered), {target: 1}, 0
+    for w in ordered:
+        visited += len(ways)
+        if visited > _MAX_PRUNED_STATES:
             return None
-        sums = {0: 1}
-        for step in steps[first:end]:
-            sums = _grown(sums, step[0][1])
-        paths *= min(1 << size, len(tables[top]) * max(sums.values()))
-        first = end
-
-    last = {column: 0 for column in range(len(starts))}
-    for index, step in enumerate(steps):
-        for column, _ in step:
-            last[column] = index + 1
-    closes: list[list[int]] = [[] for _ in range(len(steps) + 1)]
-    for column, index in last.items():
-        closes[index].append(column)
-    return _Columns(tuple(starts), tuple(steps), tuple(map(tuple, closes)), tuple(tables))
-
-
-def _column_count(layout: _Columns, target: int) -> int:
-    """Subsets summing to ``target`` (in units of the granularity): one walk
-    over the members spanning several columns, an explicit stack of
-    (step, per-column remainders, product so far).  Taking a member lowers
-    the remainders of its columns; once a column's last walk member is
-    decided, its remainder must be a sum of its one-column members, and
-    the product takes their count."""
-    steps, closes, tables = layout.steps, layout.closes, layout.tables
-    remainders = [0] * len(layout.starts)
-    for column, part in _parts(layout.starts, _digits(target)).items():
-        remainders[column] = part
-    product = 1
-    for column in closes[0]:
-        product *= tables[column].get(remainders[column], 0)
-    total, stack = 0, [(0, remainders, product)] if product else []
-    while stack:
-        step, remainders, product = stack.pop()
-        if step == len(steps):
-            total += product
-            continue
-        taken = remainders.copy()
-        for column, part in steps[step]:
-            taken[column] -= part
-        branches = [remainders]
-        if min(taken[column] for column, _ in steps[step]) >= 0:
-            branches.append(taken)
-        for branch in branches:
-            count = product
-            for column in closes[step + 1]:
-                count *= tables[column].get(branch[column], 0)
-                if not count:
-                    break
-            else:
-                stack.append((step + 1, branch, count))
-    return total
+        rest -= w  # the total of the members after w
+        grown: dict[int, int] = {}
+        for left, count in ways.items():
+            if left <= rest:
+                grown[left] = grown.get(left, 0) + count
+            if w <= left <= rest + w:
+                grown[left - w] = grown.get(left - w, 0) + count
+        ways = grown
+    return ways.get(0, 0)
 
 
 def count_block(block: LightBlock, target: int) -> int:
     """Number of subsets of the block summing exactly to ``target``.
 
-    An enumerable block goes to meet-in-the-middle up to ``_MITM_MEMBERS``
-    members, and past that to its decimal columns when it has a column
-    layout; without one it goes to meet-in-the-middle up to
+    An enumerable block is counted by the pruned pass; one the pass cannot
+    finish within ``_MAX_PRUNED_STATES`` goes to meet-in-the-middle up to
     ``_MAX_ENUMERABLE`` members and is refused past that."""
     if target < 0 or target > block.max_sum:
         raise BandStructureError(
@@ -526,18 +359,16 @@ def count_block(block: LightBlock, target: int) -> int:
         return math.comb(len(block.members), target // block.granularity)
     if block.kind is BlockKind.SUPERINCREASING:
         return int(_share(block, target) == target)
-    size = len(block.members)
-    if size > _MITM_MEMBERS:
-        layout = _column_layout(block.weights, block.granularity)
-        if layout is not None:
-            return _column_count(layout, target // block.granularity)
-        if size > _MAX_ENUMERABLE:
-            raise BudgetExceededError(
-                f"layered engine refuses: enumerable block {block.name} has "
-                f"{size} members (limit {_MAX_ENUMERABLE}) and no column layout "
-                f"within {_MAX_COLUMN_WORK} steps"
-            )
-    return _enum_count(block.weights, target)
+    count = _pruned_count(block.weights, target)
+    if count is not None:
+        return count
+    if len(block.members) > _MAX_ENUMERABLE:
+        raise BudgetExceededError(
+            f"layered engine refuses: enumerable block {block.name} has "
+            f"{len(block.members)} members (limit {_MAX_ENUMERABLE}) and its "
+            f"pruned count visits more than {_MAX_PRUNED_STATES} states"
+        )
+    return count_subsets_mitm(block.weights, target, target)
 
 
 # A counted suffix: the light subsets of the blocks from some index down

@@ -200,6 +200,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         else:
             if args.k is None or args.ell is None:
                 raise InputError("e-exact-sat needs --k and --ell")
+            if args.ell < 1:
+                raise InputError(f"--ell must be at least 1, got {args.ell}")
             verdict, prefix = e_exact_sat(formula, args.k, args.ell)
         print(f"verdict: {'YES' if verdict else 'NO'}")
         if prefix is not None:

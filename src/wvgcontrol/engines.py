@@ -18,8 +18,8 @@ the pivotal window ends at ``quota - 1``.  It takes ``quota * B / 8``
 bytes, about four times that at peak.
 
 The meet-in-the-middle core (``half_sum_tables`` / ``count_window``) is
-also the counter behind the layered engine's enumerable blocks and the
-subset-sum oracle.
+also the subset-sum oracle's counter, and the layered engine's for an
+enumerable block its pruned pass cannot finish.
 """
 
 from __future__ import annotations
@@ -129,9 +129,10 @@ def pivot_count_enum(
     return _count_subsets_in_interval(others, lo, hi)
 
 
-# The meet-in-the-middle core, shared by the mitm engine, the layered
-# counter's enumerable blocks and the subset-sum oracle.  The enum and dp
-# engines do not use it, so every cross-check keeps one independent side.
+# The meet-in-the-middle core, shared by the mitm engine, the subset-sum
+# oracle and the layered counter's fallback for enumerable blocks.  The
+# enum and dp engines do not use it, so every cross-check keeps one
+# independent side.
 
 HalfSums = tuple[Counter[int], Counter[int]]
 

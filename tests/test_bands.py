@@ -41,7 +41,7 @@ from wvgcontrol import (
 from wvgcontrol import bands as bands_module
 from wvgcontrol.bands import _pivot_terms, _unlinked, count_light_subsets, heavy_pivot_term
 from wvgcontrol.control import _CandidateSpace, _candidate_classes, solve_control
-from wvgcontrol.engines import pivot_count_enum, pivot_count_mitm
+from wvgcontrol.engines import count_subsets_mitm, pivot_count_enum, pivot_count_mitm
 from wvgcontrol.gadgets import build_prereduction
 from wvgcontrol.verify import NO_INSTANCES, random_formula
 
@@ -888,7 +888,7 @@ def column_blocks(draw) -> LightBlock:
     decimal columns of 1-3 digits, with empty positions between some.
     Members touch one column or several; a column may get a last member
     that brings its total to exactly one below the next column's place or
-    exactly to it, so some columns carry and the counter must merge them."""
+    exactly to it, so some columns carry."""
     widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
     starts, position = [], 0
     for width in widths:
@@ -912,13 +912,12 @@ def column_blocks(draw) -> LightBlock:
     return LightBlock("cols", BlockKind.ENUMERABLE, members, weights, granularity)
 
 
-def _assert_columns_count(block: LightBlock, rng: random.Random) -> None:
-    """The column counter against enumerating the block's subsets: every
-    subset sum (at most 40 of them, drawn by ``rng``), one granularity
-    above each, and multiples of the granularity no subset reaches."""
+def _assert_block_count(block: LightBlock, rng: random.Random) -> None:
+    """``count_block`` against enumerating the block's subsets: every subset
+    sum (at most 40 of them, drawn by ``rng``), one granularity above each,
+    and multiples of the granularity no subset reaches.  A target off the
+    granularity's grid or outside ``[0, max_sum]`` must be refused."""
     weights, granularity = block.weights, block.granularity
-    layout = bands_module._column_layout(weights, granularity)
-    assert layout is not None
     sums = Counter(
         sum(subset)
         for size in range(len(weights) + 1)
@@ -926,10 +925,18 @@ def _assert_columns_count(block: LightBlock, rng: random.Random) -> None:
     )
     on_grid = rng.sample(sorted(sums), min(len(sums), 40))
     top = 2 * block.max_sum // granularity + 2
-    off_grid = [granularity * rng.randint(0, top) for _ in range(10)]
-    for target in {*on_grid, *(s + granularity for s in on_grid), *off_grid}:
-        count = bands_module._column_count(layout, target // granularity)
-        assert count == sums[target], target
+    unreached = [granularity * rng.randint(0, top) for _ in range(10)]
+    for target in {*on_grid, *(s + granularity for s in on_grid), *unreached}:
+        if target > block.max_sum:
+            with pytest.raises(BandStructureError, match="outside"):
+                count_block(block, target)
+        else:
+            assert count_block(block, target) == sums[target], target
+    with pytest.raises(BandStructureError, match="outside"):
+        count_block(block, -granularity)
+    if granularity > 1 and block.max_sum:
+        with pytest.raises(BandStructureError, match="not a multiple of the granularity"):
+            count_block(block, block.max_sum - 1)
 
 
 def _compile_batch(rng: random.Random):
@@ -944,10 +951,23 @@ def _compile_batch(rng: random.Random):
                     yield build(formula, k)
 
 
+@st.composite
+def enumerable_blocks(draw) -> LightBlock:
+    """An enumerable block of 0-12 members: small weights that repeat and
+    collide, or wide ones, all multiples of a drawn granularity."""
+    granularity = draw(st.sampled_from((1, 1, 3, 10)))
+    largest = draw(st.one_of(st.integers(1, 12), st.integers(1, 1 << 40)))
+    weights = tuple(
+        granularity * w for w in draw(st.lists(st.integers(1, largest), max_size=12))
+    )
+    members = tuple(range(len(weights)))
+    return LightBlock("any", BlockKind.ENUMERABLE, members, weights, granularity)
+
+
 @pytest.mark.filterwarnings("ignore::wvgcontrol.gadgets.GadgetConstructionNote")
-class TestColumnCounter:
-    """Enumerable blocks past ``_MITM_MEMBERS`` members are counted by their
-    decimal columns."""
+class TestPrunedBlockCount:
+    """Enumerable blocks are counted by one pruned pass, and by
+    meet-in-the-middle when the pass passes its state cap."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -956,9 +976,27 @@ class TestColumnCounter:
         rng=st.randoms(use_true_random=False),
     )
     def test_matches_brute_force_on_random_column_blocks(self, block, keep, rng):
-        _assert_columns_count(block, rng)
+        _assert_block_count(block, rng)
         surviving = {m: m for m in block.members if keep >> m & 1}
-        _assert_columns_count(block.restrict(surviving), rng)
+        _assert_block_count(block.restrict(surviving), rng)
+
+    @pytest.mark.parametrize("cap", [0, 1, 8])
+    @settings(max_examples=100, deadline=None)
+    @given(block=enumerable_blocks(), data=st.data())
+    def test_pass_and_fallback_match_brute_force_under_a_small_cap(self, cap, block, data):
+        units = data.draw(st.integers(0, block.max_sum // block.granularity))
+        target = units * block.granularity
+        expected = sum(
+            sum(subset) == target
+            for size in range(len(block.weights) + 1)
+            for subset in itertools.combinations(block.weights, size)
+        )
+        with mock.patch.object(bands_module, "_MAX_PRUNED_STATES", cap):
+            pruned = bands_module._pruned_count(block.weights, target)
+            assert count_block(block, target) == expected
+        assert pruned in (None, expected)
+        if cap == 0 and block.weights:
+            assert pruned is None  # so the count above came from the fallback
 
     def test_matches_mitm_on_every_walk_target_of_a_compile_batch(self, monkeypatch):
         recorded, checked = [], Counter()
@@ -975,12 +1013,11 @@ class TestColumnCounter:
             for block, target in recorded:
                 if block.name not in ("E", "ABC") or len(block.members) > 30:
                     continue
-                layout = bands_module._column_layout(block.weights, block.granularity)
-                assert layout is not None
-                by_columns = bands_module._column_count(layout, target // block.granularity)
-                assert by_columns == bands_module._enum_count(block.weights, target)
-                checked[block.name, len(block.members) > bands_module._MITM_MEMBERS] += 1
-        # both blocks, on both sides of the member limit
+                # the pass finishes every gadget target, with no fallback
+                pruned = bands_module._pruned_count(block.weights, target)
+                assert pruned == count_subsets_mitm(block.weights, target, target)
+                checked[block.name, len(block.members) > 20] += 1
+        # both blocks, small ones and ones past 20 members
         assert set(checked) == {("E", False), ("E", True), ("ABC", False), ("ABC", True)}
 
     def test_a_300_clause_e_block_counts_the_models(self):
@@ -999,29 +1036,22 @@ class TestColumnCounter:
         gc.disable()
         try:
             assert count_block(e_block, pre.q_double_prime) == count_sat(formula) > 0
-            assert gc.collect() == 0  # the walk keeps an explicit stack
+            assert gc.collect() == 0  # the pass leaves no reference cycle
         finally:
             gc.enable()
         assert ExactIndex(pivot_count_layered(instance.bands), instance.game.num_players - 1) == (
             expected_index(Goal.DECREASE, 4, 6, count_sat(formula), instance.game.num_players)
         )
 
-    def test_a_block_without_a_layout_is_refused_past_thirty_members(self):
-        # every member spans both columns with the same top column: the
-        # walk bound is 2**32 nodes, past _MAX_COLUMN_WORK
-        weights = tuple(10**6 * (i % 9 + 1) + i % 7 + 1 for i in range(31))
+    def test_a_block_the_pass_cannot_finish_is_refused_past_thirty_members(self):
+        rng = random.Random(5)
+        weights = tuple(rng.randrange(1 << 59, 1 << 60) for _ in range(31))
+        target = sum(w for w in weights[:25] if rng.random() < 0.5)  # mid-range
         block = LightBlock("wide", BlockKind.ENUMERABLE, tuple(range(31)), weights, 1)
-        assert bands_module._column_layout(weights, 1) is None
-        with pytest.raises(BudgetExceededError, match="31 members .limit 30. and no column layout"):
-            count_block(block, weights[0])
+        refusal = r"31 members \(limit 30\) and its pruned count visits more than 262144 states"
+        with pytest.raises(BudgetExceededError, match=refusal):
+            count_block(block, target)
         smaller = block.restrict({m: m for m in range(25)})  # within the mitm limit
-        expected = bands_module._enum_count(smaller.weights, weights[0])
-        assert count_block(smaller, weights[0]) == expected
-
-    def test_layouts_are_cached_in_a_bounded_lru(self):
-        bands_module._column_layout.cache_clear()
-        block = LightBlock("ones", BlockKind.ENUMERABLE, tuple(range(31)), (1,) * 31, 1)
-        assert count_block(block, 5) == math.comb(31, 5)
-        assert count_block(block, 6) == math.comb(31, 6)
-        info = bands_module._column_layout.cache_info()
-        assert (info.hits, info.misses, info.maxsize) == (1, 1, bands_module._TABLE_CACHE_SIZE)
+        assert bands_module._pruned_count(smaller.weights, target) is None
+        expected = count_subsets_mitm(smaller.weights, target, target)
+        assert count_block(smaller, target) == expected > 0

@@ -192,7 +192,7 @@ class TestReduceAndIndex:
         code = main(["reduce", str(cnf), "--kind", "decrease", "-k", "4", "-o", str(out)])
         assert code == EXIT_OK
         assert "players: 2138" in capsys.readouterr().out
-        # the 912-member E block is counted by its decimal columns
+        # the 912-member E block is counted by the pruned pass
         assert main(["index", str(out)]) == EXIT_OK
         xi = count_sat(parse_dimacs(cnf.read_text()))
         expected = expected_index(Goal.DECREASE, 4, 6, xi, 2138)
@@ -292,6 +292,14 @@ class TestOracleCommand:
 
     def test_e_exact_needs_parameters(self, or2_cnf):
         assert main(["oracle", "e-exact-sat", str(or2_cnf)]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("ell", ["0", "-1"])
+    def test_e_exact_refuses_an_ell_below_one_by_its_flag(self, or2_cnf, capsys, ell):
+        command = ["oracle", "e-exact-sat", str(or2_cnf), "--k", "1", "--ell", ell]
+        assert main(command) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"--ell must be at least 1, got {ell}" in err
+        assert "allow_zero" not in err
 
     def test_e_exact(self, or2_cnf, capsys):
         # x1 = 0 leaves exactly one suffix (x2 = 1) satisfying x1 v x2
@@ -530,6 +538,63 @@ def test_malformed_instance_document_exits_2(tmp_path, capsys, banded, mutate, f
     path.write_text(json.dumps(document))
     assert main(["index", str(path), "--player", "0"]) == EXIT_INPUT
     assert field in capsys.readouterr().err
+
+
+def _set(key, value):
+    return lambda document: document.__setitem__(key, value)
+
+
+def _set_block(key, value):
+    return lambda document: document["bands"]["blocks"][0].__setitem__(key, value)
+
+
+def _drop_block(key):
+    return lambda document: document["bands"]["blocks"][0].pop(key)
+
+
+def _heavy(player):
+    return lambda document: document["bands"]["heavy"].append(player)
+
+
+# Malformed banded documents no other test feeds to a command.  Through
+# either command, each must end in exit 2 with a message naming the file
+# and the fault, never in a traceback.
+MALFORMED_BANDED = {
+    "distinguished-past-the-end": (_set("distinguished", 41), "player 41 out of range"),
+    "distinguished-negative": (_set("distinguished", -1), "player -1 out of range"),
+    "budget-negative": (_set("budget", -1), "budget must satisfy 0 <= budget < 41"),
+    "goal-array": (_set("goal", ["DECREASE"]), "unknown goal ['DECREASE']"),
+    "goal-object": (_set("goal", {"DECREASE": 1}), "unknown goal {'DECREASE': 1}"),
+    "heavy-past-the-end": (_heavy(41), "player 41 out of range"),
+    "heavy-negative": (_heavy(-1), "player -1 out of range"),
+    "granularity-zero": (_set_block("granularity", "0"), "granularity must be positive"),
+    "granularity-negative": (_set_block("granularity", "-1"), "granularity must be positive"),
+    "members-missing": (_drop_block("members"), "block 'members' must be an array"),
+    "kind-missing": (_drop_block("kind"), "bad block kind"),
+    "bands-array": (lambda d: d.__setitem__("bands", [d["bands"]]), "'bands' needs"),
+    "carriers-mismatched": (lambda d: d["b_players"].pop(), "a/b player tables"),
+    # X, the last block, has granularity 1 like the distinguished player's weight
+    "distinguished-in-a-block": (
+        lambda d: d["bands"]["blocks"][-1]["members"].append(d["distinguished"]),
+        "player 0 appears twice",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["index", "control"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_BANDED))
+def test_malformed_banded_document_exits_2_naming_the_file(tmp_path, capsys, case, command):
+    instance = build_decrease(CnfFormula(2, (frozenset({1, 2}),)), 1, strict=False)
+    document = json.loads(dump_instance(instance))
+    assert len(document["weights"]) == 41 and document["distinguished"] == 0
+    mutate, message = MALFORMED_BANDED[case]
+    mutate(document)
+    path = tmp_path / "bad.instance"
+    path.write_text(json.dumps(document))
+    assert main([command, str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and message in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("name", [5, [5]], ids=["int", "array"])
