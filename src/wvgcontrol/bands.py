@@ -39,14 +39,14 @@ for each block above it; the per-block targets and counts are read off
 the links only where they are kept, in ``DeletionCounter``.
 Deleting players never changes the per-block targets of a residual (the
 split is unique over all light subsets, and the survivors' subsets are
-among them), so ``DeletionCounter`` keeps the terms, grouped by heavy
+among them), so ``DeletionCounter`` stores the terms once, by heavy
 player, and scores a deletion of light players L and heavy players H as
 ``T(L) - sum(t_h(L) for h in H)``: every term after deleting L, less the
 deleted heavies' own, each term recounting only the blocks L touches.
-``heavy_terms(L)`` gives every nonzero ``t_h(L)`` by the same recount;
-``gadgets.layered_case_counts`` reads one counter's, for L empty.
-Two bounded memos on the counter reuse that work across the candidates
-of one search.  Control search scores its candidates that way, so it
+One memoised record per L holds ``T(L)`` with the touched blocks'
+recounts; ``count`` and ``heavy_terms(L)``, every nonzero ``t_h(L)``,
+read it, and ``gadgets.layered_case_counts`` reads one counter's terms
+for L empty.  Control search scores its candidates that way, so it
 deletes players (and restricts their band system) only for a witness.
 """
 
@@ -515,9 +515,9 @@ class DeletionCounter:
     The no-carry split of a residual across blocks is unique over all
     light subsets of the original game, and every subset of the survivors
     is such a subset, so each heavy player's per-block targets and block
-    counts are computed once, here, and grouped by heavy player; so is the
-    set of targets each block recount counts.  After deleting light
-    players L and heavy players H the count is
+    counts are computed once, here, and stored once, by heavy player; so
+    is the set of targets each block recount counts.  After deleting
+    light players L and heavy players H the count is
     ``T(L) - sum(t_h(L) for h in H)``: ``T(L)`` sums every heavy term
     after deleting L and ``t_h(L)`` sums h's own terms; ``heavy_terms``
     gives every nonzero ``t_h(L)``.  A term after deleting L is its
@@ -527,10 +527,11 @@ class DeletionCounter:
     game stays zero and is not kept; every kept block count is nonzero,
     which makes ``product // old * new`` exact.
 
-    Two memos of ints serve the candidates of one search: L to ``T(L)``,
-    and (block index, its deleted members) to the survivors' count of each
-    target in that block.  Each is emptied at ``_DELETION_MEMO_SIZE``.
-    ``heavy_terms`` shares the second and keeps no dict per L.
+    Two memos serve the candidates of one search, each emptied at
+    ``_DELETION_MEMO_SIZE``: L to its record, ``T(L)`` with (block index,
+    survivors' recounts) for each block L touches, which ``count`` and
+    ``heavy_terms`` both read; and (block index, its deleted members) to
+    the survivors' count of each target in that block, which records share.
     """
 
     def __init__(self, bands: BandSystem) -> None:
@@ -538,15 +539,15 @@ class DeletionCounter:
         self._block_of = {
             member: index for index, block in enumerate(bands.blocks) for member in block.members
         }
-        self._terms: list[tuple] = []  # (targets, counts, product) of every heavy term
-        self._terms_of: dict[int, list[tuple]] = {}  # the same terms by heavy player
+        # (targets, counts, product) of every heavy term, by heavy player
+        self._terms_of: dict[int, list[tuple]] = {}
         for heavy, suffix in _pivot_terms(bands, sorted(bands.heavy)):
-            self._terms.append(term := _unlinked(suffix))
-            self._terms_of.setdefault(heavy, []).append(term)
+            self._terms_of.setdefault(heavy, []).append(_unlinked(suffix))
+        terms = [*chain.from_iterable(self._terms_of.values())]
         self._targets = [
-            {targets[index] for targets, _, _ in self._terms} for index in range(len(bands.blocks))
+            {targets[index] for targets, _, _ in terms} for index in range(len(bands.blocks))
         ]
-        self._totals: dict[frozenset[int], int] = {}
+        self._totals: dict[frozenset[int], tuple[int, list]] = {}
         self._recounts: dict[tuple[int, frozenset[int]], dict[int, int]] = {}
 
     def count(self, players: Iterable[int]) -> int:
@@ -557,13 +558,9 @@ class DeletionCounter:
             raise InputError("cannot delete the distinguished player")
         heavies = deleted & bands.heavy
         light = deleted - heavies
-        total = self._totals.get(light)
-        if total is None or heavies:
-            touched = self._touched(light)
-            if total is None:
-                total = _remember(self._totals, light, self._sum(self._terms, touched))
-            for heavy in heavies:
-                total -= self._sum(self._terms_of.get(heavy, ()), touched)
+        total, touched = self._totals.get(light) or self._record(light)
+        for heavy in heavies:
+            total -= self._sum(self._terms_of.get(heavy, ()), touched)
         return total
 
     def heavy_terms(self, light: Iterable[int]) -> dict[int, int]:
@@ -573,16 +570,19 @@ class DeletionCounter:
         light = bands.game.coalition(light)
         if bands.distinguished in light or light & bands.heavy:
             raise InputError("heavy terms follow a deletion of light players only")
-        touched = self._touched(light)
+        _, touched = self._totals.get(light) or self._record(light)
         terms_of = self._terms_of.items()
         return {heavy: term for heavy, own in terms_of if (term := self._sum(own, touched))}
 
-    def _touched(self, light: frozenset[int]) -> list[tuple[int, dict[int, int]]]:
-        """Each block ``light`` deletes from, with its survivors' recounts."""
+    def _record(self, light: frozenset[int]) -> tuple[int, list[tuple[int, dict[int, int]]]]:
+        """``T(light)`` with each block ``light`` deletes from and its
+        survivors' recounts, remembered for ``light``."""
         gone: dict[int, set[int]] = {}  # block index -> its deleted members
         for player in light:
             gone.setdefault(self._block_of[player], set()).add(player)
-        return [self._recounted(index, frozenset(members)) for index, members in gone.items()]
+        touched = [self._recounted(index, frozenset(members)) for index, members in gone.items()]
+        total = self._sum(chain.from_iterable(self._terms_of.values()), touched)
+        return _remember(self._totals, light, (total, touched))
 
     def _recounted(self, index: int, members: frozenset[int]) -> tuple[int, dict[int, int]]:
         """The block index with the survivors' count of each of its targets."""

@@ -440,6 +440,66 @@ class TestDeletionCounterMemos:
                 assert len(counter._totals) <= limit
                 assert len(counter._recounts) <= limit
 
+    @pytest.mark.parametrize("bound", [1, 4])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), claims=st.sampled_from([bottom_up_band_claims, random_band_claims]))
+    def test_terms_and_counts_read_one_record_on_band_claims(self, bound, data, claims):
+        # heavy_terms(L) and count(L | H) interleaved on one counter whose
+        # memos evict, each against a fresh counter and the unmemoised
+        # reference on the system after the deletion
+        try:
+            bands = data.draw(claims()).build()
+        except BandStructureError:
+            return
+
+        def subsets(players):
+            return st.frozensets(st.sampled_from(players)) if players else st.just(frozenset())
+
+        light = sorted(member for block in bands.blocks for member in block.members)
+        light_sets = data.draw(st.lists(subsets(light), min_size=1, max_size=6))
+        steps = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(light_sets), st.none() | subsets(sorted(bands.heavy))),
+                min_size=2,
+                max_size=12,
+            )
+        )
+        with mock.patch.object(bands_module, "_DELETION_MEMO_SIZE", bound):
+            counter = DeletionCounter(bands)
+            for deleted, heavies in steps:
+                if heavies is None:
+                    terms = counter.heavy_terms(deleted)
+                    assert terms == DeletionCounter(bands).heavy_terms(deleted)
+                    assert terms == _reference_terms(bands, deleted)
+                else:
+                    count = counter.count(deleted | heavies)
+                    assert count == DeletionCounter(bands).count(deleted | heavies)
+                    assert count == sum(_reference_terms(bands, deleted | heavies).values())
+                assert len(counter._totals) <= bound
+                assert len(counter._recounts) <= bound
+
+    def test_an_exhaustive_search_builds_one_record_per_light_set(self):
+        instance = _gadget("decrease", 1)
+        record, count = DeletionCounter._record, DeletionCounter.count
+        built, light_sets = [], []
+
+        def recording(counter, light):
+            built.append(light)
+            return record(counter, light)
+
+        def counting(counter, players):
+            light_sets.append(frozenset(players) - counter.bands.heavy)
+            return count(counter, players)
+
+        with mock.patch.object(DeletionCounter, "_record", recording), mock.patch.object(
+            DeletionCounter, "count", counting
+        ):
+            report = solve_control(instance, engine="layered")
+        assert report.verdict == "NO-exhaustive"
+        assert report.candidates_evaluated == len(light_sets) == 4764
+        assert len(built) == len(set(built)) == 912
+        assert set(built) == set(light_sets)
+
 
 @functools.cache
 def _terms_instance(name: str) -> ControlInstance:
@@ -513,6 +573,17 @@ def _unmemoised_terms(bands: BandSystem) -> tuple[list[tuple], set[tuple[int, in
             if all(counts):
                 terms.append((heavy, decomposition.targets, tuple(counts), math.prod(counts)))
     return terms, counted
+
+
+def _reference_terms(bands: BandSystem, deleted: frozenset[int]) -> dict[int, int]:
+    """Each heavy player's nonzero term after deleting ``deleted``, by the
+    unmemoised reference on the restricted system, keyed by original index."""
+    smaller, surviving = delete_players(bands.game, deleted)
+    original = {new: old for old, new in surviving.items()}
+    terms: Counter = Counter()
+    for heavy, _, _, product in _unmemoised_terms(bands.restrict(surviving, smaller))[0]:
+        terms[original[heavy]] += product
+    return dict(terms)
 
 
 def _walk_counting(bands: BandSystem) -> tuple[list[tuple], list[tuple[int, int]]]:

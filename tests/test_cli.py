@@ -573,6 +573,15 @@ MALFORMED_BANDED = {
     "kind-missing": (_drop_block("kind"), "bad block kind"),
     "bands-array": (lambda d: d.__setitem__("bands", [d["bands"]]), "'bands' needs"),
     "carriers-mismatched": (lambda d: d["b_players"].pop(), "a/b player tables"),
+    "weights-object": (
+        _set("weights", {"0": "1"}), "'weights' must be an array of decimal strings"
+    ),
+    "budget-missing": (lambda d: d.pop("budget"), "instance document needs 'budget'"),
+    "a-players-string": (_set("a_players", "12"), "'a_players' must be an array of ints or nulls"),
+    "meta-array": (_set("meta", []), "'meta' must be an object"),
+    "groups-short": (
+        lambda d: d["groups"].pop(), "group labels must cover every player exactly once"
+    ),
     # X, the last block, has granularity 1 like the distinguished player's weight
     "distinguished-in-a-block": (
         lambda d: d["bands"]["blocks"][-1]["members"].append(d["distinguished"]),
@@ -595,6 +604,32 @@ def test_malformed_banded_document_exits_2_naming_the_file(tmp_path, capsys, cas
     err = capsys.readouterr().err
     assert f"{path}: " in err and message in err
     assert "Traceback" not in err
+
+
+# A flag a command needs for its input, missing: exit 2 with the message
+# alone on stderr, and nothing written.
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["control", "GAME"],
+         "a bare game document needs --player, --deletions, --goal on the command line"),
+        (["control", "INSTANCE", "--mode", "restricted"], "restricted mode needs --groups"),
+        (["reduce", "CNF", "--kind", "maintain", "-k", "1", "--relaxed", "-o", "OUT"],
+         "maintain reductions need --ell"),
+        (["oracle", "e-minority-sat", "CNF"], "e-minority-sat needs --k"),
+    ],
+    ids=["control-bare-game", "control-restricted", "reduce-maintain", "oracle-e-minority"],
+)
+def test_missing_flag_exits_2(example1_file, or2_cnf, tmp_path, capsys, command, message):
+    instance = tmp_path / "or2.instance"
+    instance.write_text(dump_instance(build_decrease(parse_dimacs(or2_cnf.read_text()), 1,
+                                                     strict=False)))
+    out = tmp_path / "out.instance"
+    files = {"GAME": str(example1_file), "INSTANCE": str(instance), "CNF": str(or2_cnf),
+             "OUT": str(out)}
+    assert main([files.get(arg, arg) for arg in command]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", [5, [5]], ids=["int", "array"])

@@ -17,6 +17,7 @@ from wvgcontrol import (
     e_minority_sat,
     parse_dimacs,
 )
+from wvgcontrol.cli import EXIT_INPUT, main
 from wvgcontrol.formulas import suffix_satisfying_counts
 from wvgcontrol.verify import random_formula
 
@@ -87,6 +88,38 @@ class TestParseDimacs:
     def test_unused_variables_are_all_named_when_few(self):
         with pytest.raises(FormulaError, match=r"variables \[1, 3, 4, 5, 7\] never occur"):
             parse_dimacs("p cnf 7 2\n2 0\n6 0\n")
+
+
+# DIMACS framing faults, each with the whole message ``parse_dimacs`` gives
+FRAMING_FAULTS = {
+    "duplicate-problem-line": ("p cnf 1 1\np cnf 1 1\n1 0\n", "line 2: duplicate problem line"),
+    "malformed-problem-line": (
+        "c two\np cnf two 1\n1 0\n",
+        "line 2: malformed problem line 'p cnf two 1'",
+    ),
+    "non-integer-token": ("p cnf 2 1\n1 x2 0\n", "line 2: non-integer token in '1 x2 0'"),
+    "unterminated-last-clause": ("p cnf 2 2\n1 0\n2\n", "last clause is not terminated by 0"),
+    "comments-only": ("c no problem line\nc here\n", "missing problem line 'p cnf n m'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRAMING_FAULTS))
+def test_framing_fault_message(case):
+    text, message = FRAMING_FAULTS[case]
+    with pytest.raises(FormulaError) as error:
+        parse_dimacs(text)
+    assert str(error.value) == message
+
+
+@pytest.mark.parametrize("case", sorted(FRAMING_FAULTS))
+def test_framing_fault_exits_2_naming_the_file(tmp_path, capsys, case):
+    text, message = FRAMING_FAULTS[case]
+    path = tmp_path / f"{case}.cnf"
+    path.write_text(text)
+    assert main(["oracle", "count-sat", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: {path}: {message}\n"
+    assert captured.out == ""
 
 
 class TestFormulaValidation:
