@@ -221,10 +221,6 @@ class BandSystem:
         if len(seen) != game.num_players:
             raise BandStructureError("band system does not cover every player")
 
-    @property
-    def light_total(self) -> int:
-        return sum(block.max_sum for block in self.blocks)
-
     def block_named(self, name: str) -> LightBlock:
         for block in self.blocks:
             if block.name == name:
@@ -478,7 +474,7 @@ def heavy_pivot_term(bands: BandSystem, heavy_player: int) -> int:
     return sum(suffix[0] for _, suffix in _pivot_terms(bands, [heavy_player]))
 
 
-def pivot_count_layered(bands: BandSystem, player: int | None = None) -> int:
+def pivot_count_layered(bands: BandSystem) -> int:
     """Exact pivotal count for the band system's distinguished player.
 
     Sums, over every heavy player, the factorised count of light subsets
@@ -487,12 +483,6 @@ def pivot_count_layered(bands: BandSystem, player: int | None = None) -> int:
     the pivotal interval) and coalitions with two heavies reach the
     quota, so the heavy terms are the whole count.
     """
-    if player is None:
-        player = bands.distinguished
-    if player != bands.distinguished:
-        raise InputError(
-            "the layered engine only counts for the band system's distinguished player"
-        )
     return sum(suffix[0] for _, suffix in _pivot_terms(bands, sorted(bands.heavy)))
 
 

@@ -188,20 +188,21 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     path = Path(args.cnf)
     formula, data = _load(path, args.strip_tautologies)
+    if args.kind == "e-minority-sat" and args.k is None:
+        raise InputError("e-minority-sat needs --k")
+    if args.kind == "e-exact-sat":
+        if args.k is None or args.ell is None:
+            raise InputError("e-exact-sat needs --k and --ell")
+        if args.ell < 1:
+            raise InputError(f"--ell must be at least 1, got {args.ell}")
     _echo(args, path, data)
     started = time.perf_counter()
     if args.kind == "count-sat":
         print(f"#SAT = {count_sat(formula)}")
     else:
         if args.kind == "e-minority-sat":
-            if args.k is None:
-                raise InputError("e-minority-sat needs --k")
             verdict, prefix = e_minority_sat(formula, args.k)
         else:
-            if args.k is None or args.ell is None:
-                raise InputError("e-exact-sat needs --k and --ell")
-            if args.ell < 1:
-                raise InputError(f"--ell must be at least 1, got {args.ell}")
             verdict, prefix = e_exact_sat(formula, args.k, args.ell)
         print(f"verdict: {'YES' if verdict else 'NO'}")
         if prefix is not None:

@@ -25,6 +25,7 @@ from .bands import DeletionCounter, pivot_count_layered
 from .engines import (
     DEFAULT_BUDGET,
     EngineBudget,
+    dp_limb_bits,
     dp_refusal,
     enum_refusal,
     mitm_refusal,
@@ -45,7 +46,9 @@ _RELATIONS = {
 }
 
 
-def relation_holds(goal: Goal, before: ExactIndex, after: ExactIndex) -> bool:
+def relation_holds(goal: Goal, before: ExactIndex | int, after: ExactIndex | int) -> bool:
+    """Whether ``after`` stands to ``before`` as ``goal`` asks: two
+    ``ExactIndex`` values, or two counts over one denominator."""
     try:
         relation = _RELATIONS[goal]
     except KeyError:
@@ -121,8 +124,7 @@ _DP_PS_PER_TABLE_BIT = 30
 
 def _dp_cost_ps(game: Game) -> int:
     m = game.num_players - 1
-    limb = 8 * (m // 8 + 1)
-    return _DP_PS_PER_CALL + _DP_PS_PER_TABLE_BIT * m * game.quota * limb
+    return _DP_PS_PER_CALL + _DP_PS_PER_TABLE_BIT * m * game.quota * dp_limb_bits(m)
 
 
 _COSTS_PS: dict[str, Callable[[Game], int]] = {  # in tie order
@@ -431,13 +433,15 @@ def solve_control(
     Goals that deleting nobody would trivially meet (those whose relation
     holds between an index and itself) require at least one deletion; the
     strict goals admit the empty deletion harmlessly.  Each candidate is
-    scored from its deleted players alone; only a witness is built with
-    ``ControlInstance.delete``, recounted in full and re-verified.
+    scored from its deleted players alone and compared as an integer
+    numerator over the index before's denominator ``2^(n-1)``; only a
+    witness is built with ``ControlInstance.delete``, recounted in full and
+    re-verified, and ``ExactIndex`` values are built only for the report.
     """
     before_count, engine_used = compute_pivot_count(instance, engine, budget)
     score = ENGINES[engine_used].search(instance, budget)
-    before = ExactIndex(before_count, instance.game.num_players - 1)
-    min_size = 1 if _RELATIONS[instance.goal](before, before) else 0
+    top = instance.game.num_players - 1
+    min_size = 1 if _RELATIONS[instance.goal](before_count, before_count) else 0
 
     restrict = mode.groups if isinstance(mode, Restricted) else None
     space = _CandidateSpace(_candidate_classes(instance, restrict), instance.budget)
@@ -458,8 +462,9 @@ def solve_control(
         )
 
     evaluated = 0
-    min_seen: ExactIndex | None = None
-    max_seen: ExactIndex | None = None
+    # (count << deleted, count, deleted) of the lowest and highest index seen
+    lowest: tuple[int, int, int] | None = None
+    highest: tuple[int, int, int] | None = None
     witness: DeletionCandidate | None = None
     after_witness: ExactIndex | None = None
     reverified: str | None = None
@@ -471,27 +476,30 @@ def solve_control(
                 f"engine {engine_used} refused the candidate "
                 f"[{candidate.describe()}]: {error}"
             ) from error
-        after = ExactIndex(count, instance.game.num_players - 1 - len(candidate.players))
+        # Deleting d players leaves the index count / 2^(top - d), which is
+        # (count << d) / 2^top: over the denominator of the index before.
+        deleted = len(candidate.players)
+        scaled = count << deleted
         evaluated += 1
-        if min_seen is None or after < min_seen:
-            min_seen = after
-        if max_seen is None or after > max_seen:
-            max_seen = after
-        if relation_holds(instance.goal, before, after):
+        if lowest is None or scaled < lowest[0]:
+            lowest = (scaled, count, deleted)
+        if highest is None or scaled > highest[0]:
+            highest = (scaled, count, deleted)
+        if relation_holds(instance.goal, before_count, scaled):
             reverified = _confirm_witness(instance, candidate, count, engine_used, budget)
-            witness, after_witness = candidate, after
+            witness, after_witness = candidate, ExactIndex(count, top - deleted)
             break
     verdict = "YES" if witness is not None else "NO-sampled" if sampled else "NO-exhaustive"
     return SearchReport(
         goal=instance.goal,
         verdict=verdict,
         engine=engine_used,
-        index_before=before,
+        index_before=ExactIndex(before_count, top),
         witness=witness,
         index_after_witness=after_witness,
         candidates_evaluated=evaluated,
-        min_index_seen=min_seen,
-        max_index_seen=max_seen,
+        min_index_seen=ExactIndex(lowest[1], top - lowest[2]) if lowest else None,
+        max_index_seen=ExactIndex(highest[1], top - highest[2]) if highest else None,
         reverified_with=reverified,
         seed=sampled.seed if sampled else None,
         trials=sampled.trials if sampled else None,

@@ -203,6 +203,12 @@ def pivot_count_mitm(
     return count_subsets_mitm(others, lo, hi)
 
 
+def dp_limb_bits(co_players: int) -> int:
+    """Bits per cell of the weight table over ``co_players`` players: a
+    multiple of 8 above ``co_players``, so a cell's count never carries."""
+    return 8 * (co_players // 8 + 1)
+
+
 def _packed_subset_counts(weights: list[int], cells: int, limb: int) -> int:
     """Subset counts of ``weights`` by sum, sums ``0 .. cells - 1`` only,
     as ``limb``-bit limbs of one int; ``limb`` must exceed ``len(weights)``."""
@@ -242,7 +248,7 @@ def pivot_count_weight_dp(
     if hi < lo:  # a zero-weight player is never pivotal
         return 0
     quota = game.quota
-    limb = 8 * (len(others) // 8 + 1)
+    limb = dp_limb_bits(len(others))
     start = max(lo, 0)
     try:
         window = _packed_subset_counts(others, quota, limb) >> (start * limb)

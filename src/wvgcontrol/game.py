@@ -6,13 +6,16 @@ arithmetic is over Python's arbitrary-precision integers: gadget games
 carry weights with hundreds of digits and nothing here may round.
 
 ``ExactIndex`` holds a power index value as an unreduced dyadic rational
-``pivot_count / 2**exponent``.  Keeping the pair unreduced makes values
-from games with different player counts directly comparable by
-cross-multiplication, without ever touching floating point.
+``pivot_count / 2**exponent``.  Values from games with different player
+counts compare exactly by cross-shifting the counts, without ever
+touching floating point; ``==`` and ``<`` are written out, the rest of the
+order comes from ``functools.total_ordering``, and the hash is that of the
+reduced fraction.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -155,14 +158,16 @@ def weight_class_partition(game: Game) -> WeightClassPartition:
     return WeightClassPartition(classes)
 
 
+@functools.total_ordering
 @dataclass(frozen=True, eq=False)
 class ExactIndex:
     """An exact dyadic rational ``pivot_count / 2**exponent``, kept unreduced.
 
-    Comparisons cross-multiply (``a/2^e1 < b/2^e2  iff  a·2^e2 < b·2^e1``)
-    so values from games of different sizes compare exactly.  Two values
-    are equal iff they denote the same rational, regardless of
-    representation.
+    ``==`` and ``<`` cross-shift (``a/2^e1 < b/2^e2  iff  a·2^e2 < b·2^e1``)
+    so values from games of different sizes compare exactly; the rest of
+    the order is derived from them by ``functools.total_ordering``.  Two
+    values are equal iff they denote the same rational, regardless of
+    representation, and hash as that rational's reduced fraction.
     """
 
     pivot_count: int
@@ -173,13 +178,6 @@ class ExactIndex:
             raise InputError("pivot count must be nonnegative")
         if self.exponent < 0:
             raise InputError("exponent must be nonnegative")
-
-    def _canonical(self) -> tuple[int, int]:
-        count, exp = self.pivot_count, self.exponent
-        if count == 0:
-            return 0, 0
-        shift = min((count & -count).bit_length() - 1, exp)  # trailing zeros
-        return count >> shift, exp - shift
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactIndex):
@@ -193,29 +191,18 @@ class ExactIndex:
             return NotImplemented
         return self.pivot_count << other.exponent < other.pivot_count << self.exponent
 
-    def __le__(self, other: object) -> bool:
-        if not isinstance(other, ExactIndex):
-            return NotImplemented
-        return self.pivot_count << other.exponent <= other.pivot_count << self.exponent
-
-    def __gt__(self, other: ExactIndex) -> bool:
-        return other.__lt__(self)
-
-    def __ge__(self, other: ExactIndex) -> bool:
-        return other.__le__(self)
-
     def __hash__(self) -> int:
-        return hash(self._canonical())
+        return hash(self.as_fraction())
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.pivot_count, 1 << self.exponent)
 
-    def decimal(self, digits: int = 6) -> str:
-        """Cosmetic decimal approximation; never used in comparisons."""
+    def decimal(self) -> str:
+        """Cosmetic six-digit decimal approximation; never used in comparisons."""
         if self.pivot_count == 0:
             return "0"
         with localcontext() as ctx:
-            ctx.prec = digits
+            ctx.prec = 6
             # both conversions are exact; only the division rounds, so equal
             # rationals render identically whatever their representation
             value = Decimal(self.pivot_count) / Decimal(1 << self.exponent)

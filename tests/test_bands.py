@@ -235,11 +235,6 @@ class TestLayeredCount:
             heavy_pivot_term(bands, h) for h in sorted(bands.heavy)
         )
 
-    def test_only_distinguished_player(self):
-        bands = banded_toy()
-        with pytest.raises(Exception, match="distinguished"):
-            pivot_count_layered(bands, 3)
-
     def test_deletion_closure(self):
         bands = banded_toy()
         rng = random.Random(5)

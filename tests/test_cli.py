@@ -632,6 +632,22 @@ def test_missing_flag_exits_2(example1_file, or2_cnf, tmp_path, capsys, command,
     assert not out.exists()
 
 
+# An oracle flag missing or out of range is refused before anything is
+# printed, as control and reduce refuse theirs.
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["e-minority-sat"], "e-minority-sat needs --k"),
+        (["e-exact-sat", "--k", "1"], "e-exact-sat needs --k and --ell"),
+        (["e-exact-sat", "--k", "1", "--ell", "0"], "--ell must be at least 1, got 0"),
+    ],
+    ids=["minority-without-k", "exact-without-ell", "exact-ell-0"],
+)
+def test_oracle_refuses_before_echoing(or2_cnf, capsys, flags, message):
+    assert main(["oracle", *flags, str(or2_cnf)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+
 @pytest.mark.parametrize("name", [5, [5]], ids=["int", "array"])
 def test_non_string_block_name_exits_2(tmp_path, capsys, name):
     instance = build_decrease(CnfFormula(2, (frozenset({1, 2}),)), 1, strict=False)

@@ -96,6 +96,22 @@ class TestGoalRelations:
         assert not relation_holds(Goal.DECREASE, hi, hi)
         assert not relation_holds(Goal.MAINTAIN, hi, lo)
 
+    @given(
+        before=st.integers(0, 1 << 70),
+        count=st.integers(0, 1 << 70),
+        top=st.integers(0, 90),
+        deleted=st.integers(0, 90),
+        goal=st.sampled_from(list(Goal)),
+    )
+    def test_counts_over_one_denominator_agree_with_exact_indices(
+        self, before, count, top, deleted, goal
+    ):
+        # a search compares a deletion of d players as count << d over 2^top
+        deleted = min(deleted, top)
+        assert relation_holds(goal, before, count << deleted) == relation_holds(
+            goal, ExactIndex(before, top), ExactIndex(count, top - deleted)
+        )
+
     def test_instance_refuses_an_unknown_goal(self, example1):
         with pytest.raises(InputError, match="'decrease'"):
             ControlInstance(example1, 1, 1, "decrease")
@@ -363,6 +379,55 @@ class TestEngineSelection:
     def test_banzhaf_takes_brute_force_engines_only(self, example1):
         with pytest.raises(InputError, match="unknown engine 'layered'"):
             banzhaf(example1, 1, "layered")
+
+
+class TestNoInstanceReport:
+    """The reports of full searches on the relaxed (n=4, k=2) no-instance
+    gadget, value and representation, as ``wvg control`` prints them."""
+
+    def test_exhaustive_decrease_is_no(self):
+        instance = build_decrease(*NO_INSTANCES[1], strict=False)
+        report = solve_control(instance, engine="layered")
+        assert report.verdict == "NO-exhaustive"
+        assert report.candidates_evaluated == 4_764
+        assert str(report.index_before) == "528/2^117"
+        assert str(report.min_index_seen) == "528/2^117"
+        assert str(report.max_index_seen) == "526/2^115"
+
+    def test_exhaustive_nonincrease_finds_a_tie(self):
+        instance = replace(build_decrease(*NO_INSTANCES[1], strict=False), goal=Goal.NONINCREASE)
+        report = solve_control(instance, engine="layered")
+        assert report.verdict == "YES"
+        assert sorted(report.witness.players) == [3, 4]
+        assert report.candidates_evaluated == 4_526
+        assert str(report.index_after_witness) == "132/2^115"
+        assert report.index_after_witness == report.index_before
+
+    def test_sampled_keeps_the_first_representation_seen(self):
+        instance = build_decrease(*NO_INSTANCES[1], strict=False)
+        report = solve_control(instance, engine="layered", mode=Sampled(seed=13, trials=10_000))
+        assert report.verdict == "NO-sampled"
+        assert report.candidates_evaluated == 10_000
+        # the lowest value equals the index before, 528/2^117, and is met first as 132/2^115
+        assert str(report.min_index_seen) == "132/2^115"
+        assert str(report.max_index_seen) == "526/2^115"
+
+    @pytest.mark.parametrize(
+        "mode", [Exhaustive(), Sampled(seed=13, trials=10_000)], ids=["exhaustive", "sampled"]
+    )
+    def test_a_search_builds_at_most_four_exact_indices(self, monkeypatch, mode):
+        built = []
+
+        class Counted(ExactIndex):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(control, "ExactIndex", Counted)
+        instance = build_decrease(*NO_INSTANCES[1], strict=False)
+        report = solve_control(instance, engine="layered", mode=mode)
+        assert report.verdict.startswith("NO")
+        assert len(built) <= 4
 
 
 class TestGoldenCandidateOrder:
