@@ -19,6 +19,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .control import (
@@ -68,6 +69,14 @@ def _fraction_line(label: str, index: ExactIndex) -> str:
     return f"{label}: {index} (~ {index.decimal()}, decimal is cosmetic)"
 
 
+def _refuse_unread(args: argparse.Namespace, command: str, flags: Iterable[str]) -> None:
+    """Refuse those of ``flags`` on the command line (absent flags parse to
+    ``None``): ``command`` never reads them."""
+    given = [flag for flag in flags if getattr(args, flag[2:]) is not None]
+    if given:
+        raise InputError(f"{command} does not read {', '.join(given)}")
+
+
 def _budget_from(args: argparse.Namespace) -> EngineBudget:
     return EngineBudget(
         max_enum_players=args.budget_enum,
@@ -87,9 +96,10 @@ def cmd_index(args: argparse.Namespace) -> int:
         # Indices of non-distinguished players never use band metadata.
         game = loaded.game if isinstance(loaded, ControlInstance) else loaded
         instance = ControlInstance(game, args.player, 0, Goal.DECREASE)
+    budget = _budget_from(args)
     _echo(args, path, data)
     started = time.perf_counter()
-    index, engine_used = compute_index(instance, args.engine, _budget_from(args))
+    index, engine_used = compute_index(instance, args.engine, budget)
     elapsed = time.perf_counter() - started
     print(f"engine:  {engine_used}")
     print(_fraction_line(f"index of player {instance.distinguished}", index))
@@ -98,6 +108,8 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_control(args: argparse.Namespace) -> int:
+    if args.mode != "restricted":
+        _refuse_unread(args, f"control --mode {args.mode}", ["--groups"])
     path = Path(args.input)
     loaded, data = _load(path)
     if isinstance(loaded, Game):
@@ -138,9 +150,10 @@ def cmd_control(args: argparse.Namespace) -> int:
         if not args.groups:
             raise InputError("restricted mode needs --groups")
         mode = Restricted(tuple(args.groups.split(",")))
+    budget = _budget_from(args)
     _echo(args, path, data)
     started = time.perf_counter()
-    report = solve_control(instance, args.engine, mode, _budget_from(args))
+    report = solve_control(instance, args.engine, mode, budget)
     elapsed = time.perf_counter() - started
     print(f"goal:    {report.goal.value}")
     print(f"engine:  {report.engine}")
@@ -162,6 +175,8 @@ def cmd_control(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
+    if args.kind != "maintain":
+        _refuse_unread(args, f"reduce --kind {args.kind}", ["--ell", "--exactify"])
     path = Path(args.cnf)
     formula, data = _load(path, args.strip_tautologies)
     strict = not args.relaxed
@@ -185,7 +200,11 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_ORACLE_UNREAD = {"count-sat": ("--k", "--ell"), "e-minority-sat": ("--ell",), "e-exact-sat": ()}
+
+
 def cmd_oracle(args: argparse.Namespace) -> int:
+    _refuse_unread(args, f"oracle {args.kind}", _ORACLE_UNREAD[args.kind])
     path = Path(args.cnf)
     formula, data = _load(path, args.strip_tautologies)
     if args.kind == "e-minority-sat" and args.k is None:
@@ -195,19 +214,21 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             raise InputError("e-exact-sat needs --k and --ell")
         if args.ell < 1:
             raise InputError(f"--ell must be at least 1, got {args.ell}")
-    _echo(args, path, data)
+    # the oracle runs before the echo, so every refusal leaves stdout empty
     started = time.perf_counter()
     if args.kind == "count-sat":
-        print(f"#SAT = {count_sat(formula)}")
+        lines = [f"#SAT = {count_sat(formula)}"]
     else:
         if args.kind == "e-minority-sat":
             verdict, prefix = e_minority_sat(formula, args.k)
         else:
             verdict, prefix = e_exact_sat(formula, args.k, args.ell)
-        print(f"verdict: {'YES' if verdict else 'NO'}")
+        lines = [f"verdict: {'YES' if verdict else 'NO'}"]
         if prefix is not None:
-            print(f"witness prefix: {''.join(str(b) for b in prefix)}")
-    print(f"time:    {time.perf_counter() - started:.3f}s")
+            lines.append(f"witness prefix: {''.join(str(b) for b in prefix)}")
+    elapsed = time.perf_counter() - started
+    _echo(args, path, data)
+    print(*lines, f"time:    {elapsed:.3f}s", sep="\n")
     return EXIT_OK
 
 
@@ -297,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("-k", type=int, required=True, help="deletion budget / prefix length")
     p_reduce.add_argument("--ell", type=int, default=None,
                           help="exact suffix count (maintain only)")
-    p_reduce.add_argument("--exactify", action="store_true",
+    p_reduce.add_argument("--exactify", action="store_true", default=None,
                           help="apply the two-variable extension before building maintain")
     p_reduce.add_argument("--relaxed", action="store_true",
                           help="allow oracle-scale gadget parameters (1 <= k < n)")

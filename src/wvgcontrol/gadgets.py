@@ -2,7 +2,9 @@
 
 Three builders translate a CNF formula (plus a deletion budget ``k`` and,
 for the maintain goal, a target count ``ell``) into weighted voting games
-whose distinguished player has a closed-form index.  Player weights encode
+whose distinguished player has a closed-form index.  All three assemble
+through one frame; the nonincrease game is the decrease game built
+without its S, U, Y, Y* and Z groups.  Player weights encode
 the formula through the prereduction vectors (clause digits in base
 ``10^t``), and the remaining groups form no-carry bands so the layered
 counter can verify every construction exactly.
@@ -320,7 +322,7 @@ def _check_mode(k: int, n: int, strict: bool) -> str:
 
 
 class _GadgetFrame:
-    """What the decrease and maintain gadgets share, in canonical player order.
+    """What the three gadgets share, in canonical player order.
 
     Construction adds player 1 and the groups A to F; the builder then adds
     its own heavy groups through ``add_group`` and ``add_family`` (and, for
@@ -329,13 +331,15 @@ class _GadgetFrame:
     and the instance.  A band block is declared where its players are
     added: E and ABC at construction, the stacked levels bottom up through
     ``add_level``; the band system lists E and ABC first, then the levels
-    from the top.
+    from the top.  ``add_group`` and ``add_family`` add no player for an
+    ``omitted`` label; an omitted ladder level stays as an empty block.
     """
 
     def __init__(
-        self, formula: CnfFormula, k: int, x: int, wide: int, narrow: int
+        self, formula: CnfFormula, k: int, x: int, wide: int, narrow: int,
+        omitted: tuple[str, ...] = (),
     ) -> None:
-        self.formula, self.k = formula, k
+        self.formula, self.k, self._omitted = formula, k, omitted
         #: the ladder levels X .. Z' from the bottom up, as (label, members)
         self.ladder = (
             ("X", k), ("X'", 2 * k), ("Y", k + 1), ("Y'", wide),
@@ -379,7 +383,7 @@ class _GadgetFrame:
         return len(self.weights) - 1
 
     def add_group(self, label: str, group_weights: Iterable[int]) -> list[int]:
-        return [self.add(label, w) for w in group_weights]
+        return [] if label in self._omitted else [self.add(label, w) for w in group_weights]
 
     def block(
         self, label: str, kind: BlockKind, members: Sequence[int], granularity: int
@@ -411,7 +415,7 @@ class _GadgetFrame:
         Each term is ``(w, multipliers)``; completions come in nested-loop
         order, bases outermost, then each term in turn.
         """
-        completions = list(bases)
+        completions = [] if label in self._omitted else list(bases)
         for weight, multipliers in terms:
             completions = [c + m * weight for c in completions for m in multipliers]
         self.add_heavy(label, completions)
@@ -464,29 +468,23 @@ def build_decrease(formula: CnfFormula, k: int, strict: bool = True) -> ControlI
 def build_nonincrease(
     formula: CnfFormula, k: int, strict: bool = True
 ) -> ControlInstance:
-    """The nonincrease-goal game: the decrease game minus S, U, Y, Y*, Z."""
-    base = _build_minority_gadget(formula, k, strict, Goal.NONINCREASE)
-    victims = [
-        p
-        for label in ("S", "U", "Y", "Y*", "Z")
-        for p in base.group_members(label)
-    ]
-    trimmed = base.delete(victims)
-    return replace(trimmed, budget=k, meta={**trimmed.meta, "kind": "nonincrease"})
+    """The nonincrease-goal game: the decrease game built without S, U, Y, Y*, Z."""
+    omitted = ("S", "U", "Y", "Y*", "Z")
+    return _build_minority_gadget(formula, k, strict, Goal.NONINCREASE, omitted)
 
 
 def _build_minority_gadget(
-    formula: CnfFormula, k: int, strict: bool, goal: Goal
+    formula: CnfFormula, k: int, strict: bool, goal: Goal, omitted: tuple[str, ...] = ()
 ) -> ControlInstance:
     n = formula.num_variables
     mode = _check_mode(k, n, strict)
-    frame = _GadgetFrame(formula, k, x=1, wide=n, narrow=k + 1)
+    frame = _GadgetFrame(formula, k, x=1, wide=n, narrow=k + 1, omitted=omitted)
     rung, pairs, z_star = frame.rung, frame.pairs, frame.z_star
     frame.add_family("S", pairs, (rung["Y"], range(k + 2)), (rung["Z"], range(1, k + 1)))
     frame.add_family("T", pairs, (rung["Y'"], range(n + 1)), (rung["Z'"], range(1, k + 1)))
     frame.add_family("U", z_star, (rung["Y*"], range(k + 2)))
     frame.add_family("V", z_star, (rung["Y**"], range(n + 1)))
-    return frame.finish(goal, "decrease", {"mode": mode})
+    return frame.finish(goal, goal.value.lower(), {"mode": mode})
 
 
 def exactify(formula: CnfFormula, k: int, ell: int) -> tuple[CnfFormula, int, int]:

@@ -606,6 +606,19 @@ def test_malformed_banded_document_exits_2_naming_the_file(tmp_path, capsys, cas
     assert "Traceback" not in err
 
 
+@pytest.fixture
+def command_files(example1_file, or2_cnf, tmp_path):
+    """Placeholder names for the input files of a command line, and the
+    output file a refused command must not write."""
+    instance = tmp_path / "or2.instance"
+    instance.write_text(dump_instance(build_decrease(parse_dimacs(or2_cnf.read_text()), 1,
+                                                     strict=False)))
+    out = tmp_path / "out.instance"
+    files = {"GAME": str(example1_file), "INSTANCE": str(instance), "CNF": str(or2_cnf),
+             "OUT": str(out)}
+    return files, out
+
+
 # A flag a command needs for its input, missing: exit 2 with the message
 # alone on stderr, and nothing written.
 @pytest.mark.parametrize(
@@ -620,15 +633,50 @@ def test_malformed_banded_document_exits_2_naming_the_file(tmp_path, capsys, cas
     ],
     ids=["control-bare-game", "control-restricted", "reduce-maintain", "oracle-e-minority"],
 )
-def test_missing_flag_exits_2(example1_file, or2_cnf, tmp_path, capsys, command, message):
-    instance = tmp_path / "or2.instance"
-    instance.write_text(dump_instance(build_decrease(parse_dimacs(or2_cnf.read_text()), 1,
-                                                     strict=False)))
-    out = tmp_path / "out.instance"
-    files = {"GAME": str(example1_file), "INSTANCE": str(instance), "CNF": str(or2_cnf),
-             "OUT": str(out)}
+def test_missing_flag_exits_2(command_files, capsys, command, message):
+    files, out = command_files
     assert main([files.get(arg, arg) for arg in command]) == EXIT_INPUT
     assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
+
+
+# A flag the chosen kind or mode never reads, named in the message, and an
+# engine budget below 1: exit 2 before anything is printed or written.
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["reduce", "CNF", "--kind", "decrease", "-k", "1", "--relaxed", "-o", "OUT",
+          "--ell", "3"], "reduce --kind decrease does not read --ell"),
+        (["reduce", "CNF", "--kind", "decrease", "-k", "1", "--relaxed", "-o", "OUT",
+          "--ell", "0"], "reduce --kind decrease does not read --ell"),
+        (["reduce", "CNF", "--kind", "nonincrease", "-k", "1", "--relaxed", "-o", "OUT",
+          "--exactify"], "reduce --kind nonincrease does not read --exactify"),
+        (["control", "INSTANCE", "--groups", "A"],
+         "control --mode exhaustive does not read --groups"),
+        (["control", "INSTANCE", "--mode", "sampled", "--groups", "A"],
+         "control --mode sampled does not read --groups"),
+        (["oracle", "count-sat", "CNF", "--k", "1"], "oracle count-sat does not read --k"),
+        (["oracle", "count-sat", "CNF", "--k", "1", "--ell", "1"],
+         "oracle count-sat does not read --k, --ell"),
+        (["oracle", "e-minority-sat", "CNF", "--k", "1", "--ell", "1"],
+         "oracle e-minority-sat does not read --ell"),
+        (["index", "GAME", "--player", "1", "--budget-enum", "0"],
+         "engine budgets must be positive"),
+        (["index", "INSTANCE", "--budget-dp-quota", "-5"], "engine budgets must be positive"),
+        (["control", "GAME", "--player", "1", "--deletions", "1", "--goal", "decrease",
+          "--budget-mitm-half", "0"], "engine budgets must be positive"),
+        (["control", "INSTANCE", "--mode", "sampled", "--budget-enum", "-1"],
+         "engine budgets must be positive"),
+    ],
+    ids=["reduce-decrease-ell", "reduce-decrease-ell-0", "reduce-nonincrease-exactify",
+         "control-exhaustive-groups", "control-sampled-groups", "count-sat-k",
+         "count-sat-k-ell", "e-minority-ell", "index-game-enum", "index-instance-dp",
+         "control-game-mitm", "control-sampled-enum"],
+)
+def test_refused_before_anything_is_printed(command_files, capsys, command, message):
+    files, out = command_files
+    assert main([files.get(arg, arg) for arg in command]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"input error: {message}\n")
     assert not out.exists()
 
 
@@ -640,8 +688,11 @@ def test_missing_flag_exits_2(example1_file, or2_cnf, tmp_path, capsys, command,
         (["e-minority-sat"], "e-minority-sat needs --k"),
         (["e-exact-sat", "--k", "1"], "e-exact-sat needs --k and --ell"),
         (["e-exact-sat", "--k", "1", "--ell", "0"], "--ell must be at least 1, got 0"),
+        (["e-minority-sat", "--k", "9"], "k=9 out of range, need 1 <= k <= 2"),
+        (["e-exact-sat", "--k", "0", "--ell", "1"], "k=0 out of range, need 1 <= k <= 2"),
     ],
-    ids=["minority-without-k", "exact-without-ell", "exact-ell-0"],
+    ids=["minority-without-k", "exact-without-ell", "exact-ell-0", "minority-k-9",
+         "exact-k-0"],
 )
 def test_oracle_refuses_before_echoing(or2_cnf, capsys, flags, message):
     assert main(["oracle", *flags, str(or2_cnf)]) == EXIT_INPUT

@@ -38,10 +38,11 @@ from wvgcontrol import (
     witness_deletion,
 )
 from wvgcontrol import bands as bands_module
-from wvgcontrol.bands import DeletionCounter, heavy_pivot_term
+from wvgcontrol import gadgets as gadgets_module
+from wvgcontrol.bands import BandSystem, DeletionCounter, heavy_pivot_term
 from wvgcontrol.engines import EngineBudget, pivot_count_mitm
-from wvgcontrol.gadgets import GadgetConstructionNote
-from wvgcontrol.verify import NO_INSTANCES
+from wvgcontrol.gadgets import ControlInstance, GadgetConstructionNote
+from wvgcontrol.verify import NO_INSTANCES, RELAXED_GRID, random_formula
 
 OR2 = CnfFormula(2, (frozenset({1, 2}),))
 WIDE5 = CnfFormula(5, (frozenset({1, 2, 3, 4, 5}),))
@@ -253,6 +254,50 @@ class TestNonincreaseBuilder:
             assert trimmed.group_members(label) == ()
         assert trimmed.goal is Goal.NONINCREASE
         assert trimmed.meta["kind"] == "nonincrease"
+
+    @staticmethod
+    def _deleted_from_decrease(formula, k, strict):
+        """The nonincrease game made by deletion: the goal's minority gadget
+        with S, U, Y, Y*, Z deleted, then the budget and kind set back."""
+        base = gadgets_module._build_minority_gadget(formula, k, strict, Goal.NONINCREASE)
+        victims = [p for label in ("S", "U", "Y", "Y*", "Z") for p in base.group_members(label)]
+        trimmed = base.delete(victims)
+        return replace(trimmed, budget=k, meta={**trimmed.meta, "kind": "nonincrease"})
+
+    @staticmethod
+    def _cases():
+        rng = random.Random(24)
+        for k, n in RELAXED_GRID:
+            for _ in range(6):
+                yield random_formula(rng, n, rng.randint(1, 3)), k, False
+        for n in (5, 6, 7):
+            for k in range(4, n):
+                for _ in range(2):
+                    yield random_formula(rng, n, rng.randint(1, 4)), k, True
+
+    def test_equals_the_decrease_game_with_groups_deleted(self):
+        for formula, k, strict in self._cases():
+            built = build_nonincrease(formula, k, strict=strict)
+            reference = self._deleted_from_decrease(formula, k, strict)
+            assert built == reference, (formula, k)
+            assert dump_instance(built) == dump_instance(reference), (formula, k)
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["relaxed", "strict"])
+    def test_builds_without_deleting(self, strict, monkeypatch):
+        calls = []
+
+        def counting(owner, name):
+            method = getattr(owner, name)
+            monkeypatch.setattr(
+                owner, name, lambda *args, **kw: calls.append(name) or method(*args, **kw)
+            )
+
+        counting(ControlInstance, "delete")
+        counting(BandSystem, "restrict")
+        counting(BandSystem, "__post_init__")
+        counting(gadgets_module, "replace")
+        build_nonincrease(WIDE5, 4) if strict else build_nonincrease(NO_FORMULA, 2, strict=False)
+        assert calls == ["__post_init__"]
 
 
 class TestExactify:
