@@ -150,6 +150,7 @@ def cmd_control(args: argparse.Namespace) -> int:
         if not args.groups:
             raise InputError("restricted mode needs --groups")
         mode = Restricted(tuple(args.groups.split(",")))
+        mode.players(instance)  # a group the instance lacks is refused before the echo
     budget = _budget_from(args)
     _echo(args, path, data)
     started = time.perf_counter()
@@ -266,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="index engine; auto takes layered when the instance has bands, "
         "else the accepting engine of least estimated time in picoseconds: "
         "enum 40,000*2^m, mitm 700,000*2^ceil(m/2), "
-        "dp 3,000,000 + 30*m*quota*limb for m co-players, ties to enum, then mitm",
+        "dp 3,000,000 + 30*m*cells*limb for m co-players, ties to enum, then mitm",
     )
     engines.add_argument("--budget-enum", type=int, metavar="N",
                          default=DEFAULT_BUDGET.max_enum_players,

@@ -27,6 +27,7 @@ from .engines import (
     EngineBudget,
     dp_limb_bits,
     dp_refusal,
+    dp_table_cells,
     enum_refusal,
     mitm_refusal,
     pivot_count_enum,
@@ -115,7 +116,10 @@ ENGINE_CHOICES = ("auto", *ENGINES)
 # (x86_64, Python 3.11) on the benchmark's bare games and on random games
 # of 3-16 players: enum 17-49 ns per subset, mitm 0.65-0.8 us per
 # half-subset, dp 28-47 ps per table bit plus ~3 us per call.  Games of up
-# to 6 co-players thus stay on enum.
+# to 6 co-players thus stay on enum.  dp's bits are those of the table its
+# kernel builds, the lower pivotal window in (m + 1)-bit limbs: on the
+# benchmark's bare games that is 49-78 ps per bit, on a 2-vCPU x86_64
+# host where a quota-wide table of byte-rounded limbs reads 47-69.
 _ENUM_PS_PER_SUBSET = 40_000
 _MITM_PS_PER_HALF_SUBSET = 700_000
 _DP_PS_PER_CALL = 3_000_000
@@ -124,7 +128,7 @@ _DP_PS_PER_TABLE_BIT = 30
 
 def _dp_cost_ps(game: Game) -> int:
     m = game.num_players - 1
-    return _DP_PS_PER_CALL + _DP_PS_PER_TABLE_BIT * m * game.quota * dp_limb_bits(m)
+    return _DP_PS_PER_CALL + _DP_PS_PER_TABLE_BIT * m * dp_table_cells(game) * dp_limb_bits(m)
 
 
 _COSTS_PS: dict[str, Callable[[Game], int]] = {  # in tie order
@@ -140,7 +144,9 @@ def pick_engine(instance: ControlInstance, budget: EngineBudget = DEFAULT_BUDGET
     among those whose refusal is ``None``, ties going to enum, then mitm.
     For ``m`` co-players the estimates, in picoseconds, are enum
     ``40,000·2^m``, mitm ``700,000·2^⌈m/2⌉`` and dp
-    ``3,000,000 + 30·m·quota·limb`` with ``limb = 8·(m//8 + 1)``."""
+    ``3,000,000 + 30·m·cells·limb``, the table the dp kernel builds:
+    ``cells = min(quota, W - quota + 1)`` sums of the lower pivotal window
+    (``W`` the total weight) and ``limb = m + 1`` bits."""
     if ENGINES["layered"].refusal(instance, budget) is None:
         return "layered"
     feasible = [name for name in _COSTS_PS if ENGINES[name].refusal(instance, budget) is None]
@@ -217,6 +223,17 @@ class Restricted:
         if not self.groups:
             raise InputError("restricted search needs at least one group")
 
+    def players(self, instance: ControlInstance) -> set[int]:
+        """The players of ``instance`` in the named groups; a name the
+        instance lacks, or an instance without group labels, is an
+        ``InputError``."""
+        if instance.groups is None:
+            raise InputError("restricted search needs group labels on the instance")
+        unknown = ", ".join(repr(g) for g in self.groups if g not in instance.groups)
+        if unknown:
+            raise InputError(f"the instance has no provenance group {unknown}")
+        return {p for p, label in enumerate(instance.groups) if label in self.groups}
+
 
 SearchMode = Exhaustive | Sampled | Restricted
 
@@ -254,19 +271,10 @@ class SearchReport:
 
 
 def _candidate_classes(
-    instance: ControlInstance, restrict_groups: tuple[str, ...] | None
+    instance: ControlInstance, allowed: set[int] | None
 ) -> list[tuple[int, tuple[int, ...]]]:
-    """Weight classes of the deletable players (heaviest first)."""
-    allowed: set[int] | None = None
-    if restrict_groups is not None:
-        if instance.groups is None:
-            raise InputError("restricted search needs group labels on the instance")
-        unknown = ", ".join(repr(g) for g in restrict_groups if g not in instance.groups)
-        if unknown:
-            raise InputError(f"the instance has no provenance group {unknown}")
-        allowed = {
-            p for p, label in enumerate(instance.groups) if label in restrict_groups
-        }
+    """Weight classes of the deletable players (heaviest first), among
+    ``allowed`` when it is not ``None``."""
     classes = []
     for weight, members in weight_class_partition(instance.game).classes:
         kept = tuple(
@@ -443,8 +451,8 @@ def solve_control(
     top = instance.game.num_players - 1
     min_size = 1 if _RELATIONS[instance.goal](before_count, before_count) else 0
 
-    restrict = mode.groups if isinstance(mode, Restricted) else None
-    space = _CandidateSpace(_candidate_classes(instance, restrict), instance.budget)
+    allowed = mode.players(instance) if isinstance(mode, Restricted) else None
+    space = _CandidateSpace(_candidate_classes(instance, allowed), instance.budget)
     size = space.count(min_size, instance.budget)
     # drawing from an empty space leaves nothing unexamined: that NO is exhaustive
     sampled = mode if isinstance(mode, Sampled) and size else None

@@ -10,12 +10,14 @@ verification code always knows which algorithm produced a number.  Each
 budget rule is written once, as a ``*_refusal`` function that the engine
 raises on and the control layer's engine table reads.
 
-The weight table is one Python int with one limb of ``B = 8 * (m // 8 + 1)``
-bits for each sum ``0 .. quota - 1`` of the ``m`` co-players.  It is exact:
-a limb counts distinct subsets, at most ``2**m < 2**B``, so no limb carries
-into the next, and sums at or above the quota are never counted because
-the pivotal window ends at ``quota - 1``.  It takes ``quota * B / 8``
-bytes, about four times that at peak.
+The weight table is one Python int with one limb of ``B = m + 1`` bits for
+each sum of the ``m`` co-players up to ``hi``, the top of the pivotal
+window or of its complement window, whichever is lower; sums that can no
+longer grow into the window are shifted off.  It is exact: a limb counts
+distinct subsets, at most ``2**m < 2**B``, so no limb carries into the
+next, and a sum above ``hi`` can only grow.  It takes at most
+``(hi + 1) * B / 8`` bytes, about four times that at peak, and
+``hi < quota``.
 
 The meet-in-the-middle core (``half_sum_tables`` / ``count_window``) is
 also the subset-sum oracle's counter, and the layered engine's for an
@@ -204,62 +206,92 @@ def pivot_count_mitm(
 
 
 def dp_limb_bits(co_players: int) -> int:
-    """Bits per cell of the weight table over ``co_players`` players: a
-    multiple of 8 above ``co_players``, so a cell's count never carries."""
-    return 8 * (co_players // 8 + 1)
+    """Bits per cell of the weight table over ``co_players`` players:
+    ``co_players + 1``.  A cell, or any sum of cells, counts distinct
+    subsets, at most ``2**co_players``, so it never carries."""
+    return co_players + 1
 
 
-def _packed_subset_counts(weights: list[int], cells: int, limb: int) -> int:
-    """Subset counts of ``weights`` by sum, sums ``0 .. cells - 1`` only,
-    as ``limb``-bit limbs of one int; ``limb`` must exceed ``len(weights)``."""
-    mask = (1 << (cells * limb)) - 1
+def dp_table_cells(game: Game) -> int:
+    """Cells of the weight table for any player of ``game``: one per sum up
+    to ``hi``, the lower of the two window tops ``quota - 1`` and
+    ``W - quota`` (``W`` the total weight), or none when ``hi < 0``."""
+    return max(0, min(game.quota, sum(game.weights) - game.quota + 1))
+
+
+def _packed_window_counts(weights: list[int], lo: int, hi: int, limb: int) -> int:
+    """Subset counts of ``weights`` by sum, sums ``lo .. hi`` only (``0 <=
+    lo <= hi``), as ``limb``-bit limbs of one int, lowest sum first;
+    ``limb`` must exceed ``len(weights)``."""
+    mask = (1 << ((hi + 1) * limb)) - 1  # up front: an unallocatable table fails here
+    kept = sorted([w for w in weights if w <= hi])  # a heavier weight overshoots hi
+    remaining = sum(kept)
+    base = 0  # the sum that the lowest cell holds
+    # The cells below lo - remaining can no longer reach the window.  They
+    # are more than half of the band base .. hi once remaining < drop_at.
+    drop_at = lo - (hi + 1 + base) // 2
     table = 1
-    for w in sorted(weights):  # lightest first: the table fills up last
-        if w < cells:
-            table = (table + (table << (w * limb))) & mask
-    return table
+    for w in kept:  # lightest first: the table fills up last
+        table = (table + (table << (w * limb))) & mask
+        remaining -= w
+        if remaining < drop_at:
+            shift = (lo - remaining - base) * limb
+            table >>= shift
+            mask >>= shift
+            base = lo - remaining
+            drop_at = lo - (hi + 1 + base) // 2
+    return table >> ((lo - base) * limb)
 
 
 def pivot_count_weight_dp(
     game: Game, player: int, budget: EngineBudget = DEFAULT_BUDGET
 ) -> int:
-    """Exact pivotal count by a quota-wide subset-count table packed into one int.
+    """Exact pivotal count by a subset-count table packed into one int.
 
-    Cell ``s`` of the table, for ``0 <= s < quota``, is the number of
-    co-player subsets of weight exactly ``s``; it is the ``s``-th limb of
-    ``B = 8 * (m // 8 + 1)`` bits of a single Python int, where ``m`` is the
-    number of co-players.  A co-player of weight ``w < quota`` folds in as
-    one shift-add, ``T + (T << w * B)``, masked back to ``quota`` cells; a
-    co-player of weight ``w >= quota`` adds nothing below the quota and is
-    skipped.
+    ``T`` is pivotal when its weight lies in ``[quota - w_i, quota - 1]``,
+    or equally when its complement among the co-players, of total
+    ``W' = W - w_i``, weighs in ``[W - quota - w_i + 1, W - quota]``.  The
+    engine counts whichever window has the lower top ``hi``: the direct one
+    for a minority quota, the complement one for a majority quota, so the
+    table never outgrows the quota.  Both windows are ``w_i`` sums wide.
+
+    Cell ``s`` of the table is the number of co-player subsets of weight
+    exactly ``s``; it is a limb of ``B = m + 1`` bits of a single Python
+    int, where ``m`` is the number of co-players.  The co-players fold in
+    lightest first, each as one shift-add ``T + (T << w * B)`` masked back
+    to sums up to ``hi``; a co-player heavier than ``hi`` adds nothing and
+    is skipped.  Once the weight still to fold cannot lift a low cell to
+    the window's bottom ``lo``, that cell is dead; dead cells are shifted
+    off, whole, when they make up more than half of the table.
 
     Exactness: a cell counts distinct subsets of ``m`` players, so it never
     exceeds ``2**m < 2**B`` and no limb carries into the next; the same
-    bound holds for any sum of cells, which the readout relies on.  Sums at
-    or above the quota are dropped, never counted: the pivotal window
-    ``[quota - w_i, quota - 1]`` ends below them, and a dropped sum can
-    only grow.  The table takes ``quota * B / 8`` bytes, and about four
-    times that at peak: the mask, the table, its shift and their sum.  A
-    table the machine cannot allocate is a ``BudgetExceededError`` naming
+    bound holds for any sum of cells, which the readout relies on.  Sums
+    above ``hi`` are dropped, never counted, since a dropped sum can only
+    grow, and so are sums that can no longer grow to ``lo``.  The table
+    takes at most ``(hi + 1) * B / 8`` bytes, with ``hi + 1 =
+    dp_table_cells(game)``, and about four times that at peak: the mask,
+    the table, its shift and their sum.  The mask is allocated up front, so
+    a table the machine cannot allocate is a ``BudgetExceededError`` naming
     the quota.
     """
-    others, lo, hi = _pivot_problem(game, player)
+    others, _, _ = _pivot_problem(game, player)
     _refuse(dp_refusal(game, budget))
-    if hi < lo:  # a zero-weight player is never pivotal
+    hi = dp_table_cells(game) - 1
+    lo = max(hi + 1 - game.weights[player], 0)
+    if hi < lo:  # a zero-weight player is never pivotal, nor anyone at a quota above W
         return 0
-    quota = game.quota
     limb = dp_limb_bits(len(others))
-    start = max(lo, 0)
     try:
-        window = _packed_subset_counts(others, quota, limb) >> (start * limb)
+        window = _packed_window_counts(others, lo, hi, limb)
     except (MemoryError, OverflowError):
         raise BudgetExceededError(
-            f"weight-table engine cannot allocate a table for quota {quota}"
+            f"weight-table engine cannot allocate a table for quota {game.quota}"
             f" (max_dp_quota={budget.max_dp_quota})"
         ) from None
     # Sum the window's cells by halving it: every partial sum counts
     # distinct subsets, so it fits a limb like any single cell does.
-    cells = hi + 1 - start
+    cells = hi + 1 - lo
     while cells > 1:
         half = (cells + 1) // 2
         window = (window & ((1 << (half * limb)) - 1)) + (window >> (half * limb))

@@ -667,11 +667,19 @@ def test_missing_flag_exits_2(command_files, capsys, command, message):
           "--budget-mitm-half", "0"], "engine budgets must be positive"),
         (["control", "INSTANCE", "--mode", "sampled", "--budget-enum", "-1"],
          "engine budgets must be positive"),
+        (["control", "INSTANCE", "--mode", "restricted", "--groups", "Q"],
+         "the instance has no provenance group 'Q'"),
+        (["control", "INSTANCE", "--mode", "restricted", "--groups", "A,Q,R"],
+         "the instance has no provenance group 'Q', 'R'"),
+        (["control", "GAME", "--player", "1", "--deletions", "1", "--goal", "decrease",
+          "--mode", "restricted", "--groups", "A"],
+         "restricted search needs group labels on the instance"),
     ],
     ids=["reduce-decrease-ell", "reduce-decrease-ell-0", "reduce-nonincrease-exactify",
          "control-exhaustive-groups", "control-sampled-groups", "count-sat-k",
          "count-sat-k-ell", "e-minority-ell", "index-game-enum", "index-instance-dp",
-         "control-game-mitm", "control-sampled-enum"],
+         "control-game-mitm", "control-sampled-enum", "control-restricted-unknown-group",
+         "control-restricted-unknown-groups", "control-restricted-bare-game"],
 )
 def test_refused_before_anything_is_printed(command_files, capsys, command, message):
     files, out = command_files

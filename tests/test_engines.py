@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,7 +23,8 @@ from wvgcontrol import (
     pivot_count_mitm,
     pivot_count_weight_dp,
 )
-from wvgcontrol.engines import count_subsets_mitm, count_window, half_sum_tables
+from wvgcontrol import engines
+from wvgcontrol.engines import count_subsets_mitm, count_window, dp_limb_bits, half_sum_tables
 from wvgcontrol.formulas import count_subset_sum
 
 from conftest import random_game
@@ -160,12 +163,21 @@ class TestEngineAgreement:
 
 
 class TestPackedWeightTable:
-    """Cells are limbs of ``8 * (m // 8 + 1)`` bits over sums ``0 .. quota - 1``."""
+    """Cells are limbs of ``m + 1`` bits over the sums of the lower window."""
 
     @pytest.mark.parametrize("m", [7, 8, 15, 16, 63, 64])
     def test_full_cell_fits_its_limb(self, m):
         # every one of the 2**m co-player subsets weighs 0: one full cell
         assert pivot_count_weight_dp(Game((1,) + (0,) * m, 1), 0) == 2**m
+
+    @pytest.mark.parametrize("m", [7, 8, 29, 30, 31])
+    @pytest.mark.parametrize("weight", [1, 2], ids=["direct", "complement"])
+    def test_full_cell_reads_out_without_a_carry(self, m, weight):
+        # 2**m is the top bit of an (m + 1)-bit limb; at weight 2 the
+        # complement window [-1, 0] has the lower top
+        game = Game((weight,) + (0,) * m, weight)
+        assert dp_limb_bits(m) == m + 1
+        assert pivot_count_weight_dp(game, 0) == quota_wide_dp(game, 0) == 2**m
 
     def test_top_cell_is_counted(self):
         # co-player sums are 0, 7 and 14; only 14 = quota - 1 is in [12, 14]
@@ -215,6 +227,122 @@ class TestWeightTableProperties:
         assert pivot_count_weight_dp(Game(tuple(weights), quota), player) == (
             pivot_count_weight_dp(dual, player)
         )
+
+
+def quota_wide_dp(game: Game, player: int) -> int:
+    """The reference weight table: one limb of ``8 * (m // 8 + 1)`` bits for
+    every sum ``0 .. quota - 1``, read out cell by cell."""
+    others = [w for p, w in enumerate(game.weights) if p != player]
+    lo, hi = max(game.quota - game.weights[player], 0), game.quota - 1
+    if hi < lo:
+        return 0
+    limb = 8 * (len(others) // 8 + 1)
+    mask = (1 << (game.quota * limb)) - 1
+    table = 1
+    for w in sorted(others):
+        if w < game.quota:
+            table = (table + (table << (w * limb))) & mask
+    window = table >> (lo * limb)
+    return sum((window >> (s * limb)) & ((1 << limb) - 1) for s in range(hi + 1 - lo))
+
+
+def traced_dp(game: Game, player: int) -> tuple[int, tuple[int, int], int]:
+    """The dp count, the ``(lo, hi)`` window its table covers, and how
+    many times it shifted dead cells off."""
+    kernel = engines._packed_window_counts
+    code = kernel.__code__
+    source, first = inspect.getsourcelines(kernel)
+    drop_line = first + next(i for i, line in enumerate(source) if "table >>= shift" in line)
+    windows, drops = [], []  # (lo, hi) per kernel call; one entry per shift
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "call":
+            windows.append((frame.f_locals["lo"], frame.f_locals["hi"]))
+        elif event == "line" and frame.f_lineno == drop_line:
+            drops.append(None)
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        count = pivot_count_weight_dp(game, player)
+    finally:
+        sys.settrace(None)
+    assert len(windows) == 1
+    return count, windows[0], len(drops)
+
+
+@st.composite
+def pivot_problems(draw) -> tuple[Game, int]:
+    """Games with zero weights, weights past the window, and quotas of 1,
+    below half, above half and above the total."""
+    weights = draw(st.lists(
+        st.one_of(st.just(0), st.integers(1, 9), st.integers(10, 60)), min_size=1, max_size=11
+    ))
+    player = draw(st.integers(0, len(weights) - 1))
+    if draw(st.booleans()):
+        weights[player] = draw(st.sampled_from([0, weights[player]]))
+    total = sum(weights)
+    quota = draw(st.one_of(
+        st.just(1),
+        st.integers(1, max(total // 2, 1)),
+        st.integers(total // 2 + 1, total + 1),
+        st.integers(total + 1, total + 40),
+    ))
+    return Game(tuple(weights), quota), player
+
+
+class TestLowerWindowTable:
+    """The table over the lower window against the quota-wide reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(problem=pivot_problems())
+    def test_equals_quota_wide_table_and_enum(self, problem):
+        game, player = problem
+        expected = pivot_count_enum(game, player)
+        assert quota_wide_dp(game, player) == expected
+        assert pivot_count_weight_dp(game, player) == expected
+
+    @pytest.mark.parametrize(
+        "quota, window", [(400, (195, 195)), (200, (199, 199))], ids=["complement", "direct"]
+    )
+    def test_smaller_window_is_counted(self, quota, window):
+        # weights 1..34 total 595: the complement window of player 0 is
+        # [595 - quota, 595 - quota]
+        game = Game(tuple(range(1, 35)), quota)
+        count, counted, _ = traced_dp(game, 0)
+        assert counted == window
+        assert count == quota_wide_dp(game, 0) == pivot_count_mitm(game, 0)
+
+    @pytest.mark.parametrize(
+        "weights, quota, window, drops",
+        [
+            # ten co-players of weight 1 in [5, 5]: one drop, to sums 4 .. 5,
+            # when one of them is left
+            ((1,) * 11, 6, (5, 5), 1),
+            # thirty-two in [16, 16]: drops to sums 9, 14 and 16 when 7, 2
+            # and 0 of them are left
+            ((1,) * 33, 17, (16, 16), 3),
+            ((7,) + tuple(range(1, 21)), 150, (61, 67), 2),
+        ],
+        ids=["ten-ones", "thirty-two-ones", "complement-1-to-20"],
+    )
+    def test_dead_cells_are_dropped(self, weights, quota, window, drops):
+        game = Game(weights, quota)
+        assert traced_dp(game, 0) == (quota_wide_dp(game, 0), window, drops)
+        assert quota_wide_dp(game, 0) == pivot_count_mitm(game, 0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_quota_wide_table_at_dp_regime_sizes(self, seed):
+        rng = random.Random(seed)
+        for players in (46, 48, 50):
+            weights = tuple(rng.randint(1, 600) for _ in range(players))
+            total = sum(weights)
+            for quota in (rng.randint(1, total // 2), rng.randint(total // 2, total)):
+                game = Game(weights, quota)
+                player = rng.randrange(players)
+                assert pivot_count_weight_dp(game, player) == quota_wide_dp(game, player)
 
 
 class TestBanzhaf:
