@@ -279,27 +279,20 @@ def _share(block: LightBlock, remaining: int) -> int | None:
     return value if value <= block.max_sum else None
 
 
-def _split(blocks: tuple[LightBlock, ...], residual: int) -> tuple | None:
-    """Per-block targets of ``residual``, or ``None``: each block's share
-    from the most significant down, with nothing left after the last."""
+def decompose_target(bands: BandSystem, residual: int) -> Decomposition | None:
+    """Split ``residual`` into per-block targets, each block taking its forced
+    share from the most significant down; unique when it exists, ``None`` when
+    some share is unreachable or a nonzero remainder survives the last block."""
     if residual < 0:
         raise InputError("residual must be nonnegative")
     targets = []
-    for block in blocks:
+    for block in bands.blocks:
         share = _share(block, residual)
         if share is None:
             return None
         targets.append(share)
         residual -= share
-    return None if residual else tuple(targets)
-
-
-def decompose_target(bands: BandSystem, residual: int) -> Decomposition | None:
-    """Split ``residual`` into per-block targets, each block taking its forced
-    share from the most significant down; unique when it exists, ``None`` when
-    some share is unreachable or a nonzero remainder survives the last block."""
-    targets = _split(bands.blocks, residual)
-    return None if targets is None else Decomposition(targets)
+    return None if residual else Decomposition(tuple(targets))
 
 
 # The most remainders the pruned pass may visit, summed over its steps.  Past
@@ -442,6 +435,20 @@ def count_light_subsets(bands: BandSystem, residual: int) -> int:
 _MAX_INTERVAL_WIDTH = 4096
 
 
+def layered_refusal(bands: BandSystem | None) -> str | None:
+    """Why the layered engine refuses an instance of band system ``bands``, or
+    ``None`` if it runs; an oversized enumerable block is refused only when met."""
+    if bands is None:
+        return "layered engine needs band metadata, which this instance lacks"
+    w_p = bands.game.weights[bands.distinguished]
+    if w_p > _MAX_INTERVAL_WIDTH:
+        return (
+            f"distinguished weight {decimal_str(w_p)} spans too wide a pivotal interval "
+            f"for per-value decomposition (limit {_MAX_INTERVAL_WIDTH})"
+        )
+    return None
+
+
 def _pivot_terms(bands: BandSystem, heavies: list[int]) -> Iterator[tuple[int, tuple]]:
     """Every nonzero pivot-count term: a pivotal coalition weight less the
     weight of one of ``heavies``, as (heavy player, its counted suffix from
@@ -449,14 +456,11 @@ def _pivot_terms(bands: BandSystem, heavies: list[int]) -> Iterator[tuple[int, t
     ``_unlinked`` gives its per-block targets and counts.  A generator, so
     that a caller that only sums the terms holds one at a time.  The walk
     memoises block counts and counted suffixes in two memos of its own
-    frame, which go when it ends."""
+    frame, which go when it ends; a ``layered_refusal`` is a ``BandStructureError``."""
+    if (refusal := layered_refusal(bands)) is not None:
+        raise BandStructureError(refusal)
     game = bands.game
     w_p = game.weights[bands.distinguished]
-    if w_p > _MAX_INTERVAL_WIDTH:
-        raise BandStructureError(
-            f"distinguished weight {w_p} spans too wide a pivotal interval "
-            f"for per-value decomposition (limit {_MAX_INTERVAL_WIDTH})"
-        )
     blocks = bands.blocks
     suffixes, counts = _walk_memos(blocks)
     for coalition_weight in range(game.quota - w_p, game.quota):

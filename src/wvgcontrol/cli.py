@@ -30,6 +30,7 @@ from .control import (
     compute_index,
     solve_control,
 )
+from . import engines as costs
 from .engines import DEFAULT_BUDGET, EngineBudget
 from .errors import BandStructureError, BudgetExceededError, InputError
 from .formulas import count_sat, e_exact_sat, e_minority_sat, parse_dimacs
@@ -78,11 +79,7 @@ def _refuse_unread(args: argparse.Namespace, command: str, flags: Iterable[str])
 
 
 def _budget_from(args: argparse.Namespace) -> EngineBudget:
-    return EngineBudget(
-        max_enum_players=args.budget_enum,
-        max_mitm_half=args.budget_mitm_half,
-        max_dp_quota=args.budget_dp_quota,
-    )
+    return EngineBudget(args.budget_enum, args.budget_mitm_half, args.budget_dp_quota)
 
 
 def cmd_index(args: argparse.Namespace) -> int:
@@ -108,8 +105,9 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_control(args: argparse.Namespace) -> int:
-    if args.mode != "restricted":
-        _refuse_unread(args, f"control --mode {args.mode}", ["--groups"])
+    read_in = {"--groups": "restricted", "--seed": "sampled", "--trials": "sampled"}
+    unread = [flag for flag, mode in read_in.items() if mode != args.mode]
+    _refuse_unread(args, f"control --mode {args.mode}", unread)
     path = Path(args.input)
     loaded, data = _load(path)
     if isinstance(loaded, Game):
@@ -145,7 +143,9 @@ def cmd_control(args: argparse.Namespace) -> int:
     if args.mode == "exhaustive":
         mode = Exhaustive()
     elif args.mode == "sampled":
-        mode = Sampled(seed=args.seed, trials=args.trials)
+        given = {f: getattr(args, f) for f in ("seed", "trials") if getattr(args, f) is not None}
+        options = SuiteOptions(**given)
+        mode = Sampled(seed=options.seed, trials=options.trials)
     else:
         if not args.groups:
             raise InputError("restricted mode needs --groups")
@@ -264,10 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     engines = argparse.ArgumentParser(add_help=False)
     engines.add_argument(
         "--engine", choices=ENGINE_CHOICES, default="auto",
-        help="index engine; auto takes layered when the instance has bands, "
-        "else the accepting engine of least estimated time in picoseconds: "
-        "enum 40,000*2^m, mitm 700,000*2^ceil(m/2), "
-        "dp 3,000,000 + 30*m*cells*limb for m co-players, ties to enum, then mitm",
+        help="index engine; auto takes layered whenever it accepts, else the accepting engine "
+        f"of least estimated picoseconds: enum {costs.ENUM_PS_PER_SUBSET:,}*2^m, mitm "
+        f"{costs.MITM_PS_PER_HALF_SUBSET:,}*2^ceil(m/2), dp {costs.DP_PS_PER_CALL:,} + "
+        f"{costs.DP_PS_PER_TABLE_BIT}*m*cells*limb for m co-players, ties to enum, then mitm",
     )
     engines.add_argument("--budget-enum", type=int, metavar="N",
                          default=DEFAULT_BUDGET.max_enum_players,
@@ -278,11 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     engines.add_argument("--budget-dp-quota", type=int, metavar="Q",
                          default=DEFAULT_BUDGET.max_dp_quota,
                          help="max quota for the weight-table engine")
-    sampling = argparse.ArgumentParser(add_help=False)
     defaults = SuiteOptions()
-    sampling.add_argument("--seed", type=int, default=defaults.seed, help="RNG seed")
-    sampling.add_argument("--trials", type=int, default=defaults.trials,
-                          help="samples in sampled mode and the no-direction suite")
     dimacs = argparse.ArgumentParser(add_help=False)
     dimacs.add_argument("--strip-tautologies", action="store_true",
                         help="drop tautological clauses while parsing DIMACS")
@@ -296,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="player position (defaults to the instance's distinguished player)")
     p_index.set_defaults(func=cmd_index)
 
-    p_control = sub.add_parser("control", parents=[engines, sampling],
+    p_control = sub.add_parser("control", parents=[engines],
                                help="decide a control-by-deletion instance")
     p_control.add_argument("input", help="instance document (or game document plus flags)")
     p_control.add_argument("--player", type=int, default=None)
@@ -309,6 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
                            default="exhaustive")
     p_control.add_argument("--groups", default=None,
                            help="comma-separated provenance groups for restricted mode")
+    p_control.add_argument("--seed", type=int, default=None,
+                           help=f"RNG seed for sampled mode (default {defaults.seed})")
+    p_control.add_argument("--trials", type=int, default=None,
+                           help=f"samples in sampled mode (default {defaults.trials})")
     p_control.set_defaults(func=cmd_control)
 
     p_reduce = sub.add_parser("reduce", parents=[dimacs],
@@ -334,9 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--ell", type=int, default=None, help="exact suffix count")
     p_oracle.set_defaults(func=cmd_oracle)
 
-    p_verify = sub.add_parser("verify", parents=[sampling],
-                              help="run a verification suite")
+    p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    p_verify.add_argument("--seed", type=int, default=defaults.seed, help="RNG seed")
+    p_verify.add_argument("--trials", type=int, default=defaults.trials,
+                          help="samples in the no-direction-sampled suite")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -21,18 +21,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
-from .bands import DeletionCounter, pivot_count_layered
+from .bands import DeletionCounter, layered_refusal, pivot_count_layered
 from .engines import (
-    DEFAULT_BUDGET,
-    EngineBudget,
-    dp_limb_bits,
-    dp_refusal,
-    dp_table_cells,
-    enum_refusal,
-    mitm_refusal,
-    pivot_count_enum,
-    pivot_count_mitm,
-    pivot_count_weight_dp,
+    DEFAULT_BUDGET, EngineBudget, dp_cost, dp_refusal, enum_cost, enum_refusal, mitm_cost,
+    mitm_refusal, pivot_count_enum, pivot_count_mitm, pivot_count_weight_dp,
 )
 from .errors import BudgetExceededError, InputError, WvgError
 from .game import ExactIndex, Game, decimal_str, weight_class_partition
@@ -65,17 +57,19 @@ CandidateScore = Callable[[frozenset[int]], int]
 @dataclass(frozen=True)
 class _Engine:
     """One entry of the engine table: why it refuses an instance (``None``
-    when it accepts), how it runs, and how a search over that instance
-    scores its candidates."""
+    when it accepts), how it runs, how a search over it scores candidates,
+    and its estimated picoseconds on a game (``None`` for layered)."""
 
     refusal: Callable[[ControlInstance, EngineBudget], str | None]
     run: Callable[[ControlInstance, EngineBudget], int]
     search: Callable[[ControlInstance, EngineBudget], CandidateScore]
+    cost: Callable[[Game], int] | None
 
 
 def _brute_force(
     refusal: Callable[[Game, EngineBudget], str | None],
     engine: Callable[[], Callable[[Game, int, EngineBudget], int]],
+    cost: Callable[[Game], int],
 ) -> _Engine:
     # ``engine`` returns the module global when called, so replacing that
     # global (as a tracer does) reroutes every run.
@@ -86,72 +80,40 @@ def _brute_force(
         lambda instance, budget: refusal(instance.game, budget),
         run,
         lambda instance, budget: lambda players: run(instance.delete(players), budget),
+        cost,
     )
 
 
-def _layered_refusal(instance: ControlInstance, budget: EngineBudget) -> str | None:
-    if instance.bands is None:
-        return "layered engine needs band metadata, which this instance lacks"
-    return None
-
-
-ENGINES = {
-    "enum": _brute_force(enum_refusal, lambda: pivot_count_enum),
-    "mitm": _brute_force(mitm_refusal, lambda: pivot_count_mitm),
-    "dp": _brute_force(dp_refusal, lambda: pivot_count_weight_dp),
+ENGINES = {  # in tie order
+    "enum": _brute_force(enum_refusal, lambda: pivot_count_enum, enum_cost),
+    "mitm": _brute_force(mitm_refusal, lambda: pivot_count_mitm, mitm_cost),
+    "dp": _brute_force(dp_refusal, lambda: pivot_count_weight_dp, dp_cost),
     "layered": _Engine(
-        _layered_refusal,
+        lambda instance, budget: layered_refusal(instance.bands),
         lambda instance, budget: pivot_count_layered(instance.bands),
         # Targets and block counts once per search; each candidate recounts
         # only the blocks its deletion touches, and nothing is deleted.
         lambda instance, budget: DeletionCounter(instance.bands).count,
+        None,
     ),
 }
 ENGINE_CHOICES = ("auto", *ENGINES)
 
 
-# Estimated run time in picoseconds of each brute-force engine on a game
-# of m co-players, in integers: quotas reach thousands of digits, and no
-# float may enter the comparison.  Rounded medians of per-engine timings
-# (x86_64, Python 3.11) on the benchmark's bare games and on random games
-# of 3-16 players: enum 17-49 ns per subset, mitm 0.65-0.8 us per
-# half-subset, dp 28-47 ps per table bit plus ~3 us per call.  Games of up
-# to 6 co-players thus stay on enum.  dp's bits are those of the table its
-# kernel builds, the lower pivotal window in (m + 1)-bit limbs: on the
-# benchmark's bare games that is 49-78 ps per bit, on a 2-vCPU x86_64
-# host where a quota-wide table of byte-rounded limbs reads 47-69.
-_ENUM_PS_PER_SUBSET = 40_000
-_MITM_PS_PER_HALF_SUBSET = 700_000
-_DP_PS_PER_CALL = 3_000_000
-_DP_PS_PER_TABLE_BIT = 30
-
-
-def _dp_cost_ps(game: Game) -> int:
-    m = game.num_players - 1
-    return _DP_PS_PER_CALL + _DP_PS_PER_TABLE_BIT * m * dp_table_cells(game) * dp_limb_bits(m)
-
-
-_COSTS_PS: dict[str, Callable[[Game], int]] = {  # in tie order
-    "enum": lambda game: _ENUM_PS_PER_SUBSET << (game.num_players - 1),
-    "mitm": lambda game: _MITM_PS_PER_HALF_SUBSET << (game.num_players // 2),
-    "dp": _dp_cost_ps,
-}
-
-
 def pick_engine(instance: ControlInstance, budget: EngineBudget = DEFAULT_BUDGET) -> str:
-    """Deterministic auto-selection: layered when the instance has band
-    metadata; otherwise the brute-force engine of least estimated cost
-    among those whose refusal is ``None``, ties going to enum, then mitm.
-    For ``m`` co-players the estimates, in picoseconds, are enum
-    ``40,000·2^m``, mitm ``700,000·2^⌈m/2⌉`` and dp
-    ``3,000,000 + 30·m·cells·limb``, the table the dp kernel builds:
-    ``cells = min(quota, W - quota + 1)`` sums of the lower pivotal window
-    (``W`` the total weight) and ``limb = m + 1`` bits."""
-    if ENGINES["layered"].refusal(instance, budget) is None:
-        return "layered"
-    feasible = [name for name in _COSTS_PS if ENGINES[name].refusal(instance, budget) is None]
-    if feasible:
-        return min(feasible, key=lambda name: _COSTS_PS[name](instance.game))
+    """Deterministic auto-selection among the engines whose refusal is
+    ``None``: layered whenever it accepts, else the engine of least
+    estimated cost (``engines.enum_cost``, ``mitm_cost`` and ``dp_cost``),
+    ties going by table order."""
+    costs = {}
+    # costless engines first, so that no other refusal is built when layered accepts
+    for name, entry in sorted(ENGINES.items(), key=lambda item: item[1].cost is not None):
+        if entry.refusal(instance, budget) is None:
+            if entry.cost is None:
+                return name
+            costs[name] = entry.cost(instance.game)
+    if costs:
+        return min(costs, key=costs.__getitem__)  # the first least, in table order
     raise BudgetExceededError(
         f"no engine accepts this instance ({instance.game.num_players} players, "
         f"quota {decimal_str(instance.game.quota)}) within the configured budgets"
@@ -181,8 +143,8 @@ def banzhaf(
     game: Game, player: int, engine: str = "enum", budget: EngineBudget = DEFAULT_BUDGET
 ) -> ExactIndex:
     """The probabilistic Penrose-Banzhaf index as an exact dyadic rational,
-    by one of the brute-force engines (``enum``, ``mitm`` or ``dp``)."""
-    brute_force = ("enum", "mitm", "dp")
+    by one of the engines with a cost (``enum``, ``mitm`` or ``dp``)."""
+    brute_force = [name for name, entry in ENGINES.items() if entry.cost is not None]
     if engine not in brute_force:
         raise InputError(f"unknown engine {engine!r}; expected one of {sorted(brute_force)}")
     return compute_index(ControlInstance(game, player, 0, Goal.DECREASE), engine, budget)[0]

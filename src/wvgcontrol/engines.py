@@ -8,7 +8,7 @@ can serve as mutual oracles.  Each engine refuses instances beyond its
 budget instead of running unboundedly; refusal is an explicit error so
 verification code always knows which algorithm produced a number.  Each
 budget rule is written once, as a ``*_refusal`` function that the engine
-raises on and the control layer's engine table reads.
+raises on and the engine table reads, beside a ``*_cost`` estimate for ``auto``.
 
 The weight table is one Python int with one limb of ``B = m + 1`` bits for
 each sum of the ``m`` co-players up to ``hi``, the top of the pivotal
@@ -94,12 +94,33 @@ def _over_budget(refusal: str, size: int, budget: EngineBudget, limit: str) -> s
     return None if size <= allowed else f"{refusal.format(decimal_str(size))} ({limit}={allowed})"
 
 
+# Estimated run time in picoseconds of each engine on a game of m
+# co-players, in integers: quotas reach thousands of digits, and no float
+# may enter the comparison.  Rounded medians of per-engine timings
+# (x86_64, Python 3.11) on the benchmark's bare games and on random games
+# of 3-16 players: enum 17-49 ns per subset, mitm 0.65-0.8 us per
+# half-subset, dp 28-47 ps per table bit plus ~3 us per call.  Games of up
+# to 6 co-players thus stay on enum.  dp's bits are those of the table its
+# kernel builds, the lower pivotal window in (m + 1)-bit limbs: on the
+# benchmark's bare games that is 49-78 ps per bit, on a 2-vCPU x86_64
+# host where a quota-wide table of byte-rounded limbs reads 47-69.
+ENUM_PS_PER_SUBSET = 40_000
+MITM_PS_PER_HALF_SUBSET = 700_000
+DP_PS_PER_CALL = 3_000_000
+DP_PS_PER_TABLE_BIT = 30
+
+
 def enum_refusal(game: Game, budget: EngineBudget) -> str | None:
     """Why the enumeration engine refuses ``game``, or ``None`` if it runs."""
     others = game.num_players - 1
     return _over_budget(
         "enumeration engine refuses {} co-players", others, budget, "max_enum_players"
     )
+
+
+def enum_cost(game: Game) -> int:
+    """Estimated picoseconds of the enumeration engine, by its subsets."""
+    return ENUM_PS_PER_SUBSET << (game.num_players - 1)
 
 
 def mitm_refusal(game: Game, budget: EngineBudget) -> str | None:
@@ -110,11 +131,22 @@ def mitm_refusal(game: Game, budget: EngineBudget) -> str | None:
     )
 
 
+def mitm_cost(game: Game) -> int:
+    """Estimated picoseconds of meet-in-the-middle, by its larger half."""
+    return MITM_PS_PER_HALF_SUBSET << (game.num_players // 2)
+
+
 def dp_refusal(game: Game, budget: EngineBudget) -> str | None:
     """Why the weight-table engine refuses ``game``, or ``None``."""
     return _over_budget(
         "weight-table engine refuses quota {}", game.quota, budget, "max_dp_quota"
     )
+
+
+def dp_cost(game: Game) -> int:
+    """Estimated picoseconds of the weight table, by the table it builds."""
+    m = game.num_players - 1
+    return DP_PS_PER_CALL + DP_PS_PER_TABLE_BIT * m * dp_table_cells(game) * dp_limb_bits(m)
 
 
 def _refuse(reason: str | None) -> None:

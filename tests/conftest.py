@@ -9,13 +9,23 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import strategies as st
 
-from wvgcontrol import BandSystem, BlockKind, Game, LightBlock
+from wvgcontrol import BandSystem, BlockKind, ControlInstance, Game, Goal, LightBlock
 
 
 @pytest.fixture
 def example1() -> Game:
     """The worked six-player game (1, 2, 2, 2, 3, 3; 8)."""
     return Game((1, 2, 2, 2, 3, 3), 8)
+
+
+def wide_interval_instance() -> ControlInstance:
+    """A valid banded instance whose distinguished weight 4,097 spans a
+    pivotal interval past the layered engine's limit of 4,096: heavies 1
+    and 2, one enumerable block {3, 4}.  Its index is 8/2^4."""
+    game = Game((4097, 6000, 6000, 1, 2), 10000)
+    block = LightBlock("lo", BlockKind.ENUMERABLE, (3, 4), (1, 2), 1)
+    bands = BandSystem(game=game, distinguished=0, heavy=frozenset({1, 2}), blocks=(block,))
+    return ControlInstance(game, 0, 1, Goal.DECREASE, bands=bands)
 
 
 def random_game(rng: random.Random, max_players: int = 16, max_weight: int = 50) -> Game:

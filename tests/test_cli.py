@@ -36,6 +36,8 @@ from wvgcontrol.cli import (
 )
 from wvgcontrol.verify import SuiteOptions
 
+from conftest import wide_interval_instance
+
 pytestmark = pytest.mark.filterwarnings("ignore::wvgcontrol.gadgets.GadgetConstructionNote")
 
 
@@ -95,6 +97,15 @@ class TestIndexCommand:
         )
         assert code == EXIT_BUDGET
         assert "quota 100000000000000 (max_dp_quota=" in capsys.readouterr().err
+
+    def test_auto_answers_past_the_layered_interval_width(self, tmp_path, capsys):
+        path = tmp_path / "wide-interval.instance"
+        path.write_text(dump_instance(wide_interval_instance()))
+        assert main(["index", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "engine:  enum\n" in out and "index of player 0: 8/2^4 " in out
+        assert main(["index", str(path), "--engine", "layered"]) == EXIT_BUDGET
+        assert "limit 4096" in capsys.readouterr().err
 
     def test_layered_engine_on_a_bare_game_exits_3(self, example1_file, capsys):
         code = main(["index", str(example1_file), "--player", "1", "--engine", "layered"])
@@ -372,13 +383,29 @@ def test_sampled_search_without_trials_exits_2(example1_file, capsys, command):
 
 @pytest.mark.parametrize(
     "command",
-    [["control", "GAME"], ["verify", "all"]],
-    ids=["control", "verify"],
+    [["verify", "all"]],
+    ids=["verify"],
 )
 def test_seed_and_trials_default_to_the_suite_options(command):
     args = build_parser().parse_args(command)
     defaults = SuiteOptions()
     assert (args.seed, args.trials) == (defaults.seed, defaults.trials)
+
+
+def test_control_samples_with_the_suite_options_unless_given(command_files, capsys):
+    """``control`` leaves --seed and --trials unset, so that it can refuse
+    them outside sampled mode; sampled mode fills in the suite's defaults."""
+    args = build_parser().parse_args(["control", "GAME"])
+    assert (args.seed, args.trials) == (None, None)
+    files, _ = command_files
+    defaults = SuiteOptions()
+    for flags, seed, trials in (
+        ([], defaults.seed, defaults.trials),
+        (["--seed", "5"], 5, defaults.trials),
+        (["--trials", "25"], defaults.seed, 25),
+    ):
+        assert main(["control", files["INSTANCE"], "--mode", "sampled", *flags]) == EXIT_OK
+        assert f"sampling: {trials} trials, seed {seed}\n" in capsys.readouterr().out
 
 
 def test_verify_all_refuses_zero_trials_before_any_suite(capsys):
@@ -655,6 +682,10 @@ def test_missing_flag_exits_2(command_files, capsys, command, message):
          "control --mode exhaustive does not read --groups"),
         (["control", "INSTANCE", "--mode", "sampled", "--groups", "A"],
          "control --mode sampled does not read --groups"),
+        (["control", "INSTANCE", "--seed", "5", "--trials", "0"],
+         "control --mode exhaustive does not read --seed, --trials"),
+        (["control", "INSTANCE", "--mode", "restricted", "--groups", "A", "--trials", "3"],
+         "control --mode restricted does not read --trials"),
         (["oracle", "count-sat", "CNF", "--k", "1"], "oracle count-sat does not read --k"),
         (["oracle", "count-sat", "CNF", "--k", "1", "--ell", "1"],
          "oracle count-sat does not read --k, --ell"),
@@ -676,7 +707,8 @@ def test_missing_flag_exits_2(command_files, capsys, command, message):
          "restricted search needs group labels on the instance"),
     ],
     ids=["reduce-decrease-ell", "reduce-decrease-ell-0", "reduce-nonincrease-exactify",
-         "control-exhaustive-groups", "control-sampled-groups", "count-sat-k",
+         "control-exhaustive-groups", "control-sampled-groups", "control-exhaustive-seed-trials",
+         "control-restricted-trials", "count-sat-k",
          "count-sat-k-ell", "e-minority-ell", "index-game-enum", "index-instance-dp",
          "control-game-mitm", "control-sampled-enum", "control-restricted-unknown-group",
          "control-restricted-unknown-groups", "control-restricted-bare-game"],

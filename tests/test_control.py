@@ -46,7 +46,7 @@ from wvgcontrol.engines import DEFAULT_BUDGET, pivot_count_enum
 from wvgcontrol.errors import WvgError
 from wvgcontrol.verify import NO_INSTANCES
 
-from conftest import random_game
+from conftest import random_game, wide_interval_instance
 
 pytestmark = pytest.mark.filterwarnings("ignore::wvgcontrol.gadgets.GadgetConstructionNote")
 
@@ -334,7 +334,7 @@ class TestEngineSelection:
         game = Game(tuple(quota // 4 + weight for weight in range(10)), quota)
         instance = ControlInstance(game, 0, 0, Goal.DECREASE)
         budget = EngineBudget(max_dp_quota=quota)  # so dp is costed too
-        assert all(type(cost(game)) is int for cost in control._COSTS_PS.values())
+        assert all(type(entry.cost(game)) is int for entry in control.ENGINES.values() if entry.cost)
         index, used = compute_index(instance, "auto", budget)
         assert used == "enum"
         assert index == compute_index(instance, "mitm", budget)[0]
@@ -370,6 +370,13 @@ class TestEngineSelection:
         refusal = r"no engine accepts this instance \(50 players, quota 2000001\)"
         with pytest.raises(BudgetExceededError, match=refusal):
             compute_index(self._bare(50, 2_000_001))
+
+    def test_auto_skips_layered_past_its_interval_width(self):
+        instance = wide_interval_instance()
+        assert pick_engine(instance) == "enum"
+        assert compute_index(instance) == (ExactIndex(8, 4), "enum")
+        with pytest.raises(BudgetExceededError, match="limit 4096"):
+            compute_index(instance, "layered")
 
     def test_layered_refuses_a_bare_game(self, example1):
         instance = ControlInstance(example1, 1, 0, Goal.DECREASE)
