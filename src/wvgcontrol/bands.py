@@ -43,7 +43,9 @@ among them), so ``DeletionCounter`` stores the terms once, by heavy
 player, and scores a deletion of light players L and heavy players H as
 ``T(L) - sum(t_h(L) for h in H)``: every term after deleting L, less the
 deleted heavies' own, each term recounting only the blocks L touches.
-One memoised record per L holds ``T(L)`` with the touched blocks'
+``T(L)`` is summed over a grouped term table of the touched blocks, one
+product per group of terms with the same targets there.  One memoised
+record per L holds ``T(L)`` with the touched blocks'
 recounts; ``count`` and ``heavy_terms(L)``, every nonzero ``t_h(L)``,
 read it, and ``gadgets.layered_case_counts`` reads one counter's terms
 for L empty.  Control search scores its candidates that way, so it
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -521,11 +524,19 @@ class DeletionCounter:
     game stays zero and is not kept; every kept block count is nonzero,
     which makes ``product // old * new`` exact.
 
-    Two memos serve the candidates of one search, each emptied at
+    ``T(L)`` is read off a grouped term table for the blocks L touches:
+    the terms grouped by their targets on those blocks, each group's
+    value the sum of its products divided by its counts on those blocks
+    (exact, as a product is the product of its block counts).  So
+    ``T(L)`` sums, over the groups, the value times the survivors'
+    recounts of the group's targets: one product per group, not per term.
+
+    Three memos serve the candidates of one search, each emptied at
     ``_DELETION_MEMO_SIZE``: L to its record, ``T(L)`` with (block index,
     survivors' recounts) for each block L touches, which ``count`` and
-    ``heavy_terms`` both read; and (block index, its deleted members) to
-    the survivors' count of each target in that block, which records share.
+    ``heavy_terms`` both read; (block index, its deleted members) to the
+    survivors' count of each target in that block, which records share;
+    and the sorted tuple of touched blocks to its grouped term table.
     """
 
     def __init__(self, bands: BandSystem) -> None:
@@ -538,11 +549,15 @@ class DeletionCounter:
         for heavy, suffix in _pivot_terms(bands, sorted(bands.heavy)):
             self._terms_of.setdefault(heavy, []).append(_unlinked(suffix))
         terms = [*chain.from_iterable(self._terms_of.values())]
-        self._targets = [
-            {targets[index] for targets, _, _ in terms} for index in range(len(bands.blocks))
-        ]
+        # every term's product, and by block index every term's target and count
+        self._products = [product for _, _, product in terms]
+        width = range(len(bands.blocks))
+        self._target_columns = [[targets[index] for targets, _, _ in terms] for index in width]
+        self._count_columns = [[counts[index] for _, counts, _ in terms] for index in width]
+        self._targets = [set(column) for column in self._target_columns]
         self._totals: dict[frozenset[int], tuple[int, list]] = {}
         self._recounts: dict[tuple[int, frozenset[int]], dict[int, int]] = {}
+        self._tables: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
 
     def count(self, players: Iterable[int]) -> int:
         """The pivot count after deleting ``players`` (original indices)."""
@@ -574,9 +589,32 @@ class DeletionCounter:
         gone: dict[int, set[int]] = {}  # block index -> its deleted members
         for player in light:
             gone.setdefault(self._block_of[player], set()).add(player)
-        touched = [self._recounted(index, frozenset(members)) for index, members in gone.items()]
-        total = self._sum(chain.from_iterable(self._terms_of.values()), touched)
+        blocks = tuple(sorted(gone))
+        touched = [self._recounted(index, frozenset(gone[index])) for index in blocks]
+        table = self._tables.get(blocks)
+        if table is None:
+            table = self._grouped(blocks)
+        recounts = [recounted for _, recounted in touched]
+        total = 0
+        for targets, value in table.items():
+            for recounted, target in zip(recounts, targets):
+                value *= recounted[target]
+            total += value
         return _remember(self._totals, light, (total, touched))
+
+    def _grouped(self, blocks: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        """The grouped term table of the touched ``blocks``: each tuple of
+        targets on them to the sum of its terms' products, each divided by
+        the term's counts on them."""
+        values: Iterable[int] = self._products
+        for index in blocks:
+            values = map(operator.floordiv, values, self._count_columns[index])
+        columns = [self._target_columns[index] for index in blocks]
+        keys = zip(*columns) if blocks else [()] * len(self._products)
+        table: dict[tuple[int, ...], int] = {}
+        for key, value in zip(keys, values):
+            table[key] = table.get(key, 0) + value
+        return _remember(self._tables, blocks, table)
 
     def _recounted(self, index: int, members: frozenset[int]) -> tuple[int, dict[int, int]]:
         """The block index with the survivors' count of each of its targets."""
@@ -593,6 +631,8 @@ class DeletionCounter:
 
     @staticmethod
     def _sum(terms: Iterable[tuple], touched: list[tuple[int, dict[int, int]]]) -> int:
+        """``t_h(L)``: the sum of one heavy player's ``terms`` after the
+        recounts of the blocks L touches."""
         total = 0
         for targets, counts, product in terms:
             for index, recounted in touched:

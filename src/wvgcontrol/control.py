@@ -6,20 +6,23 @@ raw subsets; gadget games have large symmetric groups and this collapses
 the space by orders of magnitude.  Every mode reads one ranked space:
 the count vectors over the classes (heaviest first) whose total lies in
 a size window, greatest-lexicographic first.  Exhaustive mode walks each
-size from the smallest allowed up to the budget, rank by rank, and the
-first witness found is the reported one (deterministic).  Sampled mode
-draws ranks uniformly over the whole window with a seeded generator and
-reports honestly labelled negative evidence.  Restricted mode is
-exhaustive over a named subset of provenance groups.
+size from the smallest allowed up to the budget in rank order, by one
+depth-first walk over the classes rather than by unranking each rank,
+and the first witness found is the reported one (deterministic).
+Sampled mode unranks ranks drawn uniformly over the whole window with a
+seeded generator and reports honestly labelled negative evidence.
+Restricted mode is exhaustive over a named subset of provenance groups.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import operator
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .bands import DeletionCounter, layered_refusal, pivot_count_layered
 from .engines import (
@@ -253,29 +256,34 @@ class _CandidateSpace:
     """Count vectors over the weight classes, ranked greatest-lexicographic
     first (prefer deleting from the heaviest class).
 
-    ``ways[i][s]`` is the number of count vectors over classes ``i..`` with
-    total at most ``s``, for ``s`` up to the largest total the budget and
-    the classes allow.  Unranking bisects rows of ``-tail`` read off
-    ``ways`` (see ``candidate``) with ``bisect``, so each probe runs in C.
-    A row is built on first use and cached for the space's life; the ranks
-    of one window fill at most ``max_size + 1`` rows.
+    ``walk`` visits the vectors of a window in rank order, size by size,
+    with no table at all.  ``count`` and ``candidate`` (unranking, for
+    sampled draws) read ``ways``, built on first use: ``ways[i][s]`` is
+    the number of count vectors over classes ``i..`` with total at most
+    ``s``, for ``s`` up to the largest total the budget and the classes
+    allow.  Unranking bisects rows of ``-tail`` read off ``ways`` (see
+    ``candidate``) with ``bisect``, so each probe runs in C.  A row is
+    built on first use and cached for the space's life; the ranks of one
+    window fill at most ``max_size + 1`` rows.
     """
 
     def __init__(self, classes: list[tuple[int, tuple[int, ...]]], max_size: int) -> None:
         self.classes = classes
-        caps = [len(members) for _, members in classes]
-        self.max_size = min(max_size, sum(caps))
+        self.max_size = min(max_size, sum(len(members) for _, members in classes))
+        self._rows: dict[tuple[int, int], list[int]] = {}  # (high, below) -> -tail row
+
+    @functools.cached_property
+    def ways(self) -> list[list[int]]:
         ways = [[1] * (self.max_size + 1)]
-        for cap in reversed(caps):
-            after, row, window = ways[-1], [], 0
+        for _, members in reversed(self.classes):
+            after, row, window, cap = ways[-1], [], 0, len(members)
             for s, total in enumerate(after):  # takes 0 .. cap leave s .. s - cap
                 window += total
                 if s > cap:
                     window -= after[s - cap - 1]
                 row.append(window)
             ways.append(row)
-        self.ways = ways[::-1]
-        self._rows: dict[tuple[int, int], list[int]] = {}  # (high, below) -> -tail row
+        return ways[::-1]
 
     def count(self, low: int, high: int) -> int:
         """Number of count vectors with total in ``[low, high]``."""
@@ -342,6 +350,54 @@ class _CandidateSpace:
             neg = rows.get((high, below)) or self._row(high, below)
         return DeletionCandidate(tuple(counts), frozenset(players))
 
+    def walk(self, low: int, high: int) -> Iterator[frozenset[int]]:
+        """The deleted players of every count vector with total in ``[low,
+        high]``: size by size from the smallest, each size in rank order,
+        so the players of ``candidate(rank, s, s)`` for each ``s`` and each
+        ``rank`` in turn.
+
+        One depth-first walk per size, over a stack of (class, take) pairs
+        that holds only the classes that take something.  Each class takes
+        as much as it can, then one less at a time while the classes after
+        it can still hold the rest (``room``).  A class that takes nothing
+        is never visited, so a step costs as many moves as the classes
+        taking something that it changes, however many classes there are.
+        """
+        classes = self.classes
+        # room[i]: the players of classes i.. together
+        room = [*itertools.accumulate((len(m) for _, m in reversed(classes)), initial=0)][::-1]
+        for size in range(max(low, 0), min(high, self.max_size) + 1):
+            stack: list[tuple[int, int]] = []
+            players: list[int] = []
+            index, left = 0, size
+            while True:
+                while left:  # the greatest take of each class from ``index`` on
+                    members = classes[index][1]
+                    take = min(len(members), left)
+                    stack.append((index, take))
+                    players += members[:take]
+                    index, left = index + 1, left - take
+                yield frozenset(players)
+                while stack:  # the last class that can take one less
+                    index, take = stack.pop()
+                    del players[-take:]
+                    left += take
+                    take -= 1
+                    if left - take <= room[index + 1]:
+                        if take:
+                            stack.append((index, take))
+                            players += classes[index][1][:take]
+                        index, left = index + 1, left - take
+                        break
+                else:
+                    break
+
+    def candidate_of(self, players: frozenset[int]) -> DeletionCandidate:
+        """The candidate whose deleted players are ``players``, as ``walk``
+        and ``candidate`` give them."""
+        counts = [(weight, len(players.intersection(members))) for weight, members in self.classes]
+        return DeletionCandidate(tuple((w, n) for w, n in counts if n), players)
+
 
 def _confirm_witness(
     instance: ControlInstance, witness: DeletionCandidate, count: int, engine_used: str,
@@ -402,11 +458,15 @@ def solve_control(
 
     Goals that deleting nobody would trivially meet (those whose relation
     holds between an index and itself) require at least one deletion; the
-    strict goals admit the empty deletion harmlessly.  Each candidate is
-    scored from its deleted players alone and compared as an integer
-    numerator over the index before's denominator ``2^(n-1)``; only a
-    witness is built with ``ControlInstance.delete``, recounted in full and
-    re-verified, and ``ExactIndex`` values are built only for the report.
+    strict goals admit the empty deletion harmlessly.  Exhaustive and
+    restricted modes take the deleted player sets from
+    ``_CandidateSpace.walk``, sampled mode from unranking its draws.  Each
+    candidate is scored from its deleted players alone and compared as an
+    integer numerator over the index before's denominator ``2^(n-1)``;
+    only a witness, or a candidate the engine refuses, is described as a
+    ``DeletionCandidate``; only a witness is built with
+    ``ControlInstance.delete``, recounted in full and re-verified, and
+    ``ExactIndex`` values are built only for the report.
     """
     before_count, engine_used = compute_pivot_count(instance, engine, budget)
     score = ENGINES[engine_used].search(instance, budget)
@@ -415,21 +475,17 @@ def solve_control(
 
     allowed = mode.players(instance) if isinstance(mode, Restricted) else None
     space = _CandidateSpace(_candidate_classes(instance, allowed), instance.budget)
-    size = space.count(min_size, instance.budget)
+    size = space.count(min_size, instance.budget) if isinstance(mode, Sampled) else 0
     # drawing from an empty space leaves nothing unexamined: that NO is exhaustive
-    sampled = mode if isinstance(mode, Sampled) and size else None
+    sampled = mode if size else None
     if sampled is not None:
         rng = random.Random(sampled.seed)
-        candidates = (
-            space.candidate(rng.randrange(size), min_size, instance.budget)
+        deletions = (
+            space.candidate(rng.randrange(size), min_size, instance.budget).players
             for _ in range(sampled.trials)
         )
     else:
-        candidates = (
-            space.candidate(rank, total, total)
-            for total in range(min_size, space.max_size + 1)
-            for rank in range(space.count(total, total))
-        )
+        deletions = space.walk(min_size, instance.budget)
 
     evaluated = 0
     # (count << deleted, count, deleted) of the lowest and highest index seen
@@ -438,17 +494,17 @@ def solve_control(
     witness: DeletionCandidate | None = None
     after_witness: ExactIndex | None = None
     reverified: str | None = None
-    for candidate in candidates:
+    for players in deletions:
         try:
-            count = score(candidate.players)
+            count = score(players)
         except BudgetExceededError as error:
             raise BudgetExceededError(
                 f"engine {engine_used} refused the candidate "
-                f"[{candidate.describe()}]: {error}"
+                f"[{space.candidate_of(players).describe()}]: {error}"
             ) from error
         # Deleting d players leaves the index count / 2^(top - d), which is
         # (count << d) / 2^top: over the denominator of the index before.
-        deleted = len(candidate.players)
+        deleted = len(players)
         scaled = count << deleted
         evaluated += 1
         if lowest is None or scaled < lowest[0]:
@@ -456,8 +512,9 @@ def solve_control(
         if highest is None or scaled > highest[0]:
             highest = (scaled, count, deleted)
         if relation_holds(instance.goal, before_count, scaled):
-            reverified = _confirm_witness(instance, candidate, count, engine_used, budget)
-            witness, after_witness = candidate, ExactIndex(count, top - deleted)
+            witness = space.candidate_of(players)
+            reverified = _confirm_witness(instance, witness, count, engine_used, budget)
+            after_witness = ExactIndex(count, top - deleted)
             break
     verdict = "YES" if witness is not None else "NO-sampled" if sampled else "NO-exhaustive"
     return SearchReport(

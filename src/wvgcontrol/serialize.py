@@ -83,8 +83,35 @@ def _game_fields(game: Game) -> dict[str, Any]:
     }
 
 
+# the item types of a list ``_indented`` writes in one call to the C encoder
+_SCALARS = {str, int, type(None)}
+
+
+def _indented(value: Any, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for a value written at
+    the indent ``pad``.  ``indent`` keeps ``json`` off its C encoder, so
+    nonempty lists and string-keyed objects are laid out here, and each
+    list of strings, integers and nulls goes to the C encoder in one call,
+    with the line break and indent as its item separator.  Anything else
+    (a scalar, an empty list or object, a tuple, other keys) is written by
+    ``json.dumps(value, indent=2)`` itself, its lines re-indented."""
+    inner = pad + "  "
+    if isinstance(value, list) and value:
+        if set(map(type, value)) <= _SCALARS:
+            items = json.dumps(value, separators=(",\n" + inner, ": "))[1:-1]
+        else:
+            items = (",\n" + inner).join(_indented(item, inner) for item in value)
+        return "[\n" + inner + items + "\n" + pad + "]"
+    if isinstance(value, dict) and value and set(map(type, value)) == {str}:
+        items = (",\n" + inner).join(
+            f"{json.dumps(key)}: {_indented(item, inner)}" for key, item in value.items()
+        )
+        return "{\n" + inner + items + "\n" + pad + "}"
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
 def dump_game(game: Game) -> str:
-    return json.dumps(_game_fields(game), indent=2) + "\n"
+    return _indented(_game_fields(game)) + "\n"
 
 
 def _parse_object(text: str, what: str) -> dict:
@@ -115,6 +142,10 @@ def load_game(text: str) -> Game:
 
 
 def dump_instance(instance: ControlInstance) -> str:
+    return _indented(_instance_fields(instance)) + "\n"
+
+
+def _instance_fields(instance: ControlInstance) -> dict[str, Any]:
     document: dict[str, Any] = {
         **_game_fields(instance.game),
         "distinguished": instance.distinguished,
@@ -141,7 +172,7 @@ def dump_instance(instance: ControlInstance) -> str:
         }
     if instance.meta:
         document["meta"] = instance.meta
-    return json.dumps(document, indent=2) + "\n"
+    return document
 
 
 def load_instance(text: str) -> ControlInstance:

@@ -11,7 +11,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import Phase, find, given, settings
+from hypothesis import Phase, assume, event, find, given, settings
 from hypothesis import strategies as st
 
 from wvgcontrol import (
@@ -494,6 +494,117 @@ class TestDeletionCounterMemos:
         assert report.candidates_evaluated == len(light_sets) == 4764
         assert len(built) == len(set(built)) == 912
         assert set(built) == set(light_sets)
+
+
+def _per_term_sum(terms, touched: list[tuple[int, dict[int, int]]]) -> int:
+    """The per-term sum ``DeletionCounter`` read ``T(L)`` from before its
+    grouped term table: each term's product with the count of each touched
+    block replaced by the survivors' count of its target."""
+    total = 0
+    for targets, counts, product in terms:
+        for index, recounted in touched:
+            product = product // counts[index] * recounted[targets[index]]
+        total += product
+    return total
+
+
+class _PerTermCounter:
+    """``count`` and ``heavy_terms`` by ``_per_term_sum`` over the walk's
+    terms, each touched block recounted from its survivors (and remembered
+    by its deleted members, with no bound)."""
+
+    def __init__(self, bands: BandSystem) -> None:
+        self.bands = bands
+        self.terms_of: dict[int, list[tuple]] = {}
+        for heavy, suffix in _pivot_terms(bands, sorted(bands.heavy)):
+            self.terms_of.setdefault(heavy, []).append(_unlinked(suffix))
+        self.recounts: dict[tuple[int, frozenset[int]], dict[int, int]] = {}
+
+    def _touched(self, light: frozenset[int]) -> list[tuple[int, dict[int, int]]]:
+        touched = []
+        for index, block in enumerate(self.bands.blocks):
+            gone = light.intersection(block.members)
+            if not gone:
+                continue
+            key = (index, frozenset(gone))
+            if key not in self.recounts:
+                kept = block.restrict({m: m for m in block.members if m not in gone})
+                targets = {t[index] for terms in self.terms_of.values() for t, _, _ in terms}
+                self.recounts[key] = {
+                    t: count_block(kept, t) if t <= kept.max_sum else 0 for t in targets
+                }
+            touched.append((index, self.recounts[key]))
+        return touched
+
+    def count(self, players) -> int:
+        deleted = frozenset(players)
+        touched = self._touched(deleted - self.bands.heavy)
+        every = [term for terms in self.terms_of.values() for term in terms]
+        return _per_term_sum(every, touched) - sum(
+            _per_term_sum(self.terms_of.get(heavy, ()), touched)
+            for heavy in deleted & self.bands.heavy
+        )
+
+    def heavy_terms(self, light) -> dict[int, int]:
+        touched = self._touched(frozenset(light))
+        terms_of = self.terms_of.items()
+        return {heavy: term for heavy, own in terms_of if (term := _per_term_sum(own, touched))}
+
+
+@pytest.mark.filterwarnings("ignore::wvgcontrol.gadgets.GadgetConstructionNote")
+class TestGroupedTermTable:
+    """``count`` and ``heavy_terms``, with ``T(L)`` read off the grouped
+    term tables, against the per-term sum, on counters whose memos evict."""
+
+    @pytest.mark.parametrize("bound", [1, 4])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), claims=st.sampled_from([bottom_up_band_claims, random_band_claims]))
+    def test_band_claims(self, bound, data, claims):
+        try:
+            bands = data.draw(claims()).build()
+        except BandStructureError:
+            return
+        # a pivotal window of several values gives a heavy several terms
+        assume(bands.game.weights[bands.distinguished] > 1)
+        reference = _PerTermCounter(bands)
+        event(f"most terms of one heavy: {max(map(len, reference.terms_of.values()), default=0)}")
+
+        def subsets(players):
+            return st.frozensets(st.sampled_from(players)) if players else st.just(frozenset())
+
+        light = sorted(member for block in bands.blocks for member in block.members)
+        light_sets = data.draw(st.lists(subsets(light), min_size=1, max_size=6))
+        steps = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(light_sets), subsets(sorted(bands.heavy))),
+                min_size=2,
+                max_size=12,
+            )
+        )
+        with mock.patch.object(bands_module, "_DELETION_MEMO_SIZE", bound):
+            counter = DeletionCounter(bands)
+            for deleted, heavies in steps:
+                assert counter.count(deleted | heavies) == reference.count(deleted | heavies)
+                assert counter.heavy_terms(deleted) == reference.heavy_terms(deleted)
+                assert len(counter._tables) <= bound
+
+    @pytest.mark.parametrize("bound", [1, 4])
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("kind", ["decrease", "nonincrease", "maintain"])
+    def test_every_exhaustive_candidate(self, kind, which, bound):
+        instance = _gadget(kind, which)
+        reference = _PerTermCounter(instance.bands)
+        seen = set()
+        with mock.patch.object(bands_module, "_DELETION_MEMO_SIZE", bound):
+            counter = DeletionCounter(instance.bands)
+            for players in _exhaustive_candidates(instance):
+                assert counter.count(players) == reference.count(players), sorted(players)
+                light = players - instance.bands.heavy
+                if light not in seen:
+                    seen.add(light)
+                    assert counter.heavy_terms(light) == reference.heavy_terms(light)
+                assert len(counter._tables) <= bound
+        assert len(seen) > 1
 
 
 @functools.cache

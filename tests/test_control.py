@@ -681,6 +681,98 @@ class TestCandidateRowCache:
         assert len(space._rows) <= space.max_size + 1
 
 
+class TestCandidateWalk:
+    """Exhaustive and restricted searches walk the space in rank order
+    instead of unranking each rank."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        caps=st.lists(st.integers(1, 4), max_size=6),
+        budget=st.integers(0, 12),
+        min_size=st.integers(0, 4),
+        data=st.data(),
+    )
+    def test_the_walk_is_the_unranked_order(self, caps, budget, min_size, data):
+        # player 0, distinguished, outweighs every class; class i has caps[i]
+        # players, heaviest first
+        weights = [len(caps) + 1]
+        weights += [len(caps) - i for i, cap in enumerate(caps) for _ in range(cap)]
+        budget = min(budget, len(weights) - 1)
+        instance = ControlInstance(Game(tuple(weights), sum(weights)), 0, budget, Goal.DECREASE)
+        others = range(1, len(weights))
+        allowed = data.draw(st.none() | st.sets(st.sampled_from(others)) if others else st.none())
+        classes = control._candidate_classes(instance, allowed)
+        space = _CandidateSpace(classes, budget)
+        walked = list(space.walk(min_size, budget))
+
+        sizes = range(min_size, space.max_size + 1)
+        unranked = [
+            space.candidate(rank, size, size)
+            for size in sizes
+            for rank in range(space.count(size, size))
+        ]
+        kept = [len(members) for _, members in classes]
+        lexed = [
+            frozenset(p for (_, members), take in zip(classes, vector) for p in members[:take])
+            for size in sizes
+            for vector in _lex_walk(kept, size, size, descending=True)
+        ]
+        assert walked == [candidate.players for candidate in unranked] == lexed
+        assert [space.candidate_of(players) for players in walked] == unranked
+
+    def test_a_5000_class_space_walks_without_a_table(self):
+        classes = [(5000 - i, (i,)) for i in range(5000)]
+        space = _CandidateSpace(classes, 5000)
+        first = list(itertools.islice(space.walk(0, 5000), 100))
+        assert first == [frozenset(), *(frozenset({i}) for i in range(99))]
+        # half the classes take one player each: a stack 2,500 deep
+        deep = list(itertools.islice(space.walk(2500, 2500), 100))
+        assert deep == [frozenset(range(2499)) | {2499 + j} for j in range(100)]
+        assert next(space.walk(5000, 5000)) == frozenset(range(5000))
+        assert "ways" not in vars(space)  # the unranking table was never built
+
+
+class TestRefusedCandidate:
+    """A candidate the scoring engine refuses is named by its class counts,
+    with the refusal chained."""
+
+    @pytest.mark.parametrize("nth", [2, 37, 400])
+    @pytest.mark.parametrize(
+        "mode",
+        [Exhaustive(), Restricted(("A", "E", "S", "Z*")), Sampled(seed=13, trials=1_000)],
+        ids=["exhaustive", "restricted", "sampled"],
+    )
+    def test_the_message_names_the_refused_candidate(self, monkeypatch, mode, nth):
+        instance = build_decrease(*NO_INSTANCES[1], strict=False)
+        layered = control.ENGINES["layered"]
+        refusal = BudgetExceededError("over the test budget")
+        scored = []
+
+        def search(instance, budget):
+            score = layered.search(instance, budget)
+
+            def refusing(players):
+                scored.append(players)
+                if len(scored) == nth:
+                    raise refusal
+                return score(players)
+
+            return refusing
+
+        monkeypatch.setitem(control.ENGINES, "layered", replace(layered, search=search))
+        with pytest.raises(BudgetExceededError) as caught:
+            solve_control(instance, engine="layered", mode=mode)
+        assert len(scored) == nth
+        weights = instance.game.weights
+        counts = sorted(Counter(weights[p] for p in scored[-1]).items(), reverse=True)
+        assert counts
+        described = ", ".join(f"{count} x weight {weight}" for weight, count in counts)
+        assert str(caught.value) == (
+            f"engine layered refused the candidate [delete {described}]: over the test budget"
+        )
+        assert caught.value.__cause__ is refusal
+
+
 def _full_recount_search(monkeypatch) -> None:
     """Make layered search score every candidate by a full layered count."""
     layered = control.ENGINES["layered"]

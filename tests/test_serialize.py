@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,29 +12,34 @@ from hypothesis import strategies as st
 
 from wvgcontrol import (
     BandStructureError,
+    BandSystem,
+    BlockKind,
     CnfFormula,
     ControlInstance,
     FileFormatError,
     Game,
     Goal,
     InvalidCoalitionError,
+    LightBlock,
     build_decrease,
     build_maintain,
     build_nonincrease,
     dump_game,
     dump_instance,
+    exactify,
     load_game,
     load_instance,
     pivot_count_layered,
     witness_deletion,
 )
-from wvgcontrol.serialize import load_document
+from wvgcontrol.serialize import _game_fields, _indented, _instance_fields, load_document
 
 from conftest import bottom_up_band_claims
 
 pytestmark = pytest.mark.filterwarnings("ignore::wvgcontrol.gadgets.GadgetConstructionNote")
 
 OR2 = CnfFormula(2, (frozenset({1, 2}),))
+WIDE5 = CnfFormula(5, (frozenset({1, 2, 3, 4, 5}),))
 
 
 # (array, bad entry, the message naming it); "n" stands for the player count
@@ -264,6 +270,68 @@ def relaxed_gadgets(draw):
         instance = build_maintain(formula, k, draw(st.integers(1, 6)), strict=False)
     others = [p for p in range(instance.game.num_players) if p != instance.distinguished]
     return instance.delete(draw(st.frozensets(st.sampled_from(others), max_size=4)))
+
+
+def _json_indented(instance: ControlInstance) -> str:
+    """The instance document as ``json.dumps(..., indent=2)`` writes it."""
+    return json.dumps(_instance_fields(instance), indent=2) + "\n"
+
+
+class TestDumpIsJsonIndented:
+    """The dump writes what ``json.dumps(..., indent=2)`` writes, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_decrease(OR2, 1, strict=False),
+            lambda: build_nonincrease(OR2, 1, strict=False),
+            lambda: build_maintain(OR2, 1, 3, strict=False),
+            lambda: build_decrease(WIDE5, 4),
+            lambda: build_nonincrease(WIDE5, 4),
+            lambda: build_maintain(*exactify(WIDE5, 4, 1)),
+        ],
+        ids=[
+            "relaxed-decrease", "relaxed-nonincrease", "relaxed-maintain",
+            "strict-decrease", "strict-nonincrease", "strict-maintain",
+        ],
+    )
+    @pytest.mark.parametrize("carriers", ["kept", "one-deleted", "none"])
+    def test_gadgets(self, build, carriers):
+        instance = build()
+        assert instance.a_players
+        if carriers == "one-deleted":
+            instance = instance.delete({instance.a_players[0]})
+            assert None in instance.a_players
+        elif carriers == "none":
+            instance = replace(instance, a_players=(), b_players=())
+        text = dump_instance(instance)
+        assert text == _json_indented(instance)
+        assert ("a_players" in json.loads(text)) == (carriers != "none")
+        assert dump_game(instance.game) == json.dumps(_game_fields(instance.game), indent=2) + "\n"
+
+    @settings(max_examples=40, deadline=None)
+    @given(instance=relaxed_gadgets())
+    def test_relaxed_gadgets_after_deletions(self, instance):
+        assert dump_instance(instance) == _json_indented(instance)
+
+    def test_empty_lists_and_a_nested_non_ascii_meta(self):
+        meta = {
+            "name": "gadget \u00e9\u00e8 \u2603 \U0001f600",
+            "nested": {"list": [1, "two", None, True, 2.5, [], {}], "empty": {}, "t": (1, 2)},
+            "rows": [[], [[1], ["\u00fc"]], {"k": []}],
+            "numbers": {1: "int key", "x": -3},
+            "flag": False,
+        }
+        empty_blocks = LightBlock("empty", BlockKind.UNIFORM_CHAIN_LEVEL, (), (), 1)
+        game = Game((1, 3, 3), 4)
+        bands = BandSystem(game, 0, frozenset({1, 2}), (empty_blocks,))
+        instance = ControlInstance(game, 0, 1, Goal.DECREASE, groups=("p", "H", "H"),
+                                   bands=bands, meta=meta)
+        text = dump_instance(instance)
+        assert text == _json_indented(instance)
+        assert '"members": []' in text
+        for value in ([], {}, meta, [meta], [[], [[]]], "\u2603", None, ["\u2603", None, 7]):
+            assert _indented(value) == json.dumps(value, indent=2)
 
 
 class TestGeneratedRoundTrips:
