@@ -39,16 +39,17 @@ for each block above it; the per-block targets and counts are read off
 the links only where they are kept, in ``DeletionCounter``.
 Deleting players never changes the per-block targets of a residual (the
 split is unique over all light subsets, and the survivors' subsets are
-among them), so ``DeletionCounter`` stores the terms once, by heavy
-player, and scores a deletion of light players L and heavy players H as
+among them), so ``DeletionCounter`` stores the terms once, as columns,
+and scores a deletion of light players L and heavy players H as
 ``T(L) - sum(t_h(L) for h in H)``: every term after deleting L, less the
 deleted heavies' own, each term recounting only the blocks L touches.
-``T(L)`` is summed over a grouped term table of the touched blocks, one
-product per group of terms with the same targets there.  One memoised
-record per L holds ``T(L)`` with the touched blocks'
-recounts; ``count`` and ``heavy_terms(L)``, every nonzero ``t_h(L)``,
-read it, and ``gadgets.layered_case_counts`` reads one counter's terms
-for L empty.  Control search scores its candidates that way, so it
+Every term after L is read off one grouped term table of the touched
+blocks, as its scaled value times its group's scale, and ``T(L)`` takes
+one product per group of terms with the same targets there.  One
+memoised record per L holds ``T(L)`` with the group scales; ``count``
+and ``heavy_terms(L)``, every nonzero ``t_h(L)``, read it, and
+``gadgets.layered_case_counts`` reads one counter's terms for L empty.
+Control search scores its candidates that way, so it
 deletes players (and restricts their band system) only for a witness.
 """
 
@@ -512,31 +513,34 @@ class DeletionCounter:
     The no-carry split of a residual across blocks is unique over all
     light subsets of the original game, and every subset of the survivors
     is such a subset, so each heavy player's per-block targets and block
-    counts are computed once, here, and stored once, by heavy player; so
-    is the set of targets each block recount counts.  After deleting
-    light players L and heavy players H the count is
-    ``T(L) - sum(t_h(L) for h in H)``: ``T(L)`` sums every heavy term
-    after deleting L and ``t_h(L)`` sums h's own terms; ``heavy_terms``
-    gives every nonzero ``t_h(L)``.  A term after deleting L is its
-    original product with, in each block L touches, the original block
-    count replaced by the survivors' count (zero for a target above their
-    total).  Counts only shrink, so a term that is zero in the original
-    game stays zero and is not kept; every kept block count is nonzero,
-    which makes ``product // old * new`` exact.
+    counts are computed once, here, and stored once, as columns: by term
+    its heavy player and product, by block index each term's target and
+    count.  After deleting light players L and heavy players H the count
+    is ``T(L) - sum(t_h(L) for h in H)``, every term after deleting L less
+    the deleted heavies' own; ``heavy_terms`` gives every nonzero
+    ``t_h(L)``.  A term after deleting L is its original product with, in
+    each block L touches, the original block count replaced by the
+    survivors' count (zero for a target above their total).  Counts only
+    shrink, so a term that is zero in the original game stays zero and is
+    not kept.
 
-    ``T(L)`` is read off a grouped term table for the blocks L touches:
-    the terms grouped by their targets on those blocks, each group's
-    value the sum of its products divided by its counts on those blocks
-    (exact, as a product is the product of its block counts).  So
-    ``T(L)`` sums, over the groups, the value times the survivors'
-    recounts of the group's targets: one product per group, not per term.
+    Every term after deleting L is read off one grouped term table for
+    the blocks L touches: the terms grouped by their targets there, each
+    term's scaled value its product divided by its counts there (exact,
+    as a product is the product of its nonzero block counts), and each
+    group's scale the product of the survivors' recounts of its targets.
+    A term after L is its scaled value times its group's scale, and
+    ``T(L)`` sums each group's scaled values times its scale: one product
+    per group, not per term.  Only a deletion whose light players are not
+    all block members goes to ``Game.coalition``, for its range error.
 
     Three memos serve the candidates of one search, each emptied at
-    ``_DELETION_MEMO_SIZE``: L to its record, ``T(L)`` with (block index,
-    survivors' recounts) for each block L touches, which ``count`` and
-    ``heavy_terms`` both read; (block index, its deleted members) to the
-    survivors' count of each target in that block, which records share;
-    and the sorted tuple of touched blocks to its grouped term table.
+    ``_DELETION_MEMO_SIZE``: L to its record, ``T(L)`` with the group
+    scales and the table's group and scaled value of each term, which
+    ``count`` and ``heavy_terms`` both read; (block index, its deleted
+    members) to the survivors' count of each target in that block, which
+    records share; and the sorted tuple of touched blocks to its grouped
+    term table.
     """
 
     def __init__(self, bands: BandSystem) -> None:
@@ -544,80 +548,86 @@ class DeletionCounter:
         self._block_of = {
             member: index for index, block in enumerate(bands.blocks) for member in block.members
         }
-        # (targets, counts, product) of every heavy term, by heavy player
-        self._terms_of: dict[int, list[tuple]] = {}
+        own: dict[int, list[tuple]] = {}
         for heavy, suffix in _pivot_terms(bands, sorted(bands.heavy)):
-            self._terms_of.setdefault(heavy, []).append(_unlinked(suffix))
-        terms = [*chain.from_iterable(self._terms_of.values())]
-        # every term's product, and by block index every term's target and count
+            own.setdefault(heavy, []).append(_unlinked(suffix))
+        terms = [*chain.from_iterable(own.values())]  # each heavy player's together
+        self._heavies = [heavy for heavy, theirs in own.items() for _ in theirs]
         self._products = [product for _, _, product in terms]
         width = range(len(bands.blocks))
         self._target_columns = [[targets[index] for targets, _, _ in terms] for index in width]
         self._count_columns = [[counts[index] for _, counts, _ in terms] for index in width]
         self._targets = [set(column) for column in self._target_columns]
-        self._totals: dict[frozenset[int], tuple[int, list]] = {}
+        self._terms_of: dict[int, list[int]] = {}  # heavy player -> its term indices
+        for term, heavy in enumerate(self._heavies):
+            self._terms_of.setdefault(heavy, []).append(term)
+        self._totals: dict[frozenset[int], tuple[int, list[int], list[int], list[int]]] = {}
         self._recounts: dict[tuple[int, frozenset[int]], dict[int, int]] = {}
-        self._tables: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        self._tables: dict[tuple[int, ...], tuple[list, list[int], list[int], list[int]]] = {}
 
     def count(self, players: Iterable[int]) -> int:
         """The pivot count after deleting ``players`` (original indices)."""
-        bands = self.bands
-        deleted = bands.game.coalition(players)
-        if bands.distinguished in deleted:
-            raise InputError("cannot delete the distinguished player")
-        heavies = deleted & bands.heavy
+        deleted = frozenset(players)
+        heavies = deleted & self.bands.heavy
         light = deleted - heavies
-        total, touched = self._totals.get(light) or self._record(light)
+        if not self._block_of.keys() >= light:
+            self.bands.game.coalition(deleted)
+            raise InputError("cannot delete the distinguished player")
+        total, scales, groups, scaled = self._totals.get(light) or self._record(light)
         for heavy in heavies:
-            total -= self._sum(self._terms_of.get(heavy, ()), touched)
+            for term in self._terms_of.get(heavy, ()):
+                total -= scaled[term] * scales[groups[term]]
         return total
 
     def heavy_terms(self, light: Iterable[int]) -> dict[int, int]:
         """``t_h(L)`` for every heavy player h whose term is nonzero after
         deleting the light players ``light`` (original indices)."""
-        bands = self.bands
-        light = bands.game.coalition(light)
-        if bands.distinguished in light or light & bands.heavy:
+        light = frozenset(light)
+        if not self._block_of.keys() >= light:
+            self.bands.game.coalition(light)
             raise InputError("heavy terms follow a deletion of light players only")
-        _, touched = self._totals.get(light) or self._record(light)
-        terms_of = self._terms_of.items()
-        return {heavy: term for heavy, own in terms_of if (term := self._sum(own, touched))}
+        _, scales, groups, scaled = self._totals.get(light) or self._record(light)
+        terms: dict[int, int] = {}
+        after = map(operator.mul, scaled, map(scales.__getitem__, groups))
+        for heavy, term in zip(self._heavies, after):
+            if term:
+                terms[heavy] = terms.get(heavy, 0) + term
+        return terms
 
-    def _record(self, light: frozenset[int]) -> tuple[int, list[tuple[int, dict[int, int]]]]:
-        """``T(light)`` with each block ``light`` deletes from and its
-        survivors' recounts, remembered for ``light``."""
+    def _record(self, light: frozenset[int]) -> tuple[int, list[int], list[int], list[int]]:
+        """``T(light)``, each group's scale in the grouped term table of the
+        blocks ``light`` touches, and that table's group and scaled value of
+        each term; remembered for ``light``."""
         gone: dict[int, set[int]] = {}  # block index -> its deleted members
         for player in light:
             gone.setdefault(self._block_of[player], set()).add(player)
         blocks = tuple(sorted(gone))
-        touched = [self._recounted(index, frozenset(gone[index])) for index in blocks]
-        table = self._tables.get(blocks)
-        if table is None:
-            table = self._grouped(blocks)
-        recounts = [recounted for _, recounted in touched]
-        total = 0
-        for targets, value in table.items():
-            for recounted, target in zip(recounts, targets):
-                value *= recounted[target]
-            total += value
-        return _remember(self._totals, light, (total, touched))
+        recounts = [self._recounted(index, frozenset(gone[index])) for index in blocks]
+        keys, sums, groups, scaled = self._tables.get(blocks) or self._grouped(blocks)
+        scales = [math.prod(map(dict.__getitem__, recounts, key)) for key in keys]
+        total = sum(map(operator.mul, sums, scales))
+        return _remember(self._totals, light, (total, scales, groups, scaled))
 
-    def _grouped(self, blocks: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        """The grouped term table of the touched ``blocks``: each tuple of
-        targets on them to the sum of its terms' products, each divided by
-        the term's counts on them."""
-        values: Iterable[int] = self._products
+    def _grouped(self, blocks: tuple[int, ...]) -> tuple[list, list[int], list[int], list[int]]:
+        """The grouped term table of the touched ``blocks``: each group's
+        targets on them and the sum of its terms' scaled values, and each
+        term's group and scaled value, its product divided by its counts on
+        them."""
+        scaled: Iterable[int] = self._products
         for index in blocks:
-            values = map(operator.floordiv, values, self._count_columns[index])
-        columns = [self._target_columns[index] for index in blocks]
-        keys = zip(*columns) if blocks else [()] * len(self._products)
-        table: dict[tuple[int, ...], int] = {}
-        for key, value in zip(keys, values):
-            table[key] = table.get(key, 0) + value
-        return _remember(self._tables, blocks, table)
+            scaled = map(operator.floordiv, scaled, self._count_columns[index])
+        scaled = [*scaled]
+        keys = zip(*map(self._target_columns.__getitem__, blocks)) if blocks else [()] * len(scaled)
+        group_of: dict[tuple[int, ...], int] = {}
+        groups = [group_of.setdefault(key, len(group_of)) for key in keys]
+        sums = [0] * len(group_of)
+        for group, value in zip(groups, scaled):
+            sums[group] += value
+        return _remember(self._tables, blocks, ([*group_of], sums, groups, scaled))
 
-    def _recounted(self, index: int, members: frozenset[int]) -> tuple[int, dict[int, int]]:
-        """The block index with the survivors' count of each of its targets."""
+    def _recounted(self, index: int, members: frozenset[int]) -> dict[int, int]:
+        """The survivors' count of each target of block ``index`` after
+        deleting its ``members``."""
         recounted = self._recounts.get((index, members))
         if recounted is None:
             block = self.bands.blocks[index]
@@ -627,15 +637,4 @@ class DeletionCounter:
                 for target in self._targets[index]
             }
             _remember(self._recounts, (index, members), recounted)
-        return index, recounted
-
-    @staticmethod
-    def _sum(terms: Iterable[tuple], touched: list[tuple[int, dict[int, int]]]) -> int:
-        """``t_h(L)``: the sum of one heavy player's ``terms`` after the
-        recounts of the blocks L touches."""
-        total = 0
-        for targets, counts, product in terms:
-            for index, recounted in touched:
-                product = product // counts[index] * recounted[targets[index]]
-            total += product
-        return total
+        return recounted

@@ -380,6 +380,49 @@ class TestDeletionCounter:
         instance = _gadget("decrease", 1)
         assert DeletionCounter(instance.bands).count(()) == pivot_count_layered(instance.bands)
 
+    def test_an_exhaustive_search_checks_no_player_one_by_one(self):
+        # the search's own light sets pass one subset test against the
+        # block members, so no candidate goes through ``Game.check_player``
+        instance = _gadget("decrease", 1)
+        check, checked = Game.check_player, []
+
+        def counting(game, player):
+            checked.append(player)
+            return check(game, player)
+
+        with mock.patch.object(Game, "check_player", counting):
+            report = solve_control(instance, engine="layered")
+        assert report.verdict == "NO-exhaustive"
+        assert report.candidates_evaluated == 4764
+        assert len(checked) == 0
+
+    @pytest.mark.parametrize(
+        "method, refusal",
+        [
+            ("count", "cannot delete the distinguished player"),
+            ("heavy_terms", "heavy terms follow a deletion of light players only"),
+        ],
+    )
+    def test_refusals_name_the_first_fault(self, method, refusal):
+        # a player out of range is named before the distinguished player is
+        # refused; each error is the one ``Game.coalition`` or the method raises
+        instance = _gadget("decrease", 1)
+        n, distinguished = instance.game.num_players, instance.distinguished
+        heavy, game = min(instance.bands.heavy), f"a {n}-player game"
+        score = getattr(DeletionCounter(instance.bands), method)
+        cases = [
+            ({n, distinguished}, InvalidCoalitionError, f"player {n} out of range for {game}"),
+            ({-1}, InvalidCoalitionError, f"player -1 out of range for {game}"),
+            ({distinguished, heavy}, InputError, refusal),
+        ]
+        if method == "heavy_terms":
+            cases.append(({heavy}, InputError, refusal))
+        for players, error, message in cases:
+            with pytest.raises(error) as raised:
+                score(players)
+            assert type(raised.value) is error
+            assert str(raised.value) == message, players
+
     def test_rejects_the_distinguished_player_and_strangers(self):
         bands = banded_toy()
         counter = DeletionCounter(bands)

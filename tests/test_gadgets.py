@@ -533,6 +533,27 @@ class TestLayeredCaseCounts:
         assert len(walks) == 1
         assert counts == CaseCounts(*(totals[label] for label in labels))
 
+    @pytest.mark.parametrize(
+        "goal, players",
+        [(Goal.NONINCREASE, 183), (Goal.MAINTAIN, 1059)],
+        ids=["strict-nonincrease", "strict-maintain"],
+    )
+    def test_strict_gadgets_split_into_the_closed_form_cases(self, goal, players):
+        # the distinguished player weighs 1, so each heavy has exactly one term
+        if goal is Goal.MAINTAIN:
+            formula, k, ell = exactify(WIDE5, 4, 1)
+            instance = build_maintain(formula, k, ell)
+        else:
+            formula, k, ell = WIDE5, 4, None
+            instance = build_nonincrease(formula, k)
+        assert instance.game.num_players == players
+        bands = instance.bands
+        walk = [(h, term[0]) for h, term in bands_module._pivot_terms(bands, sorted(bands.heavy))]
+        assert len(walk) == len(dict(walk))
+        assert DeletionCounter(bands).heavy_terms(()) == dict(walk)
+        xi, n = count_sat(formula), formula.num_variables
+        assert layered_case_counts(instance) == expected_case_counts(goal, k, n, xi, ell)
+
     @pytest.mark.parametrize("zero_term", [False, True], ids=["nonzero-term", "zero-term"])
     def test_rejects_a_heavy_player_outside_the_six_cases(self, zero_term):
         instance = relaxed_no_gadget("decrease")
