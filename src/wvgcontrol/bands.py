@@ -569,7 +569,9 @@ class DeletionCounter:
         """The pivot count after deleting ``players`` (original indices)."""
         deleted = frozenset(players)
         heavies = deleted & self.bands.heavy
-        light = deleted - heavies
+        # a light-only deletion keys the memo with the caller's own set, so
+        # a set passed again finds its record with its hash already cached
+        light = deleted - heavies if heavies else deleted
         if not self._block_of.keys() >= light:
             self.bands.game.coalition(deleted)
             raise InputError("cannot delete the distinguished player")

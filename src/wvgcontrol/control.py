@@ -9,8 +9,11 @@ a size window, greatest-lexicographic first.  Exhaustive mode walks each
 size from the smallest allowed up to the budget in rank order, by one
 depth-first walk over the classes rather than by unranking each rank,
 and the first witness found is the reported one (deterministic).
-Sampled mode unranks ranks drawn uniformly over the whole window with a
-seeded generator and reports honestly labelled negative evidence.
+Sampled mode draws ranks uniformly over the whole window with a seeded
+generator and reports honestly labelled negative evidence.  Each distinct
+rank is unranked once, straight to its deleted players, into a bounded
+memo that lives for one solve; every draw, repeated or not, is still
+scored and counted, in draw order.
 Restricted mode is exhaustive over a named subset of provenance groups.
 """
 
@@ -166,6 +169,10 @@ class Sampled:
     trials: int
 
     def __post_init__(self) -> None:
+        # Any other seed would be hashed, or drawn from the OS, and could not
+        # be reported back to reproduce the draws.
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise InputError(f"sampled search needs an integer seed, got {self.seed!r}")
         if not isinstance(self.trials, int) or isinstance(self.trials, bool):
             raise InputError(f"sampled search needs an integer trial count, got {self.trials!r}")
         # A sampled NO with no draws would be no evidence at all.
@@ -252,19 +259,28 @@ def _candidate_classes(
     return classes
 
 
+#: distinct ranks one sampled search keeps the deleted players of; the
+#: memo is emptied when full
+_UNRANK_MEMO_SIZE = 1 << 14
+
+
 class _CandidateSpace:
     """Count vectors over the weight classes, ranked greatest-lexicographic
     first (prefer deleting from the heaviest class).
 
     ``walk`` visits the vectors of a window in rank order, size by size,
-    with no table at all.  ``count`` and ``candidate`` (unranking, for
-    sampled draws) read ``ways``, built on first use: ``ways[i][s]`` is
-    the number of count vectors over classes ``i..`` with total at most
-    ``s``, for ``s`` up to the largest total the budget and the classes
-    allow.  Unranking bisects rows of ``-tail`` read off ``ways`` (see
-    ``candidate``) with ``bisect``, so each probe runs in C.  A row is
-    built on first use and cached for the space's life; the ranks of one
-    window fill at most ``max_size + 1`` rows.
+    with no table at all.  ``sample`` yields the players of seeded draws,
+    unranking each distinct rank once into a memo of at most
+    ``_UNRANK_MEMO_SIZE`` ranks that lives for the one call.  ``unrank``,
+    the one unranking code path, gives a vector's class counts and
+    players; ``candidate`` wraps them into a ``DeletionCandidate``.
+    ``count`` and ``unrank`` read ``ways``, built on first use:
+    ``ways[i][s]`` is the number of count vectors over classes ``i..``
+    with total at most ``s``, for ``s`` up to the largest total the budget
+    and the classes allow.  Unranking bisects rows of ``-tail`` read off
+    ``ways`` (see ``unrank``) with ``bisect``, so each probe runs in C.  A
+    row is built on first use and cached for the space's life; the ranks
+    of one window fill at most ``max_size + 1`` rows.
     """
 
     def __init__(self, classes: list[tuple[int, tuple[int, ...]]], max_size: int) -> None:
@@ -301,7 +317,14 @@ class _CandidateSpace:
         return neg
 
     def candidate(self, rank: int, low: int, high: int) -> DeletionCandidate:
-        """The ``rank``-th count vector with total in ``[low, high]``.
+        """The ``rank``-th count vector with total in ``[low, high]``, from
+        ``unrank``."""
+        counts, players = self.unrank(rank, low, high)
+        return DeletionCandidate(tuple(counts), frozenset(players))
+
+    def unrank(self, rank: int, low: int, high: int) -> tuple[list[tuple[int, int]], list[int]]:
+        """The (class weight, deleted) pairs, heaviest first, and the deleted
+        players of the ``rank``-th count vector with total in ``[low, high]``.
 
         The vectors over classes ``i..`` that take nothing from classes
         ``i .. j-1`` are the last ``tail(j)`` of them, where ``tail(j)``
@@ -348,7 +371,28 @@ class _CandidateSpace:
                 break  # the budget is used up, so later classes take nothing
             below = low - 1 if low > 0 else -1
             neg = rows.get((high, below)) or self._row(high, below)
-        return DeletionCandidate(tuple(counts), frozenset(players))
+        return counts, players
+
+    def sample(self, seed: int, trials: int, low: int, high: int) -> Iterator[frozenset[int]]:
+        """The deleted players of ``trials`` ranks drawn uniformly from the
+        window ``[low, high]`` by a generator seeded with ``seed``, in draw
+        order, one set per draw.
+
+        Each distinct rank is unranked once: a memo local to the call maps
+        a drawn rank to its players, so a repeated draw yields the very set
+        its first draw did, and is emptied when it holds
+        ``_UNRANK_MEMO_SIZE`` ranks.  The window must not be empty.
+        """
+        randrange, size = random.Random(seed).randrange, self.count(low, high)
+        unranked: dict[int, frozenset[int]] = {}
+        for _ in range(trials):
+            rank = randrange(size)
+            players = unranked.get(rank)
+            if players is None:
+                if len(unranked) >= _UNRANK_MEMO_SIZE:
+                    unranked.clear()
+                players = unranked[rank] = frozenset(self.unrank(rank, low, high)[1])
+            yield players
 
     def walk(self, low: int, high: int) -> Iterator[frozenset[int]]:
         """The deleted players of every count vector with total in ``[low,
@@ -458,16 +502,25 @@ def solve_control(
 
     Goals that deleting nobody would trivially meet (those whose relation
     holds between an index and itself) require at least one deletion; the
-    strict goals admit the empty deletion harmlessly.  Exhaustive and
+    strict goals admit the empty deletion harmlessly.  ``mode`` must be an
+    ``Exhaustive``, ``Sampled`` or ``Restricted`` instance; anything else is
+    an ``InputError`` before anything is counted.  Exhaustive and
     restricted modes take the deleted player sets from
-    ``_CandidateSpace.walk``, sampled mode from unranking its draws.  Each
-    candidate is scored from its deleted players alone and compared as an
-    integer numerator over the index before's denominator ``2^(n-1)``;
+    ``_CandidateSpace.walk``, sampled mode from ``_CandidateSpace.sample``,
+    which unranks each distinct drawn rank once into a bounded memo that
+    lives for this solve; every draw is still scored and counted, in draw
+    order, so a repeated rank is scored again.  Each candidate is scored
+    from its deleted players alone and compared as an integer numerator
+    over the index before's denominator ``2^(n-1)``;
     only a witness, or a candidate the engine refuses, is described as a
     ``DeletionCandidate``; only a witness is built with
     ``ControlInstance.delete``, recounted in full and re-verified, and
     ``ExactIndex`` values are built only for the report.
     """
+    if not isinstance(mode, SearchMode):
+        raise InputError(
+            f"unknown search mode {mode!r}; expected an Exhaustive, Sampled or Restricted instance"
+        )
     before_count, engine_used = compute_pivot_count(instance, engine, budget)
     score = ENGINES[engine_used].search(instance, budget)
     top = instance.game.num_players - 1
@@ -479,11 +532,7 @@ def solve_control(
     # drawing from an empty space leaves nothing unexamined: that NO is exhaustive
     sampled = mode if size else None
     if sampled is not None:
-        rng = random.Random(sampled.seed)
-        deletions = (
-            space.candidate(rng.randrange(size), min_size, instance.budget).players
-            for _ in range(sampled.trials)
-        )
+        deletions = space.sample(sampled.seed, sampled.trials, min_size, instance.budget)
     else:
         deletions = space.walk(min_size, instance.budget)
 

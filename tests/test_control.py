@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from wvgcontrol import (
@@ -37,6 +39,7 @@ from wvgcontrol.control import (
     Exhaustive,
     Restricted,
     Sampled,
+    SearchReport,
     _CandidateSpace,
     compute_index,
     pick_engine,
@@ -46,7 +49,7 @@ from wvgcontrol.engines import DEFAULT_BUDGET, pivot_count_enum
 from wvgcontrol.errors import WvgError
 from wvgcontrol.verify import NO_INSTANCES
 
-from conftest import random_game, wide_interval_instance
+from conftest import bottom_up_band_claims, random_game, wide_interval_instance
 
 pytestmark = pytest.mark.filterwarnings("ignore::wvgcontrol.gadgets.GadgetConstructionNote")
 
@@ -222,6 +225,26 @@ class TestModes:
     def test_sampled_refuses_a_trial_count_that_is_not_an_int(self, trials):
         with pytest.raises(InputError, match="integer trial count"):
             Sampled(seed=1, trials=trials)
+
+    @pytest.mark.parametrize("seed", [None, [1], 1.0, True, "13"])
+    def test_sampled_refuses_a_seed_that_is_not_an_int(self, seed):
+        # None would draw from OS entropy and report a seed that cannot
+        # reproduce the draws
+        with pytest.raises(InputError, match=f"integer seed, got {re.escape(repr(seed))}$"):
+            Sampled(seed=seed, trials=5)
+
+    @pytest.mark.parametrize(
+        "mode", ["sampled", Sampled, None, Exhaustive], ids=["str", "class", "none", "exhaustive"]
+    )
+    def test_a_mode_that_is_not_a_mode_instance_is_refused_before_counting(
+        self, monkeypatch, mode
+    ):
+        counted = []
+        monkeypatch.setattr(control, "compute_pivot_count", lambda *args: counted.append(args))
+        instance = build_decrease(*NO_INSTANCES[1], strict=False)
+        with pytest.raises(InputError, match=f"unknown search mode {re.escape(repr(mode))};"):
+            solve_control(instance, engine="layered", mode=mode)
+        assert counted == []
 
     def test_restricted_needs_groups(self, example1):
         instance = ControlInstance(
@@ -730,6 +753,120 @@ class TestCandidateWalk:
         assert deep == [frozenset(range(2499)) | {2499 + j} for j in range(100)]
         assert next(space.walk(5000, 5000)) == frozenset(range(5000))
         assert "ways" not in vars(space)  # the unranking table was never built
+
+
+@functools.cache
+def _no_instance_gadget(which: int) -> ControlInstance:
+    return build_decrease(*NO_INSTANCES[which], strict=False)
+
+
+def _reference_sampled_report(instance: ControlInstance, mode: Sampled) -> SearchReport:
+    """The report of a sampled search that unranks every draw with
+    ``space.candidate`` and scores it, remembering nothing between draws;
+    the lowest and highest index seen are the first of their value met."""
+    before, engine = control.compute_pivot_count(instance)
+    score = control.ENGINES[engine].search(instance, DEFAULT_BUDGET)
+    top = instance.game.num_players - 1
+    low = 1 if relation_holds(instance.goal, before, before) else 0
+    space = _CandidateSpace(control._candidate_classes(instance, None), instance.budget)
+    size = space.count(low, instance.budget)
+    rng = random.Random(mode.seed)
+    seen = []
+    witness = after_witness = reverified = None
+    for _ in range(mode.trials):
+        candidate = space.candidate(rng.randrange(size), low, instance.budget)
+        count = score(candidate.players)
+        seen.append(ExactIndex(count, top - len(candidate.players)))
+        if relation_holds(instance.goal, ExactIndex(before, top), seen[-1]):
+            witness, after_witness = candidate, seen[-1]
+            reverified = control._confirm_witness(
+                instance, candidate, count, engine, DEFAULT_BUDGET
+            )
+            break
+    return SearchReport(
+        goal=instance.goal,
+        verdict="YES" if witness else "NO-sampled",
+        engine=engine,
+        index_before=ExactIndex(before, top),
+        witness=witness,
+        index_after_witness=after_witness,
+        candidates_evaluated=len(seen),
+        min_index_seen=min(seen),
+        max_index_seen=max(seen),
+        reverified_with=reverified,
+        seed=mode.seed,
+        trials=mode.trials,
+    )
+
+
+def _shown(report: SearchReport) -> tuple:
+    """A report with its indices as printed: ``ExactIndex`` equality is
+    by value and would miss which representation was kept."""
+    indices = (report.index_after_witness, report.min_index_seen, report.max_index_seen)
+    return report, [str(index) for index in indices]
+
+
+class TestSampledUnrankMemo:
+    """A sampled search unranks each distinct drawn rank once, and still
+    scores and counts every draw in draw order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), goal=st.sampled_from(Goal), seed=st.integers(0, 1 << 32))
+    def test_reports_equal_the_unmemoised_reference(self, data, goal, seed):
+        source = data.draw(st.sampled_from(["no0", "no1", "toy"]))
+        if source == "toy":
+            claim = data.draw(bottom_up_band_claims())
+            budget = data.draw(st.integers(1, claim.game.num_players - 1))
+            instance = ControlInstance(
+                claim.game, claim.distinguished, budget, goal, bands=claim.build()
+            )
+        else:
+            instance = replace(_no_instance_gadget(int(source[-1])), goal=goal)
+        before, _ = control.compute_pivot_count(instance)
+        low = 1 if relation_holds(goal, before, before) else 0
+        classes = control._candidate_classes(instance, None)
+        size = _CandidateSpace(classes, instance.budget).count(low, instance.budget)
+        assume(size)
+        # up to three draws per candidate, so that ranks repeat
+        trials = data.draw(st.integers(1, min(3 * size, 6_000)))
+        event(f"{source}: trials above the space size: {trials > size}")
+        mode = Sampled(seed, trials)
+        report = solve_control(instance, mode=mode)
+        assert _shown(report) == _shown(_reference_sampled_report(instance, mode))
+
+    def test_no4_seed13_unranks_each_distinct_rank_once(self, monkeypatch):
+        unrank, layered = _CandidateSpace.unrank, control.ENGINES["layered"]
+        ranks, scored = [], []
+
+        def counted_unrank(self, rank, low, high):
+            ranks.append(rank)
+            return unrank(self, rank, low, high)
+
+        def search(instance, budget):
+            score = layered.search(instance, budget)
+
+            def counted_score(players):
+                scored.append(players)
+                return score(players)
+
+            return counted_score
+
+        monkeypatch.setattr(_CandidateSpace, "unrank", counted_unrank)
+        monkeypatch.setitem(control.ENGINES, "layered", replace(layered, search=search))
+        report = solve_control(
+            _no_instance_gadget(1), engine="layered", mode=Sampled(seed=13, trials=10_000)
+        )
+        assert report.candidates_evaluated == len(scored) == 10_000
+        assert len(ranks) == len(set(ranks)) == 4_175
+
+    @pytest.mark.parametrize("bound", [1, 4])
+    @pytest.mark.parametrize("goal", [Goal.DECREASE, Goal.NONINCREASE])
+    def test_reports_do_not_depend_on_the_memo_bound(self, monkeypatch, goal, bound):
+        instance = replace(_no_instance_gadget(1), goal=goal)
+        mode = Sampled(seed=13, trials=10_000)
+        unbounded = solve_control(instance, engine="layered", mode=mode)
+        monkeypatch.setattr(control, "_UNRANK_MEMO_SIZE", bound)
+        assert _shown(solve_control(instance, engine="layered", mode=mode)) == _shown(unbounded)
 
 
 class TestRefusedCandidate:
