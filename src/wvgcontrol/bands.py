@@ -548,11 +548,10 @@ class DeletionCounter:
         self._block_of = {
             member: index for index, block in enumerate(bands.blocks) for member in block.members
         }
-        own: dict[int, list[tuple]] = {}
+        self._heavies, terms = [], []  # by term, in walk order
         for heavy, suffix in _pivot_terms(bands, sorted(bands.heavy)):
-            own.setdefault(heavy, []).append(_unlinked(suffix))
-        terms = [*chain.from_iterable(own.values())]  # each heavy player's together
-        self._heavies = [heavy for heavy, theirs in own.items() for _ in theirs]
+            self._heavies.append(heavy)
+            terms.append(_unlinked(suffix))
         self._products = [product for _, _, product in terms]
         width = range(len(bands.blocks))
         self._target_columns = [[targets[index] for targets, _, _ in terms] for index in width]

@@ -144,8 +144,7 @@ def cmd_control(args: argparse.Namespace) -> int:
         mode = Exhaustive()
     elif args.mode == "sampled":
         given = {f: getattr(args, f) for f in ("seed", "trials") if getattr(args, f) is not None}
-        options = SuiteOptions(**given)
-        mode = Sampled(seed=options.seed, trials=options.trials)
+        mode = Sampled(**given)
     else:
         if not args.groups:
             raise InputError("restricted mode needs --groups")
@@ -278,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     engines.add_argument("--budget-dp-quota", type=int, metavar="Q",
                          default=DEFAULT_BUDGET.max_dp_quota,
                          help="max quota for the weight-table engine")
-    defaults = SuiteOptions()
+    defaults = Sampled()
     dimacs = argparse.ArgumentParser(add_help=False)
     dimacs.add_argument("--strip-tautologies", action="store_true",
                         help="drop tautological clauses while parsing DIMACS")

@@ -10,10 +10,10 @@ size from the smallest allowed up to the budget in rank order, by one
 depth-first walk over the classes rather than by unranking each rank,
 and the first witness found is the reported one (deterministic).
 Sampled mode draws ranks uniformly over the whole window with a seeded
-generator and reports honestly labelled negative evidence.  Each distinct
-rank is unranked once, straight to its deleted players, into a bounded
-memo that lives for one solve; every draw, repeated or not, is still
-scored and counted, in draw order.
+generator and reports honestly labelled negative evidence.  A draw is
+unranked straight to its deleted players, and kept for one solve when the
+window holds at most ``_UNRANK_MEMO_SIZE`` ranks; every draw, repeated or
+not, is still scored and counted, in draw order.
 Restricted mode is exhaustive over a named subset of provenance groups.
 """
 
@@ -24,6 +24,7 @@ import itertools
 import operator
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -163,10 +164,11 @@ class Exhaustive:
 
 @dataclass(frozen=True)
 class Sampled:
-    """Draw ``trials`` multisets uniformly from the candidate space."""
+    """Draw ``trials`` multisets uniformly from the candidate space, seeded
+    with ``seed``; these defaults are ``wvg control``'s and ``wvg verify``'s."""
 
-    seed: int
-    trials: int
+    seed: int = 20240817
+    trials: int = 10_000
 
     def __post_init__(self) -> None:
         # Any other seed would be hashed, or drawn from the OS, and could not
@@ -259,8 +261,8 @@ def _candidate_classes(
     return classes
 
 
-#: distinct ranks one sampled search keeps the deleted players of; the
-#: memo is emptied when full
+#: the widest window whose draws one sampled search keeps the deleted
+#: players of; a wider window keeps none
 _UNRANK_MEMO_SIZE = 1 << 14
 
 
@@ -269,11 +271,9 @@ class _CandidateSpace:
     first (prefer deleting from the heaviest class).
 
     ``walk`` visits the vectors of a window in rank order, size by size,
-    with no table at all.  ``sample`` yields the players of seeded draws,
-    unranking each distinct rank once into a memo of at most
-    ``_UNRANK_MEMO_SIZE`` ranks that lives for the one call.  ``unrank``,
-    the one unranking code path, gives a vector's class counts and
-    players; ``candidate`` wraps them into a ``DeletionCandidate``.
+    with no table at all.  ``sample`` yields the players of seeded draws.
+    ``unrank``, the one unranking code path, gives a vector's players, and
+    ``candidate_of`` alone derives its (class weight, deleted) pairs.
     ``count`` and ``unrank`` read ``ways``, built on first use:
     ``ways[i][s]`` is the number of count vectors over classes ``i..``
     with total at most ``s``, for ``s`` up to the largest total the budget
@@ -286,6 +286,7 @@ class _CandidateSpace:
     def __init__(self, classes: list[tuple[int, tuple[int, ...]]], max_size: int) -> None:
         self.classes = classes
         self.max_size = min(max_size, sum(len(members) for _, members in classes))
+        self._class_of = {p: i for i, (_, members) in enumerate(classes) for p in members}
         self._rows: dict[tuple[int, int], list[int]] = {}  # (high, below) -> -tail row
 
     @functools.cached_property
@@ -317,14 +318,12 @@ class _CandidateSpace:
         return neg
 
     def candidate(self, rank: int, low: int, high: int) -> DeletionCandidate:
-        """The ``rank``-th count vector with total in ``[low, high]``, from
-        ``unrank``."""
-        counts, players = self.unrank(rank, low, high)
-        return DeletionCandidate(tuple(counts), frozenset(players))
+        """The ``rank``-th count vector with total in ``[low, high]``."""
+        return self.candidate_of(frozenset(self.unrank(rank, low, high)))
 
-    def unrank(self, rank: int, low: int, high: int) -> tuple[list[tuple[int, int]], list[int]]:
-        """The (class weight, deleted) pairs, heaviest first, and the deleted
-        players of the ``rank``-th count vector with total in ``[low, high]``.
+    def unrank(self, rank: int, low: int, high: int) -> list[int]:
+        """The deleted players of the ``rank``-th count vector with total in
+        ``[low, high]``, heaviest class first.
 
         The vectors over classes ``i..`` that take nothing from classes
         ``i .. j-1`` are the last ``tail(j)`` of them, where ``tail(j)``
@@ -345,7 +344,6 @@ class _CandidateSpace:
         if not 0 <= rank < -neg[0]:
             raise WvgError(f"rank {rank} is outside the candidate space")
         end = len(classes)
-        counts: list[tuple[int, int]] = []  # (class weight, deleted), heaviest first
         players: list[int] = []
         i = 0
         while True:
@@ -355,7 +353,7 @@ class _CandidateSpace:
             if lo == end:
                 break  # the vector takes nothing from here on
             rank += neg[i] - neg[lo]
-            weight, members = classes[lo]
+            members = classes[lo][1]
             after = ways[lo + 1]
             take = min(len(members), high)
             while True:
@@ -364,34 +362,35 @@ class _CandidateSpace:
                     break
                 rank -= ways_after
                 take -= 1
-            counts.append((weight, take))
             players.extend(members[:take])
             high, low, i = high - take, low - take, lo + 1
             if not high:
                 break  # the budget is used up, so later classes take nothing
             below = low - 1 if low > 0 else -1
             neg = rows.get((high, below)) or self._row(high, below)
-        return counts, players
+        return players
 
     def sample(self, seed: int, trials: int, low: int, high: int) -> Iterator[frozenset[int]]:
         """The deleted players of ``trials`` ranks drawn uniformly from the
         window ``[low, high]`` by a generator seeded with ``seed``, in draw
         order, one set per draw.
 
-        Each distinct rank is unranked once: a memo local to the call maps
-        a drawn rank to its players, so a repeated draw yields the very set
-        its first draw did, and is emptied when it holds
-        ``_UNRANK_MEMO_SIZE`` ranks.  The window must not be empty.
+        A memo local to the call maps each drawn rank to its players, so a
+        repeated draw yields the set its first draw did, but only when the
+        whole window holds at most ``_UNRANK_MEMO_SIZE`` ranks: it is bounded
+        by the window, and a wider window's draws seldom repeat.  The window
+        must not be empty.
         """
         randrange, size = random.Random(seed).randrange, self.count(low, high)
+        keep = size <= _UNRANK_MEMO_SIZE
         unranked: dict[int, frozenset[int]] = {}
         for _ in range(trials):
             rank = randrange(size)
             players = unranked.get(rank)
             if players is None:
-                if len(unranked) >= _UNRANK_MEMO_SIZE:
-                    unranked.clear()
-                players = unranked[rank] = frozenset(self.unrank(rank, low, high)[1])
+                players = frozenset(self.unrank(rank, low, high))
+                if keep:
+                    unranked[rank] = players
             yield players
 
     def walk(self, low: int, high: int) -> Iterator[frozenset[int]]:
@@ -438,9 +437,10 @@ class _CandidateSpace:
 
     def candidate_of(self, players: frozenset[int]) -> DeletionCandidate:
         """The candidate whose deleted players are ``players``, as ``walk``
-        and ``candidate`` give them."""
-        counts = [(weight, len(players.intersection(members))) for weight, members in self.classes]
-        return DeletionCandidate(tuple((w, n) for w, n in counts if n), players)
+        and ``sample`` yield them, in time proportional to ``len(players)``."""
+        taken = Counter(map(self._class_of.__getitem__, players))  # class index -> deleted
+        counts = tuple((self.classes[index][0], taken[index]) for index in sorted(taken))
+        return DeletionCandidate(counts, players)
 
 
 def _confirm_witness(
@@ -507,9 +507,9 @@ def solve_control(
     an ``InputError`` before anything is counted.  Exhaustive and
     restricted modes take the deleted player sets from
     ``_CandidateSpace.walk``, sampled mode from ``_CandidateSpace.sample``,
-    which unranks each distinct drawn rank once into a bounded memo that
-    lives for this solve; every draw is still scored and counted, in draw
-    order, so a repeated rank is scored again.  Each candidate is scored
+    which unranks each distinct rank once if the window is at most
+    ``_UNRANK_MEMO_SIZE`` ranks; every draw is still scored and counted,
+    in draw order, so a repeated rank is scored again.  Each candidate is scored
     from its deleted players alone and compared as an integer numerator
     over the index before's denominator ``2^(n-1)``;
     only a witness, or a candidate the engine refuses, is described as a

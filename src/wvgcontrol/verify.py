@@ -50,8 +50,8 @@ class CheckResult:
 
 @dataclass
 class SuiteOptions:
-    seed: int = 20240817
-    trials: int = 10_000
+    seed: int = Sampled.seed
+    trials: int = Sampled.trials
 
     def __post_init__(self) -> None:
         # the sampled suite's mode, built up front so that a trial count it

@@ -289,6 +289,14 @@ class TestControlCommand:
         assert code == EXIT_OK
         assert "sampling: 25 trials, seed 5" in capsys.readouterr().out
 
+    def test_goal_flag_overrides_the_instance_documents_goal(self, or2_cnf, tmp_path, capsys):
+        out = tmp_path / "dec.instance"
+        main(["reduce", str(or2_cnf), "--kind", "decrease", "-k", "1", "--relaxed", "-o", str(out)])
+        capsys.readouterr()
+        assert main(["control", str(out), "--goal", "nonincrease"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert {"goal:    NONINCREASE", "verdict: YES", "candidates evaluated: 21"} <= {*lines}
+
 
 class TestOracleCommand:
     def test_count_sat(self, or2_cnf, capsys):

@@ -868,6 +868,37 @@ class TestSampledUnrankMemo:
         monkeypatch.setattr(control, "_UNRANK_MEMO_SIZE", bound)
         assert _shown(solve_control(instance, engine="layered", mode=mode)) == _shown(unbounded)
 
+    @staticmethod
+    def _count_unranks(monkeypatch) -> list[int]:
+        """The ranks ``_CandidateSpace.unrank`` is called with from now on."""
+        unrank, ranks = _CandidateSpace.unrank, []
+
+        def counted_unrank(self, rank, low, high):
+            ranks.append(rank)
+            return unrank(self, rank, low, high)
+
+        monkeypatch.setattr(_CandidateSpace, "unrank", counted_unrank)
+        return ranks
+
+    def test_a_window_one_rank_past_the_bound_keeps_no_draw(self, monkeypatch):
+        instance = _no_instance_gadget(1)  # its decrease window holds 4,764 ranks
+        mode = Sampled(seed=13, trials=10_000)
+        kept = solve_control(instance, engine="layered", mode=mode)
+        monkeypatch.setattr(control, "_UNRANK_MEMO_SIZE", 4_763)
+        ranks = self._count_unranks(monkeypatch)
+        assert _shown(solve_control(instance, engine="layered", mode=mode)) == _shown(kept)
+        assert len(ranks) == 10_000
+
+    def test_the_strict_gadget_keeps_no_draw(self, monkeypatch):
+        # the strict decrease gadget the CI samples: 324 players, a window
+        # of 273,492,167 ranks, where no draw of seed 1 repeats
+        formula = CnfFormula(5, (frozenset({1, 2, 3, 4, 5}), frozenset({-1, -2, 3})))
+        instance = build_decrease(formula, 4)
+        ranks = self._count_unranks(monkeypatch)
+        report = solve_control(instance, mode=Sampled(seed=1))
+        assert (report.verdict, report.candidates_evaluated) == ("NO-sampled", 10_000)
+        assert len(ranks) == len(set(ranks)) == 10_000
+
 
 class TestRefusedCandidate:
     """A candidate the scoring engine refuses is named by its class counts,
@@ -934,6 +965,17 @@ class TestDeltaScoring:
         )
         with pytest.raises(WvgError, match="full layered recount on witness"):
             solve_control(instance, engine="layered")
+
+    def test_second_engine_disagreement_on_the_witness_raises(self, monkeypatch):
+        # the layered witness is re-verified by mitm, the first other engine that accepts it
+        instance = build_nonincrease(self.OR2, 1, strict=False)
+        mitm = control.ENGINES["mitm"]
+        wrong = replace(mitm, run=lambda instance, budget: mitm.run(instance, budget) + 1)
+        monkeypatch.setitem(control.ENGINES, "mitm", wrong)
+        with pytest.raises(WvgError) as caught:
+            solve_control(instance, engine="layered")
+        assert type(caught.value) is WvgError
+        assert str(caught.value) == "engine disagreement on witness: layered=12, mitm=13"
 
     @pytest.mark.parametrize(
         "build, verdict",

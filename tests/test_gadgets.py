@@ -17,6 +17,8 @@ from wvgcontrol import (
     CnfFormula,
     DeltaDecomposition,
     ExactIndex,
+    FormulaError,
+    Game,
     GadgetParameterError,
     Goal,
     InputError,
@@ -26,6 +28,7 @@ from wvgcontrol import (
     build_prereduction,
     count_sat,
     count_subset_sum,
+    decompose_target,
     delete_players,
     dump_instance,
     e_exact_sat,
@@ -39,10 +42,11 @@ from wvgcontrol import (
 )
 from wvgcontrol import bands as bands_module
 from wvgcontrol import gadgets as gadgets_module
-from wvgcontrol.bands import BandSystem, DeletionCounter, heavy_pivot_term
+from wvgcontrol.bands import BandSystem, DeletionCounter, count_light_subsets, heavy_pivot_term
+from wvgcontrol.control import DeletionCandidate, compute_pivot_count
 from wvgcontrol.engines import EngineBudget, pivot_count_mitm
 from wvgcontrol.gadgets import ControlInstance, GadgetConstructionNote
-from wvgcontrol.verify import NO_INSTANCES, RELAXED_GRID, random_formula
+from wvgcontrol.verify import NO_INSTANCES, RELAXED_GRID, random_formula, run_suite
 
 OR2 = CnfFormula(2, (frozenset({1, 2}),))
 WIDE5 = CnfFormula(5, (frozenset({1, 2, 3, 4, 5}),))
@@ -626,3 +630,103 @@ class TestGoldenPlayerOrder:
         instance = build()
         assert instance.game.num_players == players
         assert self._digest(instance) == digest
+
+
+def _or2_decrease() -> ControlInstance:
+    return build_decrease(OR2, 1, strict=False)
+
+
+class TestPublicRefusals:
+    """Refusals of public functions on input they cannot serve, each with
+    its exact type and message."""
+
+    @pytest.mark.parametrize(
+        "refused, error, message",
+        [
+            (
+                lambda: heavy_pivot_term(_or2_decrease().bands, 7),  # a light player
+                InputError,
+                "player 7 is not heavy in this band system",
+            ),
+            (
+                lambda: layered_case_counts(replace(_or2_decrease(), bands=None)),
+                InputError,
+                "per-case counting needs band metadata and group labels",
+            ),
+            (
+                lambda: witness_deletion(
+                    ControlInstance(Game((1, 2, 2), 3), 0, 1, Goal.DECREASE), (0,)
+                ),
+                InputError,
+                "instance carries no A-group provenance",
+            ),
+            (
+                lambda: witness_deletion(
+                    (instance := _or2_decrease()).delete({instance.a_players[0]}), (0,)
+                ),
+                InputError,
+                "literal carrier for variable 1 was already deleted",
+            ),
+            (
+                lambda: expected_case_counts(Goal.MAINTAIN, 1, 2, 3),
+                InputError,
+                "the maintain closed form needs ell",
+            ),
+            (
+                lambda: replace(
+                    _or2_decrease(), bands=build_nonincrease(OR2, 1, strict=False).bands
+                ),
+                InputError,
+                "band metadata disagrees with the instance",
+            ),
+            (
+                lambda: compute_pivot_count(_or2_decrease(), "nope"),
+                InputError,
+                "unknown engine 'nope'; expected one of ['dp', 'enum', 'layered', 'mitm']",
+            ),
+            (
+                lambda: run_suite("nope"),
+                InputError,
+                "unknown suite 'nope'; expected one of ['closed-forms', 'exactify', "
+                "'example1', 'no-direction-sampled', 'prereduction', 'yes-direction']",
+            ),
+            (
+                lambda: decompose_target(_or2_decrease().bands, -1),
+                InputError,
+                "residual must be nonnegative",
+            ),
+            (
+                lambda: count_light_subsets(_or2_decrease().bands, -1),
+                InputError,
+                "residual must be nonnegative",
+            ),
+            (
+                lambda: _or2_decrease().bands.block_named("nope"),
+                InputError,
+                "no block named 'nope'",
+            ),
+            (lambda: CnfFormula(0, ()), FormulaError, "a formula needs at least one variable"),
+        ],
+        ids=[
+            "heavy-pivot-term-light-player",
+            "case-counts-without-bands",
+            "witness-without-provenance",
+            "witness-after-carrier-deleted",
+            "maintain-closed-form-without-ell",
+            "another-gadgets-bands",
+            "unknown-engine",
+            "unknown-suite",
+            "decompose-negative-residual",
+            "light-subsets-negative-residual",
+            "unknown-block",
+            "formula-without-variables",
+        ],
+    )
+    def test_refusal(self, refused, error, message):
+        with pytest.raises(error) as caught:
+            refused()
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+    def test_an_empty_deletion_describes_itself(self):
+        assert DeletionCandidate((), frozenset()).describe() == "delete nothing"
