@@ -10,11 +10,11 @@ between two of its subset sums.  Consequently the residual a heavy player
 leaves open splits uniquely across blocks, and the number of light
 subsets hitting the residual is a product of per-block counts:
 
-* ``ENUMERABLE`` blocks are counted by one pruned subset-sum pass over
-  their members, heaviest first, exact for any positive weights.  A
-  block the pass cannot finish within ``_MAX_PRUNED_STATES`` visited
-  remainders goes to the engines' meet-in-the-middle core up to
-  ``_MAX_ENUMERABLE`` (30) members, and a larger one is a budget refusal;
+* ``ENUMERABLE`` blocks are counted by one pruned subset-sum pass
+  (``_pruned_count``), exact for any positive weights.  A block the pass
+  cannot finish within ``_MAX_PRUNED_STATES`` visited remainders goes to
+  the engines' meet-in-the-middle core up to ``_MAX_ENUMERABLE`` (30)
+  members, and a larger one is a budget refusal;
 * ``UNIFORM_CHAIN_LEVEL`` blocks (all weights equal) contribute a binomial
   coefficient;
 * ``SUPERINCREASING`` blocks admit at most one subset per value, found
@@ -27,30 +27,12 @@ index map and game it is handed, then builds the smaller system through
 the same validating constructor.
 
 ``pivot_count_layered``, ``heavy_pivot_term`` and ``DeletionCounter``
-read one walk over the pivotal coalition weights, which yields every
-nonzero heavy term with its per-block targets and counts.  The walk
-keeps two memos that go when it ends: block counts keyed on (block
-index, target), and keyed on (block index, remainder) the counted suffix
-from that block down: the product of its block counts, linked to the
-share and count of its first block and to the suffix below.  So each
-target is counted and each remainder split once, and a residual that
-meets a known remainder costs only a share, a count lookup and a product
-for each block above it; the per-block targets and counts are read off
-the links only where they are kept, in ``DeletionCounter``.
-Deleting players never changes the per-block targets of a residual (the
-split is unique over all light subsets, and the survivors' subsets are
-among them), so ``DeletionCounter`` stores the terms once, as columns,
-and scores a deletion of light players L and heavy players H as
-``T(L) - sum(t_h(L) for h in H)``: every term after deleting L, less the
-deleted heavies' own, each term recounting only the blocks L touches.
-Every term after L is read off one grouped term table of the touched
-blocks, as its scaled value times its group's scale, and ``T(L)`` takes
-one product per group of terms with the same targets there.  One
-memoised record per L holds ``T(L)`` with the group scales; ``count``
-and ``heavy_terms(L)``, every nonzero ``t_h(L)``, read it, and
-``gadgets.layered_case_counts`` reads one counter's terms for L empty.
-Control search scores its candidates that way, so it
-deletes players (and restricts their band system) only for a witness.
+read one walk over the pivotal coalition weights (``_pivot_terms``, which
+splits and counts each residual with ``_counted_suffix``), so they share
+its guards: a distinguished weight above ``_MAX_INTERVAL_WIDTH`` (4,096)
+is refused, with ``layered_refusal``'s text, as a ``BudgetExceededError``
+before anything is counted.  ``DeletionCounter`` scores deletions of
+original players without deleting any; its docstring tells how.
 """
 
 from __future__ import annotations
@@ -390,7 +372,8 @@ def _counted_suffix(blocks: tuple, residual: int, suffixes: list, counts: list) 
     to a known remainder, counts the new blocks from the most significant
     down to the first zero (the blocks after it are not counted) and fills
     the memo on the way back, so a residual costs a share, a count lookup
-    and a product for each block where its remainder is new."""
+    and a product for each block where its remainder is new.  On the
+    gadgets that is usually only E and ABC: the remainders below repeat."""
     if residual < 0:
         raise InputError("residual must be nonnegative")
     path, index, remaining = [], 0, residual
@@ -457,12 +440,15 @@ def _pivot_terms(bands: BandSystem, heavies: list[int]) -> Iterator[tuple[int, t
     """Every nonzero pivot-count term: a pivotal coalition weight less the
     weight of one of ``heavies``, as (heavy player, its counted suffix from
     the first block down); the suffix's first entry is the term, and
-    ``_unlinked`` gives its per-block targets and counts.  A generator, so
-    that a caller that only sums the terms holds one at a time.  The walk
-    memoises block counts and counted suffixes in two memos of its own
-    frame, which go when it ends; a ``layered_refusal`` is a ``BandStructureError``."""
+    ``_unlinked`` gives its per-block targets and counts, which only
+    ``DeletionCounter`` keeps.  A generator, so that a caller that only
+    sums the terms holds one at a time.  The walk memoises block counts
+    and counted suffixes in two memos of its own frame (``_walk_memos``),
+    which go when it ends, so each distinct target is counted once and
+    each remainder split once per walk.  A ``layered_refusal`` is raised as
+    a ``BudgetExceededError``, as ``compute_index`` raises it."""
     if (refusal := layered_refusal(bands)) is not None:
-        raise BandStructureError(refusal)
+        raise BudgetExceededError(refusal)
     game = bands.game
     w_p = game.weights[bands.distinguished]
     blocks = bands.blocks
@@ -531,13 +517,17 @@ class DeletionCounter:
     group's scale the product of the survivors' recounts of its targets.
     A term after L is its scaled value times its group's scale, and
     ``T(L)`` sums each group's scaled values times its scale: one product
-    per group, not per term.  Only a deletion whose light players are not
-    all block members goes to ``Game.coalition``, for its range error.
+    per group, not per term (on the first seed-1 gadget of the benchmark's
+    search-exhaustive workload, 57 terms fall into 1 to 12 groups).  A
+    deletion is checked by one subset test of its light players against
+    the block members; only one that fails goes to ``Game.coalition``,
+    for its range error.
 
     Three memos serve the candidates of one search, each emptied at
     ``_DELETION_MEMO_SIZE``: L to its record, ``T(L)`` with the group
     scales and the table's group and scaled value of each term, which
-    ``count`` and ``heavy_terms`` both read; (block index, its deleted
+    ``count`` and ``heavy_terms`` both read, so a deletion that adds heavy
+    players to a known L walks no block again; (block index, its deleted
     members) to the survivors' count of each target in that block, which
     records share; and the sorted tuple of touched blocks to its grouped
     term table.
@@ -582,7 +572,9 @@ class DeletionCounter:
 
     def heavy_terms(self, light: Iterable[int]) -> dict[int, int]:
         """``t_h(L)`` for every heavy player h whose term is nonzero after
-        deleting the light players ``light`` (original indices)."""
+        deleting the light players ``light`` (original indices).  A player
+        out of range is an ``InvalidCoalitionError``; the distinguished or a
+        heavy player, an ``InputError``."""
         light = frozenset(light)
         if not self._block_of.keys() >= light:
             self.bands.game.coalition(light)

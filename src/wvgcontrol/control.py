@@ -3,18 +3,16 @@
 Equal-weight players are interchangeable for the distinguished player's
 index, so the search enumerates multisets over weight classes instead of
 raw subsets; gadget games have large symmetric groups and this collapses
-the space by orders of magnitude.  Every mode reads one ranked space:
-the count vectors over the classes (heaviest first) whose total lies in
-a size window, greatest-lexicographic first.  Exhaustive mode walks each
-size from the smallest allowed up to the budget in rank order, by one
-depth-first walk over the classes rather than by unranking each rank,
-and the first witness found is the reported one (deterministic).
-Sampled mode draws ranks uniformly over the whole window with a seeded
-generator and reports honestly labelled negative evidence.  A draw is
-unranked straight to its deleted players, and kept for one solve when the
-window holds at most ``_UNRANK_MEMO_SIZE`` ranks; every draw, repeated or
-not, is still scored and counted, in draw order.
-Restricted mode is exhaustive over a named subset of provenance groups.
+the space by orders of magnitude.  Every mode reads one ranked space,
+``_CandidateSpace``: the count vectors over the classes (heaviest first)
+whose total lies in a size window, greatest-lexicographic first.
+Exhaustive mode visits each size from the smallest allowed up to the
+budget in rank order (``_CandidateSpace.walk``), and the first witness
+found is the reported one (deterministic).  Sampled mode draws ranks
+uniformly over the whole window with a seeded generator
+(``_CandidateSpace.sample``), scores and counts every draw in draw order,
+and reports honestly labelled negative evidence.  Restricted mode is
+exhaustive over a named subset of provenance groups.
 """
 
 from __future__ import annotations
@@ -98,8 +96,7 @@ ENGINES = {  # in tie order
     "layered": _Engine(
         lambda instance, budget: layered_refusal(instance.bands),
         lambda instance, budget: pivot_count_layered(instance.bands),
-        # Targets and block counts once per search; each candidate recounts
-        # only the blocks its deletion touches, and nothing is deleted.
+        # scores by delta and deletes nothing (see ``DeletionCounter``)
         lambda instance, budget: DeletionCounter(instance.bands).count,
         None,
     ),
@@ -270,17 +267,13 @@ class _CandidateSpace:
     """Count vectors over the weight classes, ranked greatest-lexicographic
     first (prefer deleting from the heaviest class).
 
-    ``walk`` visits the vectors of a window in rank order, size by size,
-    with no table at all.  ``sample`` yields the players of seeded draws.
-    ``unrank``, the one unranking code path, gives a vector's players, and
-    ``candidate_of`` alone derives its (class weight, deleted) pairs.
-    ``count`` and ``unrank`` read ``ways``, built on first use:
-    ``ways[i][s]`` is the number of count vectors over classes ``i..``
-    with total at most ``s``, for ``s`` up to the largest total the budget
-    and the classes allow.  Unranking bisects rows of ``-tail`` read off
-    ``ways`` (see ``unrank``) with ``bisect``, so each probe runs in C.  A
-    row is built on first use and cached for the space's life; the ranks
-    of one window fill at most ``max_size + 1`` rows.
+    ``walk`` yields the deleted players of a window's vectors in rank
+    order, ``sample`` those of seeded draws, and ``unrank``, the one
+    unranking code path, those of one rank; ``candidate_of`` alone derives
+    a vector's (class weight, deleted) pairs.  ``count`` and ``unrank``
+    read ``ways``, built on first use: ``ways[i][s]`` is the number of
+    count vectors over classes ``i..`` with total at most ``s``, for ``s``
+    up to the largest total the budget and the classes allow.
     """
 
     def __init__(self, classes: list[tuple[int, tuple[int, ...]]], max_size: int) -> None:
@@ -311,7 +304,8 @@ class _CandidateSpace:
         return top[high] - (top[low - 1] if low > 0 else 0)
 
     def _row(self, high: int, below: int) -> list[int]:
-        """Cache and return ``-tail(j)`` of every ``j`` for the window ``(below, high]``."""
+        """Cache for the space's life and return ``-tail(j)`` of every ``j``
+        for the window ``(below, high]``."""
         ways = self.ways
         neg = [w[below] - w[high] for w in ways] if below >= 0 else [-w[high] for w in ways]
         self._rows[high, below] = neg
@@ -330,11 +324,12 @@ class _CandidateSpace:
         counts the vectors over classes ``j..`` in the window.  ``tail`` is
         nonincreasing in ``j``, so the next class that takes something is
         found by bisection over the row ``-tail(j)`` of all ``j``, with no
-        walk over the classes in between.  Rows are keyed on ``(high,
-        low - 1)``, every negative ``low - 1`` under -1 since their rows
-        agree.  Taking from a class shifts both ends of the window alike,
-        so one unrank meets rows of one width only, at most one per
-        ``high`` in ``0 .. max_size``.
+        walk over the classes in between: ``bisect`` runs each probe in C,
+        and the same pass lists the players taken.  Rows are keyed on
+        ``(high, low - 1)``, every negative ``low - 1`` under -1 since their
+        rows agree.  Taking from a class shifts both ends of the window
+        alike, so the ranks of one window meet rows of one width only, at
+        most one per ``high`` in ``0 .. max_size``.
         """
         high = min(high, self.max_size)
         below = low - 1 if low > 0 else -1
@@ -378,8 +373,9 @@ class _CandidateSpace:
         A memo local to the call maps each drawn rank to its players, so a
         repeated draw yields the set its first draw did, but only when the
         whole window holds at most ``_UNRANK_MEMO_SIZE`` ranks: it is bounded
-        by the window, and a wider window's draws seldom repeat.  The window
-        must not be empty.
+        by the window, and a wider window's draws seldom repeat.  A repeated
+        draw is still yielded, so its caller scores and counts every draw as
+        an unmemoised loop would.  The window must not be empty.
         """
         randrange, size = random.Random(seed).randrange, self.count(low, high)
         keep = size <= _UNRANK_MEMO_SIZE
@@ -399,12 +395,13 @@ class _CandidateSpace:
         so the players of ``candidate(rank, s, s)`` for each ``s`` and each
         ``rank`` in turn.
 
-        One depth-first walk per size, over a stack of (class, take) pairs
-        that holds only the classes that take something.  Each class takes
-        as much as it can, then one less at a time while the classes after
-        it can still hold the rest (``room``).  A class that takes nothing
-        is never visited, so a step costs as many moves as the classes
-        taking something that it changes, however many classes there are.
+        One depth-first walk per size, with no counting table, over a stack
+        of (class, take) pairs that holds only the classes that take
+        something.  Each class takes as much as it can, then one less at a
+        time while the classes after it can still hold the rest (``room``).
+        A class that takes nothing is never visited, so a step costs as many
+        moves as the classes taking something that it changes, however many
+        classes there are.
         """
         classes = self.classes
         # room[i]: the players of classes i.. together
@@ -504,18 +501,15 @@ def solve_control(
     holds between an index and itself) require at least one deletion; the
     strict goals admit the empty deletion harmlessly.  ``mode`` must be an
     ``Exhaustive``, ``Sampled`` or ``Restricted`` instance; anything else is
-    an ``InputError`` before anything is counted.  Exhaustive and
-    restricted modes take the deleted player sets from
-    ``_CandidateSpace.walk``, sampled mode from ``_CandidateSpace.sample``,
-    which unranks each distinct rank once if the window is at most
-    ``_UNRANK_MEMO_SIZE`` ranks; every draw is still scored and counted,
-    in draw order, so a repeated rank is scored again.  Each candidate is scored
-    from its deleted players alone and compared as an integer numerator
-    over the index before's denominator ``2^(n-1)``;
-    only a witness, or a candidate the engine refuses, is described as a
-    ``DeletionCandidate``; only a witness is built with
-    ``ControlInstance.delete``, recounted in full and re-verified, and
-    ``ExactIndex`` values are built only for the report.
+    an ``InputError`` before anything is counted.  The deleted players of
+    each candidate come from ``_CandidateSpace.walk``, or in sampled mode
+    from ``_CandidateSpace.sample``; the engine's scorer counts from them
+    alone, and the count is compared as an integer numerator over the
+    index before's denominator ``2^(n-1)``.  Only a witness, or a
+    candidate the engine refuses, is described as a ``DeletionCandidate``;
+    only a witness is built with ``ControlInstance.delete``, recounted in
+    full and re-verified (``_confirm_witness``), and ``ExactIndex`` values
+    are built only for the report.
     """
     if not isinstance(mode, SearchMode):
         raise InputError(

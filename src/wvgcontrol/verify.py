@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .bands import heavy_pivot_term, pivot_count_layered
 from .control import Restricted, Sampled, banzhaf, evaluate_deletion, solve_control
 from .errors import InputError
-from .formulas import CnfFormula, count_sat, count_subset_sum, e_exact_sat, e_minority_sat
+from .formulas import CnfFormula, Prefix, count_sat, count_subset_sum, e_exact_sat, e_minority_sat
 from .game import ExactIndex, Game
 from .gadgets import (
     Goal,
@@ -48,15 +48,9 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass
-class SuiteOptions:
-    seed: int = Sampled.seed
-    trials: int = Sampled.trials
-
-    def __post_init__(self) -> None:
-        # the sampled suite's mode, built up front so that a trial count it
-        # refuses stops ``all`` before any suite runs
-        Sampled(seed=self.seed, trials=self.trials)
+#: every suite reads its seed from these options, and the sampled suite
+#: searches with them as its mode
+SuiteOptions = Sampled
 
 
 #: random formulas per (goal, k, n[, ell]) cell of the closed-form grid
@@ -218,15 +212,16 @@ def suite_closed_forms(options: SuiteOptions) -> list[CheckResult]:
 # ------------------------------------------------------------ yes direction
 
 
-def _yes_pairs(rng: random.Random, count: int) -> list[tuple[CnfFormula, int]]:
-    pairs: list[tuple[CnfFormula, int]] = []
+def _yes_pairs(rng: random.Random, count: int) -> list[tuple[CnfFormula, int, Prefix]]:
+    """``count`` minority yes-pairs (formula, k), each with its witness prefix."""
+    pairs: list[tuple[CnfFormula, int, Prefix]] = []
     while len(pairs) < count:
         n = rng.randint(2, 3)
         formula = random_formula(rng, n, rng.randint(1, 3))
         k = rng.randint(1, n - 1)
-        verdict, _ = e_minority_sat(formula, k)
+        verdict, prefix = e_minority_sat(formula, k)
         if verdict:
-            pairs.append((formula, k))
+            pairs.append((formula, k, prefix))
     return pairs
 
 
@@ -240,8 +235,7 @@ def suite_yes_direction(options: SuiteOptions) -> list[CheckResult]:
         (build_nonincrease, Goal.NONINCREASE, "never increase the index on {} nonincrease"),
     ):
         ok = 0
-        for formula, k in pairs:
-            _, prefix = e_minority_sat(formula, k)
+        for formula, k, prefix in pairs:
             instance = builder(formula, k, strict=False)
             deletion = witness_deletion(instance, prefix)
             ok += evaluate_deletion(instance, deletion, "layered").relations[goal]
@@ -253,7 +247,7 @@ def suite_yes_direction(options: SuiteOptions) -> list[CheckResult]:
         )
 
     maintain_ok = maintain_tried = 0
-    for formula, k in pairs[:5]:
+    for formula, k, _ in pairs[:5]:
         for ell in (1, 2):
             extended, _, triple = exactify(formula, k, ell)
             verdict, prefix = e_exact_sat(extended, k, triple)
@@ -295,14 +289,14 @@ NO_INSTANCES: tuple[tuple[CnfFormula, int], ...] = (
 
 def suite_no_direction_sampled(options: SuiteOptions) -> list[CheckResult]:
     results: list[CheckResult] = []
-    for formula, k in NO_INSTANCES:
+    gadgets = [build_decrease(formula, k, strict=False) for formula, k in NO_INSTANCES]
+    for (formula, k), instance in zip(NO_INSTANCES, gadgets):
         verdict, _ = e_minority_sat(formula, k)
         _check(
             results,
             f"(n={formula.num_variables}, k={k}) source instance is a minority no-instance",
             not verdict,
         )
-        instance = build_decrease(formula, k, strict=False)
         report = solve_control(instance, engine="layered", mode=Restricted(("A",)))
         _check(
             results,
@@ -311,14 +305,11 @@ def suite_no_direction_sampled(options: SuiteOptions) -> list[CheckResult]:
             report.verdict == "NO-exhaustive",
             f"{report.candidates_evaluated} candidates",
         )
-    formula, k = NO_INSTANCES[1]
-    instance = build_decrease(formula, k, strict=False)
-    report = solve_control(
-        instance, engine="layered", mode=Sampled(seed=options.seed, trials=options.trials)
-    )
+    sampled = gadgets[1]
+    report = solve_control(sampled, engine="layered", mode=options)
     _check(
         results,
-        f"{options.trials} seeded random deletion multisets (size <= {k}) find no "
+        f"{options.trials} seeded random deletion multisets (size <= {sampled.budget}) find no "
         "decreasing deletion [sampled evidence, not a proof]",
         report.verdict == "NO-sampled",
         f"evaluated {report.candidates_evaluated}",

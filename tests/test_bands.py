@@ -286,7 +286,7 @@ class TestOneTermWalk:
             lambda: pivot_count_layered(bands),
             lambda: DeletionCounter(bands),
         ):
-            with pytest.raises(BandStructureError, match="limit 4096"):
+            with pytest.raises(BudgetExceededError, match="limit 4096"):
                 count()
 
     def test_a_zero_block_count_stops_before_an_oversized_block(self):

@@ -501,6 +501,74 @@ def test_fraction_line_prints_a_count_past_the_int_str_digit_limit():
     assert line.startswith("index: 1" + "0" * 5000 + "/2^3 (~ 1.25")
 
 
+# (name, passed, detail) of every check ``wvg verify all`` makes under the
+# default options, suite by suite
+MATCHES = "layered count matches closed form and per-case split"
+VERIFY_ALL_REPORT = {
+    "closed-forms": [
+        (f"decrease gadget (k=1, n=2): {MATCHES}", True, "10/10"),
+        (f"decrease gadget (k=1, n=3): {MATCHES}", True, "10/10"),
+        (f"decrease gadget (k=2, n=3): {MATCHES}", True, "10/10"),
+        (f"nonincrease gadget (k=1, n=2): {MATCHES}", True, "10/10"),
+        (f"nonincrease gadget (k=1, n=3): {MATCHES}", True, "10/10"),
+        (f"nonincrease gadget (k=2, n=3): {MATCHES}", True, "10/10"),
+        (f"maintain gadget (k=1, n=2, ell=3): {MATCHES}", True, "10/10"),
+        (f"maintain gadget (k=1, n=2, ell=5): {MATCHES}", True, "10/10"),
+        (f"maintain gadget (k=1, n=2, ell=6): {MATCHES}", True, "10/10"),
+        (f"maintain gadget (k=1, n=3, ell=3): {MATCHES}", True, "10/10"),
+        (f"maintain gadget (k=1, n=3, ell=5): {MATCHES}", True, "10/10"),
+        (f"maintain gadget (k=1, n=3, ell=6): {MATCHES}", True, "10/10"),
+        (f"maintain gadget (k=2, n=3, ell=3): {MATCHES}", True, "10/10"),
+        (f"maintain gadget (k=2, n=3, ell=5): {MATCHES}", True, "10/10"),
+        (f"maintain gadget (k=2, n=3, ell=6): {MATCHES}", True, "10/10"),
+        ("strict decrease gadget (k=4, n=5, xi=31): layered numerator is 11904 over 2^317", True,
+         "count=11904, players=318"),
+        ("relaxed (k=1, n=2) gadget: every heavy player's layered block product equals the raw "
+         "subset-sum count of the light players", True, ""),
+    ],
+    "exactify": [
+        ("exact-count equivalence phi ~ phi' over 298 (formula, k, ell) triples", True, "298/298"),
+        ("3*ell is never a power of two (ell up to 512)", True, ""),
+    ],
+    "example1": [
+        ("six-player game: index of a weight-2 player is 8/2^5 = 1/4", True, ""),
+        ("after deleting a weight-3 player the index drops to 3/2^4", True, ""),
+        ("after deleting a weight-2 player the index stays 1/4", True, ""),
+    ],
+    "no-direction-sampled": [
+        ("(n=3, k=1) source instance is a minority no-instance", True, ""),
+        ("(n=3, k=1) exhaustive A-only search finds no decreasing deletion", True, "3 candidates"),
+        ("(n=4, k=2) source instance is a minority no-instance", True, ""),
+        ("(n=4, k=2) exhaustive A-only search finds no decreasing deletion", True, "11 candidates"),
+        ("10000 seeded random deletion multisets (size <= 2) find no decreasing deletion "
+         "[sampled evidence, not a proof]", True, "evaluated 10000"),
+    ],
+    "prereduction": [
+        ("#SubsetSum(A+B+C, q') == #SAT on 50 random formulas", True, "50/50"),
+        ("#SubsetSum(E, q'') == #SAT on 50 random formulas", True, "50/50"),
+    ],
+    "yes-direction": [
+        ("minority witnesses strictly decrease the index on 8 decrease gadgets", True, "8/8"),
+        ("minority witnesses never increase the index on 8 nonincrease gadgets", True, "8/8"),
+        ("exact-count witnesses maintain the index exactly on 8 maintain gadgets", True, "8/8"),
+    ],
+}
+
+
+def test_every_suite_reports_its_checks_unchanged():
+    assert sorted(VERIFY_ALL_REPORT) == sorted(verify.SUITES)
+    for name, expected in VERIFY_ALL_REPORT.items():
+        checks = verify.run_suite(name)
+        assert [(check.name, check.passed, check.detail) for check in checks] == expected, name
+
+
+def test_the_sampled_suite_searches_with_its_options():
+    checks = verify.run_suite("no-direction-sampled", SuiteOptions(seed=13, trials=2000))
+    assert all(check.passed for check in checks)
+    assert checks[-1].name.startswith("2000 seeded random deletion multisets (size <= 2)")
+    assert checks[-1].detail == "evaluated 2000"
+
+
 class TestVerifyCommand:
     def test_example1_suite(self, capsys):
         assert main(["verify", "example1"]) == EXIT_OK

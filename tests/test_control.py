@@ -406,6 +406,20 @@ class TestEngineSelection:
         with pytest.raises(BudgetExceededError, match="band metadata"):
             compute_index(instance, "layered")
 
+    @pytest.mark.parametrize("name", control.ENGINES)
+    def test_every_kernel_raises_its_own_refusal_as_a_budget_refusal(self, name):
+        refused = {
+            "enum": self._bare(26, 100),
+            "mitm": self._bare(46, 100),
+            "dp": self._bare(3, 2_000_001),
+            "layered": wide_interval_instance(),
+        }[name]
+        refusal = control.ENGINES[name].refusal(refused, DEFAULT_BUDGET)
+        assert refusal is not None
+        with pytest.raises(BudgetExceededError) as raised:
+            control.ENGINES[name].run(refused, DEFAULT_BUDGET)
+        assert str(raised.value) == refusal
+
     def test_banzhaf_takes_brute_force_engines_only(self, example1):
         with pytest.raises(InputError, match="unknown engine 'layered'"):
             banzhaf(example1, 1, "layered")
