@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterable
@@ -35,9 +36,17 @@ from .engines import DEFAULT_BUDGET, EngineBudget
 from .errors import BandStructureError, BudgetExceededError, InputError
 from .formulas import count_sat, e_exact_sat, e_minority_sat, parse_dimacs
 from .game import ExactIndex, Game
-from .gadgets import ControlInstance, Goal, build_decrease, build_maintain, build_nonincrease, exactify
+from .gadgets import (
+    ControlInstance,
+    GadgetConstructionNote,
+    Goal,
+    build_decrease,
+    build_maintain,
+    build_nonincrease,
+    exactify,
+)
 from .serialize import dump_instance, load_document
-from .verify import SUITES, run_suite
+from .verify import SUITES
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -238,12 +247,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     options = Sampled(seed=args.seed, trials=args.trials)
     failures = 0
     for name in names:
-        print(f"== suite {name}")
+        print(f"== suite {name}", flush=True)
         started = time.perf_counter()
-        for check in run_suite(name, options):
+        for check in SUITES[name](options):
             status = "PASS" if check.passed else "FAIL"
             detail = f"  [{check.detail}]" if check.detail else ""
-            print(f"  {status}  {check.name}{detail}")
+            # flushed, so that a long suite shows its progress through a pipe too
+            print(f"  {status}  {check.name}{detail}", flush=True)
             failures += 0 if check.passed else 1
         print(f"  ({time.perf_counter() - started:.2f}s)")
     if failures:
@@ -349,7 +359,10 @@ def main(argv: list[str] | None = None) -> int:
     # ``argv`` rides along so the subcommands echo the command they ran.
     args = parser.parse_args(argv, namespace=argparse.Namespace(argv=argv))
     try:
-        return args.func(args)
+        # the gadget notes are for library callers; a command-line user cannot act on them
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GadgetConstructionNote)
+            return args.func(args)
     except BudgetExceededError as error:
         print(f"budget refusal: {error}", file=sys.stderr)
         return EXIT_BUDGET

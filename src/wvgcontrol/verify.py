@@ -1,8 +1,10 @@
 """Verification suites: each suite re-derives a family of published or
-structural facts with independent machinery and reports per-check results.
+structural facts with independent machinery.
 
-The suites are the programmatic backbone of ``wvg verify`` and of the
-acceptance tests:
+A suite is a generator that yields a ``CheckResult`` as it computes each
+check; ``run_suite`` lists them, and ``wvg verify`` prints them as they
+come.  The suites are the programmatic backbone of ``wvg verify`` and of
+the acceptance tests:
 
 * ``example1``    -- the worked six-player example and its two deletions;
 * ``prereduction``-- #SubsetSum(A+B+C, q') == #SAT == #SubsetSum(E, q'')
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .bands import heavy_pivot_term, pivot_count_layered
 from .control import Restricted, Sampled, banzhaf, evaluate_deletion, solve_control
@@ -84,17 +87,12 @@ def formula_corpus(
     return corpus
 
 
-def _check(results: list[CheckResult], name: str, passed: bool, detail: str = "") -> None:
-    results.append(CheckResult(name, bool(passed), detail))
-
-
 # ---------------------------------------------------------------- example1
 
 EXAMPLE1_GAME = Game((1, 2, 2, 2, 3, 3), 8)
 
 
-def suite_example1(options: SuiteOptions) -> list[CheckResult]:
-    results: list[CheckResult] = []
+def suite_example1(options: SuiteOptions) -> Iterator[CheckResult]:
     p = 1  # a weight-2 player
     for name, game, expected in (
         (
@@ -114,15 +112,13 @@ def suite_example1(options: SuiteOptions) -> list[CheckResult]:
         ),
     ):
         indices = {banzhaf(game, p, engine) for engine in ("enum", "mitm", "dp")}
-        _check(results, name, indices == {expected})
-    return results
+        yield CheckResult(name, indices == {expected})
 
 
 # ------------------------------------------------------------ prereduction
 
 
-def suite_prereduction(options: SuiteOptions) -> list[CheckResult]:
-    results: list[CheckResult] = []
+def suite_prereduction(options: SuiteOptions) -> Iterator[CheckResult]:
     rng = random.Random(options.seed)
     corpus = formula_corpus(rng, CORPUS_SIZE, max_variables=5, max_clauses=4)
     base_ok = scaled_ok = 0
@@ -133,13 +129,11 @@ def suite_prereduction(options: SuiteOptions) -> list[CheckResult]:
         base_ok += count_subset_sum(pre.abc_weights, pre.q_prime) == xi
         scaled_ok += count_subset_sum(pre.scaled_weights, pre.q_double_prime) == xi
     for vector, ok in (("A+B+C, q'", base_ok), ("E, q''", scaled_ok)):
-        _check(
-            results,
+        yield CheckResult(
             f"#SubsetSum({vector}) == #SAT on {len(corpus)} random formulas",
             ok == len(corpus),
             f"{ok}/{len(corpus)}",
         )
-    return results
 
 
 # ------------------------------------------------------------ closed forms
@@ -148,14 +142,7 @@ RELAXED_GRID = ((1, 2), (1, 3), (2, 3))
 MAINTAIN_ELLS = (3, 5, 6)
 
 
-def _grid_formulas(
-    rng: random.Random, n: int, count: int, max_clauses: int = 3
-) -> list[CnfFormula]:
-    return [random_formula(rng, n, rng.randint(1, max_clauses)) for _ in range(count)]
-
-
-def suite_closed_forms(options: SuiteOptions) -> list[CheckResult]:
-    results: list[CheckResult] = []
+def suite_closed_forms(options: SuiteOptions) -> Iterator[CheckResult]:
     rng = random.Random(options.seed)
     cells = [
         (goal, builder, k, n, ())
@@ -170,15 +157,14 @@ def suite_closed_forms(options: SuiteOptions) -> list[CheckResult]:
         for ell in MAINTAIN_ELLS
     ]
     for goal, builder, k, n, ell in cells:
-        formulas = _grid_formulas(rng, n, FORMULAS_PER_CELL)
+        formulas = [random_formula(rng, n, rng.randint(1, 3)) for _ in range(FORMULAS_PER_CELL)]
         ok = sum(
             layered_case_counts(builder(formula, k, *ell, strict=False))
             == expected_case_counts(goal, k, n, count_sat(formula), *ell)
             for formula in formulas
         )
         params = f"k={k}, n={n}" + "".join(f", ell={e}" for e in ell)
-        _check(
-            results,
+        yield CheckResult(
             f"{goal.value.lower()} gadget ({params}): layered count matches "
             "closed form and per-case split",
             ok == len(formulas),
@@ -187,8 +173,7 @@ def suite_closed_forms(options: SuiteOptions) -> list[CheckResult]:
     strict_formula = CnfFormula(5, (frozenset({1, 2, 3, 4, 5}),))
     strict = build_decrease(strict_formula, 4, strict=True)
     layered = pivot_count_layered(strict.bands)
-    _check(
-        results,
+    yield CheckResult(
         "strict decrease gadget (k=4, n=5, xi=31): layered numerator is 11904 over 2^317",
         layered == 11904 and strict.game.num_players == 318,
         f"count={layered}, players={strict.game.num_players}",
@@ -200,13 +185,11 @@ def suite_closed_forms(options: SuiteOptions) -> list[CheckResult]:
         == count_subset_sum(light, small.game.quota - 1 - small.game.weights[h])
         for h in sorted(small.bands.heavy)
     )
-    _check(
-        results,
+    yield CheckResult(
         "relaxed (k=1, n=2) gadget: every heavy player's layered block product equals "
         "the raw subset-sum count of the light players",
         per_heavy_ok,
     )
-    return results
 
 
 # ------------------------------------------------------------ yes direction
@@ -225,8 +208,7 @@ def _yes_pairs(rng: random.Random, count: int) -> list[tuple[CnfFormula, int, Pr
     return pairs
 
 
-def suite_yes_direction(options: SuiteOptions) -> list[CheckResult]:
-    results: list[CheckResult] = []
+def suite_yes_direction(options: SuiteOptions) -> Iterator[CheckResult]:
     rng = random.Random(options.seed)
     pairs = _yes_pairs(rng, 8)
 
@@ -239,8 +221,7 @@ def suite_yes_direction(options: SuiteOptions) -> list[CheckResult]:
             instance = builder(formula, k, strict=False)
             deletion = witness_deletion(instance, prefix)
             ok += evaluate_deletion(instance, deletion, "layered").relations[goal]
-        _check(
-            results,
+        yield CheckResult(
             f"minority witnesses {claim.format(len(pairs))} gadgets",
             ok == len(pairs),
             f"{ok}/{len(pairs)}",
@@ -257,13 +238,11 @@ def suite_yes_direction(options: SuiteOptions) -> list[CheckResult]:
             instance = build_maintain(extended, k, triple, strict=False)
             deletion = witness_deletion(instance, prefix)
             maintain_ok += evaluate_deletion(instance, deletion, "layered").relations[Goal.MAINTAIN]
-    _check(
-        results,
+    yield CheckResult(
         f"exact-count witnesses maintain the index exactly on {maintain_tried} maintain gadgets",
         maintain_tried > 0 and maintain_ok == maintain_tried,
         f"{maintain_ok}/{maintain_tried}",
     )
-    return results
 
 
 # ----------------------------------------------------- no direction (sampled)
@@ -287,19 +266,16 @@ NO_INSTANCES: tuple[tuple[CnfFormula, int], ...] = (
 )
 
 
-def suite_no_direction_sampled(options: SuiteOptions) -> list[CheckResult]:
-    results: list[CheckResult] = []
+def suite_no_direction_sampled(options: SuiteOptions) -> Iterator[CheckResult]:
     gadgets = [build_decrease(formula, k, strict=False) for formula, k in NO_INSTANCES]
     for (formula, k), instance in zip(NO_INSTANCES, gadgets):
         verdict, _ = e_minority_sat(formula, k)
-        _check(
-            results,
+        yield CheckResult(
             f"(n={formula.num_variables}, k={k}) source instance is a minority no-instance",
             not verdict,
         )
         report = solve_control(instance, engine="layered", mode=Restricted(("A",)))
-        _check(
-            results,
+        yield CheckResult(
             f"(n={formula.num_variables}, k={k}) exhaustive A-only search finds no "
             "decreasing deletion",
             report.verdict == "NO-exhaustive",
@@ -307,21 +283,18 @@ def suite_no_direction_sampled(options: SuiteOptions) -> list[CheckResult]:
         )
     sampled = gadgets[1]
     report = solve_control(sampled, engine="layered", mode=options)
-    _check(
-        results,
+    yield CheckResult(
         f"{options.trials} seeded random deletion multisets (size <= {sampled.budget}) find no "
         "decreasing deletion [sampled evidence, not a proof]",
         report.verdict == "NO-sampled",
         f"evaluated {report.candidates_evaluated}",
     )
-    return results
 
 
 # ---------------------------------------------------------------- exactify
 
 
-def suite_exactify(options: SuiteOptions) -> list[CheckResult]:
-    results: list[CheckResult] = []
+def suite_exactify(options: SuiteOptions) -> Iterator[CheckResult]:
     rng = random.Random(options.seed)
     corpus = formula_corpus(rng, CORPUS_SIZE, max_variables=4, max_clauses=3)
     agreements = 0
@@ -336,8 +309,7 @@ def suite_exactify(options: SuiteOptions) -> list[CheckResult]:
                 tried += 1
                 if left == right:
                     agreements += 1
-    _check(
-        results,
+    yield CheckResult(
         f"exact-count equivalence phi ~ phi' over {tried} (formula, k, ell) triples",
         agreements == tried,
         f"{agreements}/{tried}",
@@ -345,8 +317,7 @@ def suite_exactify(options: SuiteOptions) -> list[CheckResult]:
     not_power = all(
         (3 * ell) & (3 * ell - 1) != 0 for ell in range(1, 513)
     )
-    _check(results, "3*ell is never a power of two (ell up to 512)", not_power)
-    return results
+    yield CheckResult("3*ell is never a power of two (ell up to 512)", not_power)
 
 
 SUITES = {
@@ -362,4 +333,4 @@ SUITES = {
 def run_suite(name: str, options: SuiteOptions | None = None) -> list[CheckResult]:
     if name not in SUITES:
         raise InputError(f"unknown suite {name!r}; expected one of {sorted(SUITES)}")
-    return SUITES[name](options or SuiteOptions())
+    return list(SUITES[name](options or SuiteOptions()))

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import random
+import warnings
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,8 @@ from wvgcontrol.cli import (
     build_parser,
     main,
 )
+from wvgcontrol.errors import InputError
+from wvgcontrol.gadgets import GadgetConstructionNote
 from wvgcontrol.verify import SuiteOptions
 
 from conftest import wide_interval_instance
@@ -562,6 +566,44 @@ def test_every_suite_reports_its_checks_unchanged():
         assert [(check.name, check.passed, check.detail) for check in checks] == expected, name
 
 
+# the same under SuiteOptions(seed=13, trials=2000): the seed moves the draws of
+# exactify and yes-direction, and the trial count the sampled search
+VERIFY_SEED13_REPORT = {
+    "closed-forms": VERIFY_ALL_REPORT["closed-forms"],
+    "exactify": [
+        ("exact-count equivalence phi ~ phi' over 340 (formula, k, ell) triples", True, "340/340"),
+        ("3*ell is never a power of two (ell up to 512)", True, ""),
+    ],
+    "example1": VERIFY_ALL_REPORT["example1"],
+    "no-direction-sampled": [
+        ("(n=3, k=1) source instance is a minority no-instance", True, ""),
+        ("(n=3, k=1) exhaustive A-only search finds no decreasing deletion", True, "3 candidates"),
+        ("(n=4, k=2) source instance is a minority no-instance", True, ""),
+        ("(n=4, k=2) exhaustive A-only search finds no decreasing deletion", True, "11 candidates"),
+        ("2000 seeded random deletion multisets (size <= 2) find no decreasing deletion "
+         "[sampled evidence, not a proof]", True, "evaluated 2000"),
+    ],
+    "prereduction": VERIFY_ALL_REPORT["prereduction"],
+    "yes-direction": [
+        ("minority witnesses strictly decrease the index on 8 decrease gadgets", True, "8/8"),
+        ("minority witnesses never increase the index on 8 nonincrease gadgets", True, "8/8"),
+        ("exact-count witnesses maintain the index exactly on 6 maintain gadgets", True, "6/6"),
+    ],
+}
+
+
+def test_every_suite_reports_its_checks_at_a_second_seed():
+    assert sorted(VERIFY_SEED13_REPORT) == sorted(verify.SUITES)
+    options = SuiteOptions(seed=13, trials=2000)
+    for name, expected in VERIFY_SEED13_REPORT.items():
+        checks = verify.run_suite(name, options)
+        assert [(check.name, check.passed, check.detail) for check in checks] == expected, name
+
+
+def test_every_suite_is_a_generator_of_its_checks():
+    assert all(inspect.isgeneratorfunction(suite) for suite in verify.SUITES.values())
+
+
 def test_the_sampled_suite_searches_with_its_options():
     checks = verify.run_suite("no-direction-sampled", SuiteOptions(seed=13, trials=2000))
     assert all(check.passed for check in checks)
@@ -590,6 +632,29 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "FAIL  always fails  [made to fail]" in out
         assert "1 check(s) FAILED" in out
+
+    def test_each_check_prints_as_its_suite_computes_it(self, monkeypatch, capsys):
+        banzhaf = verify.banzhaf
+
+        def first_game_only(game, player, engine):
+            if game != verify.EXAMPLE1_GAME:
+                raise InputError("only the first game is counted")
+            return banzhaf(game, player, engine)
+
+        monkeypatch.setattr(verify, "banzhaf", first_game_only)
+        assert main(["verify", "example1"]) == EXIT_INPUT
+        assert "  PASS  six-player game: index of a weight-2 player is 8/2^5 = 1/4\n" in (
+            capsys.readouterr().out
+        )
+
+
+def test_wvg_prints_no_construction_note(or2_cnf, tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["reduce", str(or2_cnf), "--kind", "maintain", "-k", "1", "--ell", "1",
+                     "--exactify", "--relaxed", "-o", str(tmp_path / "maintain.instance")]) == EXIT_OK
+        assert main(["verify", "yes-direction"]) == EXIT_OK
+    assert not any(issubclass(w.category, GadgetConstructionNote) for w in caught)
 
 
 def _set_weight(value):
