@@ -268,7 +268,10 @@ def _share(block: LightBlock, remaining: int) -> int | None:
 def decompose_target(bands: BandSystem, residual: int) -> Decomposition | None:
     """Split ``residual`` into per-block targets, each block taking its forced
     share from the most significant down; unique when it exists, ``None`` when
-    some share is unreachable or a nonzero remainder survives the last block."""
+    some share is unreachable or a nonzero remainder survives the last block.
+
+    The layered walk splits residuals through its memoised shares instead;
+    this is the reference split that tests compare the walk against."""
     if residual < 0:
         raise InputError("residual must be nonnegative")
     targets = []

@@ -45,6 +45,10 @@ class EngineBudget:
     max_dp_quota: int = 2_000_000
 
     def __post_init__(self) -> None:
+        for name in ("max_enum_players", "max_mitm_half", "max_dp_quota"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InputError(f"engine budget {name} must be an integer, got {value!r}")
         if min(self.max_enum_players, self.max_mitm_half, self.max_dp_quota) < 1:
             raise InputError("engine budgets must be positive")
 

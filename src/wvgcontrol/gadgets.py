@@ -66,6 +66,8 @@ def _stack(bottom: int, sizes: Sequence[int]) -> list[int]:
     """The weights of levels with ``sizes`` members stacked on ``bottom``.
 
     Returns one weight per level, then the weight of the next level up.
+    Any sizes ``d_j`` stack without carries: by induction from ``w_1 =
+    bottom``, ``w_{j+1} = (d_j+1)*w_j > d_j*w_j + sum(d_i*w_i, i < j)``.
     """
     weights = [bottom]
     for size in sizes:
@@ -189,26 +191,22 @@ def build_prereduction(
 
 @dataclass(frozen=True)
 class DeltaDecomposition:
-    """Binary split ``ell = 2^d_1 + ... + 2^d_h`` with level weights.
+    """Binary split ``ell = 2^d_1 + ... + 2^d_h``, digits strictly decreasing.
 
-    Level ``i`` has ``d_i`` players of weight ``w_i``; the weights stack
-    from ``w_1 = 1``, so ``w_j = (d_{j-1} + 1) * w_{j-1}`` and the total
-    weight of levels ``1..j`` stays below ``w_{j+1}``.
+    Level ``i`` has ``d_i`` players of weight ``w_i``, derived from the
+    digits: the weights stack from ``w_1 = 1`` by :func:`_stack`, so the
+    total weight of levels ``1..j`` stays below ``w_{j+1}``.
     """
 
     exponents: tuple[int, ...]
-    level_weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if list(self.exponents) != sorted(set(self.exponents), reverse=True):
             raise GadgetParameterError("exponents must be strictly decreasing")
-        for j in range(len(self.exponents) - 1):
-            total = sum(
-                d * w
-                for d, w in zip(self.exponents[: j + 1], self.level_weights[: j + 1])
-            )
-            if total >= self.level_weights[j + 1]:
-                raise GadgetParameterError("level weights violate the no-carry chain")
+
+    @property
+    def level_weights(self) -> tuple[int, ...]:
+        return tuple(_stack(1, self.exponents)[:-1])
 
     @property
     def h(self) -> int:
@@ -225,7 +223,7 @@ class DeltaDecomposition:
         exponents = tuple(
             d for d in range(ell.bit_length() - 1, -1, -1) if (ell >> d) & 1
         )
-        return cls(exponents, tuple(_stack(1, exponents)[:-1]))
+        return cls(exponents)
 
 
 @dataclass(frozen=True)
@@ -256,6 +254,10 @@ class ControlInstance:
             raise InputError(
                 f"unknown goal {self.goal!r}; expected one of {[g.value for g in Goal]}"
             ) from None
+        for name in ("distinguished", "budget"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InputError(f"{name} must be an integer, got {value!r}")
         self.game.check_player(self.distinguished)
         if not 0 <= self.budget < self.game.num_players:
             raise InputError(
@@ -366,7 +368,7 @@ class _GadgetFrame:
         c_idx = self.add_group("C", pre.c_weights)
         self.add_family("D", [pre.q_prime + rung["X'"]], (rung["X"], range(k)))
         e_idx = self.add_group("E", pre.scaled_weights)
-        self.add_heavy("F", [pre.q_double_prime + rung["X'"]])
+        self.add_family("F", [pre.q_double_prime + rung["X'"]])
         #: the two clause-encoding blocks, E above ABC
         self.clause_blocks = (
             self.block("E", BlockKind.ENUMERABLE, e_idx, 10**pre.t * pre.scale),
@@ -399,18 +401,11 @@ class _GadgetFrame:
         members = self.add_group(label, weights)
         self.levels.append(self.block(label, kind, members, granularity))
 
-    def add_heavy(self, label: str, completions: Iterable[int]) -> None:
-        """One heavy player of weight ``(quota - 1) - completion`` per completion."""
-        pivot_target = self.quota - 1
-        for completion in completions:
-            if completion >= pivot_target:
-                raise GadgetParameterError("heavy completion swallows the pivotal target")
-            self.heavy.append(self.add(label, pivot_target - completion))
-
     def add_family(
         self, label: str, bases: Iterable[int], *terms: tuple[int, Sequence[int]]
     ) -> None:
-        """Heavy players for the completions ``base + m_1*w_1 + m_2*w_2 + ...``.
+        """One heavy player of weight ``(quota - 1) - completion`` for each
+        completion ``base + m_1*w_1 + m_2*w_2 + ...``.
 
         Each term is ``(w, multipliers)``; completions come in nested-loop
         order, bases outermost, then each term in turn.
@@ -418,7 +413,8 @@ class _GadgetFrame:
         completions = [] if label in self._omitted else list(bases)
         for weight, multipliers in terms:
             completions = [c + m * weight for c in completions for m in multipliers]
-        self.add_heavy(label, completions)
+        for completion in completions:
+            self.heavy.append(self.add(label, self.quota - 1 - completion))
 
     def finish(self, goal: Goal, kind: str, meta: dict[str, object]) -> ControlInstance:
         """Add the ladder and build the instance; ``meta`` follows kind, k, n, m, t."""
@@ -518,14 +514,12 @@ def build_maintain(
     """
     n = formula.num_variables
     mode = _check_mode(k, n, strict)
-    if ell < 1:
-        raise GadgetParameterError("ell must be positive")
-    if strict and ell & (ell - 1) == 0:
+    delta = DeltaDecomposition.from_ell(ell)
+    if strict and delta.h == 1:
         raise GadgetParameterError(
             "strict mode requires ell with more than one binary digit; "
             "apply exactify() to the source instance first"
         )
-    delta = DeltaDecomposition.from_ell(ell)
     warnings.warn(
         "maintain level weights follow w_1=1, w_j=(d_{j-1}+1)*w_{j-1}; the "
         "variant (d_j+1)*w_{j-1} would break the no-carry invariant",

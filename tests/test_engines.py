@@ -17,6 +17,7 @@ from wvgcontrol import (
     EngineBudget,
     ExactIndex,
     Game,
+    InputError,
     banzhaf,
     delete_players,
     pivot_count_enum,
@@ -106,6 +107,13 @@ class TestBudgets:
     def test_budget_validation(self):
         with pytest.raises(Exception):
             EngineBudget(max_enum_players=0)
+
+    @pytest.mark.parametrize("field", ["max_enum_players", "max_mitm_half", "max_dp_quota"])
+    @pytest.mark.parametrize("value", [True, 2.5])
+    def test_budget_must_be_an_integer(self, field, value):
+        with pytest.raises(InputError) as caught:
+            EngineBudget(**{field: value})
+        assert str(caught.value) == f"engine budget {field} must be an integer, got {value!r}"
 
 
 class TestEngineAgreement:

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wvgcontrol import (
+    BandStructureError,
+    BlockKind,
     CaseCounts,
     CnfFormula,
     DeltaDecomposition,
@@ -22,6 +24,7 @@ from wvgcontrol import (
     GadgetParameterError,
     Goal,
     InputError,
+    LightBlock,
     build_decrease,
     build_maintain,
     build_nonincrease,
@@ -43,8 +46,9 @@ from wvgcontrol import (
 from wvgcontrol import bands as bands_module
 from wvgcontrol import gadgets as gadgets_module
 from wvgcontrol.bands import BandSystem, DeletionCounter, count_light_subsets, heavy_pivot_term
-from wvgcontrol.control import DeletionCandidate, compute_pivot_count
+from wvgcontrol.control import DeletionCandidate, compute_pivot_count, relation_holds
 from wvgcontrol.engines import EngineBudget, pivot_count_mitm
+from wvgcontrol.formulas import suffix_satisfying_counts
 from wvgcontrol.gadgets import ControlInstance, GadgetConstructionNote
 from wvgcontrol.verify import NO_INSTANCES, RELAXED_GRID, random_formula, run_suite
 
@@ -365,8 +369,22 @@ class TestMaintainBuilder:
             )
 
     def test_power_of_two_rejected_in_strict(self):
-        with pytest.raises(GadgetParameterError, match="binary"):
-            build_maintain(WIDE5, 4, 8)
+        for ell in (1, 2, 4, 8):
+            with pytest.raises(GadgetParameterError) as caught:
+                build_maintain(WIDE5, 4, ell)
+            assert type(caught.value) is GadgetParameterError
+            assert str(caught.value) == (
+                "strict mode requires ell with more than one binary digit; "
+                "apply exactify() to the source instance first"
+            )
+
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "relaxed"])
+    @pytest.mark.parametrize("ell", [0, -1])
+    def test_nonpositive_ell_rejected(self, ell, strict):
+        with pytest.raises(GadgetParameterError) as caught:
+            build_maintain(WIDE5, 4, ell, strict=strict)
+        assert type(caught.value) is GadgetParameterError
+        assert str(caught.value) == "ell must be positive"
 
     def test_power_of_two_allowed_relaxed(self):
         instance = build_maintain(OR2, 1, 2, strict=False)
@@ -516,6 +534,11 @@ class TestInstanceDeletion:
         assert variant.game.weights[survivor] == instance.game.weights[
             instance.b_players[0]
         ]
+
+    def test_unlabelled_instance_has_no_group_members(self):
+        instance = ControlInstance(Game((1, 2, 2), 3), 0, 1, Goal.DECREASE)
+        assert instance.group_members("A") == ()
+        assert instance.delete({1}).group_members("A") == ()
 
 
 class TestLayeredCaseCounts:
@@ -706,6 +729,64 @@ class TestPublicRefusals:
                 "no block named 'nope'",
             ),
             (lambda: CnfFormula(0, ()), FormulaError, "a formula needs at least one variable"),
+            (
+                lambda: LightBlock("b", BlockKind.ENUMERABLE, (1, 2), (3,), 1),
+                BandStructureError,
+                "block b: members/weights length mismatch",
+            ),
+            (
+                lambda: replace(
+                    bands := _or2_decrease().bands, heavy=bands.heavy | {bands.distinguished}
+                ),
+                BandStructureError,
+                "player 0 appears twice in the band system",
+            ),
+            (lambda: relation_holds("SIDEWAYS", 1, 1), InputError, "unknown goal 'SIDEWAYS'"),
+            (
+                lambda: suffix_satisfying_counts(OR2, 3),
+                InputError,
+                "prefix length 3 out of range for 2 variables",
+            ),
+            (
+                lambda: suffix_satisfying_counts(OR2, -1),
+                InputError,
+                "prefix length -1 out of range for 2 variables",
+            ),
+            (
+                lambda: e_exact_sat(OR2, 1, -1, allow_zero=True),
+                InputError,
+                "ell must be nonnegative",
+            ),
+            (
+                lambda: replace(build_prereduction(OR2, 1), b_weights=(1000,)),
+                GadgetParameterError,
+                "a/b weight vectors must have equal length",
+            ),
+            (
+                lambda: replace(build_prereduction(OR2, 1), t=0),
+                GadgetParameterError,
+                "t violates the digit-separation bound",
+            ),
+            (
+                lambda: DeltaDecomposition((1, 1)),
+                GadgetParameterError,
+                "exponents must be strictly decreasing",
+            ),
+            (
+                lambda: ControlInstance(Game((1, 2, 2), 3), True, 1, Goal.DECREASE),
+                InputError,
+                "distinguished must be an integer, got True",
+            ),
+            (
+                lambda: ControlInstance(Game((1, 2, 2), 3), 0, True, Goal.DECREASE),
+                InputError,
+                "budget must be an integer, got True",
+            ),
+            (
+                lambda: ControlInstance(Game((1, 2, 2), 3), 0, 1.0, Goal.DECREASE),
+                InputError,
+                "budget must be an integer, got 1.0",
+            ),
         ],
         ids=[
             "heavy-pivot-term-light-player",
@@ -720,6 +801,18 @@ class TestPublicRefusals:
             "light-subsets-negative-residual",
             "unknown-block",
             "formula-without-variables",
+            "block-length-mismatch",
+            "distinguished-listed-as-heavy",
+            "unknown-goal-relation",
+            "suffix-counts-prefix-too-long",
+            "suffix-counts-negative-prefix",
+            "exact-sat-negative-ell",
+            "prereduction-unequal-vectors",
+            "prereduction-t-below-bound",
+            "delta-repeated-exponent",
+            "bool-distinguished",
+            "bool-budget",
+            "float-budget",
         ],
     )
     def test_refusal(self, refused, error, message):

@@ -122,6 +122,7 @@ class TestWeightClassPartition:
         partition = weight_class_partition(example1)
         assert partition.classes == ((3, (4, 5)), (2, (1, 2, 3)), (1, (0,)))
         assert partition.as_dict() == {3: (4, 5), 2: (1, 2, 3), 1: (0,)}
+        assert partition.members_of(2) == (1, 2, 3)
 
     def test_all_distinct(self):
         partition = weight_class_partition(Game((5, 3, 1), 4))
