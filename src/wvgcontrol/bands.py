@@ -27,12 +27,13 @@ index map and game it is handed, then builds the smaller system through
 the same validating constructor.
 
 ``pivot_count_layered``, ``heavy_pivot_term`` and ``DeletionCounter``
-read one walk over the pivotal coalition weights (``_pivot_terms``, which
-splits and counts each residual with ``_counted_suffix``), so they share
-its guards: a distinguished weight above ``_MAX_INTERVAL_WIDTH`` (4,096)
-is refused, with ``layered_refusal``'s text, as a ``BudgetExceededError``
-before anything is counted.  ``DeletionCounter`` scores deletions of
-original players without deleting any; its docstring tells how.
+read one walk over the pivotal coalition weights (``_window_passes``),
+which splits and counts the residuals of every heavy player a column at
+a time (``_column_walk``), so they share its guards: a distinguished
+weight above ``_MAX_INTERVAL_WIDTH`` (4,096) is refused, with
+``layered_refusal``'s text, as a ``BudgetExceededError`` before anything
+is counted.  ``DeletionCounter`` scores deletions of original players
+without deleting any; its docstring tells how.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from itertools import chain, compress, filterfalse, repeat
 from typing import Iterable, Iterator
 
 from .engines import count_subsets_mitm
@@ -265,13 +266,26 @@ def _share(block: LightBlock, remaining: int) -> int | None:
     return value if value <= block.max_sum else None
 
 
+def _split(block: LightBlock, rows: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Each remainder's forced share of ``block`` and what it leaves for the
+    blocks below, as two columns: ``_share`` for a superincreasing or empty
+    block, else the remainder less its residue mod the granularity (which
+    is unreachable above the block's total)."""
+    if block.kind is BlockKind.SUPERINCREASING or not block.weights:
+        shares = [*map(_share, repeat(block), rows)]
+        return shares, [*map(operator.sub, rows, shares)]
+    below = [*map(operator.mod, rows, repeat(block.granularity))]
+    return [*map(operator.sub, rows, below)], below
+
+
 def decompose_target(bands: BandSystem, residual: int) -> Decomposition | None:
     """Split ``residual`` into per-block targets, each block taking its forced
     share from the most significant down; unique when it exists, ``None`` when
     some share is unreachable or a nonzero remainder survives the last block.
 
-    The layered walk splits residuals through its memoised shares instead;
-    this is the reference split that tests compare the walk against."""
+    The layered walk splits a column of residuals at once (``_split``)
+    instead; this is the reference split that tests compare the walk
+    against."""
     if residual < 0:
         raise InputError("residual must be nonnegative")
     targets = []
@@ -349,80 +363,69 @@ def count_block(block: LightBlock, target: int) -> int:
     return count_subsets_mitm(block.weights, target, target)
 
 
-# A counted suffix: the light subsets of the blocks from some index down
-# that hit a remainder, as (product of the block counts, the first block's
-# share, its count, the suffix below), or ``(1,)`` past the last block.
-# The walk links each suffix to the one below, so a residual that meets a
-# known remainder adds one small tuple per block above it.
-_PAST_THE_LAST_BLOCK = (1,)
-# marks a remainder the walk has not split yet
-_UNSEEN = object()
+def _column_walk(blocks: tuple, residuals: list[int], counts: list[dict]) -> dict[int, int]:
+    """Split, count and multiply a column of nonnegative ``residuals`` at once.
+
+    Returns the product of block counts of each residual whose split
+    reaches 0 with no block above a zero count; any other residual's
+    product is 0.  ``counts`` is the walk's memo, per block index target
+    to ``count_block``.
+
+    The split goes down the blocks one column at a time (``_split``),
+    dropping each remainder whose share is unreachable and deduplicating
+    each block's remainders with ``dict.fromkeys`` before the next.  Three
+    passes finish the walk: bottom-up, the remainders whose split reaches
+    0 (the live ones); top-down, the live remainders that every block above
+    leaves a nonzero count for (the reached ones), counting each new target
+    of theirs once; bottom-up, the products of the reached remainders.  So
+    it counts exactly the (block, target) pairs that splitting and counting
+    each residual on its own, down to its first zero count, would."""
+    split = []
+    rows: Iterable[int] = residuals
+    for block in blocks:
+        shares, below = _split(block, rows)
+        if shares and max(shares) > block.max_sum:  # some share is unreachable
+            kept = [*map(block.max_sum.__ge__, shares)]
+            rows, shares, below = ([*compress(column, kept)] for column in (rows, shares, below))
+        split.append((rows, shares, below))
+        rows = dict.fromkeys(below)
+    live = {0}
+    for rows, _, below in reversed(split):
+        live = set(compress(rows, map(live.__contains__, below)))
+    reached, columns = live, []
+    for block, memo, (rows, shares, below) in zip(blocks, counts, split):
+        if len(reached) < len(rows):  # the reached rows are some of the rows: keep them
+            kept = [*map(reached.__contains__, rows)]
+            rows, shares, below = ([*compress(column, kept)] for column in (rows, shares, below))
+        for target in filterfalse(memo.__contains__, dict.fromkeys(shares)):
+            memo[target] = count_block(block, target)
+        factors = [*map(memo.__getitem__, shares)]
+        columns.append((rows, factors, below))
+        reached = set(compress(below, factors))
+    products = {0: 1}
+    for rows, factors, below in reversed(columns):
+        products = dict(zip(rows, map(operator.mul, factors, map(products.get, below, repeat(0)))))
+    return products
 
 
-def _walk_memos(blocks: tuple) -> tuple[list[dict], list[dict]]:
-    """The empty memos of one walk: per block index, remainder to counted
-    suffix (past the last block, only 0 to the empty suffix), and per block
-    index, target to ``count_block``."""
-    return [{} for _ in blocks] + [{0: _PAST_THE_LAST_BLOCK}], [{} for _ in blocks]
-
-
-def _counted_suffix(blocks: tuple, residual: int, suffixes: list, counts: list) -> tuple | None:
-    """The counted suffix of ``residual`` from the first block down, or
-    ``None`` when the split fails or a block count is zero.
-
-    ``suffixes`` and ``counts`` are a walk's memos (``_walk_memos``); a
-    remainder maps to ``None`` when its suffix is.  The loop splits down
-    to a known remainder, counts the new blocks from the most significant
-    down to the first zero (the blocks after it are not counted) and fills
-    the memo on the way back, so a residual costs a share, a count lookup
-    and a product for each block where its remainder is new.  On the
-    gadgets that is usually only E and ABC: the remainders below repeat."""
-    if residual < 0:
-        raise InputError("residual must be nonnegative")
-    path, index, remaining = [], 0, residual
-    while (suffix := suffixes[index].get(remaining, _UNSEEN)) is _UNSEEN:
-        share = _share(blocks[index], remaining) if index < len(blocks) else None
-        if share is None:
-            suffix = None
-            break
-        path.append((index, remaining, share))
-        index, remaining = index + 1, remaining - share
-    decided, found = len(path), []  # the path levels whose suffix is known
-    if suffix is not None:
-        for index, _, share in path:
-            count = counts[index].get(share)
-            if count is None:
-                count = counts[index][share] = count_block(blocks[index], share)
-            if not count:
-                suffix, decided = None, len(found) + 1
-                break
-            found.append(count)
-    if suffix is None:
-        for index, remaining, _ in path[:decided]:
-            suffixes[index][remaining] = None
-        return None
-    for (index, remaining, share), count in zip(reversed(path), reversed(found)):
-        suffix = suffixes[index][remaining] = (count * suffix[0], share, count, suffix)
-    return suffix
-
-
-def _unlinked(suffix: tuple) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """A counted suffix as (per-block targets, per-block counts, product)."""
-    product, targets, counts = suffix[0], [], []
-    while len(suffix) > 1:
-        _, share, count, suffix = suffix
-        targets.append(share)
-        counts.append(count)
-    return tuple(targets), tuple(counts), product
+def _unlinked(term: tuple) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """A pivot-count term as (per-block targets, per-block counts, product)."""
+    product, targets, counts = term
+    return targets, counts, product
 
 
 def count_light_subsets(bands: BandSystem, residual: int) -> int:
     """Number of light subsets (all blocks combined) summing to ``residual``."""
-    suffix = _counted_suffix(bands.blocks, residual, *_walk_memos(bands.blocks))
-    return suffix[0] if suffix else 0
+    if residual < 0:
+        raise InputError("residual must be nonnegative")
+    return _column_walk(bands.blocks, [residual], [{} for _ in bands.blocks]).get(residual, 0)
 
 
 _MAX_INTERVAL_WIDTH = 4096
+# The most rows (coalition weight, heavy player) in one pass of the walk
+# over the pivotal window, which bounds its columns; a residual met again
+# in a later pass is not split again.
+_PASS_ROWS = 1 << 14
 
 
 def layered_refusal(bands: BandSystem | None) -> str | None:
@@ -439,36 +442,76 @@ def layered_refusal(bands: BandSystem | None) -> str | None:
     return None
 
 
-def _pivot_terms(bands: BandSystem, heavies: list[int]) -> Iterator[tuple[int, tuple]]:
-    """Every nonzero pivot-count term: a pivotal coalition weight less the
-    weight of one of ``heavies``, as (heavy player, its counted suffix from
-    the first block down); the suffix's first entry is the term, and
-    ``_unlinked`` gives its per-block targets and counts, which only
-    ``DeletionCounter`` keeps.  A generator, so that a caller that only
-    sums the terms holds one at a time.  The walk memoises block counts
-    and counted suffixes in two memos of its own frame (``_walk_memos``),
-    which go when it ends, so each distinct target is counted once and
-    each remainder split once per walk.  A ``layered_refusal`` is raised as
-    a ``BudgetExceededError``, as ``compute_index`` raises it."""
+def _window_passes(
+    bands: BandSystem, heavies: list[int]
+) -> Iterator[tuple[list[int], list[int], dict[int, int], list[dict]]]:
+    """The walk over the pivotal coalition weights, each less the weight of
+    one of ``heavies``, in passes of at most ``_PASS_ROWS`` rows (and at
+    least one coalition weight).  Each pass is the heavy player and the
+    residual of each of its rows, in order of coalition weight and then of
+    ``heavies``; each residual walked so far to its product
+    (``_column_walk``, and 0 for a negative one); and the count memo.  The
+    passes share both memos, so a residual that recurs across the window
+    is split once, and each (block, target) is counted once per walk.  A
+    ``layered_refusal`` is raised as a ``BudgetExceededError``, as
+    ``compute_index`` raises it."""
     if (refusal := layered_refusal(bands)) is not None:
         raise BudgetExceededError(refusal)
     game = bands.game
+    weights = [*map(game.weights.__getitem__, heavies)]
     w_p = game.weights[bands.distinguished]
-    blocks = bands.blocks
-    suffixes, counts = _walk_memos(blocks)
-    for coalition_weight in range(game.quota - w_p, game.quota):
-        for heavy in heavies:
-            residual = coalition_weight - game.weights[heavy]
-            suffix = _counted_suffix(blocks, residual, suffixes, counts) if residual >= 0 else None
-            if suffix:
-                yield heavy, suffix
+    window = range(game.quota - w_p, game.quota)
+    counts: list[dict] = [{} for _ in bands.blocks]
+    products: dict[int, int] = {}
+    step = max(1, _PASS_ROWS // max(1, len(heavies)))
+    for start in range(0, len(window), step):
+        coalition_weights = window[start : start + step]
+        residuals = [c - w for c in coalition_weights for w in weights]
+        new = [*filterfalse(products.__contains__, dict.fromkeys(residuals))]
+        products.update(dict.fromkeys(new, 0))
+        products.update(_column_walk(bands.blocks, [*filter((0).__le__, new)], counts))
+        yield heavies * len(coalition_weights), residuals, products, counts
+
+
+def _pivot_sum(bands: BandSystem, heavies: list[int]) -> int:
+    """The sum of the pivot-count terms through ``heavies``."""
+    return sum(
+        sum(map(products.__getitem__, residuals))
+        for _, residuals, products, _ in _window_passes(bands, heavies)
+    )
+
+
+def _pivot_terms(bands: BandSystem, heavies: list[int]) -> list[tuple[int, tuple]]:
+    """Every nonzero pivot-count term: a pivotal coalition weight less the
+    weight of one of ``heavies``, as (heavy player, (its product of block
+    counts, its per-block targets, its per-block counts)), in order of
+    coalition weight and then of ``heavies``; ``term[0]`` is the term and
+    ``_unlinked`` gives the three in the order ``DeletionCounter`` keeps.
+    The residuals that each pass of the walk (``_window_passes``) finds a
+    new nonzero product for are split again, one block at a time for all
+    of them, and their counts read off the count memo."""
+    terms: list[tuple[int, tuple]] = []
+    term_of: dict[int, tuple] = {}  # each nonzero residual walked so far to its term
+    for row_heavies, residuals, products, counts in _window_passes(bands, heavies):
+        nonzero = filter(products.__getitem__, dict.fromkeys(residuals))
+        remainders = new = [*filterfalse(term_of.__contains__, nonzero)]
+        targets, block_counts = [], []
+        for block, memo in zip(bands.blocks, counts):
+            shares, remainders = _split(block, remainders)
+            targets.append(shares)
+            block_counts.append([*map(memo.__getitem__, shares)])
+        by_row = (zip(*targets), zip(*block_counts)) if targets else (repeat(()), repeat(()))
+        term_of.update(zip(new, zip(map(products.__getitem__, new), *by_row)))
+        kept = [*map(products.__getitem__, residuals)]
+        terms += zip(compress(row_heavies, kept), map(term_of.__getitem__, compress(residuals, kept)))
+    return terms
 
 
 def heavy_pivot_term(bands: BandSystem, heavy_player: int) -> int:
     """Pivotal coalitions of the distinguished player through one heavy player."""
     if heavy_player not in bands.heavy:
         raise InputError(f"player {heavy_player} is not heavy in this band system")
-    return sum(suffix[0] for _, suffix in _pivot_terms(bands, [heavy_player]))
+    return _pivot_sum(bands, [heavy_player])
 
 
 def pivot_count_layered(bands: BandSystem) -> int:
@@ -480,7 +523,7 @@ def pivot_count_layered(bands: BandSystem) -> int:
     the pivotal interval) and coalitions with two heavies reach the
     quota, so the heavy terms are the whole count.
     """
-    return sum(suffix[0] for _, suffix in _pivot_terms(bands, sorted(bands.heavy)))
+    return _pivot_sum(bands, sorted(bands.heavy))
 
 
 # Each per-search memo of a ``DeletionCounter`` holds at most this many
@@ -541,14 +584,11 @@ class DeletionCounter:
         self._block_of = {
             member: index for index, block in enumerate(bands.blocks) for member in block.members
         }
-        self._heavies, terms = [], []  # by term, in walk order
-        for heavy, suffix in _pivot_terms(bands, sorted(bands.heavy)):
-            self._heavies.append(heavy)
-            terms.append(_unlinked(suffix))
-        self._products = [product for _, _, product in terms]
-        width = range(len(bands.blocks))
-        self._target_columns = [[targets[index] for targets, _, _ in terms] for index in width]
-        self._count_columns = [[counts[index] for _, counts, _ in terms] for index in width]
+        terms = _pivot_terms(bands, sorted(bands.heavy))
+        self._heavies = [heavy for heavy, _ in terms]  # by term, in walk order
+        self._products, targets, counts = [*zip(*(term for _, term in terms))] or [(), (), ()]
+        self._target_columns = [*zip(*targets)] or [()] * len(bands.blocks)
+        self._count_columns = [*zip(*counts)] or [()] * len(bands.blocks)
         self._targets = [set(column) for column in self._target_columns]
         self._terms_of: dict[int, list[int]] = {}  # heavy player -> its term indices
         for term, heavy in enumerate(self._heavies):

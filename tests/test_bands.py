@@ -837,6 +837,51 @@ class TestMemoisedWalk:
             gc.enable()
 
 
+def _widened(bands: BandSystem, w_p: int, lower_quota_by: int = 0) -> BandSystem:
+    """``bands`` with the distinguished player's weight set to ``w_p`` and
+    the quota lowered by ``lower_quota_by``."""
+    weights = list(bands.game.weights)
+    weights[bands.distinguished] = w_p
+    game = Game(tuple(weights), bands.game.quota - lower_quota_by)
+    return BandSystem(game, bands.distinguished, bands.heavy, bands.blocks)
+
+
+@pytest.mark.filterwarnings("ignore::wvgcontrol.gadgets.GadgetConstructionNote")
+class TestWideWindows:
+    """A pivotal window of ``w`` values on the 318-player strict decrease
+    gadget against ``w`` windows of one value: the count at distinguished
+    weight ``w`` is the sum, over ``j < w``, of the counts at weight 1 and
+    quota ``q - j``.  Each of those is a band system too: heavy pairs
+    still reach the quota, and the light players stay below ``q - w``."""
+
+    # 500 rows hold two coalition weights of the 245 heavy players, so a
+    # residual of one pass recurs in later ones
+    PASSES = pytest.mark.parametrize(
+        "pass_rows", [bands_module._PASS_ROWS, 500], ids=["one-pass", "two-weights-a-pass"]
+    )
+
+    @PASSES
+    @pytest.mark.parametrize("w", [2, 7, 64])
+    def test_a_window_is_the_sum_of_one_value_windows(self, w, pass_rows):
+        strict = _walked("strict-decrease")
+        expected = sum(pivot_count_layered(_widened(strict, 1, j)) for j in range(w))
+        wide = _widened(strict, w)
+        with mock.patch.object(bands_module, "_PASS_ROWS", pass_rows):
+            assert pivot_count_layered(wide) == expected > 0
+            terms = _pivot_terms(wide, sorted(wide.heavy))
+        assert sum(term[0] for _, term in terms) == expected
+
+    @PASSES
+    def test_each_block_target_is_counted_once_over_the_window(self, pass_rows):
+        bands = _widened(_walked("strict-decrease"), 7)
+        with mock.patch.object(bands_module, "_PASS_ROWS", pass_rows):
+            terms, counted = _walk_counting(bands)
+        expected, reference_counted = _unmemoised_terms(bands)
+        assert terms == expected
+        assert len(counted) == len(set(counted)) > 0
+        assert set(counted) == reference_counted
+
+
 def _rebuilt(bands: BandSystem, surviving: dict[int, int], game: Game) -> BandSystem:
     """The restricted system built by the validating constructor from the
     same survivors."""

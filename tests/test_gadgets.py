@@ -616,6 +616,42 @@ class TestClosedFormGridAgainstOracles:
                 )
 
 
+@st.composite
+def strict_gadget_parameters(draw):
+    """(builder kind, formula, k, ell) over the paper's strict range:
+    n = 5..9 variables, k = 4..n-1 and 1 to 6 random clauses; a maintain
+    formula goes through ``exactify`` with ell drawn from 1..2^(n-k)."""
+    kind = draw(st.sampled_from(["decrease", "nonincrease", "maintain"]))
+    n = draw(st.integers(5, 9))
+    k = draw(st.integers(4, n - 1))
+    clauses = draw(st.integers(1, 6))
+    formula = random_formula(random.Random(draw(st.integers(0, 2**32 - 1))), n, clauses)
+    if kind != "maintain":
+        return kind, formula, k, None
+    return (kind, *exactify(formula, k, draw(st.integers(1, 1 << (n - k)))))
+
+
+class TestStrictClosedFormRange:
+    """The layered six-case split and total of strict gadgets against the
+    paper's closed forms, over its parameter range."""
+
+    BUILDERS = {"decrease": build_decrease, "nonincrease": build_nonincrease}
+
+    @settings(max_examples=180, deadline=None)
+    @given(parameters=strict_gadget_parameters())
+    def test_case_counts_meet_the_closed_forms(self, parameters):
+        kind, formula, k, ell = parameters
+        if kind == "maintain":
+            instance = build_maintain(formula, k, ell)
+        else:
+            instance = self.BUILDERS[kind](formula, k)
+        expected = expected_case_counts(
+            Goal(kind.upper()), k, formula.num_variables, count_sat(formula), ell
+        )
+        assert layered_case_counts(instance) == expected
+        assert pivot_count_layered(instance.bands) == expected.total
+
+
 class TestGoldenPlayerOrder:
     """sha256 prefixes of ``dump_instance`` pin the player order, every
     weight, the band blocks and the meta of each builder bit for bit."""
