@@ -32,8 +32,8 @@ which splits and counts the residuals of every heavy player a column at
 a time (``_column_walk``), so they share its guards: a distinguished
 weight above ``_MAX_INTERVAL_WIDTH`` (4,096) is refused, with
 ``layered_refusal``'s text, as a ``BudgetExceededError`` before anything
-is counted.  ``DeletionCounter`` scores deletions of original players
-without deleting any; its docstring tells how.
+is counted.  ``DeletionCounter`` keeps that walk's nonzero rows as terms
+and scores deletions without deleting any; its docstring tells how.
 """
 
 from __future__ import annotations
@@ -408,12 +408,6 @@ def _column_walk(blocks: tuple, residuals: list[int], counts: list[dict]) -> dic
     return products
 
 
-def _unlinked(term: tuple) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """A pivot-count term as (per-block targets, per-block counts, product)."""
-    product, targets, counts = term
-    return targets, counts, product
-
-
 def count_light_subsets(bands: BandSystem, residual: int) -> int:
     """Number of light subsets (all blocks combined) summing to ``residual``."""
     if residual < 0:
@@ -481,32 +475,6 @@ def _pivot_sum(bands: BandSystem, heavies: list[int]) -> int:
     )
 
 
-def _pivot_terms(bands: BandSystem, heavies: list[int]) -> list[tuple[int, tuple]]:
-    """Every nonzero pivot-count term: a pivotal coalition weight less the
-    weight of one of ``heavies``, as (heavy player, (its product of block
-    counts, its per-block targets, its per-block counts)), in order of
-    coalition weight and then of ``heavies``; ``term[0]`` is the term and
-    ``_unlinked`` gives the three in the order ``DeletionCounter`` keeps.
-    The residuals that each pass of the walk (``_window_passes``) finds a
-    new nonzero product for are split again, one block at a time for all
-    of them, and their counts read off the count memo."""
-    terms: list[tuple[int, tuple]] = []
-    term_of: dict[int, tuple] = {}  # each nonzero residual walked so far to its term
-    for row_heavies, residuals, products, counts in _window_passes(bands, heavies):
-        nonzero = filter(products.__getitem__, dict.fromkeys(residuals))
-        remainders = new = [*filterfalse(term_of.__contains__, nonzero)]
-        targets, block_counts = [], []
-        for block, memo in zip(bands.blocks, counts):
-            shares, remainders = _split(block, remainders)
-            targets.append(shares)
-            block_counts.append([*map(memo.__getitem__, shares)])
-        by_row = (zip(*targets), zip(*block_counts)) if targets else (repeat(()), repeat(()))
-        term_of.update(zip(new, zip(map(products.__getitem__, new), *by_row)))
-        kept = [*map(products.__getitem__, residuals)]
-        terms += zip(compress(row_heavies, kept), map(term_of.__getitem__, compress(residuals, kept)))
-    return terms
-
-
 def heavy_pivot_term(bands: BandSystem, heavy_player: int) -> int:
     """Pivotal coalitions of the distinguished player through one heavy player."""
     if heavy_player not in bands.heavy:
@@ -547,14 +515,16 @@ class DeletionCounter:
     is such a subset, so each heavy player's per-block targets and block
     counts are computed once, here, and stored once, as columns: by term
     its heavy player and product, by block index each term's target and
-    count.  After deleting light players L and heavy players H the count
-    is ``T(L) - sum(t_h(L) for h in H)``, every term after deleting L less
-    the deleted heavies' own; ``heavy_terms`` gives every nonzero
-    ``t_h(L)``.  A term after deleting L is its original product with, in
-    each block L touches, the original block count replaced by the
-    survivors' count (zero for a target above their total).  Counts only
-    shrink, so a term that is zero in the original game stays zero and is
-    not kept.
+    count.  The terms are the walk's rows of nonzero product, in walk
+    order (``_window_passes``); after the walk one ``_split`` per block
+    gives their targets, and the walk's count memo their counts.  After
+    deleting light players L and heavy players H the count is ``T(L) -
+    sum(t_h(L) for h in H)``, every term after deleting L less the deleted
+    heavies' own; ``heavy_terms`` gives every nonzero ``t_h(L)``.  A term
+    after deleting L is its original product with, in each block L
+    touches, the original block count replaced by the survivors' count
+    (zero for a target above their total).  Counts only shrink, so a term
+    that is zero in the original game stays zero and is not kept.
 
     Every term after deleting L is read off one grouped term table for
     the blocks L touches: the terms grouped by their targets there, each
@@ -584,11 +554,21 @@ class DeletionCounter:
         self._block_of = {
             member: index for index, block in enumerate(bands.blocks) for member in block.members
         }
-        terms = _pivot_terms(bands, sorted(bands.heavy))
-        self._heavies = [heavy for heavy, _ in terms]  # by term, in walk order
-        self._products, targets, counts = [*zip(*(term for _, term in terms))] or [(), (), ()]
-        self._target_columns = [*zip(*targets)] or [()] * len(bands.blocks)
-        self._count_columns = [*zip(*counts)] or [()] * len(bands.blocks)
+        self._heavies: list[int] = []  # by term, in walk order
+        self._products: list[int] = []
+        residuals: list[int] = []
+        counts: list[dict] = [{} for _ in bands.blocks]  # a walk of no pass counts nothing
+        for row_heavies, rows, products, counts in _window_passes(bands, sorted(bands.heavy)):
+            kept = [*map(products.__getitem__, rows)]
+            self._heavies += compress(row_heavies, kept)
+            self._products += filter(None, kept)
+            residuals += compress(rows, kept)
+        self._target_columns: list[list[int]] = []  # by block index, by term
+        self._count_columns: list[list[int]] = []
+        for block, memo in zip(bands.blocks, counts):
+            shares, residuals = _split(block, residuals)
+            self._target_columns.append(shares)
+            self._count_columns.append([*map(memo.__getitem__, shares)])
         self._targets = [set(column) for column in self._target_columns]
         self._terms_of: dict[int, list[int]] = {}  # heavy player -> its term indices
         for term, heavy in enumerate(self._heavies):

@@ -43,6 +43,8 @@ class CnfFormula:
     clauses: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.num_variables, int) or isinstance(self.num_variables, bool):
+            raise FormulaError(f"num_variables must be an integer, got {self.num_variables!r}")
         if self.num_variables < 1:
             raise FormulaError("a formula needs at least one variable")
         object.__setattr__(

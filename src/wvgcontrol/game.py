@@ -174,6 +174,10 @@ class ExactIndex:
     exponent: int
 
     def __post_init__(self) -> None:
+        for name in ("pivot_count", "exponent"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InputError(f"{name} must be an integer, got {value!r}")
         if self.pivot_count < 0:
             raise InputError("pivot count must be nonnegative")
         if self.exponent < 0:

@@ -9,7 +9,15 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import strategies as st
 
-from wvgcontrol import BandSystem, BlockKind, ControlInstance, Game, Goal, LightBlock
+from wvgcontrol import (
+    BandSystem,
+    BlockKind,
+    ControlInstance,
+    DeletionCounter,
+    Game,
+    Goal,
+    LightBlock,
+)
 
 
 @pytest.fixture
@@ -26,6 +34,22 @@ def wide_interval_instance() -> ControlInstance:
     block = LightBlock("lo", BlockKind.ENUMERABLE, (3, 4), (1, 2), 1)
     bands = BandSystem(game=game, distinguished=0, heavy=frozenset({1, 2}), blocks=(block,))
     return ControlInstance(game, 0, 1, Goal.DECREASE, bands=bands)
+
+
+def counter_terms(bands: BandSystem) -> list[tuple]:
+    """Each term of a fresh ``DeletionCounter``, in walk order, rebuilt from
+    its columns as (heavy player, per-block targets, per-block counts,
+    product)."""
+    counter = DeletionCounter(bands)
+    return [
+        (
+            heavy,
+            tuple(column[term] for column in counter._target_columns),
+            tuple(column[term] for column in counter._count_columns),
+            product,
+        )
+        for term, (heavy, product) in enumerate(zip(counter._heavies, counter._products))
+    ]
 
 
 def random_game(rng: random.Random, max_players: int = 16, max_weight: int = 50) -> Game:

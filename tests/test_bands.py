@@ -39,13 +39,19 @@ from wvgcontrol import (
     pivot_count_layered,
 )
 from wvgcontrol import bands as bands_module
-from wvgcontrol.bands import _pivot_terms, _unlinked, count_light_subsets, heavy_pivot_term
+from wvgcontrol.bands import count_light_subsets, heavy_pivot_term
 from wvgcontrol.control import _CandidateSpace, _candidate_classes, solve_control
 from wvgcontrol.engines import count_subsets_mitm, pivot_count_enum, pivot_count_mitm
 from wvgcontrol.gadgets import build_prereduction
 from wvgcontrol.verify import NO_INSTANCES, random_formula
 
-from conftest import BAND_RULES, BandClaim, bottom_up_band_claims, random_band_claims
+from conftest import (
+    BAND_RULES,
+    BandClaim,
+    bottom_up_band_claims,
+    counter_terms,
+    random_band_claims,
+)
 
 
 def uniform(name: str, members, weight: int) -> LightBlock:
@@ -423,6 +429,19 @@ class TestDeletionCounter:
             assert type(raised.value) is error
             assert str(raised.value) == message, players
 
+    def test_an_empty_pivotal_window_walks_no_pass(self):
+        # the CI's exact band system with the distinguished player's weight
+        # set to 0: still a band system, with no pivotal coalition weight
+        block = LightBlock("Z", BlockKind.SUPERINCREASING, (3, 4), (4, 8), 2)
+        game = Game((0, 25, 15, 4, 8, 1, 1, 1), 40)
+        bands = BandSystem(game, 0, frozenset({1, 2}), (block, uniform("ones", (5, 6, 7), 1)))
+        assert [*bands_module._window_passes(bands, sorted(bands.heavy))] == []
+        assert pivot_count_layered(bands) == 0
+        counter = DeletionCounter(bands)
+        assert counter.count({1, 5}) == 0
+        assert counter.heavy_terms({5}) == {}
+        assert counter_terms(bands) == []
+
     def test_rejects_the_distinguished_player_and_strangers(self):
         bands = banded_toy()
         counter = DeletionCounter(bands)
@@ -559,8 +578,8 @@ class _PerTermCounter:
     def __init__(self, bands: BandSystem) -> None:
         self.bands = bands
         self.terms_of: dict[int, list[tuple]] = {}
-        for heavy, suffix in _pivot_terms(bands, sorted(bands.heavy)):
-            self.terms_of.setdefault(heavy, []).append(_unlinked(suffix))
+        for heavy, *term in counter_terms(bands):
+            self.terms_of.setdefault(heavy, []).append(tuple(term))
         self.recounts: dict[tuple[int, frozenset[int]], dict[int, int]] = {}
 
     def _touched(self, light: frozenset[int]) -> list[tuple[int, dict[int, int]]]:
@@ -684,8 +703,8 @@ class TestHeavyTerms:
         smaller = instance.delete(deleted).bands
         original = {new: old for old, new in delete_players(instance.game, deleted)[1].items()}
         expected = dict.fromkeys(bands.heavy, 0)
-        for heavy, suffix in _pivot_terms(smaller, sorted(smaller.heavy)):
-            expected[original[heavy]] += suffix[0]
+        for heavy, _, _, product in counter_terms(smaller):
+            expected[original[heavy]] += product
         assert all(terms.values())
         assert {h: terms.get(h, 0) for h in bands.heavy} == expected
         assert sum(terms.values()) == counter.count(deleted)
@@ -697,6 +716,34 @@ class TestHeavyTerms:
         for player in (instance.distinguished, heavy):
             with pytest.raises(InputError, match="light players only"):
                 counter.heavy_terms(deleted | {player})
+
+    @pytest.mark.parametrize("name", ["decrease", "nonincrease", "maintain", "strict-decrease"])
+    def test_count_and_terms_of_a_light_set_read_one_record(self, name):
+        # T(L) and every t_h(L) come from one memoised record of L, and
+        # both agree with a fresh layered count of the game after L
+        instance = _terms_instance(name)
+        bands = instance.bands
+        light = sorted(member for block in bands.blocks for member in block.members)
+        rng = random.Random(19)
+        draws = dict.fromkeys(
+            frozenset(rng.sample(light, rng.randint(0, instance.budget))) for _ in range(12)
+        )
+        counter, built = DeletionCounter(bands), []
+        record = DeletionCounter._record
+
+        def recording(counter, light):
+            built.append(light)
+            return record(counter, light)
+
+        with mock.patch.object(DeletionCounter, "_record", recording):
+            for deleted in draws:
+                before = len(built)
+                total = counter.count(deleted)
+                terms = counter.heavy_terms(deleted)
+                assert len(built) == before + 1, sorted(deleted)
+                fresh = pivot_count_layered(instance.delete(deleted).bands)
+                assert total == fresh == sum(terms.values()), sorted(deleted)
+        assert len(draws) > 1
 
 
 def _unmemoised_terms(bands: BandSystem) -> tuple[list[tuple], set[tuple[int, int]]]:
@@ -746,8 +793,8 @@ def _walk_counting(bands: BandSystem) -> tuple[list[tuple], list[tuple[int, int]
         return count_block(block, target)
 
     with mock.patch.object(bands_module, "count_block", counting):
-        suffixes = list(_pivot_terms(bands, sorted(bands.heavy)))
-    return [(heavy, *_unlinked(suffix)) for heavy, suffix in suffixes], counted
+        terms = counter_terms(bands)
+    return terms, counted
 
 
 def _assert_walk_matches_reference(bands: BandSystem) -> list[tuple]:
@@ -868,8 +915,8 @@ class TestWideWindows:
         wide = _widened(strict, w)
         with mock.patch.object(bands_module, "_PASS_ROWS", pass_rows):
             assert pivot_count_layered(wide) == expected > 0
-            terms = _pivot_terms(wide, sorted(wide.heavy))
-        assert sum(term[0] for _, term in terms) == expected
+            terms = counter_terms(wide)
+        assert sum(term[-1] for term in terms) == expected
 
     @PASSES
     def test_each_block_target_is_counted_once_over_the_window(self, pass_rows):
@@ -1112,8 +1159,8 @@ def _boundaries(claim: BandClaim) -> set[str]:
             found.add("residuals at both ends of the window")
         if any(
             target == block.max_sum > 0 and block.kind is not BlockKind.SUPERINCREASING
-            for _, suffix in _pivot_terms(bands, sorted(bands.heavy))
-            for block, target in zip(bands.blocks, _unlinked(suffix)[0])
+            for _, targets, _, _ in counter_terms(bands)
+            for block, target in zip(bands.blocks, targets)
         ):
             found.add("a full uniform or enumerable share")
     verdict = "refused" if bands is None else "accepted"

@@ -52,6 +52,8 @@ from wvgcontrol.formulas import suffix_satisfying_counts
 from wvgcontrol.gadgets import ControlInstance, GadgetConstructionNote
 from wvgcontrol.verify import NO_INSTANCES, RELAXED_GRID, random_formula, run_suite
 
+from conftest import counter_terms
+
 OR2 = CnfFormula(2, (frozenset({1, 2}),))
 WIDE5 = CnfFormula(5, (frozenset({1, 2, 3, 4, 5}),))
 
@@ -552,9 +554,9 @@ class TestLayeredCaseCounts:
         for heavy in instance.bands.heavy:
             totals[instance.groups[heavy]] += heavy_pivot_term(instance.bands, heavy)
         walks = []
-        walk = bands_module._pivot_terms
+        walk = bands_module._window_passes
         monkeypatch.setattr(
-            bands_module, "_pivot_terms", lambda *args: walks.append(args) or walk(*args)
+            bands_module, "_window_passes", lambda *args: walks.append(args) or walk(*args)
         )
         counts = layered_case_counts(instance)
         assert len(walks) == 1
@@ -575,7 +577,7 @@ class TestLayeredCaseCounts:
             instance = build_nonincrease(formula, k)
         assert instance.game.num_players == players
         bands = instance.bands
-        walk = [(h, term[0]) for h, term in bands_module._pivot_terms(bands, sorted(bands.heavy))]
+        walk = [(h, product) for h, _, _, product in counter_terms(bands)]
         assert len(walk) == len(dict(walk))
         assert DeletionCounter(bands).heavy_terms(()) == dict(walk)
         xi, n = count_sat(formula), formula.num_variables
@@ -823,6 +825,18 @@ class TestPublicRefusals:
                 InputError,
                 "budget must be an integer, got 1.0",
             ),
+            (lambda: ExactIndex(2.5, 1), InputError, "pivot_count must be an integer, got 2.5"),
+            (lambda: ExactIndex(1, True), InputError, "exponent must be an integer, got True"),
+            (
+                lambda: CnfFormula(2.0, (frozenset({1, 2}),)),
+                FormulaError,
+                "num_variables must be an integer, got 2.0",
+            ),
+            (
+                lambda: CnfFormula(True, (frozenset({1}),)),
+                FormulaError,
+                "num_variables must be an integer, got True",
+            ),
         ],
         ids=[
             "heavy-pivot-term-light-player",
@@ -849,6 +863,10 @@ class TestPublicRefusals:
             "bool-distinguished",
             "bool-budget",
             "float-budget",
+            "float-pivot-count",
+            "bool-exponent",
+            "float-variable-count",
+            "bool-variable-count",
         ],
     )
     def test_refusal(self, refused, error, message):
