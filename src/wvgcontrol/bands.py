@@ -81,6 +81,12 @@ class LightBlock:
     min_gap: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "kind", BlockKind(self.kind))
+        except ValueError:
+            raise BandStructureError(f"block {self.name}: unknown kind {self.kind!r}") from None
+        object.__setattr__(self, "members", tuple(self.members))
+        object.__setattr__(self, "weights", tuple(self.weights))
         weights, granularity = self.weights, self.granularity
         if len(self.members) != len(weights):
             raise BandStructureError(f"block {self.name}: members/weights length mismatch")
@@ -115,7 +121,7 @@ class LightBlock:
     def restrict(self, surviving: dict[int, int]) -> LightBlock:
         """The block after a deletion, with indices remapped by ``surviving``."""
         kept = [(surviving[m], w) for m, w in zip(self.members, self.weights) if m in surviving]
-        members, weights = (tuple(column) for column in zip(*kept)) if kept else ((), ())
+        members, weights = zip(*kept) if kept else ((), ())
         return LightBlock(self.name, self.kind, members, weights, self.granularity)
 
 
@@ -143,6 +149,8 @@ class BandSystem:
     blocks: tuple[LightBlock, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "heavy", frozenset(self.heavy))
+        object.__setattr__(self, "blocks", tuple(self.blocks))
         game = self.game
         self._check_partition()
 
@@ -246,35 +254,24 @@ class BandSystem:
         return BandSystem(
             game=game,
             distinguished=surviving[self.distinguished],
-            heavy=frozenset([surviving[h] for h in self.heavy if h in surviving]),
-            blocks=tuple(block.restrict(surviving) for block in self.blocks),
+            heavy=[surviving[h] for h in self.heavy if h in surviving],
+            blocks=[block.restrict(surviving) for block in self.blocks],
         )
 
 
-def _share(block: LightBlock, remaining: int) -> int | None:
-    """The block's forced share of ``remaining``: its superincreasing members
-    taken greedily from the largest (nothing from an empty block), or else
-    the multiple of its granularity that leaves the blocks below less than
-    it (``None`` above its total)."""
-    if block.kind is BlockKind.SUPERINCREASING or not block.weights:
-        left = remaining
-        for w in reversed(block.weights):
-            if left >= w:
-                left -= w
-        return remaining - left
-    value = remaining - remaining % block.granularity
-    return value if value <= block.max_sum else None
-
-
 def _split(block: LightBlock, rows: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Each remainder's forced share of ``block`` and what it leaves for the
-    blocks below, as two columns: ``_share`` for a superincreasing or empty
-    block, else the remainder less its residue mod the granularity (which
-    is unreachable above the block's total)."""
+    """The walk's split: each remainder's forced share of ``block`` and what
+    it leaves for the blocks below, as two columns.  A superincreasing or
+    empty block takes its members greedily from the largest, one pass over
+    the column per member; any other block takes the remainder less its
+    residue mod the granularity, a share that is unreachable above the
+    block's total.  ``decompose_target`` is the independent reference."""
     if block.kind is BlockKind.SUPERINCREASING or not block.weights:
-        shares = [*map(_share, repeat(block), rows)]
-        return shares, [*map(operator.sub, rows, shares)]
-    below = [*map(operator.mod, rows, repeat(block.granularity))]
+        below = [*rows]
+        for w in reversed(block.weights):
+            below = [r - w if r >= w else r for r in below]
+    else:
+        below = [*map(operator.mod, rows, repeat(block.granularity))]
     return [*map(operator.sub, rows, below)], below
 
 
@@ -283,16 +280,22 @@ def decompose_target(bands: BandSystem, residual: int) -> Decomposition | None:
     share from the most significant down; unique when it exists, ``None`` when
     some share is unreachable or a nonzero remainder survives the last block.
 
-    The layered walk splits a column of residuals at once (``_split``)
-    instead; this is the reference split that tests compare the walk
-    against."""
+    This is the reference split that tests compare the walk against: it
+    takes one residual at a time by its own rule, and shares no code with
+    ``_split``, which the walk uses."""
     if residual < 0:
         raise InputError("residual must be nonnegative")
     targets = []
     for block in bands.blocks:
-        share = _share(block, residual)
-        if share is None:
-            return None
+        if block.kind is BlockKind.SUPERINCREASING or not block.weights:
+            share = 0
+            for w in reversed(block.weights):
+                if residual - share >= w:
+                    share += w
+        else:
+            share = residual - residual % block.granularity
+            if share > block.max_sum:
+                return None
         targets.append(share)
         residual -= share
     return None if residual else Decomposition(tuple(targets))
@@ -350,7 +353,8 @@ def count_block(block: LightBlock, target: int) -> int:
     if block.kind is BlockKind.UNIFORM_CHAIN_LEVEL:
         return math.comb(len(block.members), target // block.granularity)
     if block.kind is BlockKind.SUPERINCREASING:
-        return int(_share(block, target) == target)
+        _, (left,) = _split(block, [target])
+        return int(left == 0)
     count = _pruned_count(block.weights, target)
     if count is not None:
         return count

@@ -201,8 +201,15 @@ class DeltaDecomposition:
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not self.exponents:
+            raise GadgetParameterError("exponents must not be empty")
+        for d in self.exponents:
+            if not isinstance(d, int) or isinstance(d, bool):
+                raise GadgetParameterError(f"each exponent must be an integer, got {d!r}")
         if list(self.exponents) != sorted(set(self.exponents), reverse=True):
             raise GadgetParameterError("exponents must be strictly decreasing")
+        if self.exponents[-1] < 0:
+            raise GadgetParameterError(f"exponents must be nonnegative, got {self.exponents[-1]}")
 
     @property
     def level_weights(self) -> tuple[int, ...]:
@@ -333,8 +340,9 @@ class _GadgetFrame:
     and the instance.  A band block is declared where its players are
     added: E and ABC at construction, the stacked levels bottom up through
     ``add_level``; the band system lists E and ABC first, then the levels
-    from the top.  ``add_group`` and ``add_family`` add no player for an
-    ``omitted`` label; an omitted ladder level stays as an empty block.
+    from the top.  Every player is added through ``add_group``, which adds
+    none for an ``omitted`` label; an omitted ladder level stays as an empty
+    block.
     """
 
     def __init__(
@@ -359,7 +367,7 @@ class _GadgetFrame:
         self.heavy: list[int] = []
         #: the stacked level blocks, least significant first
         self.levels: list[LightBlock] = []
-        self.add("player-1", 1)
+        self.add_group("player-1", [1])
         a_head = self.add_group("A", pre.a_weights[:k])
         b_head = self.add_group("A", pre.b_weights[:k])
         a_tail = self.add_group("B", pre.a_weights[k:])
@@ -379,20 +387,21 @@ class _GadgetFrame:
         #: ``pairs[i]`` is the weight of both literals of variable ``x_{i+1}``, ``i < k``
         self.pairs = [a + b for a, b in zip(pre.a_weights[:k], pre.b_weights[:k])]
 
-    def add(self, label: str, weight: int) -> int:
-        self.weights.append(weight)
-        self.labels.append(label)
-        return len(self.weights) - 1
-
     def add_group(self, label: str, group_weights: Iterable[int]) -> list[int]:
-        return [] if label in self._omitted else [self.add(label, w) for w in group_weights]
+        """Add a player of each weight under ``label``, none for an omitted
+        label, and return their indices."""
+        if label in self._omitted:
+            return []
+        start = len(self.weights)
+        self.weights += group_weights
+        self.labels += [label] * (len(self.weights) - start)
+        return [*range(start, len(self.weights))]
 
     def block(
         self, label: str, kind: BlockKind, members: Sequence[int], granularity: int
     ) -> LightBlock:
         """The band block of ``members``, at the weights they were added with."""
-        weights = tuple(self.weights[p] for p in members)
-        return LightBlock(label, kind, tuple(members), weights, granularity)
+        return LightBlock(label, kind, members, [self.weights[p] for p in members], granularity)
 
     def add_level(
         self, label: str, kind: BlockKind, weights: Sequence[int], granularity: int
@@ -410,14 +419,14 @@ class _GadgetFrame:
         Each term is ``(w, multipliers)``; completions come in nested-loop
         order, bases outermost, then each term in turn.
         """
-        completions = [] if label in self._omitted else list(bases)
+        completions = list(bases)
         for weight, multipliers in terms:
             completions = [c + m * weight for c in completions for m in multipliers]
-        for completion in completions:
-            self.heavy.append(self.add(label, self.quota - 1 - completion))
+        self.heavy += self.add_group(label, [self.quota - 1 - c for c in completions])
 
-    def finish(self, goal: Goal, kind: str, meta: dict[str, object]) -> ControlInstance:
-        """Add the ladder and build the instance; ``meta`` follows kind, k, n, m, t."""
+    def finish(self, goal: Goal, meta: dict[str, object]) -> ControlInstance:
+        """Add the ladder and build the instance; ``meta`` follows kind (the
+        goal's name in lower case), k, n, m, t."""
         pre, k = self.pre, self.k
         for label, size in self.ladder:
             weight = self.rung[label]
@@ -428,7 +437,7 @@ class _GadgetFrame:
         bands = BandSystem(
             game=game,
             distinguished=0,
-            heavy=frozenset(self.heavy),
+            heavy=self.heavy,
             blocks=(*self.clause_blocks, *reversed(self.levels)),  # most significant first
         )
         return ControlInstance(
@@ -441,7 +450,7 @@ class _GadgetFrame:
             a_players=tuple(self.a_idx),
             b_players=tuple(self.b_idx),
             meta={
-                "kind": kind,
+                "kind": goal.value.lower(),
                 "k": k,
                 "n": self.formula.num_variables,
                 "m": self.formula.num_clauses,
@@ -480,7 +489,7 @@ def _build_minority_gadget(
     frame.add_family("T", pairs, (rung["Y'"], range(n + 1)), (rung["Z'"], range(1, k + 1)))
     frame.add_family("U", z_star, (rung["Y*"], range(k + 2)))
     frame.add_family("V", z_star, (rung["Y**"], range(n + 1)))
-    return frame.finish(goal, goal.value.lower(), {"mode": mode})
+    return frame.finish(goal, {"mode": mode})
 
 
 def exactify(formula: CnfFormula, k: int, ell: int) -> tuple[CnfFormula, int, int]:
@@ -540,9 +549,7 @@ def build_maintain(
         frame.add_family("U", pairs, (rung["Y*"], range(1, k + 1)), l_term)
         frame.add_family("V", z_star, (rung["Y**"], v_multiset), l_term)
     return frame.finish(
-        Goal.MAINTAIN,
-        "maintain",
-        {"ell": ell, "delta_exponents": list(delta.exponents), "mode": mode},
+        Goal.MAINTAIN, {"ell": ell, "delta_exponents": list(delta.exponents), "mode": mode}
     )
 
 

@@ -248,16 +248,16 @@ def _instance_from_document(document: dict) -> ControlInstance:
                 LightBlock(
                     name,
                     kind,
-                    tuple(members),
-                    tuple(map(game.weights.__getitem__, members)),
+                    members,
+                    [*map(game.weights.__getitem__, members)],
                     _parse_decimal(raw_block.get("granularity"), "granularity"),
                 )
             )
         bands = BandSystem(
             game=game,
             distinguished=distinguished,
-            heavy=frozenset(heavy),
-            blocks=tuple(blocks),
+            heavy=heavy,
+            blocks=blocks,
         )
 
     meta = document.get("meta", {})

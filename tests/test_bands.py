@@ -94,6 +94,17 @@ class TestLightBlockValidation:
         assert block.max_sum == 21
         assert block.min_gap == 3
 
+    def test_a_kind_given_by_name_is_the_kind(self):
+        block = LightBlock("U", "UNIFORM_CHAIN_LEVEL", (1, 2), (2, 2), 2)
+        assert block.kind is BlockKind.UNIFORM_CHAIN_LEVEL
+        with pytest.raises(BandStructureError, match="uniform block U"):
+            LightBlock("U", "UNIFORM_CHAIN_LEVEL", (1, 2), (2, 3), 1)
+
+    def test_members_and_weights_become_tuples(self):
+        block = LightBlock("s", BlockKind.SUPERINCREASING, [0, 1], [3, 6], 3)
+        assert (block.members, block.weights) == ((0, 1), (3, 6))
+        assert block == LightBlock("s", BlockKind.SUPERINCREASING, (0, 1), (3, 6), 3)
+
 
 class TestBandSystemValidation:
     def test_toy_system_is_valid(self):
@@ -118,6 +129,32 @@ class TestBandSystemValidation:
             BandSystem(
                 game=game_bad, distinguished=0, heavy=frozenset({1, 2}), blocks=blocks_bad
             )
+
+    def test_heavy_and_blocks_given_as_lists_are_normalised(self):
+        toy = banded_toy()
+        blocks = [
+            LightBlock(b.name, b.kind.value, list(b.members), list(b.weights), b.granularity)
+            for b in toy.blocks
+        ]
+        bands = BandSystem(toy.game, 0, [1, 2], blocks)
+        assert bands == toy
+        assert hash(bands) == hash(toy)
+        assert type(bands.heavy) is frozenset and type(bands.blocks) is tuple
+
+    def test_a_layered_search_runs_on_heavy_players_given_as_a_list(self):
+        toy = banded_toy()
+        reports = [
+            solve_control(ControlInstance(toy.game, 0, 2, Goal.DECREASE, bands=bands), engine)
+            for bands, engine in [
+                (BandSystem(toy.game, 0, [1, 2], toy.blocks), "layered"),
+                (toy, "enum"),
+            ]
+        ]
+        found = [
+            (r.verdict, r.candidates_evaluated, r.min_index_seen, r.max_index_seen)
+            for r in reports
+        ]
+        assert found[0] == found[1]
 
     def test_partition_must_cover(self):
         game = Game((1, 286, 287, 100), 400)
@@ -194,6 +231,59 @@ class TestCountBlock:
                 if sum(w for b, w in enumerate(weights) if (mask >> b) & 1) == target
             )
             assert count_block(block, target) == expected
+
+
+@st.composite
+def greedy_blocks(draw) -> LightBlock:
+    """A superincreasing block of 1-8 members, each weight above the sum of
+    the smaller ones, all multiples of a drawn granularity; or an empty
+    block of any kind, which the split also takes greedily."""
+    granularity = draw(st.sampled_from((1, 2, 3, 10)))
+    if draw(st.booleans()):
+        return LightBlock("empty", draw(st.sampled_from(BlockKind)), (), (), granularity)
+    weights, below = [], 0
+    for slack in draw(st.lists(st.integers(1, 6), min_size=1, max_size=8)):
+        weights.append(granularity * (below + slack))
+        below += below + slack
+    members = tuple(range(len(weights)))
+    return LightBlock("z", BlockKind.SUPERINCREASING, members, tuple(weights), granularity)
+
+
+class TestGreedyBlocks:
+    """Superincreasing and empty blocks against brute force and against a
+    greedy split of one remainder at a time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(block=greedy_blocks())
+    def test_count_block_matches_brute_force(self, block):
+        sums = Counter(
+            sum(subset)
+            for size in range(len(block.weights) + 1)
+            for subset in itertools.combinations(block.weights, size)
+        )
+        for value in {v + d for v in sums for d in (-1, 0, 1)}:
+            if 0 <= value <= block.max_sum:
+                assert count_block(block, value) == sums[value]
+            else:
+                with pytest.raises(BandStructureError, match="outside"):
+                    count_block(block, value)
+        with pytest.raises(BandStructureError, match="outside"):
+            count_block(block, block.max_sum + block.granularity)
+
+    @settings(max_examples=200, deadline=None)
+    @given(block=greedy_blocks(), data=st.data())
+    def test_split_matches_a_greedy_per_row(self, block, data):
+        rows = data.draw(st.lists(st.integers(0, 2 * block.max_sum + 3), max_size=20))
+        expected = []
+        for row in rows:
+            share = 0
+            for w in sorted(block.weights, reverse=True):
+                if row - share >= w:
+                    share += w
+            expected.append(share)
+        shares, below = bands_module._split(block, rows)
+        assert shares == expected
+        assert below == [row - share for row, share in zip(rows, expected)]
 
 
 class TestDecompose:

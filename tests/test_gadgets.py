@@ -773,6 +773,11 @@ class TestPublicRefusals:
                 "block b: members/weights length mismatch",
             ),
             (
+                lambda: LightBlock("Q", "NOPE", (1,), (1,), 1),
+                BandStructureError,
+                "block Q: unknown kind 'NOPE'",
+            ),
+            (
                 lambda: replace(
                     bands := _or2_decrease().bands, heavy=bands.heavy | {bands.distinguished}
                 ),
@@ -809,6 +814,22 @@ class TestPublicRefusals:
                 lambda: DeltaDecomposition((1, 1)),
                 GadgetParameterError,
                 "exponents must be strictly decreasing",
+            ),
+            (lambda: DeltaDecomposition(()), GadgetParameterError, "exponents must not be empty"),
+            (
+                lambda: DeltaDecomposition((-1,)),
+                GadgetParameterError,
+                "exponents must be nonnegative, got -1",
+            ),
+            (
+                lambda: DeltaDecomposition((True,)),
+                GadgetParameterError,
+                "each exponent must be an integer, got True",
+            ),
+            (
+                lambda: DeltaDecomposition((2.0,)),
+                GadgetParameterError,
+                "each exponent must be an integer, got 2.0",
             ),
             (
                 lambda: ControlInstance(Game((1, 2, 2), 3), True, 1, Goal.DECREASE),
@@ -852,6 +873,7 @@ class TestPublicRefusals:
             "unknown-block",
             "formula-without-variables",
             "block-length-mismatch",
+            "block-unknown-kind",
             "distinguished-listed-as-heavy",
             "unknown-goal-relation",
             "suffix-counts-prefix-too-long",
@@ -860,6 +882,10 @@ class TestPublicRefusals:
             "prereduction-unequal-vectors",
             "prereduction-t-below-bound",
             "delta-repeated-exponent",
+            "delta-no-exponent",
+            "delta-negative-exponent",
+            "delta-bool-exponent",
+            "delta-float-exponent",
             "bool-distinguished",
             "bool-budget",
             "float-budget",
