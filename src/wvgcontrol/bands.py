@@ -47,7 +47,7 @@ from itertools import chain, compress, filterfalse, repeat
 from typing import Iterable, Iterator
 
 from .engines import count_subsets_mitm
-from .errors import BandStructureError, BudgetExceededError, InputError
+from .errors import BandStructureError, BudgetExceededError, InputError, require_int
 from .game import Game, decimal_str
 
 
@@ -87,7 +87,9 @@ class LightBlock:
             raise BandStructureError(f"block {self.name}: unknown kind {self.kind!r}") from None
         object.__setattr__(self, "members", tuple(self.members))
         object.__setattr__(self, "weights", tuple(self.weights))
-        weights, granularity = self.weights, self.granularity
+        weights, granularity = self.weights, require_int(
+            self.granularity, f"block {self.name}: granularity must be an integer", BandStructureError
+        )
         if len(self.members) != len(weights):
             raise BandStructureError(f"block {self.name}: members/weights length mismatch")
         if granularity < 1:
@@ -152,6 +154,7 @@ class BandSystem:
         object.__setattr__(self, "heavy", frozenset(self.heavy))
         object.__setattr__(self, "blocks", tuple(self.blocks))
         game = self.game
+        require_int(self.distinguished, "distinguished must be an integer")
         self._check_partition()
 
         below = 0  # total weight of blocks less significant than the current one
@@ -179,14 +182,15 @@ class BandSystem:
 
     def _check_partition(self) -> None:
         """Every player exactly once, each block's stored weights matching
-        the game.  Checked in bulk: one range check, one set size and one
+        the game.  Checked in bulk: one type, range and set-size check and one
         comparison of the weight tuples; only when one fails does the walk
         over the members in order find the first fault and raise on it."""
         game = self.game
         members = [*chain.from_iterable(block.members for block in self.blocks)]
         players = [self.distinguished, *self.heavy, *members]
         if (
-            len(set(players)) == len(players) == game.num_players
+            set(map(type, players)) == {int}
+            and len(set(players)) == len(players) == game.num_players
             and min(players) >= 0
             and max(players) < game.num_players
             and [*chain.from_iterable(block.weights for block in self.blocks)]

@@ -31,7 +31,7 @@ from .engines import (
     DEFAULT_BUDGET, EngineBudget, dp_cost, dp_refusal, enum_cost, enum_refusal, mitm_cost,
     mitm_refusal, pivot_count_enum, pivot_count_mitm, pivot_count_weight_dp,
 )
-from .errors import BudgetExceededError, InputError, WvgError
+from .errors import BudgetExceededError, InputError, WvgError, require_int
 from .game import ExactIndex, Game, decimal_str, weight_class_partition
 from .gadgets import ControlInstance, Goal
 
@@ -170,10 +170,8 @@ class Sampled:
     def __post_init__(self) -> None:
         # Any other seed would be hashed, or drawn from the OS, and could not
         # be reported back to reproduce the draws.
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise InputError(f"sampled search needs an integer seed, got {self.seed!r}")
-        if not isinstance(self.trials, int) or isinstance(self.trials, bool):
-            raise InputError(f"sampled search needs an integer trial count, got {self.trials!r}")
+        require_int(self.seed, "sampled search needs an integer seed")
+        require_int(self.trials, "sampled search needs an integer trial count")
         # A sampled NO with no draws would be no evidence at all.
         if self.trials < 1:
             raise InputError(f"sampled search needs at least one trial, got {self.trials}")

@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, require_int
 from .game import Game, decimal_str
 
 
@@ -46,9 +46,7 @@ class EngineBudget:
 
     def __post_init__(self) -> None:
         for name in ("max_enum_players", "max_mitm_half", "max_dp_quota"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InputError(f"engine budget {name} must be an integer, got {value!r}")
+            require_int(getattr(self, name), f"engine budget {name} must be an integer")
         if min(self.max_enum_players, self.max_mitm_half, self.max_dp_quota) < 1:
             raise InputError("engine budgets must be positive")
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its one integer rule.
 
 Errors are split by what the caller can do about them: input problems
 (``InputError`` family) versus deliberate refusals to run an algorithm
@@ -47,3 +47,11 @@ class BandStructureError(WvgError):
     weigh at least its smallest gap (no-carry violation), light players
     that reach the pivotal window alone, or two heavy players whose sum is
     below the quota."""
+
+
+def require_int(value: object, refusal: str, error: type[Exception] = InputError) -> int:
+    """``value`` if it is an int but not a bool (nor a float, even ``1.0``),
+    else ``error(f"{refusal}, got {value!r}")``: no count or index is a bool."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise error(f"{refusal}, got {value!r}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .engines import count_subsets_mitm
-from .errors import BudgetExceededError, FormulaError, InputError
+from .errors import BudgetExceededError, FormulaError, InputError, require_int
 
 MAX_ORACLE_VARIABLES = 26
 MAX_SUBSET_SUM_ITEMS = 44
@@ -43,8 +43,7 @@ class CnfFormula:
     clauses: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.num_variables, int) or isinstance(self.num_variables, bool):
-            raise FormulaError(f"num_variables must be an integer, got {self.num_variables!r}")
+        require_int(self.num_variables, "num_variables must be an integer", FormulaError)
         if self.num_variables < 1:
             raise FormulaError("a formula needs at least one variable")
         object.__setattr__(
@@ -229,7 +228,7 @@ def _least_prefix(
 ) -> tuple[bool, Prefix | None]:
     """``(True, p)`` for the lexicographically least length-``k`` prefix ``p``
     whose suffix satisfying count ``accepts`` takes, else ``(False, None)``."""
-    if not 1 <= k <= formula.num_variables:
+    if not 1 <= require_int(k, "k must be an integer") <= formula.num_variables:
         raise InputError(f"k={k} out of range, need 1 <= k <= {formula.num_variables}")
     counts = suffix_satisfying_counts(formula, k)
     for code in range(1 << k):
@@ -258,7 +257,7 @@ def e_exact_sat(
     ``ell`` must be positive; ``allow_zero`` relaxes that for exploratory
     use only.
     """
-    if ell < 1 and not allow_zero:
+    if require_int(ell, "ell must be an integer") < 1 and not allow_zero:
         raise InputError("ell must be positive (pass allow_zero=True to permit 0)")
     if ell < 0:
         raise InputError("ell must be nonnegative")
@@ -271,7 +270,8 @@ def count_subset_sum(sizes: list[int] | tuple[int, ...], target: int) -> int:
     The empty subset counts for target 0.  Meet-in-the-middle (the
     engines' shared core), refused beyond ``MAX_SUBSET_SUM_ITEMS`` items.
     """
-    items = [int(s) for s in sizes]
+    require_int(target, "target must be an integer")
+    items = [require_int(s, "sizes must be integers") for s in sizes]
     if any(s < 0 for s in items):
         raise InputError("sizes must be nonnegative")
     if len(items) > MAX_SUBSET_SUM_ITEMS:

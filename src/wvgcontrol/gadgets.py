@@ -39,7 +39,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .bands import BandSystem, BlockKind, DeletionCounter, LightBlock
-from .errors import GadgetParameterError, InputError
+from .errors import GadgetParameterError, InputError, require_int
 from .formulas import CnfFormula
 from .game import ExactIndex, Game, delete_players
 
@@ -204,8 +204,7 @@ class DeltaDecomposition:
         if not self.exponents:
             raise GadgetParameterError("exponents must not be empty")
         for d in self.exponents:
-            if not isinstance(d, int) or isinstance(d, bool):
-                raise GadgetParameterError(f"each exponent must be an integer, got {d!r}")
+            require_int(d, "each exponent must be an integer", GadgetParameterError)
         if list(self.exponents) != sorted(set(self.exponents), reverse=True):
             raise GadgetParameterError("exponents must be strictly decreasing")
         if self.exponents[-1] < 0:
@@ -225,7 +224,7 @@ class DeltaDecomposition:
 
     @classmethod
     def from_ell(cls, ell: int) -> DeltaDecomposition:
-        if ell < 1:
+        if require_int(ell, "ell must be an integer", GadgetParameterError) < 1:
             raise GadgetParameterError("ell must be positive")
         exponents = tuple(
             d for d in range(ell.bit_length() - 1, -1, -1) if (ell >> d) & 1
@@ -241,7 +240,8 @@ class ControlInstance:
     instances (``player-1``, ``A`` .. ``Z*``, ``L1``..); ``a_players`` /
     ``b_players`` locate the literal carriers so witness deletions can be
     constructed (``None`` marks a deleted carrier).  Plain instances over
-    hand-made games leave all of that empty.
+    hand-made games leave all of that empty.  The labels and carrier
+    tables become tuples, whatever sequence they are given as.
     """
 
     game: Game
@@ -261,10 +261,12 @@ class ControlInstance:
             raise InputError(
                 f"unknown goal {self.goal!r}; expected one of {[g.value for g in Goal]}"
             ) from None
+        if self.groups is not None:
+            object.__setattr__(self, "groups", tuple(self.groups))
+        object.__setattr__(self, "a_players", tuple(self.a_players))
+        object.__setattr__(self, "b_players", tuple(self.b_players))
         for name in ("distinguished", "budget"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InputError(f"{name} must be an integer, got {value!r}")
+            require_int(getattr(self, name), f"{name} must be an integer")
         self.game.check_player(self.distinguished)
         if not 0 <= self.budget < self.game.num_players:
             raise InputError(
@@ -301,15 +303,15 @@ class ControlInstance:
             raise InputError("cannot delete the distinguished player")
         new_game, remap = delete_players(self.game, victim_set)
 
-        def carriers(table: tuple[int | None, ...]) -> tuple[int | None, ...]:
-            return tuple(None if p is None else remap.get(p) for p in table)
+        def carriers(table: tuple[int | None, ...]) -> list[int | None]:
+            return [None if p is None else remap.get(p) for p in table]
 
         return ControlInstance(
             game=new_game,
             distinguished=remap[self.distinguished],
             budget=min(self.budget, new_game.num_players - 1),
             goal=self.goal,
-            groups=None if self.groups is None else tuple([self.groups[p] for p in remap]),
+            groups=None if self.groups is None else [self.groups[p] for p in remap],
             bands=None if self.bands is None else self.bands.restrict(remap, new_game),
             a_players=carriers(self.a_players),
             b_players=carriers(self.b_players),
@@ -318,6 +320,7 @@ class ControlInstance:
 
 
 def _check_mode(k: int, n: int, strict: bool) -> str:
+    require_int(k, "k must be an integer", GadgetParameterError)
     if strict:
         if not 4 <= k < n:
             raise GadgetParameterError(
@@ -445,10 +448,10 @@ class _GadgetFrame:
             distinguished=0,
             budget=k,
             goal=goal,
-            groups=tuple(self.labels),
+            groups=self.labels,
             bands=bands,
-            a_players=tuple(self.a_idx),
-            b_players=tuple(self.b_idx),
+            a_players=self.a_idx,
+            b_players=self.b_idx,
             meta={
                 "kind": goal.value.lower(),
                 "k": k,
@@ -501,7 +504,7 @@ def exactify(formula: CnfFormula, k: int, ell: int) -> tuple[CnfFormula, int, in
     has exactly ``3*ell`` in the extension.  ``3*ell`` is never a power of
     two, which is what the maintain builder needs.
     """
-    if ell < 1:
+    if require_int(ell, "ell must be an integer", GadgetParameterError) < 1:
         raise GadgetParameterError("ell must be positive")
     n = formula.num_variables
     extended = CnfFormula(
@@ -640,12 +643,15 @@ def witness_deletion(
     A players force exactly the given prefix on every full-weight subset.
     """
     k = instance.meta.get("k")
-    if not isinstance(k, int):
+    if k is None:
         raise InputError("instance carries no A-group provenance")
+    require_int(k, "the instance's meta k must be an integer")
     if len(prefix) != k:
         raise InputError(f"prefix length {len(prefix)} != k={k}")
     victims: set[int] = set()
     for i, bit in enumerate(prefix):
+        if require_int(bit, "prefix entries must be 0 or 1") not in (0, 1):
+            raise InputError(f"prefix entries must be 0 or 1, got {bit!r}")
         carrier = instance.b_players[i] if bit else instance.a_players[i]
         if carrier is None:
             raise InputError(f"literal carrier for variable {i + 1} was already deleted")

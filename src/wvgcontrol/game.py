@@ -21,7 +21,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import InputError, InvalidCoalitionError
+from .errors import InputError, InvalidCoalitionError, require_int
 
 Coalition = frozenset[int]
 
@@ -64,7 +64,7 @@ class Game:
             raise InputError("a game needs at least one player")
         if min(weights) < 0:
             raise InputError("weights must be nonnegative")
-        if not isinstance(self.quota, int) or type(self.quota) is bool or self.quota < 1:
+        if require_int(self.quota, "quota must be a positive integer") < 1:
             raise InputError(f"quota must be a positive integer, got {self.quota!r}")
 
     @property
@@ -72,6 +72,7 @@ class Game:
         return len(self.weights)
 
     def check_player(self, player: int) -> int:
+        require_int(player, "player must be an integer", InvalidCoalitionError)
         if not 0 <= player < len(self.weights):
             raise InvalidCoalitionError(
                 f"player {player} out of range for a {len(self.weights)}-player game"
@@ -175,9 +176,7 @@ class ExactIndex:
 
     def __post_init__(self) -> None:
         for name in ("pivot_count", "exponent"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InputError(f"{name} must be an integer, got {value!r}")
+            require_int(getattr(self, name), f"{name} must be an integer")
         if self.pivot_count < 0:
             raise InputError("pivot count must be nonnegative")
         if self.exponent < 0:

@@ -59,11 +59,6 @@ def _parse_decimals(values: list, what: str) -> tuple[int, ...]:
     return tuple(_parse_decimal(value, what) for value in values)
 
 
-def _is_int(value: Any) -> bool:
-    """A JSON integer; ``true``/``false`` are not integers here."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_array_of(value: Any, types: set[type]) -> bool:
     """Whether ``value`` is a list whose items' exact types lie in ``types``;
     ``json`` gives exact ``int`` and ``str``, and ``bool`` is not ``int``."""
@@ -192,9 +187,6 @@ def _instance_from_document(document: dict) -> ControlInstance:
     for key in ("distinguished", "budget", "goal"):
         if key not in document:
             raise FileFormatError(f"instance document needs {key!r}")
-    for key in ("distinguished", "budget"):
-        if not _is_int(document[key]):
-            raise FileFormatError(f"{key!r} must be an integer")
     distinguished = document["distinguished"]
     try:
         goal = Goal(document["goal"])
@@ -206,13 +198,13 @@ def _instance_from_document(document: dict) -> ControlInstance:
         raw = document["groups"]
         if not _is_array_of(raw, {str}):
             raise FileFormatError("'groups' must be an array of strings")
-        groups = tuple(raw)
+        groups = raw
 
-    def carrier_table(key: str) -> tuple[int | None, ...]:
+    def carrier_table(key: str) -> list[int | None]:
         raw = document.get(key, [])
         if not _is_array_of(raw, {int, type(None)}):
             raise FileFormatError(f"{key!r} must be an array of ints or nulls")
-        return tuple(raw)
+        return raw
 
     bands = None
     if "bands" in document:

@@ -167,6 +167,8 @@ class TestBandSystemValidation:
             ((8, 9, 10, 10), 100, "player 10 appears twice in the band system"),
             ((8, 9, 10, -1), 100, "player -1 out of range for a 12-player game"),
             ((8, 9, 10, 11), 200, "block hundreds: stored weight of player 4 disagrees with the game"),
+            ((8, 9, 10, True), 100, "player must be an integer, got True"),
+            ((8, 9, 10, 11.0), 100, "player must be an integer, got 11.0"),
         ],
     )
     def test_a_fault_that_keeps_the_player_count_is_named(self, ones, weight_of_4, message):
@@ -179,6 +181,22 @@ class TestBandSystemValidation:
         with pytest.raises((BandStructureError, InvalidCoalitionError)) as error:
             BandSystem(Game(tuple(weights), 400), 0, toy.heavy, blocks)
         assert str(error.value) == message
+
+    @pytest.mark.parametrize(
+        "distinguished, heavy, error, message",
+        [
+            (0, [True, 2], InvalidCoalitionError, "player must be an integer, got True"),
+            (0, [1.0, 2], InvalidCoalitionError, "player must be an integer, got 1.0"),
+            (True, [1, 2], InputError, "distinguished must be an integer, got True"),
+        ],
+        ids=["bool-heavy", "float-heavy", "bool-distinguished"],
+    )
+    def test_a_bool_or_float_index_is_refused(self, distinguished, heavy, error, message):
+        toy = banded_toy()
+        with pytest.raises(error) as caught:
+            BandSystem(toy.game, distinguished, heavy, toy.blocks)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
 
     def test_heavy_pair_must_exceed_quota(self):
         game = Game((1, 150, 150), 400)

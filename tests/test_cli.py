@@ -677,6 +677,7 @@ def _set_band(key, value):
         (True, _set_band("heavy", [True]), "bands.heavy"),
         (True, _set_band("blocks", {"E": {}}), "bands.blocks"),
         (True, _set_band("blocks", [5]), "bands.blocks"),
+        (True, lambda document: document.__setitem__("distinguished", True), "distinguished"),
         (False, lambda document: document.__setitem__("distinguished", True), "distinguished"),
         (False, lambda document: document.__setitem__("budget", False), "budget"),
         (False, lambda document: document.update(a_players=[999], b_players=[998]),
@@ -690,6 +691,7 @@ def _set_band(key, value):
         "heavy-bool",
         "blocks-object",
         "blocks-int-entry",
+        "banded-distinguished-bool",
         "distinguished-bool",
         "budget-bool",
         "carrier-naming-no-player",

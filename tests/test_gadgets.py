@@ -24,6 +24,7 @@ from wvgcontrol import (
     GadgetParameterError,
     Goal,
     InputError,
+    InvalidCoalitionError,
     LightBlock,
     build_decrease,
     build_maintain,
@@ -858,6 +859,59 @@ class TestPublicRefusals:
                 FormulaError,
                 "num_variables must be an integer, got True",
             ),
+            (lambda: count_subset_sum([2.7], 2), InputError, "sizes must be integers, got 2.7"),
+            (lambda: count_subset_sum(["3"], 3), InputError, "sizes must be integers, got '3'"),
+            (lambda: count_subset_sum([1], 1.0), InputError, "target must be an integer, got 1.0"),
+            (
+                lambda: build_decrease(OR2, True, strict=False),
+                GadgetParameterError,
+                "k must be an integer, got True",
+            ),
+            (
+                lambda: build_maintain(OR2, 1, 1.0, strict=False),
+                GadgetParameterError,
+                "ell must be an integer, got 1.0",
+            ),
+            (
+                lambda: DeltaDecomposition.from_ell(True),
+                GadgetParameterError,
+                "ell must be an integer, got True",
+            ),
+            (lambda: exactify(OR2, 1, True), GadgetParameterError, "ell must be an integer, got True"),
+            (lambda: e_exact_sat(OR2, 1, 1.5), InputError, "ell must be an integer, got 1.5"),
+            (lambda: e_minority_sat(OR2, True), InputError, "k must be an integer, got True"),
+            (
+                lambda: witness_deletion(_or2_decrease(), (2,)),
+                InputError,
+                "prefix entries must be 0 or 1, got 2",
+            ),
+            (
+                lambda: witness_deletion(
+                    replace(instance := _or2_decrease(), meta={**instance.meta, "k": True}), (1,)
+                ),
+                InputError,
+                "the instance's meta k must be an integer, got True",
+            ),
+            (
+                lambda: Game((1, 2, 2), 3).check_player(True),
+                InvalidCoalitionError,
+                "player must be an integer, got True",
+            ),
+            (
+                lambda: delete_players(Game((1, 2, 2), 3), [True]),
+                InvalidCoalitionError,
+                "player must be an integer, got True",
+            ),
+            (
+                lambda: LightBlock("x", BlockKind.ENUMERABLE, (1,), (2,), 1.0),
+                BandStructureError,
+                "block x: granularity must be an integer, got 1.0",
+            ),
+            (
+                lambda: LightBlock("x", BlockKind.ENUMERABLE, (1,), (2,), True),
+                BandStructureError,
+                "block x: granularity must be an integer, got True",
+            ),
         ],
         ids=[
             "heavy-pivot-term-light-player",
@@ -893,6 +947,21 @@ class TestPublicRefusals:
             "bool-exponent",
             "float-variable-count",
             "bool-variable-count",
+            "subset-sum-float-size",
+            "subset-sum-string-size",
+            "subset-sum-float-target",
+            "decrease-bool-k",
+            "maintain-float-ell",
+            "delta-bool-ell",
+            "exactify-bool-ell",
+            "exact-sat-float-ell",
+            "minority-sat-bool-k",
+            "witness-prefix-entry-two",
+            "witness-bool-meta-k",
+            "check-bool-player",
+            "delete-bool-player",
+            "block-float-granularity",
+            "block-bool-granularity",
         ],
     )
     def test_refusal(self, refused, error, message):

@@ -132,6 +132,17 @@ class TestInstanceDocuments:
         assert pivot_count_layered(loaded.bands) == pivot_count_layered(instance.bands)
         assert loaded.meta["ell"] == 3
 
+    def test_labels_and_carriers_given_as_lists_become_tuples(self):
+        game = Game((1, 2, 2), 3)
+        listed = ControlInstance(
+            game, 0, 1, Goal.DECREASE, groups=["p", "A", "B"], a_players=[1], b_players=[2]
+        )
+        tupled = ControlInstance(
+            game, 0, 1, Goal.DECREASE, groups=("p", "A", "B"), a_players=(1,), b_players=(2,)
+        )
+        assert (listed.groups, listed.a_players, listed.b_players) == (("p", "A", "B"), (1,), (2,))
+        assert listed == tupled == load_instance(dump_instance(listed))
+
     def test_roundtrip_past_the_int_str_digit_limit(self):
         game = Game((7**6000, 10**5000 + 1, 1), 10**5000)
         instance = ControlInstance(game, 2, 1, Goal.NONINCREASE, groups=("A", "B", "p"))
