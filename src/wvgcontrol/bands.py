@@ -22,9 +22,9 @@ subsets hitting the residual is a product of per-block counts:
 
 Each band rule is exact and checked once, when a ``BandSystem`` is built:
 a wrong construction must fail loudly, never miscount.
-``BandSystem.restrict`` gives the system after a deletion: it checks the
-index map and game it is handed, then builds the smaller system through
-the same validating constructor.
+``BandSystem.restrict`` gives the system after deleting a set of players:
+``delete_players`` alone applies the deletion, and the smaller system is
+built through the same validating constructor.
 
 ``pivot_count_layered``, ``heavy_pivot_term`` and ``DeletionCounter``
 read one walk over the pivotal coalition weights (``_window_passes``),
@@ -48,7 +48,7 @@ from typing import Iterable, Iterator
 
 from .engines import count_subsets_mitm
 from .errors import BandStructureError, BudgetExceededError, InputError, require_int
-from .game import Game, decimal_str
+from .game import Game, decimal_str, delete_players
 
 
 class BlockKind(str, Enum):
@@ -226,35 +226,15 @@ class BandSystem:
                 return block
         raise InputError(f"no block named {name!r}")
 
-    def restrict(self, surviving: dict[int, int], game: Game) -> BandSystem:
-        """The band system after deleting every player absent from ``surviving``.
-
-        ``surviving`` maps each survivor's index here to its index in
-        ``game``, as ``delete_players`` returns it.  It must take players of
-        this game, in ascending order, onto ``range(n)`` in order; ``game``
-        must carry exactly their weights and the same quota; and the
-        distinguished player must survive.  The result is then validated by
-        the constructor like any other band system.
+    def restrict(self, victims: Iterable[int]) -> BandSystem:
+        """The band system after deleting ``victims``, which must spare the
+        distinguished player.  ``delete_players`` gives the smaller game and
+        the survivors' new indices, and the constructor validates the result
+        like any other band system.
         """
+        game, surviving = delete_players(self.game, victims)
         if self.distinguished not in surviving:
             raise BandStructureError("cannot delete the distinguished player")
-        old = self.game
-        kept = [*surviving]
-        if not (
-            [*surviving.values()] == [*range(game.num_players)]
-            and kept == sorted(kept)
-            and 0 <= kept[0]
-            and kept[-1] < old.num_players
-        ):
-            raise BandStructureError(
-                "a restriction's index map must take players of this game, in "
-                "ascending order, onto the new game's players in order"
-            )
-        weights = old.weights
-        if game.quota != old.quota or list(game.weights) != [weights[p] for p in kept]:
-            raise BandStructureError(
-                "the restricted game must keep the quota and the survivors' weights"
-            )
         return BandSystem(
             game=game,
             distinguished=surviving[self.distinguished],

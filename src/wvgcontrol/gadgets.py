@@ -252,7 +252,7 @@ class ControlInstance:
     bands: BandSystem | None = None
     a_players: tuple[int | None, ...] = ()
     b_players: tuple[int | None, ...] = ()
-    meta: dict[str, object] = field(default_factory=dict)
+    meta: dict[str, object] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
         try:
@@ -262,9 +262,9 @@ class ControlInstance:
                 f"unknown goal {self.goal!r}; expected one of {[g.value for g in Goal]}"
             ) from None
         if self.groups is not None:
-            object.__setattr__(self, "groups", tuple(self.groups))
-        object.__setattr__(self, "a_players", tuple(self.a_players))
-        object.__setattr__(self, "b_players", tuple(self.b_players))
+            object.__setattr__(self, "groups", _as_tuple("groups", self.groups))
+        for name in ("a_players", "b_players"):
+            object.__setattr__(self, name, _as_tuple(name, getattr(self, name)))
         for name in ("distinguished", "budget"):
             require_int(getattr(self, name), f"{name} must be an integer")
         self.game.check_player(self.distinguished)
@@ -291,12 +291,13 @@ class ControlInstance:
     def delete(self, victims: Iterable[int]) -> ControlInstance:
         """The instance after deleting ``victims`` (never the distinguished player).
 
-        Band metadata shrinks with the game: ``BandSystem.restrict`` checks
-        the survivors' map and game and re-validates the smaller system
-        through the constructor.  The budget is clamped to stay below the
-        new player count.  Control search calls this only for a witness
-        and for the brute-force engines' candidates; layered search scores
-        its candidates without deleting anything.
+        Band metadata shrinks with the game: ``BandSystem.restrict`` takes
+        the same victims and applies them through ``delete_players``, as
+        this method does, and the instance constructor's band check
+        confirms that both smaller games agree.  The budget is clamped to
+        stay below the new player count.  Control search calls this only
+        for a witness and for the brute-force engines' candidates; layered
+        search scores its candidates without deleting anything.
         """
         victim_set = frozenset(victims)
         if self.distinguished in victim_set:
@@ -312,11 +313,22 @@ class ControlInstance:
             budget=min(self.budget, new_game.num_players - 1),
             goal=self.goal,
             groups=None if self.groups is None else [self.groups[p] for p in remap],
-            bands=None if self.bands is None else self.bands.restrict(remap, new_game),
+            bands=None if self.bands is None else self.bands.restrict(victim_set),
             a_players=carriers(self.a_players),
             b_players=carriers(self.b_players),
             meta=dict(self.meta),
         )
+
+
+def _as_tuple(name: str, entries: Iterable) -> tuple:
+    """``entries`` as a tuple.  A bare string is refused, not split into
+    one entry per character, and so is anything that is not iterable."""
+    if not isinstance(entries, str):
+        try:
+            return tuple(entries)
+        except TypeError:
+            pass
+    raise InputError(f"{name} must be a list or tuple, got {entries!r}")
 
 
 def _check_mode(k: int, n: int, strict: bool) -> str:
@@ -648,6 +660,10 @@ def witness_deletion(
     require_int(k, "the instance's meta k must be an integer")
     if len(prefix) != k:
         raise InputError(f"prefix length {len(prefix)} != k={k}")
+    if len(instance.a_players) < k:
+        raise InputError(
+            f"instance has no literal carrier for variable {len(instance.a_players) + 1}"
+        )
     victims: set[int] = set()
     for i, bit in enumerate(prefix):
         if require_int(bit, "prefix entries must be 0 or 1") not in (0, 1):

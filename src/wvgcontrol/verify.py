@@ -3,8 +3,9 @@ structural facts with independent machinery.
 
 A suite is a generator that yields a ``CheckResult`` as it computes each
 check; ``run_suite`` lists them, and ``wvg verify`` prints them as they
-come.  The suites are the programmatic backbone of ``wvg verify`` and of
-the acceptance tests:
+come.  The suites are the programmatic backbone of ``wvg verify``; the
+acceptance tests run none of them and share only ``NO_INSTANCES`` and
+``random_formula`` with them:
 
 * ``example1``    -- the worked six-player example and its two deletions;
 * ``prereduction``-- #SubsetSum(A+B+C, q') == #SAT == #SubsetSum(E, q'')

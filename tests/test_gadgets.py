@@ -912,6 +912,33 @@ class TestPublicRefusals:
                 BandStructureError,
                 "block x: granularity must be an integer, got True",
             ),
+            (
+                lambda: ControlInstance(Game((1, 2, 2), 3), 0, 1, Goal.DECREASE, groups="pAB"),
+                InputError,
+                "groups must be a list or tuple, got 'pAB'",
+            ),
+            (
+                lambda: ControlInstance(Game((1, 2, 2), 3), 0, 1, Goal.DECREASE, groups=5),
+                InputError,
+                "groups must be a list or tuple, got 5",
+            ),
+            (
+                lambda: ControlInstance(Game((1, 2, 2), 3), 0, 1, Goal.DECREASE, a_players=5),
+                InputError,
+                "a_players must be a list or tuple, got 5",
+            ),
+            (
+                lambda: ControlInstance(Game((1, 2, 2), 3), 0, 1, Goal.DECREASE, b_players=None),
+                InputError,
+                "b_players must be a list or tuple, got None",
+            ),
+            (
+                lambda: witness_deletion(
+                    ControlInstance(Game((1, 2, 2), 3), 0, 1, Goal.DECREASE, meta={"k": 1}), (1,)
+                ),
+                InputError,
+                "instance has no literal carrier for variable 1",
+            ),
         ],
         ids=[
             "heavy-pivot-term-light-player",
@@ -962,6 +989,11 @@ class TestPublicRefusals:
             "delete-bool-player",
             "block-float-granularity",
             "block-bool-granularity",
+            "string-groups",
+            "int-groups",
+            "int-a-players",
+            "none-b-players",
+            "witness-without-carrier-tables",
         ],
     )
     def test_refusal(self, refused, error, message):

@@ -143,6 +143,12 @@ class TestInstanceDocuments:
         assert (listed.groups, listed.a_players, listed.b_players) == (("p", "A", "B"), (1,), (2,))
         assert listed == tupled == load_instance(dump_instance(listed))
 
+    def test_an_instance_hashes_by_its_fields_but_meta(self):
+        instance = build_decrease(OR2, 1, strict=False)
+        loaded = load_instance(dump_instance(instance))
+        assert hash(loaded) == hash(instance)
+        assert len({instance, loaded, instance.delete({3})}) == 2
+
     def test_roundtrip_past_the_int_str_digit_limit(self):
         game = Game((7**6000, 10**5000 + 1, 1), 10**5000)
         instance = ControlInstance(game, 2, 1, Goal.NONINCREASE, groups=("A", "B", "p"))
