@@ -6,10 +6,8 @@ from .bands import (
     BandSystem,
     BlockKind,
     DeletionCounter,
-    Decomposition,
     LightBlock,
     count_block,
-    decompose_target,
     pivot_count_layered,
 )
 from .control import (
@@ -38,7 +36,6 @@ from .game import (
     Coalition,
     ExactIndex,
     Game,
-    WeightClassPartition,
     characteristic,
     delete_players,
     is_pivotal,

@@ -128,13 +128,6 @@ class LightBlock:
 
 
 @dataclass(frozen=True)
-class Decomposition:
-    """Per-block targets that recompose exactly to a residual value."""
-
-    targets: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class BandSystem:
     """Band metadata for one game: heavy set, light blocks, distinguished player.
 
@@ -220,12 +213,6 @@ class BandSystem:
         if len(seen) != game.num_players:
             raise BandStructureError("band system does not cover every player")
 
-    def block_named(self, name: str) -> LightBlock:
-        for block in self.blocks:
-            if block.name == name:
-                return block
-        raise InputError(f"no block named {name!r}")
-
     def restrict(self, victims: Iterable[int]) -> BandSystem:
         """The band system after deleting ``victims``, which must spare the
         distinguished player.  ``delete_players`` gives the smaller game and
@@ -249,7 +236,8 @@ def _split(block: LightBlock, rows: Iterable[int]) -> tuple[list[int], list[int]
     empty block takes its members greedily from the largest, one pass over
     the column per member; any other block takes the remainder less its
     residue mod the granularity, a share that is unreachable above the
-    block's total.  ``decompose_target`` is the independent reference."""
+    block's total.  Its reference, which shares no code with it, is
+    ``decompose_target`` in ``tests/conftest.py``."""
     if block.kind is BlockKind.SUPERINCREASING or not block.weights:
         below = [*rows]
         for w in reversed(block.weights):
@@ -257,32 +245,6 @@ def _split(block: LightBlock, rows: Iterable[int]) -> tuple[list[int], list[int]
     else:
         below = [*map(operator.mod, rows, repeat(block.granularity))]
     return [*map(operator.sub, rows, below)], below
-
-
-def decompose_target(bands: BandSystem, residual: int) -> Decomposition | None:
-    """Split ``residual`` into per-block targets, each block taking its forced
-    share from the most significant down; unique when it exists, ``None`` when
-    some share is unreachable or a nonzero remainder survives the last block.
-
-    This is the reference split that tests compare the walk against: it
-    takes one residual at a time by its own rule, and shares no code with
-    ``_split``, which the walk uses."""
-    if residual < 0:
-        raise InputError("residual must be nonnegative")
-    targets = []
-    for block in bands.blocks:
-        if block.kind is BlockKind.SUPERINCREASING or not block.weights:
-            share = 0
-            for w in reversed(block.weights):
-                if residual - share >= w:
-                    share += w
-        else:
-            share = residual - residual % block.granularity
-            if share > block.max_sum:
-                return None
-        targets.append(share)
-        residual -= share
-    return None if residual else Decomposition(tuple(targets))
 
 
 # The most remainders the pruned pass may visit, summed over its steps.  Past

@@ -245,7 +245,7 @@ def _candidate_classes(
     """Weight classes of the deletable players (heaviest first), among
     ``allowed`` when it is not ``None``."""
     classes = []
-    for weight, members in weight_class_partition(instance.game).classes:
+    for weight, members in weight_class_partition(instance.game):
         kept = tuple(
             p
             for p in members
@@ -308,10 +308,6 @@ class _CandidateSpace:
         neg = [w[below] - w[high] for w in ways] if below >= 0 else [-w[high] for w in ways]
         self._rows[high, below] = neg
         return neg
-
-    def candidate(self, rank: int, low: int, high: int) -> DeletionCandidate:
-        """The ``rank``-th count vector with total in ``[low, high]``."""
-        return self.candidate_of(frozenset(self.unrank(rank, low, high)))
 
     def unrank(self, rank: int, low: int, high: int) -> list[int]:
         """The deleted players of the ``rank``-th count vector with total in
@@ -390,7 +386,7 @@ class _CandidateSpace:
     def walk(self, low: int, high: int) -> Iterator[frozenset[int]]:
         """The deleted players of every count vector with total in ``[low,
         high]``: size by size from the smallest, each size in rank order,
-        so the players of ``candidate(rank, s, s)`` for each ``s`` and each
+        so the players of ``unrank(rank, s, s)`` for each ``s`` and each
         ``rank`` in turn.
 
         One depth-first walk per size, with no counting table, over a stack

@@ -203,20 +203,21 @@ def count_window(tables: HalfSums, lo: int, hi: int) -> int:
 
     Multiplicities multiply, so duplicate sums are handled exactly.  A
     single target is a dict lookup per sum of the smaller half; a wider
-    window sorts one half and counts each match by bisection.
+    window sorts the larger half and counts each match of a sum of the
+    smaller one by bisection.
     """
     if hi < 0 or hi < lo:
         return 0
     left, right = tables
+    small, large = (left, right) if len(left) <= len(right) else (right, left)
     if lo == hi:
-        small, large = (left, right) if len(left) <= len(right) else (right, left)
         return sum(c * large.get(lo - v, 0) for v, c in small.items())
-    values = sorted(right)
+    values = sorted(large)
     prefix = [0]
     for v in values:
-        prefix.append(prefix[-1] + right[v])
+        prefix.append(prefix[-1] + large[v])
     total = 0
-    for value, count in left.items():
+    for value, count in small.items():
         upper = bisect.bisect_right(values, hi - value)
         lower = bisect.bisect_left(values, lo - value)
         total += count * (prefix[upper] - prefix[lower])

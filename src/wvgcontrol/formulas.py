@@ -79,23 +79,6 @@ class CnfFormula:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
-    def satisfied_by(self, mask: int) -> bool:
-        """Evaluate under the assignment bitmask (bit i-1 = value of x_i)."""
-        for clause in self.clauses:
-            for literal in clause:
-                bit = (mask >> (abs(literal) - 1)) & 1
-                if (literal > 0) == bool(bit):
-                    break
-            else:
-                return False
-        return True
-
-    def to_dimacs(self) -> str:
-        lines = [f"p cnf {self.num_variables} {self.num_clauses}"]
-        for clause in self.clauses:
-            lines.append(" ".join(str(lit) for lit in sorted(clause, key=abs)) + " 0")
-        return "\n".join(lines) + "\n"
-
 
 def parse_dimacs(text: str, strip_tautologies: bool = False) -> CnfFormula:
     """Parse DIMACS cnf in one pass, closing a clause at each 0.

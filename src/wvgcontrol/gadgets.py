@@ -109,16 +109,6 @@ class PrereductionWeights:
         return len(self.a_weights)
 
     @property
-    def w_a_vector(self) -> tuple[int, ...]:
-        """Weights of group A: ``(a_1..a_k, b_1..b_k)``."""
-        return self.a_weights[: self.k] + self.b_weights[: self.k]
-
-    @property
-    def w_b_vector(self) -> tuple[int, ...]:
-        """Weights of group B: ``(a_{k+1}..a_n, b_{k+1}..b_n)``."""
-        return self.a_weights[self.k :] + self.b_weights[self.k :]
-
-    @property
     def abc_weights(self) -> tuple[int, ...]:
         return self.a_weights + self.b_weights + self.c_weights
 
@@ -282,11 +272,6 @@ class ControlInstance:
         for carrier in self.a_players + self.b_players:
             if carrier is not None:
                 self.game.check_player(carrier)
-
-    def group_members(self, label: str) -> tuple[int, ...]:
-        if self.groups is None:
-            return ()
-        return tuple(p for p, found in enumerate(self.groups) if found == label)
 
     def delete(self, victims: Iterable[int]) -> ControlInstance:
         """The instance after deleting ``victims`` (never the distinguished player).

@@ -128,35 +128,18 @@ def delete_players(game: Game, victims: Iterable[int]) -> tuple[Game, dict[int, 
     return Game(tuple([weights[p] for p in kept]), game.quota), remap
 
 
-@dataclass(frozen=True)
-class WeightClassPartition:
-    """Players grouped by equal weight, classes ordered by weight descending.
+def weight_class_partition(game: Game) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Players grouped by equal weight as (weight, members) pairs, heaviest
+    class first.
 
     Equal-weight players are interchangeable for the index of any *other*
     player, which is what lets searches enumerate per-class multisets
     instead of raw subsets.
     """
-
-    classes: tuple[tuple[int, tuple[int, ...]], ...]
-
-    def as_dict(self) -> dict[int, tuple[int, ...]]:
-        return {weight: members for weight, members in self.classes}
-
-    def members_of(self, weight: int) -> tuple[int, ...]:
-        for w, members in self.classes:
-            if w == weight:
-                return members
-        return ()
-
-
-def weight_class_partition(game: Game) -> WeightClassPartition:
     by_weight: dict[int, list[int]] = {}
     for player, weight in enumerate(game.weights):
         by_weight.setdefault(weight, []).append(player)
-    classes = tuple(
-        (weight, tuple(by_weight[weight])) for weight in sorted(by_weight, reverse=True)
-    )
-    return WeightClassPartition(classes)
+    return tuple((weight, tuple(by_weight[weight])) for weight in sorted(by_weight, reverse=True))
 
 
 @functools.total_ordering

@@ -2,10 +2,10 @@
 structural facts with independent machinery.
 
 A suite is a generator that yields a ``CheckResult`` as it computes each
-check; ``run_suite`` lists them, and ``wvg verify`` prints them as they
-come.  The suites are the programmatic backbone of ``wvg verify``; the
-acceptance tests run none of them and share only ``NO_INSTANCES`` and
-``random_formula`` with them:
+check; ``SUITES`` maps each name to its suite, and ``wvg verify`` prints
+the checks as they come.  The suites are the programmatic backbone of
+``wvg verify``; the acceptance tests run none of them and share only
+``NO_INSTANCES`` and ``random_formula`` with them:
 
 * ``example1``    -- the worked six-player example and its two deletions;
 * ``prereduction``-- #SubsetSum(A+B+C, q') == #SAT == #SubsetSum(E, q'')
@@ -29,7 +29,6 @@ from typing import Iterator
 
 from .bands import heavy_pivot_term, pivot_count_layered
 from .control import Restricted, Sampled, banzhaf, evaluate_deletion, solve_control
-from .errors import InputError
 from .formulas import CnfFormula, Prefix, count_sat, count_subset_sum, e_exact_sat, e_minority_sat
 from .game import ExactIndex, Game
 from .gadgets import (
@@ -329,9 +328,3 @@ SUITES = {
     "no-direction-sampled": suite_no_direction_sampled,
     "exactify": suite_exactify,
 }
-
-
-def run_suite(name: str, options: SuiteOptions | None = None) -> list[CheckResult]:
-    if name not in SUITES:
-        raise InputError(f"unknown suite {name!r}; expected one of {sorted(SUITES)}")
-    return list(SUITES[name](options or SuiteOptions()))

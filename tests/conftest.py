@@ -16,8 +16,11 @@ from wvgcontrol import (
     DeletionCounter,
     Game,
     Goal,
+    InputError,
     LightBlock,
 )
+from wvgcontrol.control import DeletionCandidate, _CandidateSpace
+from wvgcontrol.verify import SUITES, CheckResult, SuiteOptions
 
 
 @pytest.fixture
@@ -50,6 +53,66 @@ def counter_terms(bands: BandSystem) -> list[tuple]:
         )
         for term, (heavy, product) in enumerate(zip(counter._heavies, counter._products))
     ]
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    """Per-block targets that recompose exactly to a residual value."""
+
+    targets: tuple[int, ...]
+
+
+def decompose_target(bands: BandSystem, residual: int) -> Decomposition | None:
+    """Split ``residual`` into per-block targets, each block taking its forced
+    share from the most significant down; unique when it exists, ``None`` when
+    some share is unreachable or a nonzero remainder survives the last block.
+
+    This is the reference split that tests compare the walk against: it
+    takes one residual at a time by its own rule, and shares no code with
+    ``bands._split``, which the walk uses."""
+    if residual < 0:
+        raise InputError("residual must be nonnegative")
+    targets = []
+    for block in bands.blocks:
+        if block.kind is BlockKind.SUPERINCREASING or not block.weights:
+            share = 0
+            for w in reversed(block.weights):
+                if residual - share >= w:
+                    share += w
+        else:
+            share = residual - residual % block.granularity
+            if share > block.max_sum:
+                return None
+        targets.append(share)
+        residual -= share
+    return None if residual else Decomposition(tuple(targets))
+
+
+def block_named(bands: BandSystem, name: str) -> LightBlock:
+    """The block of ``bands`` named ``name``; ``InputError`` if there is none."""
+    for block in bands.blocks:
+        if block.name == name:
+            return block
+    raise InputError(f"no block named {name!r}")
+
+
+def group_members(instance: ControlInstance, label: str) -> tuple[int, ...]:
+    """The players labelled ``label``, in index order; none when the
+    instance has no labels."""
+    return tuple(p for p, found in enumerate(instance.groups or ()) if found == label)
+
+
+def candidate(space: _CandidateSpace, rank: int, low: int, high: int) -> DeletionCandidate:
+    """The ``rank``-th count vector of ``space`` with total in ``[low, high]``."""
+    return space.candidate_of(frozenset(space.unrank(rank, low, high)))
+
+
+def run_suite(name: str, options: SuiteOptions | None = None) -> list[CheckResult]:
+    """Every check of the suite ``name``, in order; ``InputError`` for a name
+    that ``verify.SUITES`` lacks."""
+    if name not in SUITES:
+        raise InputError(f"unknown suite {name!r}; expected one of {sorted(SUITES)}")
+    return list(SUITES[name](options or SuiteOptions()))
 
 
 def random_game(rng: random.Random, max_players: int = 16, max_weight: int = 50) -> Game:

@@ -33,7 +33,6 @@ from wvgcontrol import (
     build_nonincrease,
     count_block,
     count_sat,
-    decompose_target,
     delete_players,
     expected_index,
     pivot_count_layered,
@@ -48,8 +47,12 @@ from wvgcontrol.verify import NO_INSTANCES, random_formula
 from conftest import (
     BAND_RULES,
     BandClaim,
+    block_named,
     bottom_up_band_claims,
+    candidate,
     counter_terms,
+    decompose_target,
+    group_members,
     random_band_claims,
 )
 
@@ -421,7 +424,7 @@ def _exhaustive_candidates(instance):
     """Every candidate deletion an exhaustive search over ``instance`` scores."""
     space = _CandidateSpace(_candidate_classes(instance, None), instance.budget)
     return [
-        space.candidate(rank, size, size).players
+        candidate(space, rank, size, size).players
         for size in range(space.max_size + 1)
         for rank in range(space.count(size, size))
     ]
@@ -460,7 +463,7 @@ class TestDeletionCounter:
         deletable = [p for p in range(instance.game.num_players) if p != instance.distinguished]
         player = st.one_of(
             st.sampled_from(sorted(instance.bands.heavy)),
-            st.sampled_from(instance.group_members("Z*")),
+            st.sampled_from(group_members(instance, "Z*")),
             st.sampled_from(deletable),
         )
         players = data.draw(st.frozensets(player, max_size=instance.budget + 1))
@@ -586,7 +589,7 @@ class TestDeletionCounterMemos:
             )
         )
         extra = st.one_of(
-            st.sampled_from(sorted(bands.heavy)), st.sampled_from(instance.group_members("Z*"))
+            st.sampled_from(sorted(bands.heavy)), st.sampled_from(group_members(instance, "Z*"))
         )
         draws = data.draw(
             st.lists(
@@ -1102,13 +1105,13 @@ class TestDerivedRestrict:
         deletable = [p for p in range(instance.game.num_players) if p != instance.distinguished]
         player = st.one_of(
             st.sampled_from(sorted(instance.bands.heavy)),
-            st.sampled_from(instance.group_members("Z*")),
+            st.sampled_from(group_members(instance, "Z*")),
             st.sampled_from(deletable),
         )
         players = set(data.draw(st.frozensets(player, max_size=12)))
         labels = sorted(set(instance.groups) - {"player-1"})
         for label in data.draw(st.frozensets(st.sampled_from(labels), max_size=3)):
-            players.update(instance.group_members(label))
+            players.update(group_members(instance, label))
         _assert_restrict_matches_rebuild(instance.bands, players)
 
     def test_toy_deletions_that_empty_blocks(self):
@@ -1432,7 +1435,7 @@ class TestPrunedBlockCount:
                 clauses.append(clause)
         formula = CnfFormula(6, tuple(clauses))
         instance = build_decrease(formula, 4)
-        e_block = instance.bands.block_named("E")
+        e_block = block_named(instance.bands, "E")
         pre = build_prereduction(formula, 4, t_floor=10 ** instance.meta["t"] - 1)
         assert e_block.weights == pre.scaled_weights and len(e_block.members) == 912
         gc.collect()

@@ -40,7 +40,7 @@ from wvgcontrol.errors import InputError
 from wvgcontrol.gadgets import GadgetConstructionNote
 from wvgcontrol.verify import SuiteOptions
 
-from conftest import wide_interval_instance
+from conftest import run_suite, wide_interval_instance
 
 pytestmark = pytest.mark.filterwarnings("ignore::wvgcontrol.gadgets.GadgetConstructionNote")
 
@@ -562,7 +562,7 @@ VERIFY_ALL_REPORT = {
 def test_every_suite_reports_its_checks_unchanged():
     assert sorted(VERIFY_ALL_REPORT) == sorted(verify.SUITES)
     for name, expected in VERIFY_ALL_REPORT.items():
-        checks = verify.run_suite(name)
+        checks = run_suite(name)
         assert [(check.name, check.passed, check.detail) for check in checks] == expected, name
 
 
@@ -596,7 +596,7 @@ def test_every_suite_reports_its_checks_at_a_second_seed():
     assert sorted(VERIFY_SEED13_REPORT) == sorted(verify.SUITES)
     options = SuiteOptions(seed=13, trials=2000)
     for name, expected in VERIFY_SEED13_REPORT.items():
-        checks = verify.run_suite(name, options)
+        checks = run_suite(name, options)
         assert [(check.name, check.passed, check.detail) for check in checks] == expected, name
 
 
@@ -605,7 +605,7 @@ def test_every_suite_is_a_generator_of_its_checks():
 
 
 def test_the_sampled_suite_searches_with_its_options():
-    checks = verify.run_suite("no-direction-sampled", SuiteOptions(seed=13, trials=2000))
+    checks = run_suite("no-direction-sampled", SuiteOptions(seed=13, trials=2000))
     assert all(check.passed for check in checks)
     assert checks[-1].name.startswith("2000 seeded random deletion multisets (size <= 2)")
     assert checks[-1].detail == "evaluated 2000"

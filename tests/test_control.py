@@ -49,7 +49,13 @@ from wvgcontrol.engines import DEFAULT_BUDGET, pivot_count_enum
 from wvgcontrol.errors import WvgError
 from wvgcontrol.verify import NO_INSTANCES
 
-from conftest import bottom_up_band_claims, random_game, wide_interval_instance
+from conftest import (
+    bottom_up_band_claims,
+    candidate,
+    group_members,
+    random_game,
+    wide_interval_instance,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore::wvgcontrol.gadgets.GadgetConstructionNote")
 
@@ -171,7 +177,7 @@ class TestEvaluateDeletion:
     def test_deleting_z_star_increases(self):
         formula = CnfFormula(2, (frozenset({1, 2}),))
         instance = build_decrease(formula, 1, strict=False)
-        result = evaluate_deletion(instance, instance.group_members("Z*"))
+        result = evaluate_deletion(instance, group_members(instance, "Z*"))
         assert result.relations[Goal.INCREASE]
         assert not result.relations[Goal.NONINCREASE]
 
@@ -568,12 +574,12 @@ class TestCandidateSpaceProperties:
         assert space.count(low, high) == len(expected)
         ranked = []
         for rank in range(len(expected)):
-            taken = dict(space.candidate(rank, low, high).class_counts)
+            taken = dict(candidate(space, rank, low, high).class_counts)
             ranked.append(tuple(taken.get(weight, 0) for weight, _ in classes))
         assert ranked == expected
         for rank in (-1, len(expected)):
             with pytest.raises(WvgError, match="outside the candidate space"):
-                space.candidate(rank, low, high)
+                candidate(space, rank, low, high)
 
     @pytest.mark.parametrize("caps", [(), (1,), (3, 1, 2), (2, 2, 1, 3, 1, 1)])
     def test_the_pruned_walk_is_the_sorted_product(self, caps):
@@ -621,11 +627,11 @@ class TestCandidateSpaceProperties:
         def vector(rank):
             # only classes that take something are listed, heaviest first,
             # and each deletes its first members
-            candidate = space.candidate(rank, low, high)
-            taken = candidate.class_counts
+            found = candidate(space, rank, low, high)
+            taken = found.class_counts
             assert all(count > 0 for _, count in taken)
             assert [weight for weight, _ in taken] == sorted(dict(taken), reverse=True)
-            assert candidate.players == {
+            assert found.players == {
                 p for weight, count in taken for p in members_of[weight][:count]
             }
             return tuple(dict(taken).get(weight, 0) for weight, _ in classes)
@@ -640,7 +646,7 @@ class TestCandidateSpaceProperties:
             assert [vector(size - 1 - rank) for rank in range(edge)] == last
         for rank in (-1, size):
             with pytest.raises(WvgError, match="outside the candidate space"):
-                space.candidate(rank, low, high)
+                candidate(space, rank, low, high)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -694,7 +700,7 @@ class TestCandidateRowCache:
         for low, high in windows:
             fresh = self._space(caps, 6)
             expected[low, high] = [
-                fresh.candidate(rank, low, high) for rank in range(fresh.count(low, high))
+                candidate(fresh, rank, low, high) for rank in range(fresh.count(low, high))
             ]
         shared = self._space(caps, 6)
         # rank r of every window before rank r + 1 of any, so that windows
@@ -702,7 +708,7 @@ class TestCandidateRowCache:
         for rank in range(max(map(len, expected.values()))):
             for window in windows:
                 if rank < len(expected[window]):
-                    assert shared.candidate(rank, *window) == expected[window][rank]
+                    assert candidate(shared, rank, *window) == expected[window][rank]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -714,7 +720,7 @@ class TestCandidateRowCache:
     def test_one_window_fills_at_most_max_size_plus_one_rows(self, caps, budget, low, high):
         space = self._space(caps, budget)
         for rank in range(space.count(low, high)):
-            space.candidate(rank, low, high)
+            candidate(space, rank, low, high)
         assert len(space._rows) <= space.max_size + 1
 
 
@@ -744,7 +750,7 @@ class TestCandidateWalk:
 
         sizes = range(min_size, space.max_size + 1)
         unranked = [
-            space.candidate(rank, size, size)
+            candidate(space, rank, size, size)
             for size in sizes
             for rank in range(space.count(size, size))
         ]
@@ -776,7 +782,7 @@ def _no_instance_gadget(which: int) -> ControlInstance:
 
 def _reference_sampled_report(instance: ControlInstance, mode: Sampled) -> SearchReport:
     """The report of a sampled search that unranks every draw with
-    ``space.candidate`` and scores it, remembering nothing between draws;
+    ``candidate`` and scores it, remembering nothing between draws;
     the lowest and highest index seen are the first of their value met."""
     before, engine = control.compute_pivot_count(instance)
     score = control.ENGINES[engine].search(instance, DEFAULT_BUDGET)
@@ -788,13 +794,13 @@ def _reference_sampled_report(instance: ControlInstance, mode: Sampled) -> Searc
     seen = []
     witness = after_witness = reverified = None
     for _ in range(mode.trials):
-        candidate = space.candidate(rng.randrange(size), low, instance.budget)
-        count = score(candidate.players)
-        seen.append(ExactIndex(count, top - len(candidate.players)))
+        drawn = candidate(space, rng.randrange(size), low, instance.budget)
+        count = score(drawn.players)
+        seen.append(ExactIndex(count, top - len(drawn.players)))
         if relation_holds(instance.goal, ExactIndex(before, top), seen[-1]):
-            witness, after_witness = candidate, seen[-1]
+            witness, after_witness = drawn, seen[-1]
             reverified = control._confirm_witness(
-                instance, candidate, count, engine, DEFAULT_BUDGET
+                instance, drawn, count, engine, DEFAULT_BUDGET
             )
             break
     return SearchReport(

@@ -398,6 +398,7 @@ class TestMeetInTheMiddleCore:
         for lo, hi in windows:
             expected = self._brute(weights, lo, hi)
             assert count_window(tables, lo, hi) == expected, (weights, lo, hi)
+            assert count_window(tables[::-1], lo, hi) == expected, (weights, lo, hi)
             assert count_subsets_mitm(weights, lo, hi) == expected, (weights, lo, hi)
 
     @pytest.mark.parametrize(
@@ -419,6 +420,7 @@ class TestMeetInTheMiddleCore:
             for hi in points:
                 expected = self._brute(weights, lo, hi)
                 assert count_window(tables, lo, hi) == expected, (weights, lo, hi)
+                assert count_window(tables[::-1], lo, hi) == expected, (weights, lo, hi)
                 assert count_subsets_mitm(weights, lo, hi) == expected, (weights, lo, hi)
 
     def test_many_equal_weights_fold_to_binomials(self):

@@ -32,7 +32,6 @@ from wvgcontrol import (
     build_prereduction,
     count_sat,
     count_subset_sum,
-    decompose_target,
     delete_players,
     dump_instance,
     e_exact_sat,
@@ -51,9 +50,9 @@ from wvgcontrol.control import DeletionCandidate, compute_pivot_count, relation_
 from wvgcontrol.engines import EngineBudget, pivot_count_mitm
 from wvgcontrol.formulas import suffix_satisfying_counts
 from wvgcontrol.gadgets import ControlInstance, GadgetConstructionNote
-from wvgcontrol.verify import NO_INSTANCES, RELAXED_GRID, random_formula, run_suite
+from wvgcontrol.verify import NO_INSTANCES, RELAXED_GRID, random_formula
 
-from conftest import counter_terms
+from conftest import block_named, counter_terms, decompose_target, group_members, run_suite
 
 OR2 = CnfFormula(2, (frozenset({1, 2}),))
 WIDE5 = CnfFormula(5, (frozenset({1, 2, 3, 4, 5}),))
@@ -81,8 +80,8 @@ class TestPrereduction:
         assert pre.b_weights == (1000, 10000)
         assert pre.c_weights == (10,)
         assert pre.q_prime == 11020
-        assert pre.w_a_vector == (1010, 1000)
-        assert pre.w_b_vector == (10010, 10000)
+        assert pre.a_weights[: pre.k] + pre.b_weights[: pre.k] == (1010, 1000)
+        assert pre.a_weights[pre.k :] + pre.b_weights[pre.k :] == (10010, 10000)
 
     def test_subset_sum_identity(self):
         pre = build_prereduction(OR2, 1)
@@ -176,7 +175,7 @@ class TestDecreaseBuilder:
             "Z*": k,
         }
         for label, size in expected.items():
-            assert len(instance.group_members(label)) == size, label
+            assert len(group_members(instance, label)) == size, label
 
     def test_quota_identity(self):
         instance = build_decrease(WIDE5, 4)
@@ -184,7 +183,7 @@ class TestDecreaseBuilder:
         group_total = sum(
             instance.game.weights[p]
             for label in ("A", "B", "C", "E")
-            for p in instance.group_members(label)
+            for p in group_members(instance, label)
         )
         assert instance.game.quota == 2 * (group_total + 10**t) + 1
 
@@ -216,11 +215,11 @@ class TestDecreaseBuilder:
         )
 
     def test_d_player_residual_decomposes_to_q_prime_plus_x_prime(self):
-        from wvgcontrol import count_block, decompose_target
+        from wvgcontrol import count_block
 
         instance = build_decrease(OR2, 1, strict=False)
         bands = instance.bands
-        d0 = instance.group_members("D")[0]
+        d0 = group_members(instance, "D")[0]
         residual = instance.game.quota - 1 - instance.game.weights[d0]
         targets = dict(
             zip((b.name for b in bands.blocks), decompose_target(bands, residual).targets)
@@ -228,12 +227,12 @@ class TestDecreaseBuilder:
         t = instance.meta["t"]
         q_prime = 10 ** (2 * t + 1) + 10 ** (2 * t + 2) + 2 * 10**t
         assert targets["ABC"] == q_prime
-        assert targets["X'"] == bands.block_named("X'").granularity
+        assert targets["X'"] == block_named(bands, "X'").granularity
         assert all(
             value == 0 for name, value in targets.items() if name not in ("ABC", "X'")
         )
         # the ABC share counts exactly the satisfying assignments
-        assert count_block(bands.block_named("ABC"), q_prime) == count_sat(OR2)
+        assert count_block(block_named(bands, "ABC"), q_prime) == count_sat(OR2)
 
     def test_strict_mode_enforced(self):
         with pytest.raises(GadgetParameterError, match="strict"):
@@ -262,7 +261,7 @@ class TestNonincreaseBuilder:
     def test_emptied_groups(self):
         trimmed = build_nonincrease(WIDE5, 4)
         for label in ("S", "U", "Y", "Y*", "Z"):
-            assert trimmed.group_members(label) == ()
+            assert group_members(trimmed, label) == ()
         assert trimmed.goal is Goal.NONINCREASE
         assert trimmed.meta["kind"] == "nonincrease"
 
@@ -271,7 +270,7 @@ class TestNonincreaseBuilder:
         """The nonincrease game made by deletion: the goal's minority gadget
         with S, U, Y, Y*, Z deleted, then the budget and kind set back."""
         base = gadgets_module._build_minority_gadget(formula, k, strict, Goal.NONINCREASE)
-        victims = [p for label in ("S", "U", "Y", "Y*", "Z") for p in base.group_members(label)]
+        victims = [p for label in ("S", "U", "Y", "Y*", "Z") for p in group_members(base, label)]
         trimmed = base.delete(victims)
         return replace(trimmed, budget=k, meta={**trimmed.meta, "kind": "nonincrease"})
 
@@ -349,16 +348,16 @@ class TestMaintainBuilder:
         k, n, ell = 1, 2, 3
         instance = build_maintain(OR2, k, ell, strict=False)
         delta_total = sum(d + 1 for d in (1, 0))  # ell = 3 -> exponents (1, 0)
-        assert len(instance.group_members("S")) == k * k * (k + 2) * delta_total
-        assert len(instance.group_members("T")) == k * k * (n + 3) * delta_total
-        assert len(instance.group_members("U")) == k * k * delta_total
-        assert len(instance.group_members("V")) == k * (n + 5) * delta_total
-        assert len(instance.group_members("Y'")) == n + 2
-        assert len(instance.group_members("Y**")) == n + 2
-        assert len(instance.group_members("Z")) == k
-        assert len(instance.group_members("Z'")) == k
-        assert len(instance.group_members("L1")) == 1
-        assert len(instance.group_members("L2")) == 0
+        assert len(group_members(instance, "S")) == k * k * (k + 2) * delta_total
+        assert len(group_members(instance, "T")) == k * k * (n + 3) * delta_total
+        assert len(group_members(instance, "U")) == k * k * delta_total
+        assert len(group_members(instance, "V")) == k * (n + 5) * delta_total
+        assert len(group_members(instance, "Y'")) == n + 2
+        assert len(group_members(instance, "Y**")) == n + 2
+        assert len(group_members(instance, "Z")) == k
+        assert len(group_members(instance, "Z'")) == k
+        assert len(group_members(instance, "L1")) == 1
+        assert len(group_members(instance, "L2")) == 0
 
     def test_relaxed_layered_matches_per_heavy_subset_counts(self):
         instance = build_maintain(OR2, 1, 3, strict=False)
@@ -484,7 +483,7 @@ class TestWitnessDeletion:
 class TestInstanceDeletion:
     def test_delete_all_z_star_drops_cases_5_and_6(self):
         instance = build_decrease(WIDE5, 4)
-        variant = instance.delete(instance.group_members("Z*"))
+        variant = instance.delete(group_members(instance, "Z*"))
         counts = layered_case_counts(variant)
         assert counts.case5 == 0 and counts.case6 == 0
         assert counts.total == 11904 - (128 + 128) == 11648
@@ -505,7 +504,7 @@ class TestInstanceDeletion:
         deletable = [p for p in range(instance.game.num_players) if p != instance.distinguished]
         player = st.one_of(
             st.sampled_from(sorted(instance.bands.heavy)),
-            st.sampled_from(instance.group_members("Z*")),
+            st.sampled_from(group_members(instance, "Z*")),
             st.sampled_from(deletable),
         )
         first = data.draw(st.frozensets(player, max_size=4))
@@ -540,8 +539,8 @@ class TestInstanceDeletion:
 
     def test_unlabelled_instance_has_no_group_members(self):
         instance = ControlInstance(Game((1, 2, 2), 3), 0, 1, Goal.DECREASE)
-        assert instance.group_members("A") == ()
-        assert instance.delete({1}).group_members("A") == ()
+        assert group_members(instance, "A") == ()
+        assert group_members(instance.delete({1}), "A") == ()
 
 
 class TestLayeredCaseCounts:
@@ -589,7 +588,7 @@ class TestLayeredCaseCounts:
         instance = relaxed_no_gadget("decrease")
         if zero_term:
             # without its Y players, some S players have no completing light subset
-            instance = instance.delete(instance.group_members("Y"))
+            instance = instance.delete(group_members(instance, "Y"))
         terms = DeletionCounter(instance.bands).heavy_terms(())
         heavy = min(h for h in instance.bands.heavy if (h in terms) != zero_term)
         groups = list(instance.groups)
@@ -763,7 +762,7 @@ class TestPublicRefusals:
                 "residual must be nonnegative",
             ),
             (
-                lambda: _or2_decrease().bands.block_named("nope"),
+                lambda: block_named(_or2_decrease().bands, "nope"),
                 InputError,
                 "no block named 'nope'",
             ),

@@ -120,20 +120,20 @@ class TestDeletePlayers:
 class TestWeightClassPartition:
     def test_example1_classes(self, example1):
         partition = weight_class_partition(example1)
-        assert partition.classes == ((3, (4, 5)), (2, (1, 2, 3)), (1, (0,)))
-        assert partition.as_dict() == {3: (4, 5), 2: (1, 2, 3), 1: (0,)}
-        assert partition.members_of(2) == (1, 2, 3)
+        assert partition == ((3, (4, 5)), (2, (1, 2, 3)), (1, (0,)))
+        assert dict(partition) == {3: (4, 5), 2: (1, 2, 3), 1: (0,)}
+        assert dict(partition)[2] == (1, 2, 3)
 
     def test_all_distinct(self):
         partition = weight_class_partition(Game((5, 3, 1), 4))
-        assert all(len(members) == 1 for _, members in partition.classes)
+        assert all(len(members) == 1 for _, members in partition)
 
     def test_all_equal(self):
         partition = weight_class_partition(Game((2, 2, 2, 2), 4))
-        assert partition.classes == ((2, (0, 1, 2, 3)),)
+        assert partition == ((2, (0, 1, 2, 3)),)
 
     def test_members_of_missing_weight(self, example1):
-        assert weight_class_partition(example1).members_of(4) == ()
+        assert dict(weight_class_partition(example1)).get(4, ()) == ()
 
 
 class TestGameValidation:
