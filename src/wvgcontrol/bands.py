@@ -26,14 +26,15 @@ a wrong construction must fail loudly, never miscount.
 ``delete_players`` alone applies the deletion, and the smaller system is
 built through the same validating constructor.
 
-``pivot_count_layered``, ``heavy_pivot_term`` and ``DeletionCounter``
-read one walk over the pivotal coalition weights (``_window_passes``),
-which splits and counts the residuals of every heavy player a column at
-a time (``_column_walk``), so they share its guards: a distinguished
-weight above ``_MAX_INTERVAL_WIDTH`` (4,096) is refused, with
+``pivot_count_layered`` and ``DeletionCounter`` read one walk over the
+pivotal coalition weights (``_window_passes``), which splits and counts
+the residuals of every heavy player a column at a time
+(``_column_walk``), so they share its guards: a distinguished weight
+above ``_MAX_INTERVAL_WIDTH`` (4,096) is refused, with
 ``layered_refusal``'s text, as a ``BudgetExceededError`` before anything
 is counted.  ``DeletionCounter`` keeps that walk's nonzero rows as terms
-and scores deletions without deleting any; its docstring tells how.
+and scores deletions without deleting any; its docstring tells how, and
+its ``heavy_terms(())`` is the only source of one heavy player's term.
 """
 
 from __future__ import annotations
@@ -144,11 +145,12 @@ class BandSystem:
     blocks: tuple[LightBlock, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "heavy", frozenset(self.heavy))
+        heavy = tuple(self.heavy)
+        object.__setattr__(self, "heavy", frozenset(heavy))
         object.__setattr__(self, "blocks", tuple(self.blocks))
         game = self.game
         require_int(self.distinguished, "distinguished must be an integer")
-        self._check_partition()
+        self._check_partition(heavy)
 
         below = 0  # total weight of blocks less significant than the current one
         for block in reversed(self.blocks):
@@ -173,14 +175,16 @@ class BandSystem:
                 f"< {decimal_str(game.quota)})"
             )
 
-    def _check_partition(self) -> None:
+    def _check_partition(self, heavy: tuple[int, ...]) -> None:
         """Every player exactly once, each block's stored weights matching
-        the game.  Checked in bulk: one type, range and set-size check and one
-        comparison of the weight tuples; only when one fails does the walk
-        over the members in order find the first fault and raise on it."""
+        the game; ``heavy`` is the heavy players as given, so a repeat among
+        them is refused, not dropped.  Checked in bulk: one type, range and
+        set-size check and one comparison of the weight tuples; only when one
+        fails does the walk over the players in order find the first fault
+        and raise on it."""
         game = self.game
         members = [*chain.from_iterable(block.members for block in self.blocks)]
-        players = [self.distinguished, *self.heavy, *members]
+        players = [self.distinguished, *heavy, *members]
         if (
             set(map(type, players)) == {int}
             and len(set(players)) == len(players) == game.num_players
@@ -192,7 +196,7 @@ class BandSystem:
             return
         game.check_player(self.distinguished)
         seen: set[int] = {self.distinguished}
-        for player in self.heavy:
+        for player in heavy:
             game.check_player(player)
             if player in seen:
                 raise BandStructureError(f"player {player} appears twice in the band system")
@@ -417,21 +421,6 @@ def _window_passes(
         yield heavies * len(coalition_weights), residuals, products, counts
 
 
-def _pivot_sum(bands: BandSystem, heavies: list[int]) -> int:
-    """The sum of the pivot-count terms through ``heavies``."""
-    return sum(
-        sum(map(products.__getitem__, residuals))
-        for _, residuals, products, _ in _window_passes(bands, heavies)
-    )
-
-
-def heavy_pivot_term(bands: BandSystem, heavy_player: int) -> int:
-    """Pivotal coalitions of the distinguished player through one heavy player."""
-    if heavy_player not in bands.heavy:
-        raise InputError(f"player {heavy_player} is not heavy in this band system")
-    return _pivot_sum(bands, [heavy_player])
-
-
 def pivot_count_layered(bands: BandSystem) -> int:
     """Exact pivotal count for the band system's distinguished player.
 
@@ -441,7 +430,10 @@ def pivot_count_layered(bands: BandSystem) -> int:
     the pivotal interval) and coalitions with two heavies reach the
     quota, so the heavy terms are the whole count.
     """
-    return _pivot_sum(bands, sorted(bands.heavy))
+    return sum(
+        sum(map(products.__getitem__, residuals))
+        for _, residuals, products, _ in _window_passes(bands, sorted(bands.heavy))
+    )
 
 
 # Each per-search memo of a ``DeletionCounter`` holds at most this many

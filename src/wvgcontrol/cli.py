@@ -137,7 +137,7 @@ def cmd_control(args: argparse.Namespace) -> int:
             game=loaded,
             distinguished=args.player,
             budget=args.deletions,
-            goal=Goal(args.goal.upper()),
+            goal=args.goal.upper(),
         )
     else:
         instance = loaded
@@ -146,9 +146,7 @@ def cmd_control(args: argparse.Namespace) -> int:
             if value is not None and value != own:
                 raise InputError(f"{flag} {value} differs from the instance document's {own}")
         if args.goal is not None:
-            instance = replace(
-                instance, goal=Goal(args.goal.upper()), meta=dict(instance.meta)
-            )
+            instance = replace(instance, goal=args.goal.upper(), meta=dict(instance.meta))
     if args.mode == "exhaustive":
         mode = Exhaustive()
     elif args.mode == "sampled":

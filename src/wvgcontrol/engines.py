@@ -146,9 +146,10 @@ def dp_refusal(game: Game, budget: EngineBudget) -> str | None:
 
 
 def dp_cost(game: Game) -> int:
-    """Estimated picoseconds of the weight table, by the table it builds."""
+    """Estimated picoseconds of the weight table, by the table it builds:
+    its cells in limbs of ``m + 1`` bits, folded once per co-player."""
     m = game.num_players - 1
-    return DP_PS_PER_CALL + DP_PS_PER_TABLE_BIT * m * dp_table_cells(game) * dp_limb_bits(m)
+    return DP_PS_PER_CALL + DP_PS_PER_TABLE_BIT * m * dp_table_cells(game) * (m + 1)
 
 
 def _refuse(reason: str | None) -> None:
@@ -240,13 +241,6 @@ def pivot_count_mitm(
     return count_subsets_mitm(others, lo, hi)
 
 
-def dp_limb_bits(co_players: int) -> int:
-    """Bits per cell of the weight table over ``co_players`` players:
-    ``co_players + 1``.  A cell, or any sum of cells, counts distinct
-    subsets, at most ``2**co_players``, so it never carries."""
-    return co_players + 1
-
-
 def dp_table_cells(game: Game) -> int:
     """Cells of the weight table for any player of ``game``: one per sum up
     to ``hi``, the lower of the two window tops ``quota - 1`` and
@@ -316,7 +310,7 @@ def pivot_count_weight_dp(
     lo = max(hi + 1 - game.weights[player], 0)
     if hi < lo:  # a zero-weight player is never pivotal, nor anyone at a quota above W
         return 0
-    limb = dp_limb_bits(len(others))
+    limb = len(others) + 1
     try:
         window = _packed_window_counts(others, lo, hi, limb)
     except (MemoryError, OverflowError):

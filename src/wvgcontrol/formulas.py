@@ -232,18 +232,14 @@ def e_minority_sat(formula: CnfFormula, k: int) -> tuple[bool, Prefix | None]:
     return _least_prefix(formula, k, lambda count: 2 * count <= 1 << (formula.num_variables - k))
 
 
-def e_exact_sat(
-    formula: CnfFormula, k: int, ell: int, allow_zero: bool = False
-) -> tuple[bool, Prefix | None]:
+def e_exact_sat(formula: CnfFormula, k: int, ell: int) -> tuple[bool, Prefix | None]:
     """Is there a prefix leaving exactly ``ell`` suffixes satisfying?
 
-    ``ell`` must be positive; ``allow_zero`` relaxes that for exploratory
-    use only.
+    Returns the verdict and the lexicographically least witness prefix
+    (``None`` on a no-instance).  ``ell`` must be a positive integer.
     """
-    if require_int(ell, "ell must be an integer") < 1 and not allow_zero:
-        raise InputError("ell must be positive (pass allow_zero=True to permit 0)")
-    if ell < 0:
-        raise InputError("ell must be nonnegative")
+    if require_int(ell, "ell must be an integer") < 1:
+        raise InputError(f"ell must be positive, got {ell}")
     return _least_prefix(formula, k, lambda count: count == ell)
 
 

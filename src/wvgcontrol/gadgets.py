@@ -90,7 +90,6 @@ class PrereductionWeights:
 
     k: int
     num_clauses: int
-    r: int
     t: int
     a_weights: tuple[int, ...]
     b_weights: tuple[int, ...]
@@ -170,7 +169,6 @@ def build_prereduction(
     return PrereductionWeights(
         k=k,
         num_clauses=m,
-        r=ceil_log - 1,
         t=t,
         a_weights=a_weights,
         b_weights=b_weights,
@@ -207,10 +205,6 @@ class DeltaDecomposition:
     @property
     def h(self) -> int:
         return len(self.exponents)
-
-    @property
-    def ell(self) -> int:
-        return sum(1 << d for d in self.exponents)
 
     @classmethod
     def from_ell(cls, ell: int) -> DeltaDecomposition:

@@ -26,7 +26,7 @@ from typing import Any
 from .bands import BandSystem, BlockKind, LightBlock
 from .errors import FileFormatError
 from .game import Game, decimal_str
-from .gadgets import ControlInstance, Goal
+from .gadgets import ControlInstance
 
 
 _DECIMAL = re.compile("-?[0-9]+")
@@ -188,10 +188,6 @@ def _instance_from_document(document: dict) -> ControlInstance:
         if key not in document:
             raise FileFormatError(f"instance document needs {key!r}")
     distinguished = document["distinguished"]
-    try:
-        goal = Goal(document["goal"])
-    except ValueError:
-        raise FileFormatError(f"unknown goal {document['goal']!r}")
 
     groups = None
     if "groups" in document:
@@ -212,12 +208,6 @@ def _instance_from_document(document: dict) -> ControlInstance:
         if not isinstance(raw, dict) or "heavy" not in raw or "blocks" not in raw:
             raise FileFormatError("'bands' needs 'heavy' and 'blocks'")
         heavy = _int_array(raw["heavy"], "'bands.heavy'")
-        if len(set(heavy)) != len(heavy):
-            seen: set[int] = set()
-            for player in heavy:
-                if player in seen:
-                    raise FileFormatError(f"'bands.heavy' lists player {player} twice")
-                seen.add(player)
         raw_blocks = raw["blocks"]
         if not isinstance(raw_blocks, list) or not all(
             isinstance(b, dict) for b in raw_blocks
@@ -259,7 +249,7 @@ def _instance_from_document(document: dict) -> ControlInstance:
         game=game,
         distinguished=distinguished,
         budget=document["budget"],
-        goal=goal,
+        goal=document["goal"],
         groups=groups,
         bands=bands,
         a_players=carrier_table("a_players"),

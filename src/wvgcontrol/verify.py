@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .bands import heavy_pivot_term, pivot_count_layered
+from .bands import DeletionCounter, pivot_count_layered
 from .control import Restricted, Sampled, banzhaf, evaluate_deletion, solve_control
 from .formulas import CnfFormula, Prefix, count_sat, count_subset_sum, e_exact_sat, e_minority_sat
 from .game import ExactIndex, Game
@@ -180,8 +180,9 @@ def suite_closed_forms(options: SuiteOptions) -> Iterator[CheckResult]:
     )
     small = build_decrease(CnfFormula(2, (frozenset({1, 2}),)), 1, strict=False)
     light = [w for block in small.bands.blocks for w in block.weights]
+    terms = DeletionCounter(small.bands).heavy_terms(())
     per_heavy_ok = all(
-        heavy_pivot_term(small.bands, h)
+        terms.get(h, 0)
         == count_subset_sum(light, small.game.quota - 1 - small.game.weights[h])
         for h in sorted(small.bands.heavy)
     )

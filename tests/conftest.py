@@ -55,6 +55,15 @@ def counter_terms(bands: BandSystem) -> list[tuple]:
     ]
 
 
+def heavy_pivot_term(bands: BandSystem, heavy_player: int) -> int:
+    """Pivotal coalitions of the distinguished player through one heavy
+    player: its entry of ``DeletionCounter.heavy_terms(())``, which lists
+    only the nonzero terms."""
+    if heavy_player not in bands.heavy:
+        raise InputError(f"player {heavy_player} is not heavy in this band system")
+    return DeletionCounter(bands).heavy_terms(()).get(heavy_player, 0)
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Per-block targets that recompose exactly to a residual value."""

@@ -32,12 +32,11 @@ from wvgcontrol import (
     pivot_count_layered,
     witness_deletion,
 )
-from wvgcontrol.bands import heavy_pivot_term
 from wvgcontrol.control import Restricted, Sampled, solve_control
 from wvgcontrol.engines import pivot_count_enum, pivot_count_mitm, pivot_count_weight_dp
 from wvgcontrol.verify import NO_INSTANCES, random_formula
 
-from conftest import random_game
+from conftest import heavy_pivot_term, random_game
 
 pytestmark = pytest.mark.filterwarnings("ignore::wvgcontrol.gadgets.GadgetConstructionNote")
 

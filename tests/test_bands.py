@@ -38,7 +38,7 @@ from wvgcontrol import (
     pivot_count_layered,
 )
 from wvgcontrol import bands as bands_module
-from wvgcontrol.bands import count_light_subsets, heavy_pivot_term
+from wvgcontrol.bands import count_light_subsets
 from wvgcontrol.control import _CandidateSpace, _candidate_classes, solve_control
 from wvgcontrol.engines import count_subsets_mitm, pivot_count_enum, pivot_count_mitm
 from wvgcontrol.gadgets import build_prereduction
@@ -53,6 +53,7 @@ from conftest import (
     counter_terms,
     decompose_target,
     group_members,
+    heavy_pivot_term,
     random_band_claims,
 )
 
@@ -143,6 +144,13 @@ class TestBandSystemValidation:
         assert bands == toy
         assert hash(bands) == hash(toy)
         assert type(bands.heavy) is frozenset and type(bands.blocks) is tuple
+
+    def test_a_heavy_player_given_twice_is_refused(self):
+        # the frozenset would drop the repeat: the constructor checks the list
+        toy = banded_toy()
+        with pytest.raises(BandStructureError) as caught:
+            BandSystem(toy.game, 0, [1, 2, 1], list(toy.blocks))
+        assert str(caught.value) == "player 1 appears twice in the band system"
 
     def test_a_layered_search_runs_on_heavy_players_given_as_a_list(self):
         toy = banded_toy()
@@ -346,8 +354,19 @@ class TestLayeredCount:
         assert layered == pivot_count_enum(bands.game, 0)
         assert layered == pivot_count_mitm(bands.game, 0)
 
-    def test_heavy_terms_sum(self):
-        bands = banded_toy()
+    @pytest.mark.filterwarnings("ignore::wvgcontrol.gadgets.GadgetConstructionNote")
+    @pytest.mark.parametrize(
+        "kind, which",
+        [pytest.param("toy", None, id="toy")]
+        + [
+            pytest.param(kind, which, id=f"{kind}-{which}")
+            for kind in ("decrease", "nonincrease", "maintain")
+            for which in (0, 1)
+        ],
+    )
+    def test_heavy_terms_sum(self, kind, which):
+        # the plain walk sum against the deletion counter's terms
+        bands = banded_toy() if kind == "toy" else _gadget(kind, which).bands
         assert pivot_count_layered(bands) == sum(
             heavy_pivot_term(bands, h) for h in sorted(bands.heavy)
         )

@@ -757,6 +757,10 @@ MALFORMED_BANDED = {
         lambda d: d["bands"]["blocks"][-1]["members"].append(d["distinguished"]),
         "player 0 appears twice",
     ),
+    "heavy-twice": (
+        lambda d: d["bands"]["heavy"].append(d["bands"]["heavy"][0]),
+        "appears twice in the band system",
+    ),
 }
 
 

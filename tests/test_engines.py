@@ -25,7 +25,7 @@ from wvgcontrol import (
     pivot_count_weight_dp,
 )
 from wvgcontrol import engines
-from wvgcontrol.engines import count_subsets_mitm, count_window, dp_limb_bits, half_sum_tables
+from wvgcontrol.engines import count_subsets_mitm, count_window, half_sum_tables
 from wvgcontrol.formulas import count_subset_sum
 
 from conftest import random_game
@@ -184,7 +184,6 @@ class TestPackedWeightTable:
         # 2**m is the top bit of an (m + 1)-bit limb; at weight 2 the
         # complement window [-1, 0] has the lower top
         game = Game((weight,) + (0,) * m, weight)
-        assert dp_limb_bits(m) == m + 1
         assert pivot_count_weight_dp(game, 0) == quota_wide_dp(game, 0) == 2**m
 
     def test_top_cell_is_counted(self):

@@ -1,4 +1,5 @@
-"""The one integer rule: ``require_int`` and the modules that lean on it."""
+"""The one integer rule, ``require_int``, and the modules that lean on it;
+the one judge of a goal, ``ControlInstance``."""
 
 from __future__ import annotations
 
@@ -72,6 +73,47 @@ def test_the_scan_finds_a_hand_written_check():
         "    return isinstance(x, bool)\n"
     )
     assert _bool_tests(ast.parse(source)) == [2, 4, 4]
+
+
+def _goal_calls(tree: ast.AST) -> list[int]:
+    """Lines of ``tree`` that call ``Goal(...)`` outside
+    ``ControlInstance.__post_init__``, the one judge of a goal."""
+    found: list[int] = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = (*scope, node.name)
+            if scope[-2:] == ("ControlInstance", "__post_init__"):
+                return
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Goal":
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_only_the_instance_constructor_judges_a_goal():
+    stray = {
+        path.name: lines
+        for path in SOURCES
+        if (lines := _goal_calls(ast.parse(path.read_text(), str(path))))
+    }
+    assert stray == {}, "pass the goal on to ControlInstance, which converts it"
+
+
+def test_the_goal_scan_finds_a_stray_call():
+    source = (
+        "class ControlInstance:\n"
+        "    def __post_init__(self):\n"
+        "        self.goal = Goal(self.goal)\n"
+        "    def delete(self):\n"
+        "        return Goal('DECREASE')\n"
+        "def __post_init__(goal):\n"
+        "    return Goal(goal), Goal.DECREASE\n"
+    )
+    assert _goal_calls(ast.parse(source)) == [5, 7]
 
 
 @pytest.mark.parametrize("value", [0, -3, 2**200])

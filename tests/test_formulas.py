@@ -11,6 +11,7 @@ from wvgcontrol import (
     BudgetExceededError,
     CnfFormula,
     FormulaError,
+    InputError,
     count_sat,
     count_subset_sum,
     e_exact_sat,
@@ -221,20 +222,18 @@ class TestEExact:
         assert e_exact_sat(formula, 1, 2) == (True, (1,))
         assert e_exact_sat(formula, 1, 3) == (False, None)  # 3 > 2^(n-k)
 
-    def test_zero_requires_relaxation(self):
+    def test_zero_is_refused(self):
         formula = CnfFormula(2, (frozenset({1, 2}),))
-        with pytest.raises(Exception, match="positive"):
+        with pytest.raises(InputError) as caught:
             e_exact_sat(formula, 1, 0)
-        verdict, witness = e_exact_sat(
-            CnfFormula(1, (frozenset({1}), frozenset({-1}))), 1, 0, allow_zero=True
-        )
-        assert verdict is True and witness == (0,)
+        assert str(caught.value) == "ell must be positive, got 0"
 
     def test_witness_is_lexicographically_least(self):
-        # every prefix of the unsatisfiable formula has zero suffixes
-        formula = CnfFormula(2, (frozenset({1}), frozenset({-1}), frozenset({2})))
-        verdict, witness = e_exact_sat(formula, 2, 0, allow_zero=True)
-        assert verdict is True and witness == (0, 0)
+        # (x1 v x2) ^ x3: prefix 00 leaves no suffix, 01, 10 and 11 one each;
+        # 01 is the least of them, though 10 comes first in count order
+        formula = CnfFormula(3, (frozenset({1, 2}), frozenset({3})))
+        verdict, witness = e_exact_sat(formula, 2, 1)
+        assert verdict is True and witness == (0, 1)
 
 
 class TestCountSubsetSum:

@@ -45,14 +45,21 @@ from wvgcontrol import (
 )
 from wvgcontrol import bands as bands_module
 from wvgcontrol import gadgets as gadgets_module
-from wvgcontrol.bands import BandSystem, DeletionCounter, count_light_subsets, heavy_pivot_term
+from wvgcontrol.bands import BandSystem, DeletionCounter, count_light_subsets
 from wvgcontrol.control import DeletionCandidate, compute_pivot_count, relation_holds
 from wvgcontrol.engines import EngineBudget, pivot_count_mitm
 from wvgcontrol.formulas import suffix_satisfying_counts
 from wvgcontrol.gadgets import ControlInstance, GadgetConstructionNote
 from wvgcontrol.verify import NO_INSTANCES, RELAXED_GRID, random_formula
 
-from conftest import block_named, counter_terms, decompose_target, group_members, run_suite
+from conftest import (
+    block_named,
+    counter_terms,
+    decompose_target,
+    group_members,
+    heavy_pivot_term,
+    run_suite,
+)
 
 OR2 = CnfFormula(2, (frozenset({1, 2}),))
 WIDE5 = CnfFormula(5, (frozenset({1, 2, 3, 4, 5}),))
@@ -75,7 +82,7 @@ def relaxed_no_gadget(kind: str):
 class TestPrereduction:
     def test_or2_vectors(self):
         pre = build_prereduction(OR2, 1)
-        assert (pre.r, pre.t) == (0, 1)
+        assert pre.t == 1
         assert pre.a_weights == (1010, 10010)
         assert pre.b_weights == (1000, 10000)
         assert pre.c_weights == (10,)
@@ -105,7 +112,7 @@ class TestPrereduction:
     def test_single_variable_formula(self):
         formula = CnfFormula(1, (frozenset({1}),))
         pre = build_prereduction(formula, 1)
-        assert pre.c_weights == ()  # r = -1: no clause toppers
+        assert pre.c_weights == ()  # ceil(log2 1) = 0: no clause toppers
         assert count_subset_sum(pre.abc_weights, pre.q_prime) == count_sat(formula) == 1
 
 
@@ -114,7 +121,7 @@ class TestDeltaDecomposition:
         delta = DeltaDecomposition.from_ell(3)
         assert delta.exponents == (1, 0)
         assert delta.level_weights == (1, 2)
-        assert delta.ell == 3
+        assert sum(1 << d for d in delta.exponents) == 3
 
     def test_ell_6(self):
         delta = DeltaDecomposition.from_ell(6)
@@ -796,9 +803,9 @@ class TestPublicRefusals:
                 "prefix length -1 out of range for 2 variables",
             ),
             (
-                lambda: e_exact_sat(OR2, 1, -1, allow_zero=True),
+                lambda: e_exact_sat(OR2, 1, -1),
                 InputError,
-                "ell must be nonnegative",
+                "ell must be positive, got -1",
             ),
             (
                 lambda: replace(build_prereduction(OR2, 1), b_weights=(1000,)),

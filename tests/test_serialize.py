@@ -19,6 +19,7 @@ from wvgcontrol import (
     FileFormatError,
     Game,
     Goal,
+    InputError,
     InvalidCoalitionError,
     LightBlock,
     build_decrease,
@@ -177,8 +178,14 @@ class TestInstanceDocuments:
         instance = build_decrease(OR2, 1, strict=False)
         document = json.loads(dump_instance(instance))
         document["goal"] = "SHRINK"
-        with pytest.raises(FileFormatError, match="goal"):
+        # the instance constructor alone judges a goal; the reader passes it on
+        with pytest.raises(InputError) as caught:
             load_instance(json.dumps(document))
+        assert type(caught.value) is InputError
+        assert str(caught.value) == (
+            "unknown goal 'SHRINK'; expected one of "
+            "['DECREASE', 'NONINCREASE', 'MAINTAIN', 'INCREASE', 'NONDECREASE']"
+        )
 
     def test_bad_block_kind(self):
         instance = build_decrease(OR2, 1, strict=False)
@@ -226,9 +233,9 @@ class TestInstanceDocuments:
         document = json.loads(dump_instance(instance))
         heavy = document["bands"]["heavy"]
         heavy.append(heavy[0])
-        with pytest.raises(FileFormatError) as error:
+        with pytest.raises(BandStructureError) as error:
             load_instance(json.dumps(document))
-        assert str(error.value) == f"'bands.heavy' lists player {heavy[0]} twice"
+        assert str(error.value) == f"player {heavy[0]} appears twice in the band system"
 
     @pytest.mark.parametrize(
         "field, entry, message",
