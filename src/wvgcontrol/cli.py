@@ -155,7 +155,7 @@ def cmd_control(args: argparse.Namespace) -> int:
     else:
         if not args.groups:
             raise InputError("restricted mode needs --groups")
-        mode = Restricted(tuple(args.groups.split(",")))
+        mode = Restricted(args.groups.split(","))
         mode.players(instance)  # a group the instance lacks is refused before the echo
     budget = _budget_from(args)
     _echo(args, path, data)

@@ -33,7 +33,7 @@ from .engines import (
 )
 from .errors import BudgetExceededError, InputError, WvgError, require_int
 from .game import ExactIndex, Game, decimal_str, weight_class_partition
-from .gadgets import ControlInstance, Goal
+from .gadgets import ControlInstance, Goal, _as_tuple
 
 _RELATIONS = {
     Goal.DECREASE: operator.lt,
@@ -179,14 +179,14 @@ class Sampled:
 
 @dataclass(frozen=True)
 class Restricted:
-    """Exhaustive search over players of the named provenance groups only."""
+    """Exhaustive search over players of the named provenance groups only.
+    ``groups`` becomes a tuple by ``ControlInstance``'s rule for its field
+    of that name: a bare string, or anything not iterable, is refused."""
 
     groups: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        # A bare string would be searched as one group per character.
-        if isinstance(self.groups, str):
-            raise InputError(f"restricted search needs a tuple of group names, not {self.groups!r}")
+        object.__setattr__(self, "groups", _as_tuple("groups", self.groups))
         # With no group nothing is deletable, and the one empty candidate
         # would pass for an exhaustive NO.
         if not self.groups:

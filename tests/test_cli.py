@@ -107,7 +107,7 @@ class TestIndexCommand:
         path.write_text(dump_instance(wide_interval_instance()))
         assert main(["index", str(path)]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "engine:  enum\n" in out and "index of player 0: 8/2^4 " in out
+        assert "engine:  enum" in out.splitlines() and "index of player 0: 8/2^4 " in out
         assert main(["index", str(path), "--engine", "layered"]) == EXIT_BUDGET
         assert "limit 4096" in capsys.readouterr().err
 
@@ -435,7 +435,16 @@ class TestDocumentLoading:
         assert main(["index", str(example1_file), "--player", "1"]) == EXIT_OK
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("text", ["not json", "[1, 2]", '{"weights": ["1"]}'])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "not json",
+            "[1, 2]",
+            '{"weights": ["1"]}',
+            # a weight written with ARABIC-INDIC DIGIT THREE, which isdigit accepts
+            json.dumps({"weights": ["1", "\u0663"], "quota": "2"}) + "\n",
+        ],
+    )
     def test_error_names_the_file(self, tmp_path, capsys, text):
         path = tmp_path / "broken.game"
         path.write_text(text)
@@ -491,13 +500,24 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
     assert str(path) in err
 
 
-@pytest.mark.parametrize("command", ["oracle", "reduce"])
-def test_dimacs_error_names_the_file(tmp_path, capsys, command):
-    path = tmp_path / "long.cnf"
-    path.write_text("p cnf 1 " + "9" * 5000 + "\n1 0\n")
+LONG_COUNT = ("p cnf 1 " + "9" * 5000 + "\n1 0\n", "line 1: problem line count has too many digits")
+
+
+@pytest.mark.parametrize(
+    "command, text, fault",
+    [
+        ("oracle", *LONG_COUNT),
+        ("reduce", *LONG_COUNT),
+        ("oracle", "p cnf two 1\n1 0\n", "line 1: malformed problem line 'p cnf two 1'"),
+    ],
+    ids=["oracle", "reduce", "oracle-malformed"],
+)
+def test_dimacs_error_names_the_file(tmp_path, capsys, command, text, fault):
+    path = tmp_path / "bad.cnf"
+    path.write_text(text)
     assert _run_on(command, path, tmp_path) == EXIT_INPUT
     err = capsys.readouterr().err
-    assert f"input error: {path}: line 1: problem line count has too many digits" in err
+    assert f"input error: {path}: {fault}" in err
 
 
 def test_fraction_line_prints_a_count_past_the_int_str_digit_limit():
@@ -732,6 +752,7 @@ def _heavy(player):
 MALFORMED_BANDED = {
     "distinguished-past-the-end": (_set("distinguished", 41), "player 41 out of range"),
     "distinguished-negative": (_set("distinguished", -1), "player -1 out of range"),
+    "distinguished-bool": (_set("distinguished", True), "distinguished must be an integer"),
     "budget-negative": (_set("budget", -1), "budget must satisfy 0 <= budget < 41"),
     "goal-array": (_set("goal", ["DECREASE"]), "unknown goal ['DECREASE']"),
     "goal-object": (_set("goal", {"DECREASE": 1}), "unknown goal {'DECREASE': 1}"),

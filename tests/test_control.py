@@ -273,10 +273,20 @@ class TestModes:
         with pytest.raises(InputError, match="at least one group"):
             solve_control(instance, engine="layered", mode=Restricted(()))
 
-    @pytest.mark.parametrize("groups", ["AB", "player-1"])
+    @pytest.mark.parametrize("groups", ["AB", "player-1", 5])
     def test_restricted_refuses_a_bare_string(self, groups):
-        with pytest.raises(InputError, match="tuple of group names"):
+        with pytest.raises(InputError, match="groups must be a list or tuple"):
             Restricted(groups)
+
+    def test_restricted_takes_its_groups_as_a_tuple(self):
+        assert Restricted(["A"]) == Restricted(("A",))
+        assert hash(Restricted(["A"])) == hash(Restricted(("A",)))
+        # naming the groups must not use up a generator before the search
+        instance = build_decrease(*NO_INSTANCES[0], strict=False)
+        by_tuple = solve_control(instance, engine="layered", mode=Restricted(("A",)))
+        by_generator = solve_control(instance, engine="layered", mode=Restricted(g for g in ["A"]))
+        assert by_generator == by_tuple
+        assert by_tuple.candidates_evaluated == 3
 
     def test_restricted_rejects_groups_the_instance_lacks(self):
         instance = build_decrease(CnfFormula(2, (frozenset({1, 2}),)), 1, strict=False)
