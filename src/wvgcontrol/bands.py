@@ -29,8 +29,8 @@ built through the same validating constructor.
 ``pivot_count_layered`` and ``DeletionCounter`` read one walk over the
 pivotal coalition weights (``_window_passes``), which splits and counts
 the residuals of every heavy player a column at a time
-(``_column_walk``), so they share its guards: a distinguished weight
-above ``_MAX_INTERVAL_WIDTH`` (4,096) is refused, with
+(``_column_walk``), so they share its guards: a missing band system or a
+distinguished weight above ``_MAX_INTERVAL_WIDTH`` (4,096) is refused, with
 ``layered_refusal``'s text, as a ``BudgetExceededError`` before anything
 is counted.  ``DeletionCounter`` keeps that walk's nonzero rows as terms
 and scores deletions without deleting any; its docstring tells how, and
@@ -391,28 +391,28 @@ def layered_refusal(bands: BandSystem | None) -> str | None:
 
 
 def _window_passes(
-    bands: BandSystem, heavies: list[int]
+    bands: BandSystem,
 ) -> Iterator[tuple[list[int], list[int], dict[int, int], list[dict]]]:
     """The walk over the pivotal coalition weights, each less the weight of
-    one of ``heavies``, in passes of at most ``_PASS_ROWS`` rows (and at
-    least one coalition weight).  Each pass is the heavy player and the
-    residual of each of its rows, in order of coalition weight and then of
-    ``heavies``; each residual walked so far to its product
-    (``_column_walk``, and 0 for a negative one); and the count memo.  The
-    passes share both memos, so a residual that recurs across the window
-    is split once, and each (block, target) is counted once per walk.  A
-    ``layered_refusal`` is raised as a ``BudgetExceededError``, as
-    ``compute_index`` raises it."""
+    one heavy player, in passes of at most ``_PASS_ROWS`` rows (and at
+    least one coalition weight; an empty window is one pass of no rows).
+    Each pass is the heavy player and the residual of each of its rows, in
+    order of coalition weight and then of heavy player; each residual
+    walked so far to its product (``_column_walk``, and 0 for a negative
+    one); and the count memo.  The passes share both memos, so a residual
+    that recurs across the window is split once, and each (block, target)
+    is counted once per walk.  A ``layered_refusal``, that of ``None``
+    too, is raised as a ``BudgetExceededError``."""
     if (refusal := layered_refusal(bands)) is not None:
         raise BudgetExceededError(refusal)
-    game = bands.game
+    game, heavies = bands.game, sorted(bands.heavy)
     weights = [*map(game.weights.__getitem__, heavies)]
     w_p = game.weights[bands.distinguished]
     window = range(game.quota - w_p, game.quota)
     counts: list[dict] = [{} for _ in bands.blocks]
     products: dict[int, int] = {}
     step = max(1, _PASS_ROWS // max(1, len(heavies)))
-    for start in range(0, len(window), step):
+    for start in range(0, max(len(window), 1), step):
         coalition_weights = window[start : start + step]
         residuals = [c - w for c in coalition_weights for w in weights]
         new = [*filterfalse(products.__contains__, dict.fromkeys(residuals))]
@@ -432,7 +432,7 @@ def pivot_count_layered(bands: BandSystem) -> int:
     """
     return sum(
         sum(map(products.__getitem__, residuals))
-        for _, residuals, products, _ in _window_passes(bands, sorted(bands.heavy))
+        for _, residuals, products, _ in _window_passes(bands)
     )
 
 
@@ -493,18 +493,17 @@ class DeletionCounter:
 
     def __init__(self, bands: BandSystem) -> None:
         self.bands = bands
-        self._block_of = {
-            member: index for index, block in enumerate(bands.blocks) for member in block.members
-        }
         self._heavies: list[int] = []  # by term, in walk order
         self._products: list[int] = []
         residuals: list[int] = []
-        counts: list[dict] = [{} for _ in bands.blocks]  # a walk of no pass counts nothing
-        for row_heavies, rows, products, counts in _window_passes(bands, sorted(bands.heavy)):
+        for row_heavies, rows, products, counts in _window_passes(bands):
             kept = [*map(products.__getitem__, rows)]
             self._heavies += compress(row_heavies, kept)
             self._products += filter(None, kept)
             residuals += compress(rows, kept)
+        self._block_of = {
+            member: index for index, block in enumerate(bands.blocks) for member in block.members
+        }
         self._target_columns: list[list[int]] = []  # by block index, by term
         self._count_columns: list[list[int]] = []
         for block, memo in zip(bands.blocks, counts):

@@ -146,7 +146,7 @@ def cmd_control(args: argparse.Namespace) -> int:
             if value is not None and value != own:
                 raise InputError(f"{flag} {value} differs from the instance document's {own}")
         if args.goal is not None:
-            instance = replace(instance, goal=args.goal.upper(), meta=dict(instance.meta))
+            instance = replace(instance, goal=args.goal.upper())
     if args.mode == "exhaustive":
         mode = Exhaustive()
     elif args.mode == "sampled":

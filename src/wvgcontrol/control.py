@@ -127,12 +127,10 @@ def pick_engine(instance: ControlInstance, budget: EngineBudget = DEFAULT_BUDGET
 def compute_pivot_count(
     instance: ControlInstance, engine: str = "auto", budget: EngineBudget = DEFAULT_BUDGET
 ) -> tuple[int, str]:
-    """Pivotal count of the distinguished player, with the engine that ran."""
+    """Pivotal count and the engine that ran; the engine's runner alone raises its refusal."""
     name = pick_engine(instance, budget) if engine == "auto" else engine
     if name not in ENGINES:
         raise InputError(f"unknown engine {name!r}; expected one of {sorted(ENGINES)}")
-    if (refusal := ENGINES[name].refusal(instance, budget)) is not None:
-        raise BudgetExceededError(refusal)
     return ENGINES[name].run(instance, budget), name
 
 

@@ -189,6 +189,7 @@ class DeltaDecomposition:
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "exponents", _as_tuple("exponents", self.exponents))
         if not self.exponents:
             raise GadgetParameterError("exponents must not be empty")
         for d in self.exponents:
@@ -223,9 +224,9 @@ class ControlInstance:
     ``groups`` carries one provenance label per player for gadget
     instances (``player-1``, ``A`` .. ``Z*``, ``L1``..); ``a_players`` /
     ``b_players`` locate the literal carriers so witness deletions can be
-    constructed (``None`` marks a deleted carrier).  Plain instances over
-    hand-made games leave all of that empty.  The labels and carrier
-    tables become tuples, whatever sequence they are given as.
+    constructed (``None`` marks a deleted carrier); hand-made games leave
+    them empty.  The labels and carrier tables become tuples, whatever
+    sequence they come as, and ``meta`` a dict of the instance's own.
     """
 
     game: Game
@@ -249,6 +250,9 @@ class ControlInstance:
             object.__setattr__(self, "groups", _as_tuple("groups", self.groups))
         for name in ("a_players", "b_players"):
             object.__setattr__(self, name, _as_tuple(name, getattr(self, name)))
+        if not isinstance(self.meta, dict):
+            raise InputError(f"meta must be a dict, got {self.meta!r}")
+        object.__setattr__(self, "meta", dict(self.meta))
         for name in ("distinguished", "budget"):
             require_int(getattr(self, name), f"{name} must be an integer")
         self.game.check_player(self.distinguished)
@@ -272,11 +276,11 @@ class ControlInstance:
 
         Band metadata shrinks with the game: ``BandSystem.restrict`` takes
         the same victims and applies them through ``delete_players``, as
-        this method does, and the instance constructor's band check
-        confirms that both smaller games agree.  The budget is clamped to
-        stay below the new player count.  Control search calls this only
-        for a witness and for the brute-force engines' candidates; layered
-        search scores its candidates without deleting anything.
+        this method does, and the constructor's band check confirms that
+        both smaller games agree.  The budget is clamped below the new
+        player count; goal and ``meta`` carry over through ``replace``.
+        Control search calls this only for a witness and for the brute-force
+        engines' candidates; layered search scores without deleting anything.
         """
         victim_set = frozenset(victims)
         if self.distinguished in victim_set:
@@ -286,16 +290,15 @@ class ControlInstance:
         def carriers(table: tuple[int | None, ...]) -> list[int | None]:
             return [None if p is None else remap.get(p) for p in table]
 
-        return ControlInstance(
+        return replace(
+            self,
             game=new_game,
             distinguished=remap[self.distinguished],
             budget=min(self.budget, new_game.num_players - 1),
-            goal=self.goal,
             groups=None if self.groups is None else [self.groups[p] for p in remap],
             bands=None if self.bands is None else self.bands.restrict(victim_set),
             a_players=carriers(self.a_players),
             b_players=carriers(self.b_players),
-            meta=dict(self.meta),
         )
 
 

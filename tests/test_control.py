@@ -31,6 +31,7 @@ from wvgcontrol import (
     build_nonincrease,
     evaluate_deletion,
     exactify,
+    pivot_count_layered,
     solve_control,
 )
 from wvgcontrol import control
@@ -422,18 +423,42 @@ class TestEngineSelection:
         with pytest.raises(BudgetExceededError, match="band metadata"):
             compute_index(instance, "layered")
 
-    @pytest.mark.parametrize("name", control.ENGINES)
-    def test_every_kernel_raises_its_own_refusal_as_a_budget_refusal(self, name):
-        refused = {
-            "enum": self._bare(26, 100),
-            "mitm": self._bare(46, 100),
-            "dp": self._bare(3, 2_000_001),
-            "layered": wide_interval_instance(),
-        }[name]
+    @pytest.mark.parametrize(
+        "name, bare, kernel",
+        [
+            *((name, False, "run") for name in control.ENGINES),
+            ("layered", True, "run"),
+            ("layered", True, "search"),
+            ("layered", True, pivot_count_layered),
+            ("layered", True, DeletionCounter),
+        ],
+        ids=[
+            *control.ENGINES,
+            "layered-bare-run",
+            "layered-bare-search",
+            "pivot-count-layered-none",
+            "deletion-counter-none",
+        ],
+    )
+    def test_every_kernel_raises_its_own_refusal_as_a_budget_refusal(
+        self, name, bare, kernel, example1
+    ):
+        if bare:  # no band system, which the layered engine needs
+            refused = ControlInstance(example1, 1, 0, Goal.DECREASE)
+        else:
+            refused = {
+                "enum": self._bare(26, 100),
+                "mitm": self._bare(46, 100),
+                "dp": self._bare(3, 2_000_001),
+                "layered": wide_interval_instance(),
+            }[name]
         refusal = control.ENGINES[name].refusal(refused, DEFAULT_BUDGET)
         assert refusal is not None
         with pytest.raises(BudgetExceededError) as raised:
-            control.ENGINES[name].run(refused, DEFAULT_BUDGET)
+            if isinstance(kernel, str):
+                getattr(control.ENGINES[name], kernel)(refused, DEFAULT_BUDGET)
+            else:  # a layered kernel called directly on the missing band system
+                kernel(refused.bands)
         assert str(raised.value) == refusal
 
     def test_banzhaf_takes_brute_force_engines_only(self, example1):

@@ -50,6 +50,7 @@ from wvgcontrol.control import DeletionCandidate, compute_pivot_count, relation_
 from wvgcontrol.engines import EngineBudget, pivot_count_mitm
 from wvgcontrol.formulas import suffix_satisfying_counts
 from wvgcontrol.gadgets import ControlInstance, GadgetConstructionNote
+from wvgcontrol.serialize import load_document
 from wvgcontrol.verify import NO_INSTANCES, RELAXED_GRID, random_formula
 
 from conftest import (
@@ -137,6 +138,13 @@ class TestDeltaDecomposition:
     def test_rejects_nonpositive(self):
         with pytest.raises(GadgetParameterError):
             DeltaDecomposition.from_ell(0)
+
+    @pytest.mark.parametrize("exponents", [[3, 1], iter((3, 1))], ids=["list", "iterator"])
+    def test_any_sequence_of_exponents_becomes_a_tuple(self, exponents):
+        delta = DeltaDecomposition(exponents)
+        assert delta.exponents == (3, 1)
+        assert delta == DeltaDecomposition((3, 1))
+        assert hash(delta) == hash(DeltaDecomposition((3, 1)))
 
     def test_no_carry_chain_holds_broadly(self):
         for ell in range(1, 300):
@@ -550,6 +558,40 @@ class TestInstanceDeletion:
         assert group_members(instance.delete({1}), "A") == ()
 
 
+class TestInstanceMeta:
+    """``meta`` belongs to the instance: no caller and no derived instance
+    shares its dict."""
+
+    @pytest.mark.parametrize(
+        "derive",
+        [
+            lambda instance: replace(instance, goal=Goal.NONINCREASE),
+            lambda instance: instance.delete(group_members(instance, "Z*")),
+        ],
+        ids=["replace", "delete"],
+    )
+    def test_a_derived_instance_has_its_own_meta(self, derive):
+        instance = _or2_decrease()
+        derived = derive(instance)
+        assert derived.meta == instance.meta
+        assert derived.meta is not instance.meta
+        derived.meta["k"] = 5
+        assert witness_deletion(instance, (1,)) == witness_deletion(_or2_decrease(), (1,))
+
+    def test_the_callers_dict_stays_the_callers(self):
+        meta = {"k": 1}
+        instance = ControlInstance(Game((1, 2, 2), 3), 0, 1, Goal.DECREASE, meta=meta)
+        meta["k"] = 2
+        assert instance.meta == {"k": 1}
+
+    def test_meta_given_in_code_round_trips(self):
+        meta = {"k": 1, "kind": "hand-made"}
+        instance = ControlInstance(Game((1, 2, 2), 3), 0, 1, Goal.DECREASE, meta=meta)
+        document = dump_instance(instance)
+        meta.clear()
+        assert load_document(document) == instance
+
+
 class TestLayeredCaseCounts:
     """The per-case split reads every heavy term from one walk."""
 
@@ -601,7 +643,7 @@ class TestLayeredCaseCounts:
         groups = list(instance.groups)
         groups[heavy] = "Z"
         with pytest.raises(InputError, match=f"heavy player {heavy} carries unexpected label 'Z'"):
-            layered_case_counts(replace(instance, groups=tuple(groups), meta=dict(instance.meta)))
+            layered_case_counts(replace(instance, groups=tuple(groups)))
 
 
 class TestClosedFormGridAgainstOracles:
@@ -945,6 +987,22 @@ class TestPublicRefusals:
                 InputError,
                 "instance has no literal carrier for variable 1",
             ),
+            (
+                lambda: ControlInstance(Game((1, 2, 2), 3), 0, 1, Goal.DECREASE, meta=5),
+                InputError,
+                "meta must be a dict, got 5",
+            ),
+            (
+                lambda: ControlInstance(Game((1, 2, 2), 3), 0, 1, Goal.DECREASE, meta=[]),
+                InputError,
+                "meta must be a dict, got []",
+            ),
+            (lambda: DeltaDecomposition(5), InputError, "exponents must be a list or tuple, got 5"),
+            (
+                lambda: DeltaDecomposition("31"),
+                InputError,
+                "exponents must be a list or tuple, got '31'",
+            ),
         ],
         ids=[
             "heavy-pivot-term-light-player",
@@ -1000,6 +1058,10 @@ class TestPublicRefusals:
             "int-a-players",
             "none-b-players",
             "witness-without-carrier-tables",
+            "int-meta",
+            "list-meta",
+            "int-exponents",
+            "string-exponents",
         ],
     )
     def test_refusal(self, refused, error, message):
