@@ -1,18 +1,14 @@
 """Decide control-by-deleting-players questions by search over deletion multisets.
 
 Equal-weight players are interchangeable for the distinguished player's
-index, so the search enumerates multisets over weight classes instead of
-raw subsets; gadget games have large symmetric groups and this collapses
-the space by orders of magnitude.  Every mode reads one ranked space,
-``_CandidateSpace``: the count vectors over the classes (heaviest first)
-whose total lies in a size window, greatest-lexicographic first.
-Exhaustive mode visits each size from the smallest allowed up to the
-budget in rank order (``_CandidateSpace.walk``), and the first witness
-found is the reported one (deterministic).  Sampled mode draws ranks
-uniformly over the whole window with a seeded generator
-(``_CandidateSpace.sample``), scores and counts every draw in draw order,
-and reports honestly labelled negative evidence.  Restricted mode is
-exhaustive over a named subset of provenance groups.
+index, so a search visits multisets over weight classes instead of raw
+subsets: the count vectors over the classes (heaviest first) whose total
+lies in a size window, ranked greatest-lexicographic first by one space,
+``_CandidateSpace``.  Every search mode yields its own stream of candidates
+(``stream``).  ``Exhaustive`` walks each size in rank order, so the first
+witness found is the reported one; ``Restricted`` walks the space of its
+groups' players; ``Sampled`` draws seeded ranks over the whole window and
+reports honestly labelled negative evidence, or walks an empty window.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .bands import DeletionCounter, layered_refusal, pivot_count_layered
 from .engines import (
@@ -156,6 +152,10 @@ def banzhaf(
 class Exhaustive:
     """Walk every deletion multiset within the budget."""
 
+    def stream(self, instance: ControlInstance, min_size: int) -> _Stream:
+        """Every candidate of at least ``min_size`` deletions, size by size in rank order."""
+        return _CandidateSpace.of(instance).walk(min_size, instance.budget), None
+
 
 @dataclass(frozen=True)
 class Sampled:
@@ -173,6 +173,14 @@ class Sampled:
         # A sampled NO with no draws would be no evidence at all.
         if self.trials < 1:
             raise InputError(f"sampled search needs at least one trial, got {self.trials}")
+
+    def stream(self, instance: ControlInstance, min_size: int) -> _Stream:
+        """Draws over the window of at least ``min_size`` deletions; an empty
+        window is walked, since drawing from it leaves nothing unexamined."""
+        space, budget = _CandidateSpace.of(instance), instance.budget
+        if space.count(min_size, budget):
+            return space.sample(self.seed, self.trials, min_size, budget), self
+        return space.walk(min_size, budget), None
 
 
 @dataclass(frozen=True)
@@ -201,8 +209,15 @@ class Restricted:
             raise InputError(f"the instance has no provenance group {unknown}")
         return {p for p, label in enumerate(instance.groups) if label in self.groups}
 
+    def stream(self, instance: ControlInstance, min_size: int) -> _Stream:
+        """``Exhaustive``'s walk over the space of the named groups' players."""
+        space = _CandidateSpace.of(instance, self.players(instance))
+        return space.walk(min_size, instance.budget), None
+
 
 SearchMode = Exhaustive | Sampled | Restricted
+#: a mode's ``stream``: the deleted players of each candidate, and the ``Sampled`` that drew them
+_Stream = tuple[Iterator[frozenset[int]], Sampled | None]
 
 
 @dataclass(frozen=True)
@@ -211,6 +226,15 @@ class DeletionCandidate:
 
     class_counts: tuple[tuple[int, int], ...]  # (class weight, deleted) — weight desc
     players: frozenset[int]
+
+    @classmethod
+    def of(
+        cls, weights: Sequence[int] | Mapping[int, int], players: frozenset[int]
+    ) -> DeletionCandidate:
+        """The candidate deleting ``players``, player ``p`` of weight ``weights[p]``:
+        how many of each weight, heaviest first, as a space orders its classes."""
+        taken = Counter(weights[p] for p in players)
+        return cls(tuple(sorted(taken.items(), reverse=True)), players)
 
     def describe(self) -> str:
         if not self.class_counts:
@@ -237,23 +261,6 @@ class SearchReport:
     trials: int | None = None
 
 
-def _candidate_classes(
-    instance: ControlInstance, allowed: set[int] | None
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Weight classes of the deletable players (heaviest first), among
-    ``allowed`` when it is not ``None``."""
-    classes = []
-    for weight, members in weight_class_partition(instance.game):
-        kept = tuple(
-            p
-            for p in members
-            if p != instance.distinguished and (allowed is None or p in allowed)
-        )
-        if kept:
-            classes.append((weight, kept))
-    return classes
-
-
 #: the widest window whose draws one sampled search keeps the deleted
 #: players of; a wider window keeps none
 _UNRANK_MEMO_SIZE = 1 << 14
@@ -265,8 +272,7 @@ class _CandidateSpace:
 
     ``walk`` yields the deleted players of a window's vectors in rank
     order, ``sample`` those of seeded draws, and ``unrank``, the one
-    unranking code path, those of one rank; ``candidate_of`` alone derives
-    a vector's (class weight, deleted) pairs.  ``count`` and ``unrank``
+    unranking code path, those of one rank.  ``count`` and ``unrank``
     read ``ways``, built on first use: ``ways[i][s]`` is the number of
     count vectors over classes ``i..`` with total at most ``s``, for ``s``
     up to the largest total the budget and the classes allow.
@@ -275,8 +281,20 @@ class _CandidateSpace:
     def __init__(self, classes: list[tuple[int, tuple[int, ...]]], max_size: int) -> None:
         self.classes = classes
         self.max_size = min(max_size, sum(len(members) for _, members in classes))
-        self._class_of = {p: i for i, (_, members) in enumerate(classes) for p in members}
         self._rows: dict[tuple[int, int], list[int]] = {}  # (high, below) -> -tail row
+
+    @classmethod
+    def of(cls, instance: ControlInstance, allowed: set[int] | None = None) -> _CandidateSpace:
+        """The deletions within ``instance``'s budget, over the weight classes
+        of its players but the distinguished one, among ``allowed`` if given."""
+        kept = set(range(instance.game.num_players) if allowed is None else allowed)
+        kept.discard(instance.distinguished)
+        classes = [
+            (weight, members)
+            for weight, everyone in weight_class_partition(instance.game)
+            if (members := tuple(p for p in everyone if p in kept))
+        ]
+        return cls(classes, instance.budget)
 
     @functools.cached_property
     def ways(self) -> list[list[int]]:
@@ -424,13 +442,6 @@ class _CandidateSpace:
                 else:
                     break
 
-    def candidate_of(self, players: frozenset[int]) -> DeletionCandidate:
-        """The candidate whose deleted players are ``players``, as ``walk``
-        and ``sample`` yield them, in time proportional to ``len(players)``."""
-        taken = Counter(map(self._class_of.__getitem__, players))  # class index -> deleted
-        counts = tuple((self.classes[index][0], taken[index]) for index in sorted(taken))
-        return DeletionCandidate(counts, players)
-
 
 def _confirm_witness(
     instance: ControlInstance, witness: DeletionCandidate, count: int, engine_used: str,
@@ -489,38 +500,25 @@ def solve_control(
 ) -> SearchReport:
     """Search for a deletion achieving the instance's goal.
 
-    Goals that deleting nobody would trivially meet (those whose relation
-    holds between an index and itself) require at least one deletion; the
-    strict goals admit the empty deletion harmlessly.  ``mode`` must be an
-    ``Exhaustive``, ``Sampled`` or ``Restricted`` instance; anything else is
-    an ``InputError`` before anything is counted.  The deleted players of
-    each candidate come from ``_CandidateSpace.walk``, or in sampled mode
-    from ``_CandidateSpace.sample``; the engine's scorer counts from them
-    alone, and the count is compared as an integer numerator over the
-    index before's denominator ``2^(n-1)``.  Only a witness, or a
-    candidate the engine refuses, is described as a ``DeletionCandidate``;
-    only a witness is built with ``ControlInstance.delete``, recounted in
-    full and re-verified (``_confirm_witness``), and ``ExactIndex`` values
-    are built only for the report.
+    Goals that deleting nobody would meet (those whose relation holds
+    between an index and itself) need at least one deletion.  ``mode``
+    must be an ``Exhaustive``, ``Sampled`` or ``Restricted`` instance, and
+    yields its own stream of deleted players (``stream``) before anything
+    is counted, so an unknown mode or group is refused first.  The
+    engine's scorer counts from the deleted players alone, compared as an
+    integer numerator over the index before's denominator ``2^(n-1)``.
+    Only a witness is deleted with ``ControlInstance.delete``, recounted
+    in full and re-verified (``_confirm_witness``).
     """
     if not isinstance(mode, SearchMode):
         raise InputError(
             f"unknown search mode {mode!r}; expected an Exhaustive, Sampled or Restricted instance"
         )
+    min_size = 1 if _RELATIONS[instance.goal](0, 0) else 0
+    deletions, sampled = mode.stream(instance, min_size)
     before_count, engine_used = compute_pivot_count(instance, engine, budget)
     score = ENGINES[engine_used].search(instance, budget)
     top = instance.game.num_players - 1
-    min_size = 1 if _RELATIONS[instance.goal](before_count, before_count) else 0
-
-    allowed = mode.players(instance) if isinstance(mode, Restricted) else None
-    space = _CandidateSpace(_candidate_classes(instance, allowed), instance.budget)
-    size = space.count(min_size, instance.budget) if isinstance(mode, Sampled) else 0
-    # drawing from an empty space leaves nothing unexamined: that NO is exhaustive
-    sampled = mode if size else None
-    if sampled is not None:
-        deletions = space.sample(sampled.seed, sampled.trials, min_size, instance.budget)
-    else:
-        deletions = space.walk(min_size, instance.budget)
 
     evaluated = 0
     # (count << deleted, count, deleted) of the lowest and highest index seen
@@ -535,7 +533,7 @@ def solve_control(
         except BudgetExceededError as error:
             raise BudgetExceededError(
                 f"engine {engine_used} refused the candidate "
-                f"[{space.candidate_of(players).describe()}]: {error}"
+                f"[{DeletionCandidate.of(instance.game.weights, players).describe()}]: {error}"
             ) from error
         # Deleting d players leaves the index count / 2^(top - d), which is
         # (count << d) / 2^top: over the denominator of the index before.
@@ -547,7 +545,7 @@ def solve_control(
         if highest is None or scaled > highest[0]:
             highest = (scaled, count, deleted)
         if relation_holds(instance.goal, before_count, scaled):
-            witness = space.candidate_of(players)
+            witness = DeletionCandidate.of(instance.game.weights, players)
             reverified = _confirm_witness(instance, witness, count, engine_used, budget)
             after_witness = ExactIndex(count, top - deleted)
             break

@@ -175,9 +175,10 @@ def load_instance(text: str) -> ControlInstance:
 
 
 def load_document(text: str) -> ControlInstance | Game:
-    """An instance if the document has instance fields, else a bare game."""
+    """An instance if the document has any of ``distinguished``, ``budget``
+    and ``goal``, so that a missing one is named, else a bare game."""
     document = _parse_object(text, "game")
-    if "distinguished" in document:
+    if document.keys() & {"distinguished", "budget", "goal"}:
         return _instance_from_document(document)
     return _game_from_document(document)
 

@@ -113,7 +113,8 @@ def group_members(instance: ControlInstance, label: str) -> tuple[int, ...]:
 
 def candidate(space: _CandidateSpace, rank: int, low: int, high: int) -> DeletionCandidate:
     """The ``rank``-th count vector of ``space`` with total in ``[low, high]``."""
-    return space.candidate_of(frozenset(space.unrank(rank, low, high)))
+    weights = {p: weight for weight, members in space.classes for p in members}
+    return DeletionCandidate.of(weights, frozenset(space.unrank(rank, low, high)))
 
 
 def run_suite(name: str, options: SuiteOptions | None = None) -> list[CheckResult]:

@@ -39,7 +39,7 @@ from wvgcontrol import (
 )
 from wvgcontrol import bands as bands_module
 from wvgcontrol.bands import count_light_subsets
-from wvgcontrol.control import _CandidateSpace, _candidate_classes, solve_control
+from wvgcontrol.control import _CandidateSpace, solve_control
 from wvgcontrol.engines import count_subsets_mitm, pivot_count_enum, pivot_count_mitm
 from wvgcontrol.gadgets import build_prereduction
 from wvgcontrol.verify import NO_INSTANCES, random_formula
@@ -441,7 +441,7 @@ class TestOneTermWalk:
 
 def _exhaustive_candidates(instance):
     """Every candidate deletion an exhaustive search over ``instance`` scores."""
-    space = _CandidateSpace(_candidate_classes(instance, None), instance.budget)
+    space = _CandidateSpace.of(instance)
     return [
         candidate(space, rank, size, size).players
         for size in range(space.max_size + 1)

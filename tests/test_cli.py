@@ -768,6 +768,10 @@ MALFORMED_BANDED = {
         _set("weights", {"0": "1"}), "'weights' must be an array of decimal strings"
     ),
     "budget-missing": (lambda d: d.pop("budget"), "instance document needs 'budget'"),
+    # budget and goal make it an instance document, not a bare game
+    "distinguished-missing": (
+        lambda d: d.pop("distinguished"), "instance document needs 'distinguished'"
+    ),
     "a-players-string": (_set("a_players", "12"), "'a_players' must be an array of ints or nulls"),
     "meta-array": (_set("meta", []), "'meta' must be an object"),
     "groups-short": (

@@ -253,6 +253,24 @@ class TestModes:
             solve_control(instance, engine="layered", mode=mode)
         assert counted == []
 
+    @pytest.mark.parametrize(
+        "labelled, groups, message",
+        [(True, ("Q",), "no provenance group 'Q'"), (False, ("A",), "needs group labels")],
+        ids=["unknown-group", "no-labels"],
+    )
+    def test_a_bad_restricted_mode_is_refused_before_counting(
+        self, monkeypatch, example1, labelled, groups, message
+    ):
+        counted = []
+        monkeypatch.setattr(control, "compute_pivot_count", lambda *args: counted.append(args))
+        if labelled:
+            instance = build_decrease(*NO_INSTANCES[1], strict=False)
+        else:
+            instance = ControlInstance(example1, 1, 1, Goal.DECREASE)
+        with pytest.raises(InputError, match=message):
+            solve_control(instance, engine="layered", mode=Restricted(groups))
+        assert counted == []
+
     def test_restricted_needs_groups(self, example1):
         instance = ControlInstance(
             game=example1, distinguished=1, budget=1, goal=Goal.DECREASE
@@ -779,8 +797,8 @@ class TestCandidateWalk:
         instance = ControlInstance(Game(tuple(weights), sum(weights)), 0, budget, Goal.DECREASE)
         others = range(1, len(weights))
         allowed = data.draw(st.none() | st.sets(st.sampled_from(others)) if others else st.none())
-        classes = control._candidate_classes(instance, allowed)
-        space = _CandidateSpace(classes, budget)
+        space = _CandidateSpace.of(instance, allowed)
+        classes = space.classes
         walked = list(space.walk(min_size, budget))
 
         sizes = range(min_size, space.max_size + 1)
@@ -796,7 +814,7 @@ class TestCandidateWalk:
             for vector in _lex_walk(kept, size, size, descending=True)
         ]
         assert walked == [candidate.players for candidate in unranked] == lexed
-        assert [space.candidate_of(players) for players in walked] == unranked
+        assert [DeletionCandidate.of(weights, players) for players in walked] == unranked
 
     def test_a_5000_class_space_walks_without_a_table(self):
         classes = [(5000 - i, (i,)) for i in range(5000)]
@@ -823,7 +841,7 @@ def _reference_sampled_report(instance: ControlInstance, mode: Sampled) -> Searc
     score = control.ENGINES[engine].search(instance, DEFAULT_BUDGET)
     top = instance.game.num_players - 1
     low = 1 if relation_holds(instance.goal, before, before) else 0
-    space = _CandidateSpace(control._candidate_classes(instance, None), instance.budget)
+    space = _CandidateSpace.of(instance)
     size = space.count(low, instance.budget)
     rng = random.Random(mode.seed)
     seen = []
@@ -879,8 +897,7 @@ class TestSampledUnrankMemo:
             instance = replace(_no_instance_gadget(int(source[-1])), goal=goal)
         before, _ = control.compute_pivot_count(instance)
         low = 1 if relation_holds(goal, before, before) else 0
-        classes = control._candidate_classes(instance, None)
-        size = _CandidateSpace(classes, instance.budget).count(low, instance.budget)
+        size = _CandidateSpace.of(instance).count(low, instance.budget)
         assume(size)
         # up to three draws per candidate, so that ranks repeat
         trials = data.draw(st.integers(1, min(3 * size, 6_000)))

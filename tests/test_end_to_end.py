@@ -276,7 +276,7 @@ CI_RUNS = [
 def test_ci_runs_tier1_and_the_benchmark_smoke_run_only():
     """Output checks live in this module, which tier-1 runs, and nowhere else."""
     text = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
-    assert 'python-version: ["3.10", "3.11", "3.12"]' in text
+    assert 'python-version: ["3.10", "3.11", "3.12", "3.13"]' in text
     runs = re.findall(r"^ *(?:- )?run: (.*)$", text, re.MULTILINE)
     steps = re.findall(r"^ *- name: (.*)\n *run: (.*)$", text, re.MULTILINE)
     extra = [name for name, run in steps if run not in CI_RUNS]
